@@ -173,10 +173,6 @@ QPOINT_ZERO = QPoint2(Fraction(0), Fraction(0))
 Element = Union[Rat, QPoint2]
 
 
-def zero_like(elem: Element) -> Element:
-    return QPOINT_ZERO if isinstance(elem, QPoint2) else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # Literal syntax shared by files, CLI arguments, and reports:
 #   rational: `n/d` with optional sign, or `n` meaning n/1

@@ -6,11 +6,11 @@ construction, and the first-coordinate projection-gap checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .arith import Element, InvalidInputError, QPoint2, Rat, is_prime, primes_from, vp_value
+from .arith import Element, InvalidInputError, QPoint2, Rat, primes_from, vp_value
 from .backend import (
     Budget,
     MonoidSpec,

@@ -15,10 +15,9 @@ with large denominators tractable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arith import (
     Element,
@@ -27,7 +26,6 @@ from .arith import (
     QPOINT_ZERO,
     Rat,
     parse_element,
-    primes_from,
     primes_geq,
     render_element,
     vp_value,
@@ -39,11 +37,7 @@ FAMILY_TAGS = ("EX44", "RANK2-5.3", "Q-ODDPRIMES")
 
 
 class BudgetExceededError(RuntimeError):
-    """A search ran out of its node budget.  Carries partial progress."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A search ran out of its node budget; the query has no verdict."""
 
 
 class TruncationError(RuntimeError):
@@ -63,12 +57,10 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n: int = 1, partial=None) -> None:
+    def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} nodes exceeded", partial=partial
-            )
+            raise BudgetExceededError(f"search budget of {self.limit} nodes exceeded")
 
 
 def as_budget(budget: "Budget | int | None") -> Budget:
@@ -89,7 +81,13 @@ class MonoidSpec:
 
     Generators are strictly positive, deduplicated, and sorted; truncated
     families expand deterministically given their depth (and, for the rank-2
-    family, a finite sample of second-coordinate seeds).
+    family, a finite sample of second-coordinate seeds).  Rank-2 generators
+    must have a nonnegative first coordinate, because the rank-2 search
+    prunes every residual with negative x.
+
+    The hash is computed once per instance and kept out of `__eq__`, the
+    repr and the pickled state, so that cache keys do not rehash every
+    generator on each lookup.
     """
 
     kind: str  # numerical | puiseux | rank2 | family
@@ -121,9 +119,26 @@ class MonoidSpec:
                 raise InvalidInputError("rank-1 spec requires rational generators")
             if not g > zero:
                 raise InvalidInputError(f"generator {g!r} is not strictly positive")
+            if self.kind == "rank2" and g.x < 0:
+                raise InvalidInputError(
+                    f"rank2 generator {g!r} has a negative first coordinate"
+                )
         if self.kind == "numerical" and any(g.denominator != 1 for g in gens):
             raise InvalidInputError("numerical spec requires integer generators")
         object.__setattr__(self, "generators", gens)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.generators, self.family, self.depth, self.sample))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so the cached hash is not state
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # -- convenience constructors ------------------------------------------
     @classmethod
@@ -152,10 +167,6 @@ class MonoidSpec:
     @property
     def zero(self) -> Element:
         return QPOINT_ZERO if self.is_rank2 else Fraction(0)
-
-    @property
-    def is_truncated_family(self) -> bool:
-        return self.kind == "family"
 
     def expanded(self) -> "MonoidSpec":
         if self.kind != "family":
@@ -282,7 +293,7 @@ def _solutions_rank1(
     results: list[tuple[int, ...]],
     prefix: list[int],
 ) -> bool:
-    budget.spend(partial=list(results))
+    budget.spend()
     if q == 0:
         results.append(tuple(prefix) + (0,) * (len(gens)))
         return True
@@ -319,7 +330,7 @@ def _solutions_rank2(
     results: list[tuple[int, ...]],
     prefix: list[int],
 ) -> bool:
-    budget.spend(partial=list(results))
+    budget.spend()
     if q == QPOINT_ZERO:
         results.append(tuple(prefix) + (0,) * (len(gens)))
         return True
@@ -435,7 +446,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
         used = [(g, c) for g, c in zip(gens, vec) if c]
         ranges = [range(c + 1) for _, c in used]
         for combo in itertools.product(*ranges):
-            bud.spend(partial=sorted(found))
+            bud.spend()
             d = spec.zero
             for (g, _), k in zip(used, combo):
                 if k:
@@ -537,7 +548,7 @@ def members_upto(
     found: set = set()
 
     def walk(gens: tuple[Rat, ...], acc: Rat) -> None:
-        bud.spend(partial=sorted(found))
+        bud.spend()
         found.add(acc)
         if not gens:
             return

@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .arith import InvalidInputError, Rat, parse_rational, render_element
+from .arith import InvalidInputError, parse_rational, render_element
 from .backend import (
     Budget,
     BudgetExceededError,
@@ -20,15 +19,13 @@ from .backend import (
     MonoidSpec,
     TruncationError,
     atoms,
-    expand_family,
     factorizations,
     member,
     parse_monoid_spec,
-    render_monoid_spec,
 )
-from .power import FinSet, divides_in_P, is_p_atom, p_factorize, parse_finset, sumset, sumset_all, NOT_ATOMIC
+from .power import divides_in_P, is_p_atom, p_factorize, parse_finset, sumset, NOT_ATOMIC
 from .mcd import chain_divisors, ex44_chain, mcd
-from .suites import SUITE_NAMES, UnknownSuiteError, run_all_suites, run_verify_suite
+from .suites import UnknownSuiteError, run_all_suites, run_verify_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -40,13 +37,19 @@ def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _load_spec(args) -> MonoidSpec:
     if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.spec_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read spec file: {exc}") from exc
     elif args.spec:
         text = args.spec.replace(";", "\n")
     else:
@@ -60,9 +63,17 @@ def _load_spec(args) -> MonoidSpec:
     return spec
 
 
-def _budget(args) -> Budget:
+def _budget_limit(args) -> int:
     limit = _env_int("FINPOW_BUDGET", args.budget)
-    return Budget(limit if limit else DEFAULT_BUDGET)
+    if limit is None:
+        return DEFAULT_BUDGET
+    if limit <= 0:
+        raise InvalidInputError(f"budget must be a positive node count, got {limit}")
+    return limit
+
+
+def _budget(args) -> Budget:
+    return Budget(_budget_limit(args))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -70,7 +81,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec-file", help="path to a monoid spec file")
     p.add_argument("--budget", type=int, default=None, help="search-node budget")
     p.add_argument("--depth", type=int, default=None, help="family truncation depth")
-    p.add_argument("--bound", default=None, help="element bound for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,11 +258,10 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load_spec(args) if (args.spec or args.spec_file) else None
-    limit = _env_int("FINPOW_BUDGET", args.budget)
     if args.suite == "all":
-        reports = run_all_suites(spec, limit)
+        reports = run_all_suites(spec, _budget_limit(args))
     else:
-        reports = [run_verify_suite(args.suite, spec, Budget(limit or DEFAULT_BUDGET))]
+        reports = [run_verify_suite(args.suite, spec, _budget(args))]
     emit_report(reports, args.out, args.format)
     worst = EXIT_PASS
     for r in reports:

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Element, InvalidInputError, Rat, is_prime, vp, vp_value
+from .arith import InvalidInputError, Rat, is_prime, vp_value
 from .backend import (
     Budget,
     BudgetExceededError,
-    Factorization,
     MonoidSpec,
     TruncationError,
     as_budget,
@@ -24,7 +23,7 @@ from .backend import (
     member,
     members_upto,
 )
-from .power import FinSet, decompositions, divides_in_P, singleton, sumset, zero_set
+from .power import FinSet, divides_in_P, singleton, sumset, zero_set
 
 
 def common_divisors(
@@ -129,7 +128,7 @@ def p_divisors(
         others = [u for u in cand if u != a]
         for r in range(len(others) + 1):
             for extra in itertools.combinations(others, r):
-                bud.spend(partial=sorted(out))
+                bud.spend()
                 u = FinSet((a,) + extra)
                 if len(u) > len(t):
                     continue

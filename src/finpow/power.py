@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .arith import Element, InvalidInputError, QPoint2, parse_element, render_element
+from .arith import Element, InvalidInputError, parse_element, render_element
 from .backend import (
     Budget,
-    BudgetExceededError,
     MonoidSpec,
+    _split_top_level,
     as_budget,
     divisors,
     member,
@@ -72,22 +71,7 @@ def parse_finset(text: str) -> FinSet:
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
         raise InvalidInputError(f"bad set literal {text!r}")
-    body = t[1:-1]
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    elems = tuple(parse_element(p) for p in parts if p.strip())
-    return FinSet(elems)
+    return FinSet(tuple(parse_element(p) for p in _split_top_level(t[1:-1])))
 
 
 @dataclass(frozen=True)
@@ -128,12 +112,13 @@ def singleton_candidates(
     """
     bud = as_budget(budget)
     spec = spec.expanded()
+    smin, zero, members = s.min, spec.zero, set(t.elems)
     elems = []
     for u in t:
-        m = u - s.min
-        if m < spec.zero or not member(m, spec, bud):
+        m = u - smin
+        if m < zero or not member(m, spec, bud):
             continue
-        if all(e + m in t for e in s):
+        if all(e + m in members for e in s):
             elems.append(m)
     if not elems:
         return None
@@ -206,7 +191,7 @@ def decompositions(
         others = [u for u in cand_u if u != a]
         for r in range(len(others) + 1):
             for extra in itertools.combinations(others, r):
-                bud.spend(partial=list(out))
+                bud.spend()
                 u_set = FinSet((a,) + extra)
                 if len(u_set) > len(s):
                     continue

@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .arith import InvalidInputError, QPoint2, Rat, render_element
 from .backend import (
@@ -17,6 +17,7 @@ from .backend import (
     BudgetExceededError,
     MonoidSpec,
     TruncationError,
+    _den_primes,
     as_budget,
     atoms,
     clear_caches,
@@ -49,11 +50,8 @@ from .mcd import (
     mcd_in_P,
 )
 from .atomicity import (
-    atom_divisors,
     lemma54_sum_witness,
-    canonical_decomp_Q,
     p_furstenberg_divisor,
-    rank2_atom,
     thm55_projection_check,
     tidf_implies_atomic_check,
 )
@@ -379,25 +377,10 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
 def _ex44_residue_pairs(sp: MonoidSpec):
     pairs = []
     for g in sp.generators:
-        odd = [p for p in _odd_primes(g.denominator)]
-        for p in odd:
-            if all(h == g or h.denominator % p for h in sp.generators):
+        for p in _den_primes(g.denominator):
+            if p != 2 and all(h == g or h.denominator % p for h in sp.generators):
                 pairs.append((g, p))
     return pairs
-
-
-def _odd_primes(n: int):
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            yield p
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        yield n
 
 
 def _random_member(rng: random.Random, sp: MonoidSpec, max_coeff: int = 3) -> Rat:

@@ -192,3 +192,6 @@ def test_criterion_14_deterministic_full_run():
         first = b"\n".join(r.to_json_lines().encode() for r in run1)
         second = b"\n".join(r.to_json_lines().encode() for r in run2)
         assert first == second
+        assert [r.budget_used for r in run1] == [
+            3262, 135, 27195, 7461, 7508, 1115, 0, 83099, 0, 3739, 2094, 1548
+        ]

@@ -1,5 +1,9 @@
 """Monoid backends checked against a naive exhaustive-coefficient oracle."""
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +93,47 @@ class TestMonoidSpec:
         ):
             assert parse_monoid_spec(render_monoid_spec(sp)) == sp
 
+    def test_rank2_rejects_negative_first_coordinate(self):
+        # the rank-2 search prunes negative x, so such a generator would
+        # be reported as a non-member of its own monoid
+        with pytest.raises(InvalidInputError, match="negative first coordinate"):
+            MonoidSpec.rank2(
+                QPoint2(Fraction(-1), Fraction(1)), QPoint2(Fraction(1), Fraction(0))
+            )
+
+    def test_equal_specs_built_two_ways_hash_equal(self):
+        a = MonoidSpec.numerical(3, 2)
+        b = parse_monoid_spec("kind numerical\ngens 2, 3")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    def test_member_cache_hit_from_equal_spec(self):
+        clear_caches()
+        a = MonoidSpec.numerical(3, 2)
+        b = parse_monoid_spec("kind numerical\ngens 2, 3")
+        assert member(Fraction(7), a)
+        # a cache miss would spend a node and overrun the zero budget
+        assert member(Fraction(7), b, Budget(0))
+
+    def test_pickle_round_trip_keeps_eq_and_hash(self):
+        sp = MonoidSpec.of_family("EX44", 3)
+        hash(sp)
+        assert pickle.loads(pickle.dumps(sp)) == sp
+        # str hashes differ between processes: a spec pickled elsewhere must
+        # hash like one built here
+        code = (
+            "import pickle, sys; from finpow.backend import MonoidSpec; "
+            "sp = MonoidSpec.of_family('EX44', 3); hash(sp); "
+            "sys.stdout.buffer.write(pickle.dumps(sp))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        blob = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        other = pickle.loads(blob)
+        assert other == sp and hash(other) == hash(sp)
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(InvalidInputError, match="line"):
             parse_monoid_spec("kind numerical\ngens 2, x")
@@ -164,6 +209,14 @@ class TestBudget:
         sp = expand_family("EX44", 3)
         with pytest.raises(BudgetExceededError):
             representations(Fraction(4, 3), sp, Budget(3))
+
+    def test_budget_raises_on_first_node_past_limit(self):
+        bud = Budget(5)
+        for _ in range(5):
+            bud.spend()
+        with pytest.raises(BudgetExceededError):
+            bud.spend()
+        assert bud.used == 6
 
     def test_budget_tracks_usage(self):
         clear_caches()

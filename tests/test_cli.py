@@ -123,6 +123,23 @@ class TestUsageErrors:
         code, _, err = run(capsys, "atoms", "--spec", "kind numerical; gens 2, 2, 3")
         assert code == EXIT_USAGE
 
+    def test_rank2_negative_first_coordinate_rejected(self, capsys):
+        code, _, err = run(capsys, "atoms", "--spec", "kind rank2; gens (-1, 1), (1, 0)")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "negative first coordinate" in err
+
+    def test_missing_spec_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.spec"
+        code, _, err = run(capsys, "atoms", "--spec-file", str(missing))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "absent.spec" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_budget(self, capsys, value):
+        code, _, err = run(capsys, "member", "7", "--spec", SPEC23, "--budget", value)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestEnvOverrides:
     def test_env_budget(self, capsys, monkeypatch):
@@ -130,6 +147,13 @@ class TestEnvOverrides:
         code, _, err = run(capsys, "p-factorize", "{4,5,6,7}", "--spec", SPEC23)
         assert code == EXIT_INCONCLUSIVE
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("name", ["FINPOW_BUDGET", "FINPOW_DEPTH"])
+    def test_env_non_integer_is_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "lots")
+        code, _, err = run(capsys, "chain", "2", "--spec", "family EX44 depth 3")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and name in err
 
     def test_env_depth(self, capsys, monkeypatch):
         monkeypatch.setenv("FINPOW_DEPTH", "3")
