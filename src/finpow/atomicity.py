@@ -16,12 +16,13 @@ from .backend import (
     MonoidSpec,
     as_budget,
     atoms,
+    decode,
     divisors,
     factorizations,
     member,
     members_upto,
 )
-from .power import FinSet, is_p_atom, singleton, sumset_all, zero_set
+from .power import FinSet, _encode_set, is_p_atom, singleton, sumset_all, zero_set
 from .mcd import _singleton_divisors, p_divisors
 
 
@@ -145,7 +146,8 @@ def p_furstenberg_divisor(
         raise InvalidInputError("the zero set has no atom divisor")
     if is_p_atom(s, spec, bud).is_atom:
         return s
-    single = [d for d in _singleton_divisors(s, spec, bud) if d != spec.zero]
+    scaled = _singleton_divisors(_encode_set(s, spec), spec, bud)
+    single = [d for d in (decode(x, spec) for x in scaled) if d != spec.zero]
     if single:
         d = max(single)
         for a in atoms(spec, bud):

@@ -14,7 +14,9 @@ with large denominators tractable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -87,7 +89,8 @@ class MonoidSpec:
 
     The hash is computed once per instance and kept out of `__eq__`, the
     repr and the pickled state, so that cache keys do not rehash every
-    generator on each lookup.
+    generator on each lookup.  The lattice scale of a rank-1 spec is cached
+    the same way.
     """
 
     kind: str  # numerical | puiseux | rank2 | family
@@ -173,6 +176,16 @@ class MonoidSpec:
             return self
         return expand_family(self.family, self.depth, self.sample)
 
+    @property
+    def scale(self) -> int:
+        """The lcm L of the generator denominators of a rank-1 spec: every
+        member lies in (1/L)Z.  Computed once per instance."""
+        scale = self.__dict__.get("_scale")
+        if scale is None:
+            scale = math.lcm(*(g.denominator for g in self.expanded().generators))
+            object.__setattr__(self, "_scale", scale)
+        return scale
+
     def check_element(self, q: Element) -> None:
         if self.is_rank2 != isinstance(q, QPoint2):
             raise InvalidInputError(
@@ -206,7 +219,18 @@ def ex44_a2_atoms(depth: int, prime_offset: int = 0) -> tuple[Rat, ...]:
 def expand_family(
     family: str, depth: int, sample: Iterable[Rat] = (), prime_offset: int = 0
 ) -> MonoidSpec:
-    """Expand a named truncated family into an explicit generator list."""
+    """Expand a named truncated family into an explicit generator list.
+
+    Expansions are memoized, so a family spec's expansion, hash and scale
+    are computed once rather than on every call that expands it.
+    """
+    return _expand_family(family, depth, tuple(sample), prime_offset)
+
+
+@functools.lru_cache(maxsize=64)
+def _expand_family(
+    family: str, depth: int, sample: tuple, prime_offset: int
+) -> MonoidSpec:
     if depth is None or depth < 1:
         raise InvalidInputError("family depth must be >= 1")
     if family == "EX44":
@@ -391,7 +415,47 @@ def representations(
     return sorted(set(out))
 
 
-_member_cache: dict[tuple[MonoidSpec, Element], bool] = {}
+# The one membership cache: expanded spec -> {scaled element: verdict}.
+_member_cache: dict[MonoidSpec, dict] = {}
+
+
+def encode(q: Element, spec: MonoidSpec):
+    """The scaled form of an element of an expanded spec.
+
+    A rank-1 element of (1/L)Z becomes the int q*L, where L = spec.scale; one
+    off that lattice becomes the non-integral Fraction q*L, so it can never
+    be taken for an int.  A rank-2 point is its own scaled form.
+    """
+    if spec.is_rank2:
+        return q
+    num, den = q.numerator * spec.scale, q.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def decode(n, spec: MonoidSpec) -> Element:
+    """The element whose scaled form over an expanded spec is n."""
+    return n if spec.is_rank2 else Fraction(n, spec.scale)
+
+
+def membership(spec: MonoidSpec, budget: Budget):
+    """A membership test for scaled elements n >= 0 of an expanded spec.
+
+    The test reads and fills the one member cache; a miss runs the
+    coefficient search on the decoded element and charges it to `budget`.
+    """
+    cache = _member_cache.get(spec)
+    if cache is None:
+        cache = _member_cache[spec] = {}
+
+    def is_member(n) -> bool:
+        ok = cache.get(n)
+        if ok is None:
+            search = _solutions_rank2 if spec.is_rank2 else _solutions_rank1
+            ordered = tuple(sorted(spec.generators, reverse=True))
+            ok = cache[n] = search(decode(n, spec), ordered, budget, True, [], [])
+        return ok
+
+    return is_member
 
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
@@ -400,19 +464,7 @@ def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -
     spec.check_element(q)
     if q < spec.zero:
         return False
-    key = (spec, q)
-    cached = _member_cache.get(key)
-    if cached is not None:
-        return cached
-    bud = as_budget(budget)
-    results: list[tuple[int, ...]] = []
-    ordered = tuple(sorted(spec.generators, reverse=True))
-    if spec.is_rank2:
-        ok = _solutions_rank2(q, ordered, bud, True, results, [])
-    else:
-        ok = _solutions_rank1(q, ordered, bud, True, results, [])
-    _member_cache[key] = ok
-    return ok
+    return membership(spec, as_budget(budget))(encode(q, spec))
 
 
 def divides(d: Element, b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
@@ -564,6 +616,7 @@ def members_upto(
 def clear_caches() -> None:
     _member_cache.clear()
     _divisor_cache.clear()
+    _expand_family.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,15 @@ def _budget(args) -> Budget:
     return Budget(_budget_limit(args))
 
 
+def _require_members(spec: MonoidSpec, bud: Budget, *sets) -> None:
+    """Reject a set with an element outside M: such a set lies outside
+    P_fin(M), and no verdict about it may be certified."""
+    for s in sets:
+        for e in s:
+            if not member(e, spec, bud):
+                raise InvalidInputError(f"{render_element(e)} is not in the monoid")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="inline monoid spec; ';' separates lines")
     p.add_argument("--spec-file", help="path to a monoid spec file")
@@ -186,7 +195,9 @@ def _cmd_factorize(args) -> int:
 def _cmd_divides(args) -> int:
     spec = _load_spec(args)
     s, t = parse_finset(args.left), parse_finset(args.right)
-    w = divides_in_P(s, t, spec, _budget(args))
+    bud = _budget(args)
+    _require_members(spec, bud, s, t)
+    w = divides_in_P(s, t, spec, bud)
     if w is None:
         print("does not divide")
         return EXIT_FAIL
@@ -197,7 +208,9 @@ def _cmd_divides(args) -> int:
 def _cmd_p_atom(args) -> int:
     spec = _load_spec(args)
     s = parse_finset(args.set)
-    cert = is_p_atom(s, spec, _budget(args))
+    bud = _budget(args)
+    _require_members(spec, bud, s)
+    cert = is_p_atom(s, spec, bud)
     if cert.is_atom:
         print("atom")
         return EXIT_PASS
@@ -209,7 +222,9 @@ def _cmd_p_atom(args) -> int:
 def _cmd_p_factorize(args) -> int:
     spec = _load_spec(args)
     s = parse_finset(args.set)
-    parts = p_factorize(s, spec, _budget(args))
+    bud = _budget(args)
+    _require_members(spec, bud, s)
+    parts = p_factorize(s, spec, bud)
     if parts is NOT_ATOMIC:
         print("not atomic")
         return EXIT_FAIL
@@ -220,7 +235,9 @@ def _cmd_p_factorize(args) -> int:
 def _cmd_mcd(args) -> int:
     spec = _load_spec(args)
     s = parse_finset(args.set)
-    out = mcd(s, spec, _budget(args))
+    bud = _budget(args)
+    _require_members(spec, bud, s)
+    out = mcd(s, spec, bud)
     if not out:
         print("no maximal common divisor found")
         return EXIT_FAIL
@@ -234,8 +251,10 @@ def _cmd_chain(args) -> int:
     depth = (
         spec.depth
         if spec is not None and spec.kind == "family"
-        else (_env_int("FINPOW_DEPTH", args.depth) or 6)
+        else _env_int("FINPOW_DEPTH", args.depth)
     )
+    if depth is None:
+        depth = 6
     try:
         steps = ex44_chain(args.length, depth, _budget(args))
     except TruncationError as exc:

@@ -22,8 +22,19 @@ from .backend import (
     factorizations,
     member,
     members_upto,
+    membership,
 )
-from .power import FinSet, divides_in_P, singleton, sumset, zero_set
+from .power import (
+    FinSet,
+    _anchored_divisors,
+    _decode_set,
+    _encode_set,
+    _scaled_divisors,
+    divides_in_P,
+    singleton,
+    sumset,
+    zero_set,
+)
 
 
 def common_divisors(
@@ -116,25 +127,8 @@ def p_divisors(
 ) -> list[FinSet]:
     """All divisors of t in the power monoid, including {0} and t itself."""
     spec = spec.expanded()
-    bud = as_budget(budget)
-    out: set = set()
-    for a in divisors(t.min, spec, bud):
-        mv = t.min - a
-        if not member(mv, spec, bud):
-            continue
-        cand = sorted({e - mv for e in t if e - mv >= a and member(e - mv, spec, bud)})
-        if a not in cand:
-            continue
-        others = [u for u in cand if u != a]
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                bud.spend()
-                u = FinSet((a,) + extra)
-                if len(u) > len(t):
-                    continue
-                if divides_in_P(u, t, spec, bud) is not None:
-                    out.add(u.elems)
-    return [FinSet(e) for e in sorted(out)]
+    divs = _anchored_divisors(_encode_set(t, spec), spec, as_budget(budget))
+    return [_decode_set(u, spec) for u in sorted(u for u, _ in divs)]
 
 
 def mcd_in_P(
@@ -212,23 +206,28 @@ def _check_cap_preconditions(a: Rat, p: int, spec: MonoidSpec) -> None:
             )
 
 
+def _residue(q: Rat, a: Rat, p: int) -> int:
+    if q == 0:
+        return 0
+    t = q / a
+    if vp_value(p, t) < 0:
+        raise InvalidInputError(f"{q} admits no residue at ({a}, {p})")
+    return t.numerator * pow(t.denominator, -1, p) % p
+
+
 def cap_residue(q: Rat, a: Rat, p: int, spec: MonoidSpec) -> ResidueClass:
     """The residue class mod p of the number of copies of atom a in any
     expression of q over the generators.  Well defined because p divides the
     denominator of a alone."""
-    spec = spec.expanded()
-    _check_cap_preconditions(a, p, spec)
-    if q == 0:
-        return ResidueClass(p, 0)
-    t = q / a
-    if vp_value(p, t) < 0:
-        raise InvalidInputError(f"{q} admits no residue at ({a}, {p})")
-    return ResidueClass(p, t.numerator * pow(t.denominator, -1, p) % p)
+    _check_cap_preconditions(a, p, spec.expanded())
+    return ResidueClass(p, _residue(q, a, p))
 
 
 def cap_constant_on(s: FinSet, a: Rat, p: int, spec: MonoidSpec) -> bool:
-    residues = {cap_residue(q, a, p, spec).residue for q in s}
-    return len(residues) == 1
+    """True iff every element of s has the same residue at (a, p); the
+    preconditions on (a, p) are checked once for the whole set."""
+    _check_cap_preconditions(a, p, spec.expanded())
+    return len({_residue(q, a, p) for q in s}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +317,13 @@ def chain_divisors(steps: list[McdWitnessStep]) -> list[Rat]:
 # The no-atom-divisor hypothesis check
 
 
-def _singleton_divisors(
-    s: FinSet, spec: MonoidSpec, bud: Budget
-) -> list:
-    out = []
-    for x in divisors(s.min, spec, bud):
-        if all(member(e - x, spec, bud) for e in s):
-            out.append(x)
-    return out
+def _singleton_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """The scaled x with {x} dividing the scaled set s."""
+    is_member = membership(spec, bud)
+    return [
+        x for x in _scaled_divisors(s[0], spec, bud)
+        if all(is_member(e - x) for e in s)
+    ]
 
 
 def leo4_no_atom_divides(
@@ -344,14 +342,14 @@ def leo4_no_atom_divides(
         raise InvalidInputError("supported on rank-1 specs only")
     bud = as_budget(budget)
     try:
-        divs = p_divisors(t, spec, bud)
+        divs = sorted(u for u, _ in _anchored_divisors(_encode_set(t, spec), spec, bud))
         for s in divs:
-            if s == zero_set(spec):
+            if s == (0,):
                 continue
             for x in _singleton_divisors(s, spec, bud):
-                shifted = FinSet(tuple(e - x for e in s))
+                shifted = tuple(e - x for e in s)
                 ok = any(
-                    y != spec.zero and singleton(y) != s
+                    y != 0 and (y,) != s
                     for y in _singleton_divisors(shifted, spec, bud)
                 )
                 if not ok:

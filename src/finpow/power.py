@@ -3,14 +3,26 @@ atom testing, and factorization into power-monoid atoms.
 
 Divisibility of finite sets reduces to one polynomial check: the largest
 feasible cofactor of S inside T is C = {m : S + {m} subset of T}, and a
-cofactor exists iff S + C = T.  The decomposition search is anchored at the
+cofactor exists iff S + C = T.  The divisor search is anchored at the
 minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
+One generator, `_anchored_divisors`, yields every divisor U of a set with
+its largest cofactor C; `decompositions` takes the V's inside C, and
+`mcd.p_divisors` collects the U's.
+
+Set arithmetic runs on scaled elements.  A public function encodes its sets
+once on entry and decodes its result once on return: a rank-1 element q of
+(1/L)Z, with L the lcm of the generator denominators, becomes the int q*L,
+and a rank-2 point stays as it is, so one code path serves both ranks.  A
+rank-1 element off that lattice is outside M, and a set holding one is
+rejected with InvalidInputError.  Membership tests on scaled elements share
+the one member cache of `backend`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .arith import Element, InvalidInputError, parse_element, render_element
@@ -19,8 +31,10 @@ from .backend import (
     MonoidSpec,
     _split_top_level,
     as_budget,
+    decode,
     divisors,
-    member,
+    encode,
+    membership,
 )
 
 
@@ -102,61 +116,107 @@ def sumset_all(sets: list[FinSet], spec: MonoidSpec) -> FinSet:
     return acc
 
 
+def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
+    """The scaled elements of s over an expanded spec, ascending.
+
+    A rank-1 element off the lattice (1/L)Z lies outside M, so a set holding
+    one lies outside P_fin(M) and is rejected.
+    """
+    out = []
+    for e in s:
+        spec.check_element(e)
+        n = encode(e, spec)
+        if isinstance(n, Fraction):
+            raise InvalidInputError(
+                f"{render_element(e)} is not in the monoid: it lies off (1/{spec.scale})Z"
+            )
+        out.append(n)
+    return tuple(out)
+
+
+def _decode_set(elems, spec: MonoidSpec) -> FinSet:
+    return FinSet(tuple(decode(n, spec) for n in elems))
+
+
+def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> list:
+    """`divisors` of the scaled element n of an expanded spec, scaled."""
+    return [encode(d, spec) for d in divisors(decode(n, spec), spec, bud)]
+
+
+def _cofactor(u: tuple, t: tuple, members: set, is_member) -> list:
+    """The largest scaled C with u + C inside t (members = set(t)).
+
+    Candidates are exactly {x - min u : x in t}: any admissible m satisfies
+    min u + m in t.
+    """
+    umin = u[0]
+    out = []
+    for x in t:
+        if x < umin:
+            continue
+        m = x - umin
+        if is_member(m) and all(e + m in members for e in u):
+            out.append(m)
+    return out
+
+
+def _divides(u: tuple, t: tuple, members: set, is_member) -> Optional[list]:
+    """The largest scaled cofactor C when u + C = t, else None."""
+    c = _cofactor(u, t, members, is_member)
+    if c and len({e + m for e in u for m in c}) == len(t):
+        return c
+    return None
+
+
+def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
+    """Yield (U, C) for every divisor U of the scaled set t in the power
+    monoid, where C is the largest cofactor: U + C = t.
+
+    Anchored at the minimum: min U is a divisor a of min t, so min C =
+    min t - a =: mv, and every u in U has u + mv in t.  U therefore ranges
+    over the subsets containing a of the members of {x - mv : x in t}; each
+    subset tried spends one node.
+    """
+    is_member = membership(spec, bud)
+    tmax, members = t[-1], set(t)
+    for a in _scaled_divisors(t[0], spec, bud):
+        mv = t[0] - a
+        if not is_member(mv):
+            continue
+        # a itself heads the list: it is a divisor, hence a member
+        cand = [x - mv for x in t if is_member(x - mv)]
+        others = cand[1:]
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                bud.spend()
+                u = (a,) + extra
+                if not is_member(tmax - u[-1]):
+                    continue
+                c = _divides(u, t, members, is_member)
+                if c is not None:
+                    yield u, c
+
+
 def singleton_candidates(
     s: FinSet, t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> Optional[FinSet]:
-    """The largest C with s + C subset of t, or None when no m qualifies.
-
-    Candidates are exactly {u - min s : u in t}: any admissible m satisfies
-    min s + m in t.
-    """
-    bud = as_budget(budget)
+    """The largest C with s + C subset of t, or None when no m qualifies."""
     spec = spec.expanded()
-    smin, zero, members = s.min, spec.zero, set(t.elems)
-    elems = []
-    for u in t:
-        m = u - smin
-        if m < zero or not member(m, spec, bud):
-            continue
-        if all(e + m in members for e in s):
-            elems.append(m)
-    if not elems:
-        return None
-    return FinSet(tuple(elems))
+    u, w = _encode_set(s, spec), _encode_set(t, spec)
+    c = _cofactor(u, w, set(w), membership(spec, as_budget(budget)))
+    return _decode_set(c, spec) if c else None
 
 
 def divides_in_P(
     s: FinSet, t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> Optional[FinSet]:
     """A witness D with s + D = t, or None when s does not divide t."""
-    if len(t) < len(s):
+    spec = spec.expanded()
+    u, w = _encode_set(s, spec), _encode_set(t, spec)
+    if len(w) < len(u):
         return None
-    c = singleton_candidates(s, t, spec, budget)
-    if c is None:
-        return None
-    if sumset(s, c) != t:
-        return None
-    return c
-
-
-def _cofactors(
-    u: FinSet, s: FinSet, c: FinSet, required_min: Element
-) -> list[FinSet]:
-    """All V subset of the candidate set c with u + V = s and min V as required."""
-    if required_min not in c:
-        return []
-    others = [m for m in c.elems if m != required_min]
-    out = []
-    target = set(s.elems)
-    base = {e + required_min for e in u}
-    for r in range(len(others) + 1):
-        for extra in itertools.combinations(others, r):
-            cover = set(base)
-            for m in extra:
-                cover.update(e + m for e in u)
-            if cover == target:
-                out.append(FinSet((required_min,) + extra))
-    return out
+    c = _divides(u, w, set(w), membership(spec, as_budget(budget)))
+    return None if c is None else _decode_set(c, spec)
 
 
 def decompositions(
@@ -167,53 +227,33 @@ def decompositions(
 ) -> list[Decomposition]:
     """All nontrivial pairs (U, V) with U + V = s, up to swap.
 
-    Search plan: pick a divisor a of min s as min U; then min V = min s - a,
-    and every u in U satisfies u + min V in s, so U is a subset of the
-    member elements of {e - min V : e in s}.
+    Each divisor U of s comes with its largest cofactor C, and the V's that
+    go with U are the subsets of C holding min C whose sum with U covers s.
     """
     spec = spec.expanded()
-    bud = as_budget(budget)
-    zero = spec.zero
-    seen: set = set()
-    out: list[Decomposition] = []
-    for a in divisors(s.min, spec, bud):
-        mv = s.min - a
-        if not member(mv, spec, bud):
-            continue
-        cand_u = []
-        for e in s:
-            u = e - mv
-            if u >= a and member(u, spec, bud):
-                cand_u.append(u)
-        cand_u = sorted(set(cand_u))
-        if a not in cand_u:
-            continue
-        others = [u for u in cand_u if u != a]
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                bud.spend()
-                u_set = FinSet((a,) + extra)
-                if len(u_set) > len(s):
+    t = _encode_set(s, spec)
+    zero = t[0] - t[0]
+    found: set = set()
+    for u, c in _anchored_divisors(t, spec, as_budget(budget)):
+        head, rest = c[0], c[1:]
+        base = {e + head for e in u}
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                cover = set(base)
+                for m in extra:
+                    cover.update(e + m for e in u)
+                if len(cover) != len(t):
                     continue
-                if both_nonsingleton and len(u_set) < 2:
+                v = (head,) + extra
+                if u == (zero,) or v == (zero,):
                     continue
-                if not member(s.max - u_set.max, spec, bud):
+                if both_nonsingleton and (len(u) < 2 or len(v) < 2):
                     continue
-                c = singleton_candidates(u_set, s, spec, bud)
-                if c is None or sumset(u_set, c) != s:
-                    continue
-                for v_set in _cofactors(u_set, s, c, mv):
-                    if u_set.elems == (zero,) or v_set.elems == (zero,):
-                        continue
-                    if both_nonsingleton and len(v_set) < 2:
-                        continue
-                    key = tuple(sorted((u_set.elems, v_set.elems)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(Decomposition(*(FinSet(k) for k in key)))
-    out.sort(key=lambda d: (d.left.elems, d.right.elems))
-    return out
+                found.add((min(u, v), max(u, v)))
+    return [
+        Decomposition(_decode_set(left, spec), _decode_set(right, spec))
+        for left, right in sorted(found)
+    ]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single pass/fail line.
 Run `pytest tests/test_acceptance.py -v -s` to see the lines directly.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -195,3 +196,8 @@ def test_criterion_14_deterministic_full_run():
         assert [r.budget_used for r in run1] == [
             3262, 135, 27195, 7461, 7508, 1115, 0, 83099, 0, 3739, 2094, 1548
         ]
+        # the benchmark's golden digest of `finpow verify --suite all`
+        digest = hashlib.sha256("".join(r.to_json_lines() for r in run1).encode())
+        assert digest.hexdigest() == (
+            "e3f17e0f4299d8674ffde12067d17d4cbc787029359b338db45b4fdca1c033a6"
+        )

@@ -115,6 +115,25 @@ class TestMonoidSpec:
         # a cache miss would spend a node and overrun the zero budget
         assert member(Fraction(7), b, Budget(0))
 
+    @pytest.mark.parametrize(
+        "spec, q",
+        [
+            (MonoidSpec.numerical(2, 3), Fraction(1, 2)),
+            (MonoidSpec.puiseux(Fraction(1, 2), Fraction(1, 3)), Fraction(1, 5)),
+        ],
+    )
+    def test_member_off_the_lattice_costs_one_node(self, spec, q):
+        clear_caches()
+        bud = Budget()
+        assert not member(q, spec, bud)
+        assert bud.used == 1
+
+    def test_family_is_expanded_once(self):
+        sp = MonoidSpec.of_family("EX44", 3)
+        assert sp.expanded() is MonoidSpec.of_family("EX44", 3).expanded()
+        # denominators 76, 204, 26, 66, 7, 15
+        assert sp.expanded().scale == 4 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+
     def test_pickle_round_trip_keeps_eq_and_hash(self):
         sp = MonoidSpec.of_family("EX44", 3)
         hash(sp)

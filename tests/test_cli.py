@@ -81,6 +81,29 @@ class TestChain:
         assert "after 2 steps" in out
 
 
+    def test_depth_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "chain", "2", "--depth", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
+
+
+class TestNonMembers:
+    @pytest.mark.parametrize(
+        "argv, element",
+        [
+            (("p-atom", "{1, 5}"), "1"),
+            (("divides", "{1}", "{1, 3}"), "1"),
+            (("divides", "{0}", "{0, 1}"), "1"),
+            (("p-factorize", "{1/2}"), "1/2"),
+            (("mcd", "{1/2}"), "1/2"),
+        ],
+    )
+    def test_set_outside_the_monoid_is_usage_error(self, capsys, argv, element):
+        code, out, err = run(capsys, *argv, "--spec", SPEC23)
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip() == f"error: {element} is not in the monoid"
+
+
 class TestVerify:
     def test_cheap_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma-2.6")
@@ -154,6 +177,12 @@ class TestEnvOverrides:
         code, _, err = run(capsys, "chain", "2", "--spec", "family EX44 depth 3")
         assert code == EXIT_USAGE
         assert err.startswith("error:") and name in err
+
+    def test_env_depth_zero_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINPOW_DEPTH", "0")
+        code, out, err = run(capsys, "chain", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
 
     def test_env_depth(self, capsys, monkeypatch):
         monkeypatch.setenv("FINPOW_DEPTH", "3")

@@ -126,6 +126,12 @@ class TestCapResidue:
         with pytest.raises(InvalidInputError):
             cap_residue(F(1, 25), F(4, 15), 5, self.SPEC)
 
+    def test_constant_on_rejects_bad_pair(self):
+        s = FinSet((F(4, 15), F(4, 3)))
+        for a, p in ((F(1, 5), 5), (F(4, 15), 6), (F(1, 7), 5)):
+            with pytest.raises(InvalidInputError):
+                cap_constant_on(s, a, p, self.SPEC)
+
     def test_constant_on_set(self):
         assert cap_constant_on(FinSet((F(4, 15), F(4, 15) + F(5))), F(4, 15), 5, self.SPEC)
         assert not cap_constant_on(FinSet((F(4, 15), F(4, 3))), F(4, 15), 5, self.SPEC)

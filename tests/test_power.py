@@ -1,12 +1,16 @@
 """Finite-set layer: sumsets, divisibility witnesses, atoms, factorization."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finpow.arith import InvalidInputError, QPoint2
+from finpow.atomicity import rank2_atom
 from finpow.backend import Budget, MonoidSpec
+from finpow.mcd import p_divisors
 from finpow.power import (
     FinSet,
     NOT_ATOMIC,
@@ -169,3 +173,112 @@ class TestPFactorize:
         bud = Budget(10**6)
         p_factorize(FinSet((4, 5, 6, 7)), N23, bud)
         assert bud.used > 0
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the anchored divisor enumeration against a
+# brute-force oracle over pairs of subsets.
+
+
+def closure(gens, zero, fits):
+    """Breadth-first closure of the generators among the points that fit."""
+    out, frontier = {zero}, {zero}
+    while frontier:
+        frontier = {q + g for q in frontier for g in gens if fits(q + g)} - out
+        out |= frontier
+    return out
+
+
+def oracle_pairs(s: FinSet, members: set) -> set:
+    """Every (U, V) of finite subsets of M with U + V = s.
+
+    `members` must hold every member of M below the elements of s.  U ranges
+    over the subsets of the divisors of the elements of s with at most |s|
+    elements, V over the subsets of the divisors m with U + m inside s."""
+    target = set(s.elems)
+    divs = sorted(d for d in members if any(x - d in members for x in target))
+    pairs = set()
+    for k in range(1, len(s) + 1):
+        for u in itertools.combinations(divs, k):
+            fit = [m for m in divs if all(e + m in target for e in u)]
+            for j in range(1, len(fit) + 1):
+                for v in itertools.combinations(fit, j):
+                    if {e + m for e in u for m in v} == target:
+                        pairs.add((u, v))
+    return pairs
+
+
+def check_against_oracle(s: FinSet, spec: MonoidSpec, members: set) -> None:
+    zero = spec.zero
+    pairs = oracle_pairs(s, members)
+    assert {d.elems for d in p_divisors(s, spec)} == {u for u, _ in pairs}
+    nontrivial = {
+        (min(u, v), max(u, v)) for u, v in pairs if u != (zero,) and v != (zero,)
+    }
+    assert {(d.left.elems, d.right.elems) for d in decompositions(s, spec)} == nontrivial
+    both = {(u, v) for u, v in nontrivial if len(u) >= 2 and len(v) >= 2}
+    assert {
+        (d.left.elems, d.right.elems)
+        for d in decompositions(s, spec, both_nonsingleton=True)
+    } == both
+
+
+numerical_specs = st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True).map(
+    lambda gs: MonoidSpec.numerical(*gs)
+)
+small_rationals = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 3, 4, 6)))
+puiseux_specs = st.lists(small_rationals, min_size=1, max_size=3, unique=True).map(
+    lambda gs: MonoidSpec.puiseux(*gs)
+)
+
+
+def rank1_members(spec: MonoidSpec, bound) -> set:
+    return closure(spec.generators, Fraction(0), lambda q: q <= bound)
+
+
+class TestAnchoredEnumerationOracle:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_numerical(self, spec, data):
+        members = rank1_members(spec, 12)
+        elems = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=4))
+        check_against_oracle(FinSet(tuple(elems)), spec, members)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_small_lattice_puiseux(self, spec, data):
+        members = rank1_members(spec, 3)
+        elems = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=4))
+        check_against_oracle(FinSet(tuple(elems)), spec, members)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_rank2_family(self, with_atom):
+        spec = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
+        dy = [QPoint2(Fraction(0), Fraction(k, 8)) for k in range(4)]
+        if with_atom:
+            a = rank2_atom(Fraction(7, 3), "A")
+            elems = (dy[0], dy[1], a, a + dy[1])  # {0, a} + {0, (0, 1/8)}
+        else:
+            elems = tuple(dy)  # {0, (0, 1/8)} + {0, (0, 1/4)}
+        s = FinSet(elems)
+        top_x, top_y = max(e.x for e in elems), max(e.y for e in elems)
+        members = closure(
+            spec.expanded().generators,
+            spec.zero,
+            lambda q: q.x <= top_x and q.y <= top_y,
+        )
+        check_against_oracle(s, spec, members)
+
+
+class TestOffLattice:
+    def test_set_off_the_lattice_is_rejected(self):
+        # 1/2 is outside (1/1)Z, so {0, 1/2} is not a set of members of <2, 3>
+        s = FinSet((Fraction(0), Fraction(1, 2)))
+        for call in (
+            lambda: decompositions(s, N23),
+            lambda: p_divisors(s, N23),
+            lambda: divides_in_P(FinSet((0,)), s, N23),
+            lambda: is_p_atom(s, N23),
+        ):
+            with pytest.raises(InvalidInputError):
+                call()
