@@ -5,12 +5,16 @@ A backend is a `MonoidSpec`: either an explicit positive generator list
 depth parameter.  On top of a spec we decide membership exactly, enumerate
 divisors, compute atoms, and enumerate complete factorizations.
 
-Membership and factorization share one engine: a depth-first enumeration of
-coefficient vectors over the generators.  For rational backends the search is
-pruned hard by p-adic congruences -- when a prime p divides the denominator
-of exactly one remaining generator g, the coefficient of g is forced into a
-single residue class mod p^e, which is what keeps truncated Puiseux families
-with large denominators tractable.
+Membership and factorization share one engine, `_search`: a depth-first
+enumeration of coefficient vectors over a descending basis, on scaled int
+coordinates (y, x).  A rational q becomes (q*L, 0) and a plane point (x, y)
+becomes (y*Ly, x*Lx), where the scales clear every denominator of the basis
+and of the target; `Fraction` and `QPoint2` stay at the API boundary.  The
+search runs from a plan built once per (basis, scale).  For rational bases
+the plan holds p-adic congruences: the coefficient of a generator is forced
+into one residue class modulo the primes of L that no later denominator
+carries, which is what keeps truncated Puiseux families with large
+denominators tractable.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .arith import (
     Element,
@@ -30,7 +34,6 @@ from .arith import (
     parse_element,
     primes_geq,
     render_element,
-    vp_value,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -177,19 +180,21 @@ class MonoidSpec:
         return expand_family(self.family, self.depth, self.sample)
 
     @property
-    def scale(self) -> int:
-        """The lcm L of the generator denominators of a rank-1 spec: every
-        member lies in (1/L)Z.  Computed once per instance."""
+    def scale(self):
+        """The lattice scale, computed once per instance: for a rank-1 spec
+        the lcm L of the generator denominators, so every member lies in
+        (1/L)Z; for a rank-2 spec the pair (Ly, Lx) of the lcms of the y and
+        of the x denominators."""
         scale = self.__dict__.get("_scale")
         if scale is None:
-            scale = math.lcm(*(g.denominator for g in self.expanded().generators))
+            scale = _basis_scale(self.expanded().generators, self.is_rank2)
             object.__setattr__(self, "_scale", scale)
         return scale
 
     def check_element(self, q: Element) -> None:
         if self.is_rank2 != isinstance(q, QPoint2):
             raise InvalidInputError(
-                f"element {q!r} does not match spec of kind {self.kind!r}"
+                f"element {render_element(q)} does not match spec of kind {self.kind!r}"
             )
 
 
@@ -255,7 +260,7 @@ def _expand_family(
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-vector enumeration
+# The coefficient search
 
 
 def _den_primes(n: int) -> tuple[int, ...]:
@@ -272,117 +277,86 @@ def _den_primes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _crt(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    # pairs of (modulus, residue) with pairwise coprime moduli
-    mod, res = 1, 0
-    for m, r in pairs:
-        inv = pow(mod, -1, m)
-        res = res + mod * ((r - res) * inv % m)
-        mod *= m
-    return mod, res % mod
+def _lattice(b: Element, base) -> tuple:
+    """(scale, y, x): the coarsest scale that clears the denominators of b
+    and of a basis of scale `base`, and b's int coordinates at that scale.
 
-
-def _coefficient_progression(q: Rat, g: Rat, later: Sequence[Rat]) -> Optional[tuple[int, int]]:
-    """Admissible coefficients of g in a representation of q, as (start, step).
-
-    For each prime p dividing d(g) but no later generator's denominator, the
-    residual after removing k copies of g must have nonnegative p-adic
-    valuation, which pins k to one residue class mod p^e.  Returns None when
-    no coefficient can work.
+    A rational q becomes (q*L, 0); a plane point becomes (y*Ly, x*Lx), its
+    scale the pair (Ly, Lx).
     """
-    congruences: list[tuple[int, int]] = []
-    later_dens = [h.denominator for h in later]
-    for p in _den_primes(g.denominator):
-        if any(d % p == 0 for d in later_dens):
-            continue
-        e = -vp_value(p, g)
-        t = q / g
-        if t != 0 and vp_value(p, t) < 0:
-            return None
-        mod = p**e
-        td = t.denominator
-        k0 = t.numerator * pow(td, -1, mod) % mod
-        congruences.append((mod, k0))
-    if not congruences:
-        return 0, 1
-    mod, res = _crt(congruences)
-    return res, mod
+    if isinstance(b, QPoint2):
+        (ly, y, _), (lx, x, _) = _lattice(b.y, base[0]), _lattice(b.x, base[1])
+        return (ly, lx), y, x
+    scale = math.lcm(base, b.denominator)
+    return scale, b.numerator * (scale // b.denominator), 0
 
 
-def _solutions_rank1(
-    q: Rat,
-    gens: tuple[Rat, ...],
-    budget: Budget,
-    first_only: bool,
-    results: list[tuple[int, ...]],
-    prefix: list[int],
+def _basis_scale(basis: tuple, rank2: bool):
+    if rank2:
+        return _basis_scale([g.y for g in basis], False), _basis_scale([g.x for g in basis], False)
+    return math.lcm(*(g.denominator for g in basis))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(ordered: tuple, scale) -> tuple:
+    """The per-level table of the coefficient search over a descending basis.
+
+    Level i holds (gy, gx, more_y, more_x, d, step, inv): the scaled
+    generator; whether a generator from level i on has a positive y, resp.
+    x; and the congruence on the coefficient k of a rank-1 generator.  The
+    residual after k copies is a sum of later generators, whose denominators
+    carry none of the primes of R, the part of L over primes that divide no
+    later denominator; so k*gy = y (mod R).  With d = gcd(gy, R), a residual
+    y admits a k iff d divides y, and then k = (y/d)*inv (mod step), step =
+    R/d.  Rank-2 levels carry no congruence (d = step = 1).
+    """
+    rank2 = isinstance(scale, tuple)
+    later: set = set()  # the primes of the later denominators
+    more_y = more_x = False
+    plan = []
+    for g in reversed(ordered):
+        _, gy, gx = _lattice(g, scale)
+        d = step = 1
+        if not rank2:
+            r = scale
+            for p in later:
+                while r % p == 0:
+                    r //= p
+            d = math.gcd(gy, r)
+            step = r // d
+            later.update(_den_primes(g.denominator))
+        more_y, more_x = more_y or gy > 0, more_x or gx > 0
+        plan.append((gy, gx, more_y, more_x, d, step, pow(gy // d, -1, step)))
+    return tuple(reversed(plan))
+
+
+def _search(
+    plan: tuple, i: int, y: int, x: int,
+    budget: Budget, first_only: bool, results: list, prefix: list,
 ) -> bool:
+    """Depth-first search for the coefficients of levels i.. of a plan that
+    write the scaled residual (y, x); each node spends one budget unit."""
     budget.spend()
-    if q == 0:
-        results.append(tuple(prefix) + (0,) * (len(gens)))
+    if not y and not x:
+        results.append(tuple(prefix) + (0,) * (len(plan) - i))
         return True
-    if q < 0 or not gens:
+    if y < 0 or x < 0 or i == len(plan):
         return False
-    for p in _den_primes(q.denominator):
-        if not any(g.denominator % p == 0 for g in gens):
-            return False
-    g, rest = gens[0], gens[1:]
-    prog = _coefficient_progression(q, g, rest)
-    if prog is None:
+    gy, gx, more_y, more_x, d, step, inv = plan[i]
+    if (y and not more_y) or (x and not more_x) or y % d:
         return False
-    start, step = prog
-    kmax = int(q / g)
+    kmax = y // gy if gy else x // gx
+    if gy and gx:
+        kmax = min(kmax, x // gx)
     found = False
-    for k in range(start, kmax + 1, step):
+    for k in range(y // d * inv % step, kmax + 1, step):
         prefix.append(k)
-        if _solutions_rank1(q - k * g, rest, budget, first_only, results, prefix):
-            found = True
-            prefix.pop()
+        ok = _search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)
+        prefix.pop()
+        if ok:
             if first_only:
                 return True
-            continue
-        prefix.pop()
-    # a bare residual of zero copies of g is covered by k = 0 above
-    return found
-
-
-def _solutions_rank2(
-    q: QPoint2,
-    gens: tuple[QPoint2, ...],
-    budget: Budget,
-    first_only: bool,
-    results: list[tuple[int, ...]],
-    prefix: list[int],
-) -> bool:
-    budget.spend()
-    if q == QPOINT_ZERO:
-        results.append(tuple(prefix) + (0,) * (len(gens)))
-        return True
-    if q.x < 0 or q.y < 0 or not gens:
-        return False
-    if q.y > 0 and all(g.y == 0 for g in gens):
-        return False
-    if q.x > 0 and all(g.x == 0 for g in gens):
-        return False
-    g, rest = gens[0], gens[1:]
-    bounds = []
-    if g.y > 0:
-        bounds.append(int(q.y / g.y))
-    if g.x > 0:
-        bounds.append(int(q.x / g.x))
-    kmax = min(bounds)
-    found = False
-    for k in range(kmax + 1):
-        prefix.append(k)
-        if _solutions_rank2(
-            QPoint2(q.x - k * g.x, q.y - k * g.y), rest, budget, first_only, results, prefix
-        ):
             found = True
-            prefix.pop()
-            if first_only:
-                return True
-            continue
-        prefix.pop()
     return found
 
 
@@ -402,21 +376,17 @@ def representations(
     bud = as_budget(budget)
     basis = tuple(over) if over is not None else spec.generators
     ordered = tuple(sorted(basis, reverse=True))
+    scale, y, x = _lattice(b, _basis_scale(ordered, spec.is_rank2))
     results: list[tuple[int, ...]] = []
-    if spec.is_rank2:
-        _solutions_rank2(b, ordered, bud, False, results, [])
-    else:
-        _solutions_rank1(b, ordered, bud, False, results, [])
+    _search(_plan(ordered, scale), 0, y, x, bud, False, results, [])
     # re-index from the internal descending order back to the basis order
     index = {g: i for i, g in enumerate(ordered)}
-    out = []
-    for vec in results:
-        out.append(tuple(vec[index[g]] for g in basis))
-    return sorted(set(out))
+    return sorted({tuple(vec[index[g]] for g in basis) for vec in results})
 
 
-# The one membership cache: expanded spec -> {scaled element: verdict}.
-_member_cache: dict[MonoidSpec, dict] = {}
+# The one membership cache: expanded spec -> ({scaled element: verdict}, the
+# plan over its generators), so that a membership test costs one lookup.
+_member_cache: dict[MonoidSpec, tuple[dict, tuple]] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
@@ -441,18 +411,22 @@ def membership(spec: MonoidSpec, budget: Budget):
     """A membership test for scaled elements n >= 0 of an expanded spec.
 
     The test reads and fills the one member cache; a miss runs the
-    coefficient search on the decoded element and charges it to `budget`.
+    coefficient search and charges it to `budget`.  An on-lattice int n is
+    searched as it is; an off-lattice rank-1 element or a rank-2 point on
+    the coarsest lattice that holds both it and the generators.
     """
-    cache = _member_cache.get(spec)
-    if cache is None:
-        cache = _member_cache[spec] = {}
+    base = spec.scale
+    entry = _member_cache.get(spec)
+    if entry is None:
+        entry = _member_cache[spec] = ({}, _plan(spec.generators[::-1], base))
+    cache, plan = entry
 
     def is_member(n) -> bool:
         ok = cache.get(n)
         if ok is None:
-            search = _solutions_rank2 if spec.is_rank2 else _solutions_rank1
-            ordered = tuple(sorted(spec.generators, reverse=True))
-            ok = cache[n] = search(decode(n, spec), ordered, budget, True, [], [])
+            scale, y, x = (base, n, 0) if type(n) is int else _lattice(decode(n, spec), base)
+            sub = plan if scale == base else _plan(spec.generators[::-1], scale)
+            ok = cache[n] = _search(sub, 0, y, x, budget, True, [], [])
         return ok
 
     return is_member
@@ -616,6 +590,7 @@ def members_upto(
 def clear_caches() -> None:
     _member_cache.clear()
     _divisor_cache.clear()
+    _plan.cache_clear()
     _expand_family.cache_clear()
 
 
@@ -664,9 +639,14 @@ def parse_monoid_spec(text: str) -> MonoidSpec:
                 gens.extend(parse_element(t) for t in _split_top_level(rest))
             elif word == "family":
                 fields = rest.split()
+                if not fields:
+                    raise InvalidInputError("`family` needs a family tag")
                 family = fields[0]
                 if len(fields) >= 3 and fields[1] == "depth":
-                    depth = int(fields[2])
+                    try:
+                        depth = int(fields[2])
+                    except ValueError:
+                        raise InvalidInputError(f"bad family depth {fields[2]!r}") from None
             elif word == "sample":
                 sample.extend(Fraction(parse_element(t)) for t in _split_top_level(rest))
             else:

@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Optional
 
-from .arith import InvalidInputError, parse_rational, render_element
+from .arith import InvalidInputError, parse_element, render_element
 from .backend import (
     Budget,
     BudgetExceededError,
@@ -74,6 +74,13 @@ def _budget_limit(args) -> int:
 
 def _budget(args) -> Budget:
     return Budget(_budget_limit(args))
+
+
+def _element(args, spec: MonoidSpec):
+    """The element argument, a rational or a point matching the spec."""
+    q = parse_element(args.element)
+    spec.check_element(q)
+    return q
 
 
 def _require_members(spec: MonoidSpec, bud: Budget, *sets) -> None:
@@ -148,9 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def emit_report(report, path: str = "-", format: str = "text") -> None:
@@ -177,16 +187,14 @@ def _cmd_atoms(args) -> int:
 
 def _cmd_member(args) -> int:
     spec = _load_spec(args)
-    q = parse_rational(args.element)
-    ok = member(q, spec, _budget(args))
+    ok = member(_element(args, spec), spec, _budget(args))
     print("member" if ok else "non-member")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _cmd_factorize(args) -> int:
     spec = _load_spec(args)
-    q = parse_rational(args.element)
-    facs = factorizations(q, spec, _budget(args))
+    facs = factorizations(_element(args, spec), spec, _budget(args))
     for f in facs:
         print(f.render())
     return EXIT_PASS if facs else EXIT_FAIL

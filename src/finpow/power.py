@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Element, InvalidInputError, parse_element, render_element
+from .arith import Element, InvalidInputError, QPoint2, parse_element, render_element
 from .backend import (
     Budget,
     MonoidSpec,
@@ -45,7 +45,10 @@ class FinSet:
     elems: tuple
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elems)))
+        try:
+            elems = tuple(sorted(set(self.elems)))
+        except (TypeError, AttributeError):  # a point compared with a rational
+            raise InvalidInputError("a set cannot mix points and rationals") from None
         if not elems:
             raise InvalidInputError("empty set is not an element of the power monoid")
         object.__setattr__(self, "elems", elems)
@@ -106,6 +109,8 @@ def zero_set(spec: MonoidSpec) -> FinSet:
 
 
 def sumset(s: FinSet, t: FinSet) -> FinSet:
+    if isinstance(s.min, QPoint2) != isinstance(t.min, QPoint2):
+        raise InvalidInputError("cannot add a set of points to a set of rationals")
     return FinSet(tuple(a + b for a in s for b in t))
 
 

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.backend import (
@@ -26,6 +28,7 @@ from finpow.backend import (
     render_monoid_spec,
     representations,
 )
+from test_power import puiseux_specs
 
 
 def naive_members(gens, bound):
@@ -257,3 +260,99 @@ class TestRank2Backend:
         d = QPoint2(Fraction(0), Fraction(1, 2))
         assert member(a + d, sp)
         assert not member(QPoint2(Fraction(1, 5), Fraction(10, 3) - Fraction(1, 4)), sp)
+
+
+F = Fraction
+R2_SPEC = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3), F(32, 15)))
+EX44_3 = MonoidSpec.of_family("EX44", 3)
+N345 = MonoidSpec.numerical(3, 4, 5)
+
+
+class TestNodeCounts:
+    """Node counts pinned per call, cold cache.  The verify reports pin only
+    suite totals; these pin the coefficient search query by query, off the
+    lattice of the generators too.  A moved count moves the budget at which
+    a query turns inconclusive."""
+
+    @pytest.mark.parametrize(
+        "fn, q, spec, answer, used",
+        [
+            # off the lattice: 1/4 is not in (1/6)Z; the search still walks
+            # the root and one child
+            (member, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), False, 2),
+            (member, QPoint2(F(1, 35), F(9, 2)), R2_SPEC, False, 5),
+            (member, QPoint2(F(12, 35), F(373, 60)), R2_SPEC, True, 55),
+            (member, F(1), MonoidSpec.of_family("EX44", 4), True, 10),
+            (member, F(117, 232), MonoidSpec.of_family("EX44", 4), True, 9),
+            (member, F(1, 3), EX44_3, False, 5),
+            (representations, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), 0, 2),
+            (representations, F(10, 3), MonoidSpec.puiseux(F(1, 2), F(2, 3)), 2, 6),
+            (representations, F(1), EX44_3, 4, 15),
+            (representations, QPoint2(F(1, 5), F(23, 6)), R2_SPEC, 4, 84),
+            (divisors, F(12), N345, 9, 44),
+            (divisors, F(4, 3), EX44_3, 5878, 6746),
+            (divisors, QPoint2(F(12, 35), F(179, 30)), R2_SPEC, 6, 48),
+            (factorizations, F(20), N345, 6, 83),
+            (factorizations, F(1), EX44_3, 4, 15),
+            (factorizations, QPoint2(F(1, 5), F(43, 12)), R2_SPEC, 1, 117),
+        ],
+    )
+    def test_budget_used(self, fn, q, spec, answer, used):
+        clear_caches()
+        bud = Budget()
+        out = fn(q, spec, bud)
+        assert (out if isinstance(out, bool) else len(out)) == answer
+        assert bud.used == used
+
+
+# (1/12)Z holds every generator of `puiseux_specs`; 1/8, 1/5 and 1/24 steps
+# leave it
+rank1_targets = st.builds(F, st.integers(0, 36), st.sampled_from((12, 8, 5, 24)))
+
+small_points = st.builds(
+    QPoint2,
+    st.builds(F, st.integers(0, 3), st.sampled_from((1, 2, 3))),
+    st.builds(F, st.integers(0, 3), st.sampled_from((1, 2, 4))),
+).filter(lambda g: g > QPoint2(F(0), F(0)))
+rank2_specs = st.lists(small_points, min_size=1, max_size=3, unique=True).map(
+    lambda gs: MonoidSpec.rank2(*gs)
+)
+rank2_targets = st.builds(
+    QPoint2,
+    st.builds(F, st.integers(-2, 12), st.sampled_from((6, 5))),
+    st.builds(F, st.integers(0, 12), st.sampled_from((4, 3))),
+)
+
+
+def naive_points(gens, top):
+    """Breadth-first closure of plane generators inside the box [0, top].
+
+    Every generator has x, y >= 0, so partial sums of a representation of a
+    point of the box stay inside it."""
+    zero = QPoint2(F(0), F(0))
+    out, frontier = {zero}, {zero}
+    while frontier:
+        frontier = {
+            q + g for q in frontier for g in gens
+            if (q + g).x <= top.x and (q + g).y <= top.y
+        } - out
+        out |= frontier
+    return out
+
+
+class TestEngineOracles:
+    @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_small_lattice_puiseux(self, spec, targets):
+        clear_caches()
+        mset = naive_members(spec.generators, max(targets))
+        for q in targets:
+            assert member(q, spec) == (q in mset), q
+            assert representations(q, spec) == naive_representations(q, spec.generators), q
+
+    @given(rank2_specs, st.lists(rank2_targets, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rank2_membership(self, spec, targets):
+        clear_caches()
+        for q in targets:
+            assert member(q, spec) == (q in naive_points(spec.generators, q)), q

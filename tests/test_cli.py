@@ -164,6 +164,50 @@ class TestUsageErrors:
         assert err.startswith("error:") and "budget" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sumset", "{1}", "{(0,1)}"),
+            ("sumset", "{1, (0,1)}", "{0}"),
+            ("member", "1", "--spec", "kind family; family EX44 depth x"),
+            ("member", "1", "--spec", "kind family; family"),
+        ],
+    )
+    def test_no_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        out_path = tmp_path / "absent" / "x"
+        code, out, err = run(capsys, "verify", "--suite", "lemma-3.2", "--out", str(out_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot write")
+
+
+RANK2 = "kind family; family RANK2-5.3 depth 3; sample 7/3, 32/15"
+
+
+class TestRank2Elements:
+    def test_member_of_a_point(self, capsys):
+        code, out, _ = run(capsys, "member", "(1/5, 23/6)", "--spec", RANK2)
+        assert code == EXIT_PASS and out.strip() == "member"
+        code, out, _ = run(capsys, "member", "(1/35, 9/2)", "--spec", RANK2)
+        assert code == EXIT_FAIL and out.strip() == "non-member"
+
+    def test_factorize_a_point(self, capsys):
+        code, out, _ = run(capsys, "factorize", "(1/5, 43/12)", "--spec", RANK2)
+        assert code == EXIT_PASS
+        assert out.strip() == "2*((0, 1/8)) + 1*((1/5, 10/3))"
+
+    @pytest.mark.parametrize("command", ["member", "factorize"])
+    @pytest.mark.parametrize("element, spec", [("(1, 2)", SPEC23), ("7/3", RANK2)])
+    def test_element_of_the_other_rank_is_usage_error(self, capsys, command, element, spec):
+        code, out, err = run(capsys, command, element, "--spec", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "does not match spec" in err
+
+
 class TestEnvOverrides:
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("FINPOW_BUDGET", "1")
