@@ -135,20 +135,22 @@ class QPoint2:
     x: Rat
     y: Rat
 
+    # Comparing with anything but a point is NotImplemented, so Python raises
+    # TypeError as it does for any two unordered types.
     def _key(self) -> tuple[Rat, Rat]:
         return (self.y, self.x)
 
     def __lt__(self, other: "QPoint2") -> bool:
-        return self._key() < other._key()
+        return self._key() < other._key() if isinstance(other, QPoint2) else NotImplemented
 
     def __le__(self, other: "QPoint2") -> bool:
-        return self._key() <= other._key()
+        return self._key() <= other._key() if isinstance(other, QPoint2) else NotImplemented
 
     def __gt__(self, other: "QPoint2") -> bool:
-        return self._key() > other._key()
+        return self._key() > other._key() if isinstance(other, QPoint2) else NotImplemented
 
     def __ge__(self, other: "QPoint2") -> bool:
-        return self._key() >= other._key()
+        return self._key() >= other._key() if isinstance(other, QPoint2) else NotImplemented
 
     def __add__(self, other: "QPoint2") -> "QPoint2":
         return QPoint2(self.x + other.x, self.y + other.y)

@@ -5,16 +5,18 @@ A backend is a `MonoidSpec`: either an explicit positive generator list
 depth parameter.  On top of a spec we decide membership exactly, enumerate
 divisors, compute atoms, and enumerate complete factorizations.
 
-Membership and factorization share one engine, `_search`: a depth-first
-enumeration of coefficient vectors over a descending basis, on scaled int
-coordinates (y, x).  A rational q becomes (q*L, 0) and a plane point (x, y)
-becomes (y*Ly, x*Lx), where the scales clear every denominator of the basis
-and of the target; `Fraction` and `QPoint2` stay at the API boundary.  The
-search runs from a plan built once per (basis, scale).  For rational bases
-the plan holds p-adic congruences: the coefficient of a generator is forced
-into one residue class modulo the primes of L that no later denominator
-carries, which is what keeps truncated Puiseux families with large
-denominators tractable.
+Every enumeration runs on scaled int coordinates (y, x): a rational q
+becomes (q*L, 0) and a plane point (x, y) becomes (y*Ly, x*Lx), where the
+scales clear every denominator of the basis and of the target; `Fraction`
+and `QPoint2` stay in `encode`/`decode` and at the API boundary.  Membership,
+divisors and factorizations share one engine, `_search`: a depth-first
+enumeration of coefficient vectors over a descending basis, run from a plan
+built once per (basis, scale).  For rational bases the plan holds p-adic
+congruences: the coefficient of a generator is forced into one residue
+class modulo the primes of L that no later denominator carries, which is
+what keeps truncated Puiseux families with large denominators tractable.
+Membership verdicts and divisor lists live in one result cache per expanded
+spec, keyed by scaled element; `clear_caches` empties it.
 """
 from __future__ import annotations
 
@@ -198,48 +200,39 @@ class MonoidSpec:
             )
 
 
-def _ex44_generators(depth: int, prime_offset: int = 0) -> tuple[Rat, ...]:
-    # p_k below is the k-th prime >= 5 (1-indexed), shifted by the offset knob.
-    count = 2 * depth + 2 + prime_offset
-    ps = primes_geq(5, count)
-
-    def p(k: int) -> int:
-        return ps[k - 1 + prime_offset]
-
+def _ex44_generators(depth: int) -> tuple[Rat, ...]:
+    # p[k] below is the (k+1)-th prime >= 5, p_{k+1} in the paper's indexing.
+    p = primes_geq(5, 2 * depth)
     gens = []
     for n in range(depth):
-        gens.append(Fraction(1, 2**n * p(2 * n + 2)))
-        gens.append(Fraction(1, p(2 * n + 1)) * (Fraction(1, 3) + Fraction(1, 2**n)))
+        gens.append(Fraction(1, 2**n * p[2 * n + 1]))
+        gens.append(Fraction(1, p[2 * n]) * (Fraction(1, 3) + Fraction(1, 2**n)))
     return tuple(gens)
 
 
-def ex44_a1_atoms(depth: int, prime_offset: int = 0) -> tuple[Rat, ...]:
-    return tuple(g for i, g in enumerate(_ex44_generators(depth, prime_offset)) if i % 2 == 0)
+def ex44_a1_atoms(depth: int) -> tuple[Rat, ...]:
+    return tuple(g for i, g in enumerate(_ex44_generators(depth)) if i % 2 == 0)
 
 
-def ex44_a2_atoms(depth: int, prime_offset: int = 0) -> tuple[Rat, ...]:
-    return tuple(g for i, g in enumerate(_ex44_generators(depth, prime_offset)) if i % 2 == 1)
+def ex44_a2_atoms(depth: int) -> tuple[Rat, ...]:
+    return tuple(g for i, g in enumerate(_ex44_generators(depth)) if i % 2 == 1)
 
 
-def expand_family(
-    family: str, depth: int, sample: Iterable[Rat] = (), prime_offset: int = 0
-) -> MonoidSpec:
+def expand_family(family: str, depth: int, sample: Iterable[Rat] = ()) -> MonoidSpec:
     """Expand a named truncated family into an explicit generator list.
 
     Expansions are memoized, so a family spec's expansion, hash and scale
     are computed once rather than on every call that expands it.
     """
-    return _expand_family(family, depth, tuple(sample), prime_offset)
+    return _expand_family(family, depth, tuple(sample))
 
 
 @functools.lru_cache(maxsize=64)
-def _expand_family(
-    family: str, depth: int, sample: tuple, prime_offset: int
-) -> MonoidSpec:
+def _expand_family(family: str, depth: int, sample: tuple) -> MonoidSpec:
     if depth is None or depth < 1:
         raise InvalidInputError("family depth must be >= 1")
     if family == "EX44":
-        return MonoidSpec("puiseux", _ex44_generators(depth, prime_offset))
+        return MonoidSpec("puiseux", _ex44_generators(depth))
     if family == "Q-ODDPRIMES":
         return MonoidSpec(
             "puiseux", tuple(Fraction(1, p) for p in primes_geq(3, depth))
@@ -289,6 +282,13 @@ def _lattice(b: Element, base) -> tuple:
         return (ly, lx), y, x
     scale = math.lcm(base, b.denominator)
     return scale, b.numerator * (scale // b.denominator), 0
+
+
+def _element(scale, y: int, x: int) -> Element:
+    """The element with int coordinates (y, x) at `scale`; undoes `_lattice`."""
+    if isinstance(scale, tuple):
+        return QPoint2(Fraction(x, scale[1]), Fraction(y, scale[0]))
+    return Fraction(y, scale)
 
 
 def _basis_scale(basis: tuple, rank2: bool):
@@ -384,9 +384,10 @@ def representations(
     return sorted({tuple(vec[index[g]] for g in basis) for vec in results})
 
 
-# The one membership cache: expanded spec -> ({scaled element: verdict}, the
-# plan over its generators), so that a membership test costs one lookup.
-_member_cache: dict[MonoidSpec, tuple[dict, tuple]] = {}
+# The one result cache: expanded spec -> ({scaled element: verdict},
+# {scaled element: its divisors}, the plan over its generators), so that a
+# repeated membership test or divisor query costs one lookup.
+_cache: dict[MonoidSpec, tuple[dict, dict, tuple]] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
@@ -407,25 +408,35 @@ def decode(n, spec: MonoidSpec) -> Element:
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
+def _entry(spec: MonoidSpec) -> tuple[dict, dict, tuple]:
+    """The cache entry of an expanded spec, made on first use."""
+    entry = _cache.get(spec)
+    if entry is None:
+        entry = _cache[spec] = ({}, {}, _plan(spec.generators[::-1], spec.scale))
+    return entry
+
+
+def _locate(b: Element, spec: MonoidSpec, plan: tuple) -> tuple:
+    """(plan, y, x) for an element b of an expanded spec: off the spec's
+    lattice the spec's `plan` is redone on one that holds b too."""
+    scale, y, x = _lattice(b, spec.scale)
+    if scale != spec.scale:
+        plan = _plan(spec.generators[::-1], scale)
+    return plan, y, x
+
+
 def membership(spec: MonoidSpec, budget: Budget):
     """A membership test for scaled elements n >= 0 of an expanded spec.
 
-    The test reads and fills the one member cache; a miss runs the
-    coefficient search and charges it to `budget`.  An on-lattice int n is
-    searched as it is; an off-lattice rank-1 element or a rank-2 point on
-    the coarsest lattice that holds both it and the generators.
+    The test reads and fills the spec's verdicts in the result cache; a miss
+    runs the coefficient search and charges it to `budget`.
     """
-    base = spec.scale
-    entry = _member_cache.get(spec)
-    if entry is None:
-        entry = _member_cache[spec] = ({}, _plan(spec.generators[::-1], base))
-    cache, plan = entry
+    cache, _, plan = _entry(spec)
 
     def is_member(n) -> bool:
         ok = cache.get(n)
         if ok is None:
-            scale, y, x = (base, n, 0) if type(n) is int else _lattice(decode(n, spec), base)
-            sub = plan if scale == base else _plan(spec.generators[::-1], scale)
+            sub, y, x = (plan, n, 0) if type(n) is int else _locate(decode(n, spec), spec, plan)
             ok = cache[n] = _search(sub, 0, y, x, budget, True, [], [])
         return ok
 
@@ -443,44 +454,40 @@ def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -
 
 def divides(d: Element, b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
     """d divides b in the monoid: b - d is a member."""
-    spec = spec.expanded()
-    r = b - d
-    if r < spec.zero:
-        return False
-    return member(r, spec, budget)
-
-
-_divisor_cache: dict[tuple[MonoidSpec, Element], tuple] = {}
+    return member(b - d, spec, budget)
 
 
 def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """The full divisor set {d in M : d | b}, sorted.
 
     Every divisor is a sub-multiset sum of some generator representation of
-    b, so we enumerate representations and collect their partial sums.
+    b.  The coefficient search enumerates the representations on scaled int
+    coordinates, each sub-multiset sum spends one node, and the sorted sums
+    are decoded once and cached under the scaled b.
     """
     spec = spec.expanded()
-    key = (spec, b)
-    cached = _divisor_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    bud = as_budget(budget)
-    reps = representations(b, spec, bud)
-    gens = spec.generators
-    found: set = set()
-    for vec in reps:
-        used = [(g, c) for g, c in zip(gens, vec) if c]
-        ranges = [range(c + 1) for _, c in used]
-        for combo in itertools.product(*ranges):
-            bud.spend()
-            d = spec.zero
-            for (g, _), k in zip(used, combo):
-                if k:
-                    d = d + k * g
-            found.add(d)
-    out = sorted(found)
-    _divisor_cache[key] = tuple(out)
-    return out
+    spec.check_element(b)
+    _, cache, plan = _entry(spec)
+    key = encode(b, spec)
+    out = cache.get(key)
+    if out is None:
+        bud = as_budget(budget)
+        sub, y, x = _locate(b, spec, plan)
+        reps: list = []
+        _search(sub, 0, y, x, bud, False, reps, [])
+        found: set = set()
+        for vec in reps:
+            used = [(level[0], level[1], c) for level, c in zip(sub, vec) if c]
+            for combo in itertools.product(*(range(c + 1) for _, _, c in used)):
+                bud.spend()
+                dy = dx = 0
+                for (gy, gx, _), k in zip(used, combo):
+                    dy += k * gy
+                    dx += k * gx
+                found.add((dy, dx))
+        # a representation exists only on the spec's lattice
+        out = cache[key] = tuple(_element(spec.scale, dy, dx) for dy, dx in sorted(found))
+    return list(out)
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
@@ -496,18 +503,10 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     out = []
     for g in gens:
         others = tuple(h for h in gens if h != g)
-        if not others:
-            out.append(g)
-            continue
-        if not spec.is_rank2:
-            other_dens = [h.denominator for h in others]
-            if any(
-                all(d % p for d in other_dens) for p in _den_primes(g.denominator)
-            ):
-                out.append(g)
-                continue
-        sub = MonoidSpec(spec.kind, others)
-        if not member(g, sub, bud):
+        lone_prime = not spec.is_rank2 and any(
+            all(h.denominator % p for h in others) for p in _den_primes(g.denominator)
+        )
+        if not others or lone_prime or not member(g, MonoidSpec(spec.kind, others), bud):
             out.append(g)
     return out
 
@@ -523,21 +522,15 @@ class Factorization:
         if any(m < 1 for _, m in self.parts):
             raise InvalidInputError("factorization multiplicities must be >= 1")
 
-    def total(self, zero: Element = Fraction(0)) -> Element:
-        s = zero
-        for a, m in self.parts:
-            s = s + m * a
-        return s
+    def total(self, zero: Optional[Element] = None) -> Element:
+        """The sum of the parts, from `zero`: by default the zero of their kind."""
+        if zero is None:
+            zero = 0 * self.parts[0][0] if self.parts else Fraction(0)
+        return sum((m * a for a, m in self.parts), zero)
 
     @property
     def length(self) -> int:
         return sum(m for _, m in self.parts)
-
-    def multiplicity(self, atom: Element) -> int:
-        for a, m in self.parts:
-            if a == atom:
-                return m
-        return 0
 
     def __iter__(self):
         return iter(self.parts)
@@ -555,12 +548,10 @@ def factorizations(
     spec = spec.expanded()
     bud = as_budget(budget)
     atom_list = tuple(atoms(spec, bud))
-    reps = representations(b, spec, bud, over=atom_list)
-    out = []
-    for vec in reps:
-        parts = tuple((a, c) for a, c in zip(atom_list, vec) if c)
-        out.append(Factorization(parts))
-    return out
+    return [
+        Factorization(tuple((a, c) for a, c in zip(atom_list, vec) if c))
+        for vec in representations(b, spec, bud, over=atom_list)
+    ]
 
 
 def members_upto(
@@ -570,26 +561,28 @@ def members_upto(
     spec = spec.expanded()
     if spec.is_rank2:
         raise InvalidInputError("members_upto supports rank-1 specs only")
+    if bound < 0:
+        return []
     bud = as_budget(budget)
+    gens = [level[0] for level in _entry(spec)[2]]
+    top = math.floor(bound * spec.scale)
     found: set = set()
 
-    def walk(gens: tuple[Rat, ...], acc: Rat) -> None:
+    def walk(i: int, acc: int) -> None:
         bud.spend()
         found.add(acc)
-        if not gens:
+        if i == len(gens):
             return
-        g, rest = gens[0], gens[1:]
-        kmax = int((bound - acc) / g)
-        for k in range(kmax + 1):
-            walk(rest, acc + k * g)
+        g = gens[i]
+        for k in range((top - acc) // g + 1):
+            walk(i + 1, acc + k * g)
 
-    walk(tuple(sorted(spec.generators, reverse=True)), Fraction(0))
-    return sorted(found)
+    walk(0, 0)
+    return [decode(n, spec) for n in sorted(found)]
 
 
 def clear_caches() -> None:
-    _member_cache.clear()
-    _divisor_cache.clear()
+    _cache.clear()
     _plan.cache_clear()
     _expand_family.cache_clear()
 

@@ -25,7 +25,7 @@ from .backend import (
 )
 from .power import divides_in_P, is_p_atom, p_factorize, parse_finset, sumset, NOT_ATOMIC
 from .mcd import chain_divisors, ex44_chain, mcd
-from .suites import UnknownSuiteError, run_all_suites, run_verify_suite
+from .suites import run_all_suites, run_verify_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -321,9 +321,6 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return _COMMANDS[args.command](args)
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,10 +13,11 @@ its largest cofactor C; `decompositions` takes the V's inside C, and
 Set arithmetic runs on scaled elements.  A public function encodes its sets
 once on entry and decodes its result once on return: a rank-1 element q of
 (1/L)Z, with L the lcm of the generator denominators, becomes the int q*L,
-and a rank-2 point stays as it is, so one code path serves both ranks.  A
-rank-1 element off that lattice is outside M, and a set holding one is
-rejected with InvalidInputError.  Membership tests on scaled elements share
-the one member cache of `backend`.
+and a rank-2 point stays as it is, so one code path serves both ranks.  An
+element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
+M, and a set holding one is rejected with InvalidInputError.  Membership
+tests and divisor lists on scaled elements share the one result cache of
+`backend`.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .arith import Element, InvalidInputError, QPoint2, parse_element, render_el
 from .backend import (
     Budget,
     MonoidSpec,
+    _lattice,
     _split_top_level,
     as_budget,
     decode,
@@ -47,7 +49,7 @@ class FinSet:
     def __post_init__(self):
         try:
             elems = tuple(sorted(set(self.elems)))
-        except (TypeError, AttributeError):  # a point compared with a rational
+        except TypeError:  # a point compared with a rational
             raise InvalidInputError("a set cannot mix points and rationals") from None
         if not elems:
             raise InvalidInputError("empty set is not an element of the power monoid")
@@ -124,16 +126,20 @@ def sumset_all(sets: list[FinSet], spec: MonoidSpec) -> FinSet:
 def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
     """The scaled elements of s over an expanded spec, ascending.
 
-    A rank-1 element off the lattice (1/L)Z lies outside M, so a set holding
-    one lies outside P_fin(M) and is rejected.
+    An element off the spec's lattice lies outside M, so a set holding one
+    lies outside P_fin(M) and is rejected.
     """
     out = []
     for e in s:
         spec.check_element(e)
         n = encode(e, spec)
-        if isinstance(n, Fraction):
+        # encode makes a rank-1 element off the lattice a Fraction; a point
+        # is its own scaled form, so its lattice is checked here
+        if isinstance(n, Fraction) or (
+            isinstance(n, QPoint2) and _lattice(n, spec.scale)[0] != spec.scale
+        ):
             raise InvalidInputError(
-                f"{render_element(e)} is not in the monoid: it lies off (1/{spec.scale})Z"
+                f"{render_element(e)} is not in the monoid: it lies off the generators' lattice"
             )
         out.append(n)
     return tuple(out)

@@ -61,21 +61,6 @@ FAIL = "fail"
 TRUNC = "truncation-inconclusive"
 OVER = "budget-exceeded"
 
-SUITE_NAMES = (
-    "lemma-2.6",
-    "lemma-3.2",
-    "prop-4.1",
-    "lemma-4.2",
-    "thm-4.5",
-    "ex-4.4",
-    "cap-additivity",
-    "lemma-5.2",
-    "lemma-5.4",
-    "thm-5.5-gap",
-    "lemma-6.1",
-    "prop-6.4",
-)
-
 
 class UnknownSuiteError(InvalidInputError):
     pass
@@ -94,7 +79,6 @@ class VerificationReport:
     spec: str
     checks: list
     budget_used: int
-    elapsed: float = 0.0  # informational only; excluded from serialization
 
     @property
     def ok(self) -> bool:
@@ -620,6 +604,8 @@ _SUITES: dict = {
     "lemma-6.1": _suite_lemma_6_1,
     "prop-6.4": _suite_prop_6_4,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verify_suite(

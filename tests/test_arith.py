@@ -1,4 +1,5 @@
 """Exact-arithmetic layer: rationals, p-adic valuations, ordered pairs."""
+import operator
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,14 @@ class TestQPoint2:
         assert a + b == QPoint2(Fraction(1, 5), Fraction(23, 6))
         assert a - a == QPoint2(Fraction(0), Fraction(0))
         assert 2 * b == QPoint2(Fraction(0), Fraction(1))
+
+    def test_comparison_with_a_rational_is_a_type_error(self):
+        p = QPoint2(Fraction(0), Fraction(1))
+        for cmp in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                cmp(p, Fraction(1))
+            with pytest.raises(TypeError):
+                cmp(Fraction(1), p)
 
     def test_parse_render_round_trip(self):
         for text in ("(1/5, 10/3)", "(0, 1/2)", "(-2/35, 0)"):

@@ -1,7 +1,9 @@
 """Monoid backends checked against a naive exhaustive-coefficient oracle."""
+import importlib
 import itertools
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finpow
+from finpow import backend
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.backend import (
+    Factorization,
     clear_caches,
     Budget,
     BudgetExceededError,
@@ -117,6 +122,35 @@ class TestMonoidSpec:
         assert member(Fraction(7), a)
         # a cache miss would spend a node and overrun the zero budget
         assert member(Fraction(7), b, Budget(0))
+
+    def test_divisors_cache_hit_from_equal_spec(self):
+        clear_caches()
+        a = MonoidSpec.numerical(3, 2)
+        b = parse_monoid_spec("kind numerical\ngens 2, 3")
+        want = divisors(Fraction(7), a)
+        assert divisors(Fraction(7), b, Budget(0)) == want
+
+    def test_clear_caches_empties_every_cache(self):
+        # run_all_suites clears the caches before each suite; its output is
+        # byte-stable only if that leaves no cached state anywhere
+        r2 = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),))
+        member(Fraction(7), MonoidSpec.numerical(2, 3))
+        divisors(Fraction(4, 3), MonoidSpec.of_family("EX44", 2))
+        divisors(QPoint2(Fraction(1, 5), Fraction(23, 6)), r2)
+        members_upto(MonoidSpec.puiseux(Fraction(1, 2)), Fraction(3))
+        factorizations(Fraction(5), MonoidSpec.numerical(2, 3))
+        modules = [
+            importlib.import_module(f"finpow.{m.name}")
+            for m in pkgutil.iter_modules(finpow.__path__)
+        ]
+        lru = {
+            id(f): f for mod in modules for f in vars(mod).values()
+            if hasattr(f, "cache_info")
+        }.values()
+        assert backend._cache and any(f.cache_info().currsize for f in lru)
+        clear_caches()
+        assert backend._cache == {}
+        assert [f for f in lru if f.cache_info().currsize] == []
 
     @pytest.mark.parametrize(
         "spec, q",
@@ -225,6 +259,10 @@ class TestEx44Membership:
         want = sorted(naive_members([Fraction(1, 2), Fraction(2, 3)], Fraction(2)))
         assert got == want
 
+    def test_members_upto_a_negative_bound_is_empty(self):
+        # 0 is the least member, so nothing lies in [0, -1/2]
+        assert members_upto(MonoidSpec.numerical(2, 3), Fraction(-1, 2)) == []
+
 
 class TestBudget:
     def test_exhaustion_raises_rather_than_lying(self):
@@ -260,6 +298,13 @@ class TestRank2Backend:
         d = QPoint2(Fraction(0), Fraction(1, 2))
         assert member(a + d, sp)
         assert not member(QPoint2(Fraction(1, 5), Fraction(10, 3) - Fraction(1, 4)), sp)
+
+    def test_rank2_factorization_totals(self):
+        sp = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),))
+        b = QPoint2(Fraction(1, 5), Fraction(23, 6))
+        facs = factorizations(b, sp)
+        assert facs and all(f.total() == b for f in facs)
+        assert Factorization(()).total() == 0
 
 
 F = Fraction
@@ -356,3 +401,26 @@ class TestEngineOracles:
         clear_caches()
         for q in targets:
             assert member(q, spec) == (q in naive_points(spec.generators, q)), q
+
+    @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_small_lattice_puiseux_divisors(self, spec, targets):
+        clear_caches()
+        for b in targets:
+            mset = naive_members(spec.generators, b)
+            assert divisors(b, spec) == sorted(d for d in mset if b - d in mset), b
+
+    @given(rank2_specs, st.lists(rank2_targets, min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_rank2_divisors(self, spec, targets):
+        clear_caches()
+        for b in targets:
+            box = naive_points(spec.generators, b)
+            assert divisors(b, spec) == sorted(d for d in box if b - d in box), b
+
+    @given(puiseux_specs, st.builds(F, st.integers(-12, 36), st.sampled_from((12, 8, 5))))
+    @settings(max_examples=40, deadline=None)
+    def test_members_upto(self, spec, bound):
+        clear_caches()
+        want = sorted(q for q in naive_members(spec.generators, bound) if q <= bound)
+        assert members_upto(spec, bound) == want

@@ -55,6 +55,10 @@ class TestFinSet:
         with pytest.raises(Exception):
             parse_finset("{}")
 
+    def test_rejects_points_mixed_with_rationals(self):
+        with pytest.raises(InvalidInputError, match="mix"):
+            FinSet((QPoint2(Fraction(0), Fraction(1)), Fraction(1)))
+
 
 class TestSumset:
     @given(int_sets, int_sets)
@@ -272,13 +276,18 @@ class TestAnchoredEnumerationOracle:
 
 class TestOffLattice:
     def test_set_off_the_lattice_is_rejected(self):
-        # 1/2 is outside (1/1)Z, so {0, 1/2} is not a set of members of <2, 3>
-        s = FinSet((Fraction(0), Fraction(1, 2)))
-        for call in (
-            lambda: decompositions(s, N23),
-            lambda: p_divisors(s, N23),
-            lambda: divides_in_P(FinSet((0,)), s, N23),
-            lambda: is_p_atom(s, N23),
+        # 1/2 is outside (1/1)Z, so {0, 1/2} is not a set of members of <2, 3>;
+        # 1/11 is outside (1/35)Z, the x-lattice of RANK2-5.3 with this sample
+        r2 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3), Fraction(32, 15)))
+        for s, spec in (
+            (FinSet((Fraction(0), Fraction(1, 2))), N23),
+            (FinSet((QPoint2(Fraction(1, 11), Fraction(3)),)), r2),
         ):
-            with pytest.raises(InvalidInputError):
-                call()
+            for call in (
+                lambda: decompositions(s, spec),
+                lambda: p_divisors(s, spec),
+                lambda: divides_in_P(zero_set(spec), s, spec),
+                lambda: is_p_atom(s, spec),
+            ):
+                with pytest.raises(InvalidInputError, match="lattice"):
+                    call()
