@@ -42,6 +42,20 @@ DEFAULT_BUDGET = 10**6
 
 FAMILY_TAGS = ("EX44", "RANK2-5.3", "Q-ODDPRIMES")
 
+_memos: list = []
+
+
+def memoized(maxsize: int):
+    """`functools.lru_cache` for the package: `clear_caches` empties every
+    cache made this way."""
+
+    def wrap(fn):
+        fn = functools.lru_cache(maxsize=maxsize)(fn)
+        _memos.append(fn)
+        return fn
+
+    return wrap
+
 
 class BudgetExceededError(RuntimeError):
     """A search ran out of its node budget; the query has no verdict."""
@@ -227,7 +241,7 @@ def expand_family(family: str, depth: int, sample: Iterable[Rat] = ()) -> Monoid
     return _expand_family(family, depth, tuple(sample))
 
 
-@functools.lru_cache(maxsize=64)
+@memoized(maxsize=64)
 def _expand_family(family: str, depth: int, sample: tuple) -> MonoidSpec:
     if depth is None or depth < 1:
         raise InvalidInputError("family depth must be >= 1")
@@ -297,7 +311,7 @@ def _basis_scale(basis: tuple, rank2: bool):
     return math.lcm(*(g.denominator for g in basis))
 
 
-@functools.lru_cache(maxsize=256)
+@memoized(maxsize=256)
 def _plan(ordered: tuple, scale) -> tuple:
     """The per-level table of the coefficient search over a descending basis.
 
@@ -583,8 +597,8 @@ def members_upto(
 
 def clear_caches() -> None:
     _cache.clear()
-    _plan.cache_clear()
-    _expand_family.cache_clear()
+    for fn in _memos:
+        fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .backend import (
     member,
     members_upto,
     membership,
+    memoized,
 )
 from .power import (
     FinSet,
@@ -128,7 +129,7 @@ def p_divisors(
     """All divisors of t in the power monoid, including {0} and t itself."""
     spec = spec.expanded()
     divs = _anchored_divisors(_encode_set(t, spec), spec, as_budget(budget))
-    return [_decode_set(u, spec) for u in sorted(u for u, _ in divs)]
+    return [_decode_set(u, spec) for u in sorted(u for u, _, _ in divs)]
 
 
 def mcd_in_P(
@@ -149,12 +150,13 @@ def mcd_in_P(
     while True:
         common: Optional[set] = None
         for t in fam:
-            ds = {d.elems for d in p_divisors(t, spec, bud)}
+            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud)}
             common = ds if common is None else common & ds
-        nonsingleton = sorted(e for e in common if len(e) >= 2)
+        # scaled divisors sort as their decoded sets do
+        nonsingleton = sorted(u for u in common if len(u) >= 2)
         if not nonsingleton:
             break
-        d = FinSet(nonsingleton[0])
+        d = _decode_set(nonsingleton[0], spec)
         fam = [divides_in_P(d, t, spec, bud) for t in fam]
         stripped = sumset(stripped, d)
     union = FinSet(tuple(e for t in fam for e in t))
@@ -192,7 +194,11 @@ class ResidueClass:
         return f"{self.residue} mod {self.modulus}"
 
 
+@memoized(maxsize=256)
 def _check_cap_preconditions(a: Rat, p: int, spec: MonoidSpec) -> None:
+    """Raise unless (a, p) is a cap pair of the expanded spec.  A pair that
+    passes is remembered until `clear_caches`; one that fails raises on
+    every call."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
     if a not in spec.generators:
@@ -207,12 +213,14 @@ def _check_cap_preconditions(a: Rat, p: int, spec: MonoidSpec) -> None:
 
 
 def _residue(q: Rat, a: Rat, p: int) -> int:
-    if q == 0:
-        return 0
-    t = q / a
-    if vp_value(p, t) < 0:
-        raise InvalidInputError(f"{q} admits no residue at ({a}, {p})")
-    return t.numerator * pow(t.denominator, -1, p) % p
+    """(q/a) mod p for a prime p, on ints: the p's shared by numerator and
+    denominator cancel, and one left in the denominator means v_p(q/a) < 0."""
+    num, den = q.numerator * a.denominator, q.denominator * a.numerator
+    while den % p == 0:
+        if num % p:
+            raise InvalidInputError(f"{q} admits no residue at ({a}, {p})")
+        num, den = num // p, den // p
+    return num * pow(den, -1, p) % p
 
 
 def cap_residue(q: Rat, a: Rat, p: int, spec: MonoidSpec) -> ResidueClass:
@@ -342,7 +350,7 @@ def leo4_no_atom_divides(
         raise InvalidInputError("supported on rank-1 specs only")
     bud = as_budget(budget)
     try:
-        divs = sorted(u for u, _ in _anchored_divisors(_encode_set(t, spec), spec, bud))
+        divs = sorted(u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud))
         for s in divs:
             if s == (0,):
                 continue

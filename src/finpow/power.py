@@ -10,14 +10,23 @@ One generator, `_anchored_divisors`, yields every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
 `mcd.p_divisors` collects the U's.
 
+Cofactors are computed by one mask kernel, `_cofactors`, which also serves
+`divides_in_P` and `singleton_candidates`.  For the sets U with minimum a
+it tests the candidates m in {x - a : x in T} for membership once, and
+gives each candidate element e an int whose bit j says that e + m_j lies in
+T.  C(U) is then the AND of those ints over U, and U + C = T holds iff the
+OR of the index bits in T of the sums U + m, m in C, is the full mask.
+
 Set arithmetic runs on scaled elements.  A public function encodes its sets
 once on entry and decodes its result once on return: a rank-1 element q of
 (1/L)Z, with L the lcm of the generator denominators, becomes the int q*L,
 and a rank-2 point stays as it is, so one code path serves both ranks.  An
 element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
-M, and a set holding one is rejected with InvalidInputError.  Membership
-tests and divisor lists on scaled elements share the one result cache of
-`backend`.
+M, and a set holding one is rejected with InvalidInputError; so is a set
+holding a lattice point outside M, wherever the divisor enumeration runs.
+Results are decoded through a constructor that trusts the scaled order, as
+decoding is monotone.  Membership tests and divisor lists on scaled
+elements share the one result cache of `backend`.
 """
 from __future__ import annotations
 
@@ -54,6 +63,13 @@ class FinSet:
         if not elems:
             raise InvalidInputError("empty set is not an element of the power monoid")
         object.__setattr__(self, "elems", elems)
+
+    @classmethod
+    def _ascending(cls, elems: tuple) -> "FinSet":
+        """The FinSet of a nonempty tuple already ascending and distinct."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elems", elems)
+        return s
 
     @classmethod
     def of(cls, *elems) -> "FinSet":
@@ -146,7 +162,15 @@ def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
 
 
 def _decode_set(elems, spec: MonoidSpec) -> FinSet:
-    return FinSet(tuple(decode(n, spec) for n in elems))
+    """The FinSet of an ascending tuple of distinct scaled elements.
+
+    Decoding is monotone, so the result is ascending and distinct too and is
+    taken as it is, without sorting or hashing.
+    """
+    if spec.is_rank2:
+        return FinSet._ascending(tuple(elems))
+    scale = spec.scale
+    return FinSet._ascending(tuple(Fraction(n, scale) for n in elems))
 
 
 def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> list:
@@ -154,42 +178,62 @@ def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> list:
     return [encode(d, spec) for d in divisors(decode(n, spec), spec, bud)]
 
 
-def _cofactor(u: tuple, t: tuple, members: set, is_member) -> list:
-    """The largest scaled C with u + C inside t (members = set(t)).
+def _cofactors(t: tuple, a, es, is_member):
+    """The cofactor kernel of the scaled set t for sets U with minimum a and
+    elements in es: a function U -> (C, covers, union).
 
-    Candidates are exactly {x - min u : x in t}: any admissible m satisfies
-    min u + m in t.
+    C is the largest scaled cofactor {m in M : U + m inside t}, ascending,
+    covers[i] the mask of the indices in t of U + C[i], and union the OR of
+    the covers, so U divides t iff C is nonempty and union is the full mask.
+    Its candidates m are the members of {x - a : x in t}, tested once here;
+    bit j of fits[e] is set iff e + ms[j] lies in t, and C(U) is the AND of
+    the fits over U.
     """
-    umin = u[0]
-    out = []
-    for x in t:
-        if x < umin:
-            continue
-        m = x - umin
-        if is_member(m) and all(e + m in members for e in u):
-            out.append(m)
-    return out
+    ms = [x - a for x in t if x >= a and is_member(x - a)]
+    index = {x: 1 << i for i, x in enumerate(t)}
+    hits, fits = {}, {}
+    for e in es:
+        row = hits[e] = [index.get(e + m, 0) for m in ms]
+        fits[e] = sum(1 << j for j, bit in enumerate(row) if bit)
 
+    def cofactor(u: tuple) -> tuple[list, list, int]:
+        common = -1
+        for e in u:
+            common &= fits[e]
+        c, covers, union = [], [], 0
+        if not common:
+            return c, covers, union
+        rows = [hits[e] for e in u]
+        for j, m in enumerate(ms):
+            if common >> j & 1:
+                cover = 0
+                for row in rows:
+                    cover |= row[j]
+                c.append(m)
+                covers.append(cover)
+                union |= cover
+        return c, covers, union
 
-def _divides(u: tuple, t: tuple, members: set, is_member) -> Optional[list]:
-    """The largest scaled cofactor C when u + C = t, else None."""
-    c = _cofactor(u, t, members, is_member)
-    if c and len({e + m for e in u for m in c}) == len(t):
-        return c
-    return None
+    return cofactor
 
 
 def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
-    """Yield (U, C) for every divisor U of the scaled set t in the power
-    monoid, where C is the largest cofactor: U + C = t.
+    """Yield (U, C, covers) for every divisor U of the scaled set t in the
+    power monoid, where C is the largest cofactor, U + C = t, and covers[i]
+    is the mask of the indices in t of U + C[i].
 
     Anchored at the minimum: min U is a divisor a of min t, so min C =
     min t - a =: mv, and every u in U has u + mv in t.  U therefore ranges
     over the subsets containing a of the members of {x - mv : x in t}; each
-    subset tried spends one node.
+    subset tried spends one node.  An element of t outside M is rejected
+    first; the membership tests that makes are ones the anchor a = min t
+    makes anyway.
     """
     is_member = membership(spec, bud)
-    tmax, members = t[-1], set(t)
+    for x in t:
+        if not is_member(x):
+            raise InvalidInputError(f"{render_element(decode(x, spec))} is not in the monoid")
+    tmax, full = t[-1], (1 << len(t)) - 1
     for a in _scaled_divisors(t[0], spec, bud):
         mv = t[0] - a
         if not is_member(mv):
@@ -197,15 +241,20 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
         # a itself heads the list: it is a divisor, hence a member
         cand = [x - mv for x in t if is_member(x - mv)]
         others = cand[1:]
+        cofactor = None
         for r in range(len(others) + 1):
             for extra in itertools.combinations(others, r):
                 bud.spend()
                 u = (a,) + extra
                 if not is_member(tmax - u[-1]):
                     continue
-                c = _divides(u, t, members, is_member)
-                if c is not None:
-                    yield u, c
+                # built lazily: an anchor whose every U fails the test above
+                # makes no membership tests for it
+                if cofactor is None:
+                    cofactor = _cofactors(t, a, cand, is_member)
+                c, covers, union = cofactor(u)
+                if union == full:
+                    yield u, c, covers
 
 
 def singleton_candidates(
@@ -214,7 +263,7 @@ def singleton_candidates(
     """The largest C with s + C subset of t, or None when no m qualifies."""
     spec = spec.expanded()
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    c = _cofactor(u, w, set(w), membership(spec, as_budget(budget)))
+    c, _, _ = _cofactors(w, u[0], u, membership(spec, as_budget(budget)))(u)
     return _decode_set(c, spec) if c else None
 
 
@@ -226,8 +275,8 @@ def divides_in_P(
     u, w = _encode_set(s, spec), _encode_set(t, spec)
     if len(w) < len(u):
         return None
-    c = _divides(u, w, set(w), membership(spec, as_budget(budget)))
-    return None if c is None else _decode_set(c, spec)
+    c, _, union = _cofactors(w, u[0], u, membership(spec, as_budget(budget)))(u)
+    return _decode_set(c, spec) if union == (1 << len(w)) - 1 else None
 
 
 def decompositions(
@@ -239,26 +288,24 @@ def decompositions(
     """All nontrivial pairs (U, V) with U + V = s, up to swap.
 
     Each divisor U of s comes with its largest cofactor C, and the V's that
-    go with U are the subsets of C holding min C whose sum with U covers s.
+    go with U are the subsets of C holding min C whose covers OR to all of s.
     """
     spec = spec.expanded()
     t = _encode_set(s, spec)
-    zero = t[0] - t[0]
+    zero, full = t[0] - t[0], (1 << len(t)) - 1
     found: set = set()
-    for u, c in _anchored_divisors(t, spec, as_budget(budget)):
-        head, rest = c[0], c[1:]
-        base = {e + head for e in u}
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                cover = set(base)
-                for m in extra:
-                    cover.update(e + m for e in u)
-                if len(cover) != len(t):
+    for u, c, covers in _anchored_divisors(t, spec, as_budget(budget)):
+        if u == (zero,) or (both_nonsingleton and len(u) < 2):
+            continue
+        for r in range(len(c)):
+            for extra in itertools.combinations(range(1, len(c)), r):
+                union = covers[0]
+                for i in extra:
+                    union |= covers[i]
+                if union != full:
                     continue
-                v = (head,) + extra
-                if u == (zero,) or v == (zero,):
-                    continue
-                if both_nonsingleton and (len(u) < 2 or len(v) < 2):
+                v = (c[0],) + tuple(c[i] for i in extra)
+                if v == (zero,) or (both_nonsingleton and len(v) < 2):
                     continue
                 found.add((min(u, v), max(u, v)))
     return [

@@ -33,7 +33,10 @@ from finpow.backend import (
     render_monoid_spec,
     representations,
 )
-from test_power import puiseux_specs
+from finpow.atomicity import rank2_atom
+from finpow.mcd import _check_cap_preconditions, cap_constant_on, mcd_in_P, p_divisors
+from finpow.power import FinSet, decompositions, divides_in_P, is_p_atom
+from test_power import puiseux_specs, rank2_specs
 
 
 def naive_members(gens, bound):
@@ -139,6 +142,9 @@ class TestMonoidSpec:
         divisors(QPoint2(Fraction(1, 5), Fraction(23, 6)), r2)
         members_upto(MonoidSpec.puiseux(Fraction(1, 2)), Fraction(3))
         factorizations(Fraction(5), MonoidSpec.numerical(2, 3))
+        cap_spec = MonoidSpec.puiseux(Fraction(4, 15), Fraction(1, 7), Fraction(2))
+        assert cap_constant_on(FinSet((Fraction(4, 15),)), Fraction(4, 15), 5, cap_spec)
+        assert _check_cap_preconditions.cache_info().currsize == 1
         modules = [
             importlib.import_module(f"finpow.{m.name}")
             for m in pkgutil.iter_modules(finpow.__path__)
@@ -151,6 +157,7 @@ class TestMonoidSpec:
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
+        assert _check_cap_preconditions.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "spec, q",
@@ -311,6 +318,13 @@ F = Fraction
 R2_SPEC = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3), F(32, 15)))
 EX44_3 = MonoidSpec.of_family("EX44", 3)
 N345 = MonoidSpec.numerical(3, 4, 5)
+N23 = MonoidSpec.numerical(2, 3)
+EX44_2 = MonoidSpec.of_family("EX44", 2)
+# {0, 1/26} + {5/66, 5/66 + 1/7}, over the generators 1/26, 5/66, 1/7, 4/15
+EX44_2_SET = FinSet((F(5, 66), F(49, 429), F(101, 462), F(772, 3003)))
+R2_ONE = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3),))
+R2_STEPS = [QPoint2(F(0), F(k, 8)) for k in range(4)]
+R2_A = rank2_atom(F(7, 3), "A")
 
 
 class TestNodeCounts:
@@ -349,19 +363,40 @@ class TestNodeCounts:
         assert (out if isinstance(out, bool) else len(out)) == answer
         assert bud.used == used
 
+    # the power layer, query by query: a member set's own membership tests
+    # are ones the divisor enumeration makes anyway, so they cost nothing
+    @pytest.mark.parametrize(
+        "call, answer, used",
+        [
+            (lambda b: decompositions(FinSet((4, 5, 6, 7)), N23, b), 4, 72),
+            (lambda b: p_divisors(FinSet((6, 7, 8, 9, 10)), N345, b), 10, 121),
+            (lambda b: divides_in_P(FinSet((0, 1)), FinSet((4, 5, 6, 7)), N23, b), 3, 29),
+            (lambda b: mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], N345, b), 1, 100),
+            (lambda b: is_p_atom(FinSet((2, 3)), N23, b), True, 22),
+            (lambda b: is_p_atom(FinSet((3, 4, 5, 6, 7)), N345, b), True, 70),
+            (lambda b: decompositions(EX44_2_SET, EX44_2, b), 3, 54),
+            (lambda b: p_divisors(EX44_2_SET, EX44_2, b), 8, 54),
+            (lambda b: decompositions(FinSet(tuple(R2_STEPS)), R2_ONE, b), 2, 35),
+            (lambda b: is_p_atom(FinSet(R2_STEPS[:2] + [R2_A, R2_A + R2_STEPS[1]]), R2_ONE, b), False, 33),
+        ],
+        ids=[
+            "decompositions-N23", "p_divisors-N345", "divides_in_P-N23", "mcd_in_P-N345",
+            "is_p_atom-N23", "is_p_atom-N345", "decompositions-EX44@2", "p_divisors-EX44@2",
+            "decompositions-RANK2@3", "is_p_atom-RANK2@3",
+        ],
+    )
+    def test_power_layer_budget_used(self, call, answer, used):
+        clear_caches()
+        bud = Budget()
+        out = call(bud)
+        assert (out.is_atom if hasattr(out, "is_atom") else len(out)) == answer
+        assert bud.used == used
+
 
 # (1/12)Z holds every generator of `puiseux_specs`; 1/8, 1/5 and 1/24 steps
 # leave it
 rank1_targets = st.builds(F, st.integers(0, 36), st.sampled_from((12, 8, 5, 24)))
 
-small_points = st.builds(
-    QPoint2,
-    st.builds(F, st.integers(0, 3), st.sampled_from((1, 2, 3))),
-    st.builds(F, st.integers(0, 3), st.sampled_from((1, 2, 4))),
-).filter(lambda g: g > QPoint2(F(0), F(0)))
-rank2_specs = st.lists(small_points, min_size=1, max_size=3, unique=True).map(
-    lambda gs: MonoidSpec.rank2(*gs)
-)
 rank2_targets = st.builds(
     QPoint2,
     st.builds(F, st.integers(-2, 12), st.sampled_from((6, 5))),

@@ -3,16 +3,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from finpow.arith import InvalidInputError
+from finpow.arith import InvalidInputError, vp_value
 from finpow.backend import (
     MonoidSpec,
     TruncationError,
+    clear_caches,
     expand_family,
 )
 from finpow.mcd import (
     McdWitnessStep,
     ResidueClass,
+    _residue,
     cap_constant_on,
     cap_residue,
     chain_divisors,
@@ -132,6 +136,23 @@ class TestCapResidue:
             with pytest.raises(InvalidInputError):
                 cap_constant_on(s, a, p, self.SPEC)
 
+    def test_bad_pair_raises_after_a_good_one(self):
+        clear_caches()
+        s = FinSet((F(4, 15), F(4, 3)))
+        assert not cap_constant_on(s, F(4, 15), 5, self.SPEC)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="6 is not prime"):
+                cap_constant_on(s, F(4, 15), 6, self.SPEC)
+            with pytest.raises(InvalidInputError, match="is not a generator"):
+                cap_constant_on(s, F(1, 5), 5, self.SPEC)
+
+    def test_good_pair_is_remembered_per_spec(self):
+        clear_caches()
+        s = FinSet((F(1, 5),))
+        assert cap_constant_on(s, F(1, 5), 5, MonoidSpec.puiseux(F(1, 5), F(1, 2)))
+        with pytest.raises(InvalidInputError, match="divides the denominator"):
+            cap_constant_on(s, F(1, 5), 5, MonoidSpec.puiseux(F(1, 5), F(2, 5)))
+
     def test_constant_on_set(self):
         assert cap_constant_on(FinSet((F(4, 15), F(4, 15) + F(5))), F(4, 15), 5, self.SPEC)
         assert not cap_constant_on(FinSet((F(4, 15), F(4, 3))), F(4, 15), 5, self.SPEC)
@@ -226,3 +247,28 @@ class TestLeo4:
         spec = MonoidSpec.rank2(g)
         with pytest.raises(InvalidInputError):
             leo4_no_atom_divides(FinSet((g,)), spec)
+
+
+def residue_by_fractions(q, a, p: int) -> int:
+    """c_{a,p}(q) by its definition: (q/a) mod p, undefined when v_p(q/a) < 0."""
+    if q == 0:
+        return 0
+    t = q / a
+    if vp_value(p, t) < 0:
+        raise InvalidInputError("no residue")
+    return t.numerator * pow(t.denominator, -1, p) % p
+
+
+rationals = st.builds(F, st.integers(-400, 400), st.integers(1, 400))
+
+
+class TestResidueOnInts:
+    @given(rationals, rationals.filter(lambda a: a > 0), st.sampled_from((2, 3, 5, 7, 11)))
+    def test_matches_the_fraction_definition(self, q, a, p):
+        try:
+            want = residue_by_fractions(q, a, p)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="admits no residue"):
+                _residue(q, a, p)
+        else:
+            assert _residue(q, a, p) == want

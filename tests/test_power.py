@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.atomicity import rank2_atom
-from finpow.backend import Budget, MonoidSpec
-from finpow.mcd import p_divisors
+from finpow.backend import Budget, MonoidSpec, decode
+from finpow.mcd import leo4_no_atom_divides, mcd_in_P, p_divisors
 from finpow.power import (
     FinSet,
     NOT_ATOMIC,
+    _decode_set,
     augment_indecomposable,
     decompositions,
     divides_in_P,
@@ -22,6 +23,7 @@ from finpow.power import (
     p_factorize,
     parse_finset,
     singleton,
+    singleton_candidates,
     sumset,
     sumset_all,
     zero_set,
@@ -234,6 +236,14 @@ small_rationals = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 
 puiseux_specs = st.lists(small_rationals, min_size=1, max_size=3, unique=True).map(
     lambda gs: MonoidSpec.puiseux(*gs)
 )
+small_points = st.builds(
+    QPoint2,
+    st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 3))),
+    st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 4))),
+).filter(lambda g: g > QPoint2(Fraction(0), Fraction(0)))
+rank2_specs = st.lists(small_points, min_size=1, max_size=3, unique=True).map(
+    lambda gs: MonoidSpec.rank2(*gs)
+)
 
 
 def rank1_members(spec: MonoidSpec, bound) -> set:
@@ -291,3 +301,110 @@ class TestOffLattice:
             ):
                 with pytest.raises(InvalidInputError, match="lattice"):
                     call()
+
+
+class TestNonMemberSets:
+    # 1 lies on the lattice Z of <2, 3> but outside the monoid, so {1, 5} is
+    # not in P_fin(<2, 3>) and no verdict about it may be certified
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: decompositions(s, N23),
+            lambda s: is_p_atom(s, N23),
+            lambda s: p_factorize(s, N23),
+            lambda s: p_divisors(s, N23),
+            lambda s: mcd_in_P([FinSet((2, 3)), s], N23),
+            lambda s: leo4_no_atom_divides(s, N23),
+        ],
+        ids=[
+            "decompositions", "is_p_atom", "p_factorize", "p_divisors",
+            "mcd_in_P", "leo4_no_atom_divides",
+        ],
+    )
+    def test_set_outside_the_monoid_is_rejected(self, call):
+        with pytest.raises(InvalidInputError, match="1 is not in the monoid"):
+            call(FinSet((1, 5)))
+
+    def test_negative_element_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="-1 is not in the monoid"):
+            is_p_atom(FinSet((-1, 2)), N23)
+
+
+# ---------------------------------------------------------------------------
+# The mask kernel of cofactors and the trusted decoding, against brute force
+
+
+def check_cofactor(u: FinSet, t: FinSet, spec: MonoidSpec, members: set) -> None:
+    """C = {m in M : u + m inside t}, and u divides t iff u + C = t;
+    `members` must hold every member of M up to max t."""
+    target = set(t.elems)
+    want = tuple(sorted(m for m in members if all(e + m in target for e in u)))
+    got = singleton_candidates(u, t, spec)
+    assert (got.elems if got is not None else ()) == want
+    witness = divides_in_P(u, t, spec)
+    if want and sumset(u, FinSet(want)) == t:
+        assert witness is not None and witness.elems == want
+    else:
+        assert witness is None
+
+
+def draw_pair(data, members: set, half) -> tuple:
+    """(u, t) over the members: t is u + v, u + v less one element, or any
+    set, so that divisors, near misses and unrelated sets all occur."""
+    low = sorted(m for m in members if half(m))
+    u, v = (
+        FinSet(tuple(data.draw(st.lists(st.sampled_from(low), min_size=1, max_size=3))))
+        for _ in range(2)
+    )
+    t = sumset(u, v)
+    mode = data.draw(st.sampled_from(("sum", "less", "any")))
+    if mode == "less" and len(t) > 1:
+        drop = data.draw(st.sampled_from(t.elems))
+        t = FinSet(tuple(e for e in t if e != drop))
+    elif mode == "any":
+        pool = sorted(members)
+        t = FinSet(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))))
+    return u, t
+
+
+class TestCofactorKernel:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, spec, data):
+        members = rank1_members(spec, 16)
+        check_cofactor(*draw_pair(data, members, lambda m: m <= 8), spec, members)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_lattice_puiseux(self, spec, data):
+        members = rank1_members(spec, 4)
+        check_cofactor(*draw_pair(data, members, lambda m: m <= 2), spec, members)
+
+    @given(rank2_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank2(self, spec, data):
+        # every generator has x, y >= 0, so the members in the box [0, 4]^2
+        # hold every m with u + m inside a set of the box
+        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
+        half = lambda m: m.x <= 2 and m.y <= 2  # noqa: E731
+        check_cofactor(*draw_pair(data, members, half), spec, members)
+
+
+class TestDecodeSet:
+    @given(
+        st.one_of(numerical_specs, puiseux_specs),
+        st.sets(st.integers(-60, 60), min_size=1, max_size=6),
+    )
+    def test_rank1(self, spec, ns):
+        got = _decode_set(tuple(sorted(ns)), spec)
+        want = FinSet(tuple(decode(n, spec) for n in ns))
+        assert got == want and hash(got) == hash(want)
+        assert got.elems == want.elems
+        assert all(type(e) is Fraction for e in got)
+
+    @given(rank2_specs, st.sets(small_points, min_size=1, max_size=6))
+    def test_rank2(self, spec, points):
+        got = _decode_set(tuple(sorted(points)), spec)
+        want = FinSet(tuple(points))
+        assert got == want and hash(got) == hash(want)
+        assert got.elems == want.elems
