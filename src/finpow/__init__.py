@@ -47,7 +47,6 @@ from .power import (
     sumset_all,
 )
 from .mcd import (
-    McdSampleReport,
     McdWitnessStep,
     ResidueClass,
     cap_constant_on,
@@ -56,8 +55,6 @@ from .mcd import (
     common_divisors,
     ex44_chain,
     ex44_witness,
-    is_mcd_monoid_sample,
-    leo4_no_atom_divides,
     mcd,
     mcd_in_P,
     p_divisors,

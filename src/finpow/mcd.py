@@ -1,27 +1,26 @@
 """Common divisors, maximal common divisors, the residue-class invariant of
 atoms with a unique negative p-adic valuation, and the witness machinery for
 the truncated family whose pair {1, 4/3} has no maximal common divisor.
+
+MCDs at both levels run on the scaled elements of `power`, encoded once on
+entry and decoded once on return; `mcd_in_P` strips a common divisor with the
+cofactors that the anchored divisor enumeration yields beside it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .arith import InvalidInputError, Rat, is_prime, vp_value
 from .backend import (
     Budget,
-    BudgetExceededError,
     MonoidSpec,
     TruncationError,
     as_budget,
-    divisors,
     ex44_a1_atoms,
     expand_family,
     factorizations,
     member,
-    members_upto,
     membership,
     memoized,
 )
@@ -31,92 +30,52 @@ from .power import (
     _decode_set,
     _encode_set,
     _scaled_divisors,
-    divides_in_P,
-    singleton,
-    sumset,
-    zero_set,
 )
+
+
+def _common_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """The scaled common divisors of the scaled set s, ascending."""
+    out = set(_scaled_divisors(s[0], spec, bud))
+    for e in s[1:]:
+        out &= set(_scaled_divisors(e, spec, bud))
+    return sorted(out)
+
+
+def _singleton_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """The scaled x with {x} dividing the scaled set s.
+
+    The set of `_common_divisors`, by membership tests instead of divisor
+    lists; merging the two either way moves node counts (`mcd_in_P` spends
+    fewer on this one, `p_furstenberg_divisor` more on the other).
+    """
+    is_member = membership(spec, bud)
+    return [x for x in _scaled_divisors(s[0], spec, bud) if all(is_member(e - x) for e in s)]
+
+
+def _mcd(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """The scaled maximal common divisors of the scaled set s, ascending."""
+    zero = s[0] - s[0]
+    return [
+        d for d in _common_divisors(s, spec, bud)
+        if _common_divisors(tuple(e - d for e in s), spec, bud) == [zero]
+    ]
 
 
 def common_divisors(
     s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """Intersection of the divisor sets of the elements of s."""
-    bud = as_budget(budget)
     spec = spec.expanded()
-    out: Optional[set] = None
-    for e in s:
-        ds = set(divisors(e, spec, bud))
-        out = ds if out is None else out & ds
-    return sorted(out)
+    out = _common_divisors(_encode_set(s, spec), spec, as_budget(budget))
+    return list(_decode_set(out, spec))
 
 
 def mcd(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """All maximal common divisors of s: common divisors d such that the
     shifted set {e - d} has no common divisor besides 0."""
-    bud = as_budget(budget)
     spec = spec.expanded()
-    out = []
-    for d in common_divisors(s, spec, bud):
-        shifted = FinSet(tuple(e - d for e in s))
-        if common_divisors(shifted, spec, bud) == [spec.zero]:
-            out.append(d)
-    return out
-
-
-@dataclass(frozen=True)
-class McdSampleReport:
-    status: str  # "mcd-monoid" | "counterexample" | "no-mcd-within-truncation"
-    counterexample: Optional[FinSet] = None
-    chain: tuple = ()
-
-    @property
-    def ok(self) -> Optional[bool]:
-        if self.status == "mcd-monoid":
-            return True
-        if self.status == "counterexample":
-            return False
-        return None
-
-
-def is_mcd_monoid_sample(
-    spec: MonoidSpec,
-    k: int,
-    bound: Optional[Rat] = None,
-    sample: Optional[FinSet] = None,
-    budget: "Budget | int | None" = None,
-) -> McdSampleReport:
-    """Check MCD existence for every subset of M within a bound, or probe one
-    sampled subset of a truncated family via the witness-chain ascent.
-
-    With `bound`, every subset of M intersect [0, bound] of cardinality <= k
-    is checked exhaustively.  With `sample` on the EX44 family, the ascent
-    machinery climbs common divisors until the truncation runs out; MCD
-    nonexistence in the infinite monoid is only ever *evidenced* by the
-    chain, never asserted.
-    """
-    if k < 1:
-        raise InvalidInputError("cardinality bound must be >= 1")
-    bud = as_budget(budget)
-    if sample is not None:
-        if spec.kind != "family" or spec.family != "EX44":
-            raise InvalidInputError("sampled MCD probing is supported for EX44 only")
-        try:
-            steps = ex44_chain(spec.depth + 2, spec.depth, bud)
-        except TruncationError as exc:
-            return McdSampleReport(
-                "no-mcd-within-truncation", chain=tuple(exc.partial or ())
-            )
-        return McdSampleReport("no-mcd-within-truncation", chain=tuple(steps))
-    if bound is None:
-        raise InvalidInputError("either bound or sample is required")
-    elems = members_upto(spec, bound, bud)
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(elems, size):
-            s = FinSet(combo)
-            if not mcd(s, spec, bud):
-                return McdSampleReport("counterexample", counterexample=s)
-    return McdSampleReport("mcd-monoid")
+    out = _mcd(_encode_set(s, spec), spec, as_budget(budget))
+    return list(_decode_set(out, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +98,33 @@ def mcd_in_P(
 
     Induction: strip non-singleton common divisors while any exist; once all
     common divisors are singletons, the problem reduces to a monoid-level MCD
-    of the union of the residual family.
+    of the union of the residual family.  Stripping U from t leaves the
+    largest cofactor C that comes with U, as U + C = t.
     """
     if not family:
         raise InvalidInputError("empty family")
     spec = spec.expanded()
     bud = as_budget(budget)
-    fam = list(family)
-    stripped = zero_set(spec)
+    fam = [_encode_set(t, spec) for t in family]
+    stripped = (fam[0][0] - fam[0][0],)
     while True:
-        common: Optional[set] = None
-        for t in fam:
-            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud)}
-            common = ds if common is None else common & ds
+        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, spec, bud)} for t in fam]
+        common = set(cofactors[0]).intersection(*cofactors[1:])
         # scaled divisors sort as their decoded sets do
         nonsingleton = sorted(u for u in common if len(u) >= 2)
         if not nonsingleton:
             break
-        d = _decode_set(nonsingleton[0], spec)
-        fam = [divides_in_P(d, t, spec, bud) for t in fam]
-        stripped = sumset(stripped, d)
-    union = FinSet(tuple(e for t in fam for e in t))
-    m_level = mcd(union, spec, bud)
+        d = nonsingleton[0]
+        fam = [tuple(cof[d]) for cof in cofactors]
+        stripped = tuple(sorted({x + y for x in stripped for y in d}))
+    m_level = _mcd(tuple(sorted({e for t in fam for e in t})), spec, bud)
     if not m_level:
         raise TruncationError(
             "monoid-level MCD reduction inconclusive within truncation",
-            partial=stripped,
+            partial=_decode_set(stripped, spec),
         )
-    return sorted(
-        (sumset(stripped, singleton(m0)) for m0 in m_level), key=lambda f: f.elems
-    )
+    # translates by ascending m0 come out in ascending order
+    return [_decode_set(tuple(e + m0 for e in stripped), spec) for m0 in m_level]
 
 
 # ---------------------------------------------------------------------------
@@ -319,49 +275,3 @@ def chain_divisors(steps: list[McdWitnessStep]) -> list[Rat]:
     if not steps:
         return [Fraction(0)]
     return [steps[0].q] + [s.next_divisor for s in steps]
-
-
-# ---------------------------------------------------------------------------
-# The no-atom-divisor hypothesis check
-
-
-def _singleton_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
-    """The scaled x with {x} dividing the scaled set s."""
-    is_member = membership(spec, bud)
-    return [
-        x for x in _scaled_divisors(s[0], spec, bud)
-        if all(is_member(e - x) for e in s)
-    ]
-
-
-def leo4_no_atom_divides(
-    t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
-) -> Optional[bool]:
-    """Check the hypothesis under which no power-monoid atom divides t.
-
-    For every non-invertible divisor S of t and every singleton {x} dividing
-    S, the translate of S by -x must admit a nonzero singleton divisor {y}
-    with {y} != S.  Returns True when the hypothesis holds on the complete
-    divisor set (hence no atom divides t), False with an implicit witness
-    when it fails, and None when the search budget ran out.
-    """
-    spec = spec.expanded()
-    if spec.is_rank2:
-        raise InvalidInputError("supported on rank-1 specs only")
-    bud = as_budget(budget)
-    try:
-        divs = sorted(u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud))
-        for s in divs:
-            if s == (0,):
-                continue
-            for x in _singleton_divisors(s, spec, bud):
-                shifted = tuple(e - x for e in s)
-                ok = any(
-                    y != 0 and (y,) != s
-                    for y in _singleton_divisors(shifted, spec, bud)
-                )
-                if not ok:
-                    return False
-        return True
-    except BudgetExceededError:
-        return None

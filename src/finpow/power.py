@@ -342,11 +342,7 @@ def is_indecomposable(
     s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> bool:
     """True iff every decomposition of s has a singleton side."""
-    if len(s) <= 2:
-        # a sumset of two non-singletons has at least 3 elements
-        return True
-    decs = decompositions(s, spec, budget, both_nonsingleton=True)
-    return not decs
+    return not decompositions(s, spec, budget, both_nonsingleton=True)
 
 
 def augment_indecomposable(s: FinSet) -> FinSet:

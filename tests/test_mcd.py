@@ -3,14 +3,16 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, vp_value
 from finpow.backend import (
+    Budget,
     MonoidSpec,
     TruncationError,
     clear_caches,
+    divisors,
     expand_family,
 )
 from finpow.mcd import (
@@ -23,16 +25,24 @@ from finpow.mcd import (
     common_divisors,
     ex44_chain,
     ex44_witness,
-    is_mcd_monoid_sample,
-    leo4_no_atom_divides,
     mcd,
     mcd_in_P,
     p_divisors,
 )
-from finpow.power import FinSet, singleton, sumset, sumset_all, zero_set
+from finpow.power import (
+    FinSet,
+    _anchored_divisors,
+    _decode_set,
+    _encode_set,
+    divides_in_P,
+    singleton,
+    sumset,
+    zero_set,
+)
+from test_backend import naive_members
+from test_power import numerical_specs, puiseux_specs
 
 N23 = MonoidSpec.numerical(2, 3)
-DYADIC3 = MonoidSpec.puiseux(*(F(1, 2**n) for n in range(1, 4)))
 
 
 class TestMcdInM:
@@ -208,47 +218,6 @@ class TestEx44Chain:
         assert chain_divisors([]) == [F(0)]
 
 
-class TestIsMcdMonoidSample:
-    def test_numerical_is_mcd_monoid(self):
-        rep = is_mcd_monoid_sample(N23, 2, bound=F(12))
-        assert rep.ok is True and rep.status == "mcd-monoid"
-
-    def test_ex44_sample_is_inconclusive_with_chain(self):
-        spec = MonoidSpec.of_family("EX44", 3)
-        rep = is_mcd_monoid_sample(spec, 2, sample=FinSet((F(1), F(4, 3))))
-        assert rep.ok is None
-        assert rep.status == "no-mcd-within-truncation"
-        assert len(rep.chain) >= 2
-
-    def test_requires_bound_or_sample(self):
-        with pytest.raises(InvalidInputError):
-            is_mcd_monoid_sample(N23, 2)
-
-
-class TestLeo4:
-    def test_false_on_dyadic_pair(self):
-        # {0, 1/2} is itself a power-monoid atom dividing the target, so the
-        # no-atom-divisor hypothesis fails.
-        assert leo4_no_atom_divides(FinSet((F(0), F(1, 2))), DYADIC3) is False
-
-    def test_false_on_numerical(self):
-        assert leo4_no_atom_divides(FinSet((2, 3)), N23) is False
-
-    def test_false_on_singleton(self):
-        assert leo4_no_atom_divides(singleton(F(1, 2)), DYADIC3) is False
-
-    def test_inconclusive_on_tiny_budget(self):
-        assert leo4_no_atom_divides(FinSet((F(0), F(1, 2))), DYADIC3, budget=1) is None
-
-    def test_rank2_rejected(self):
-        from finpow.arith import QPoint2
-
-        g = QPoint2(F(0), F(1, 2))
-        spec = MonoidSpec.rank2(g)
-        with pytest.raises(InvalidInputError):
-            leo4_no_atom_divides(FinSet((g,)), spec)
-
-
 def residue_by_fractions(q, a, p: int) -> int:
     """c_{a,p}(q) by its definition: (q/a) mod p, undefined when v_p(q/a) < 0."""
     if q == 0:
@@ -272,3 +241,119 @@ class TestResidueOnInts:
                 _residue(q, a, p)
         else:
             assert _residue(q, a, p) == want
+
+
+# ---------------------------------------------------------------------------
+# The scaled MCD layer, against brute force over the members of M and
+# against the implementation on decoded sets that it replaced
+
+
+def oracle_common_divisors(s, members: set) -> list:
+    """The d in M with every e - d in M; `members` holds M up to max s."""
+    return sorted(d for d in members if all(e - d in members for e in s))
+
+
+def oracle_mcd(s, members: set) -> list:
+    return [
+        d for d in oracle_common_divisors(s, members)
+        if oracle_common_divisors([e - d for e in s], members) == [0]
+    ]
+
+
+def reference_common_divisors(s: FinSet, spec: MonoidSpec, bud: Budget) -> list:
+    out = None
+    for e in s:
+        ds = set(divisors(e, spec, bud))
+        out = ds if out is None else out & ds
+    return sorted(out)
+
+
+def reference_mcd(s: FinSet, spec: MonoidSpec, bud: Budget) -> list:
+    out = []
+    for d in reference_common_divisors(s, spec, bud):
+        shifted = FinSet(tuple(e - d for e in s))
+        if reference_common_divisors(shifted, spec, bud) == [spec.zero]:
+            out.append(d)
+    return out
+
+
+def reference_mcd_in_P(family: list, spec: MonoidSpec, bud: Budget) -> list:
+    """mcd_in_P on decoded sets: each round re-encodes the family, strips the
+    chosen divisor with divides_in_P and adds it with sumset."""
+    fam = list(family)
+    stripped = zero_set(spec)
+    while True:
+        common = None
+        for t in fam:
+            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud)}
+            common = ds if common is None else common & ds
+        nonsingleton = sorted(u for u in common if len(u) >= 2)
+        if not nonsingleton:
+            break
+        d = _decode_set(nonsingleton[0], spec)
+        fam = [divides_in_P(d, t, spec, bud) for t in fam]
+        stripped = sumset(stripped, d)
+    union = FinSet(tuple(e for t in fam for e in t))
+    m_level = reference_mcd(union, spec, bud)
+    if not m_level:
+        raise TruncationError("inconclusive", partial=stripped)
+    return sorted(
+        (sumset(stripped, singleton(m0)) for m0 in m_level), key=lambda f: f.elems
+    )
+
+
+def cold(fn, *args):
+    """(answer or raised TruncationError's partial, Budget.used) on a cold cache."""
+    clear_caches()
+    bud = Budget()
+    try:
+        out = fn(*args, bud)
+    except TruncationError as exc:
+        out = ("truncated", exc.partial)
+    return out, bud.used
+
+
+def check_mcd_layer(s: FinSet, spec: MonoidSpec) -> None:
+    members = naive_members(spec.generators, s.max)
+    assert common_divisors(s, spec) == oracle_common_divisors(s, members)
+    assert mcd(s, spec) == oracle_mcd(s, members)
+    assert cold(common_divisors, s, spec) == cold(reference_common_divisors, s, spec)
+    assert cold(mcd, s, spec) == cold(reference_mcd, s, spec)
+
+
+def draw_set(data, pool: list) -> FinSet:
+    return FinSet(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))))
+
+
+def draw_family(data, pool: list) -> list:
+    """One to three sets over `pool`, each d + v for one shared d or any set,
+    so that families with and without non-singleton common divisors occur."""
+    d = draw_set(data, pool)
+    return [
+        sumset(d, draw_set(data, pool)) if data.draw(st.booleans()) else draw_set(data, pool)
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+
+
+class TestScaledMcdLayer:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical_mcd(self, spec, data):
+        check_mcd_layer(draw_set(data, sorted(naive_members(spec.generators, 14))), spec)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_lattice_puiseux_mcd(self, spec, data):
+        check_mcd_layer(draw_set(data, sorted(naive_members(spec.generators, 4))), spec)
+
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical_mcd_in_P(self, spec, data):
+        fam = draw_family(data, sorted(naive_members(spec.generators, 6)))
+        assert cold(mcd_in_P, fam, spec) == cold(reference_mcd_in_P, fam, spec)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_lattice_puiseux_mcd_in_P(self, spec, data):
+        fam = draw_family(data, sorted(naive_members(spec.generators, 2)))
+        assert cold(mcd_in_P, fam, spec) == cold(reference_mcd_in_P, fam, spec)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.atomicity import rank2_atom
 from finpow.backend import Budget, MonoidSpec, decode
-from finpow.mcd import leo4_no_atom_divides, mcd_in_P, p_divisors
+from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
 from finpow.power import (
     FinSet,
     NOT_ATOMIC,
@@ -286,11 +286,13 @@ class TestAnchoredEnumerationOracle:
 
 class TestOffLattice:
     def test_set_off_the_lattice_is_rejected(self):
-        # 1/2 is outside (1/1)Z, so {0, 1/2} is not a set of members of <2, 3>;
-        # 1/11 is outside (1/35)Z, the x-lattice of RANK2-5.3 with this sample
+        # 1/2 and 1/3 are outside (1/1)Z, so neither {0, 1/2} nor {1/3} is a
+        # set of members of <2, 3>; 1/11 is outside (1/35)Z, the x-lattice of
+        # RANK2-5.3 with this sample
         r2 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3), Fraction(32, 15)))
         for s, spec in (
             (FinSet((Fraction(0), Fraction(1, 2))), N23),
+            (FinSet((Fraction(1, 3),)), N23),
             (FinSet((QPoint2(Fraction(1, 11), Fraction(3)),)), r2),
         ):
             for call in (
@@ -298,6 +300,10 @@ class TestOffLattice:
                 lambda: p_divisors(s, spec),
                 lambda: divides_in_P(zero_set(spec), s, spec),
                 lambda: is_p_atom(s, spec),
+                lambda: is_indecomposable(s, spec),
+                lambda: common_divisors(s, spec),
+                lambda: mcd(s, spec),
+                lambda: mcd_in_P([zero_set(spec), s], spec),
             ):
                 with pytest.raises(InvalidInputError, match="lattice"):
                     call()
@@ -314,11 +320,11 @@ class TestNonMemberSets:
             lambda s: p_factorize(s, N23),
             lambda s: p_divisors(s, N23),
             lambda s: mcd_in_P([FinSet((2, 3)), s], N23),
-            lambda s: leo4_no_atom_divides(s, N23),
+            lambda s: is_indecomposable(s, N23),
         ],
         ids=[
             "decompositions", "is_p_atom", "p_factorize", "p_divisors",
-            "mcd_in_P", "leo4_no_atom_divides",
+            "mcd_in_P", "is_indecomposable",
         ],
     )
     def test_set_outside_the_monoid_is_rejected(self, call):
