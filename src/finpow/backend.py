@@ -15,8 +15,8 @@ built once per (basis, scale).  For rational bases the plan holds p-adic
 congruences: the coefficient of a generator is forced into one residue
 class modulo the primes of L that no later denominator carries, which is
 what keeps truncated Puiseux families with large denominators tractable.
-Membership verdicts and divisor lists live in one result cache per expanded
-spec, keyed by scaled element; `clear_caches` empties it.
+Membership verdicts, scaled divisor lists and set divisor enumerations live
+in one result cache per expanded spec; `clear_caches` empties it.
 """
 from __future__ import annotations
 
@@ -81,6 +81,8 @@ class Budget:
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
+            # where node-by-node spending stops, also after a replayed cost
+            self.used = self.limit + 1
             raise BudgetExceededError(f"search budget of {self.limit} nodes exceeded")
 
 
@@ -399,9 +401,11 @@ def representations(
 
 
 # The one result cache: expanded spec -> ({scaled element: verdict},
-# {scaled element: its divisors}, the plan over its generators), so that a
-# repeated membership test or divisor query costs one lookup.
-_cache: dict[MonoidSpec, tuple[dict, dict, tuple]] = {}
+# {scaled element: its scaled divisors}, the plan over its generators,
+# {scaled set: None once enumerated, then (its divisor enumeration, the nodes
+# an uncached rerun spends)}), so that a repeated membership test, divisor
+# query or enumeration costs one lookup; `power._anchored_divisors` owns the last.
+_cache: dict[MonoidSpec, tuple[dict, dict, tuple, dict]] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
@@ -422,11 +426,11 @@ def decode(n, spec: MonoidSpec) -> Element:
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
-def _entry(spec: MonoidSpec) -> tuple[dict, dict, tuple]:
+def _entry(spec: MonoidSpec) -> tuple[dict, dict, tuple, dict]:
     """The cache entry of an expanded spec, made on first use."""
     entry = _cache.get(spec)
     if entry is None:
-        entry = _cache[spec] = ({}, {}, _plan(spec.generators[::-1], spec.scale))
+        entry = _cache[spec] = ({}, {}, _plan(spec.generators[::-1], spec.scale), {})
     return entry
 
 
@@ -445,7 +449,7 @@ def membership(spec: MonoidSpec, budget: Budget):
     The test reads and fills the spec's verdicts in the result cache; a miss
     runs the coefficient search and charges it to `budget`.
     """
-    cache, _, plan = _entry(spec)
+    cache, _, plan, _ = _entry(spec)
 
     def is_member(n) -> bool:
         ok = cache.get(n)
@@ -477,11 +481,11 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     Every divisor is a sub-multiset sum of some generator representation of
     b.  The coefficient search enumerates the representations on scaled int
     coordinates, each sub-multiset sum spends one node, and the sorted sums
-    are decoded once and cached under the scaled b.
+    are cached scaled under the scaled b and decoded on return.
     """
     spec = spec.expanded()
     spec.check_element(b)
-    _, cache, plan = _entry(spec)
+    _, cache, plan, _ = _entry(spec)
     key = encode(b, spec)
     out = cache.get(key)
     if out is None:
@@ -500,8 +504,12 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
                     dx += k * gx
                 found.add((dy, dx))
         # a representation exists only on the spec's lattice
-        out = cache[key] = tuple(_element(spec.scale, dy, dx) for dy, dx in sorted(found))
-    return list(out)
+        rank2 = spec.is_rank2
+        out = cache[key] = tuple(_element(spec.scale, *p) if rank2 else p[0] for p in sorted(found))
+    if spec.is_rank2:
+        return list(out)
+    scale = spec.scale
+    return [Fraction(n, scale) for n in out]
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:

@@ -6,7 +6,7 @@ feasible cofactor of S inside T is C = {m : S + {m} subset of T}, and a
 cofactor exists iff S + C = T.  The divisor search is anchored at the
 minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
-One generator, `_anchored_divisors`, yields every divisor U of a set with
+One enumeration, `_anchored_divisors`, lists every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
 `mcd.p_divisors` collects the U's.
 
@@ -25,8 +25,9 @@ element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
 M, and a set holding one is rejected with InvalidInputError; so is a set
 holding a lattice point outside M, wherever the divisor enumeration runs.
 Results are decoded through a constructor that trusts the scaled order, as
-decoding is monotone.  Membership tests and divisor lists on scaled
-elements share the one result cache of `backend`.
+decoding is monotone.  Membership tests, divisor lists and set divisor
+enumerations share the one result cache of `backend`; a kept enumeration is
+replayed at the node cost of an uncached rerun, so caching moves no count.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .arith import Element, InvalidInputError, QPoint2, parse_element, render_el
 from .backend import (
     Budget,
     MonoidSpec,
+    _entry,
     _lattice,
     _split_top_level,
     as_budget,
@@ -173,9 +175,15 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
     return FinSet._ascending(tuple(Fraction(n, scale) for n in elems))
 
 
-def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> list:
-    """`divisors` of the scaled element n of an expanded spec, scaled."""
-    return [encode(d, spec) for d in divisors(decode(n, spec), spec, bud)]
+def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> tuple:
+    """`divisors` of the scaled element n of an expanded spec, scaled, as the
+    result cache holds them; a miss fills the cache through `divisors`."""
+    cache = _entry(spec)[1]
+    out = cache.get(n)
+    if out is None:
+        divisors(decode(n, spec), spec, bud)
+        out = cache[n]
+    return out
 
 
 def _cofactors(t: tuple, a, es, is_member):
@@ -217,10 +225,10 @@ def _cofactors(t: tuple, a, es, is_member):
     return cofactor
 
 
-def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
-    """Yield (U, C, covers) for every divisor U of the scaled set t in the
-    power monoid, where C is the largest cofactor, U + C = t, and covers[i]
-    is the mask of the indices in t of U + C[i].
+def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """The list of (U, C, covers) for every divisor U of the scaled set t in
+    the power monoid, where C is the largest cofactor, U + C = t, and
+    covers[i] is the mask of the indices in t of U + C[i].
 
     Anchored at the minimum: min U is a divisor a of min t, so min C =
     min t - a =: mv, and every u in U has u + mv in t.  U therefore ranges
@@ -228,12 +236,23 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
     subset tried spends one node.  An element of t outside M is rejected
     first; the membership tests that makes are ones the anchor a = min t
     makes anyway.
+
+    A completed enumeration marks t in the result cache; the next finds every
+    test cached, so it spends what an uncached rerun would, and is kept with
+    that count, which later requests replay.  The kept list is shared.
     """
+    memo = _entry(spec)[3]
+    kept = memo.get(t)
+    if kept is not None:
+        bud.spend(kept[1])
+        return kept[0]
+    before = bud.used
     is_member = membership(spec, bud)
     for x in t:
         if not is_member(x):
             raise InvalidInputError(f"{render_element(decode(x, spec))} is not in the monoid")
     tmax, full = t[-1], (1 << len(t)) - 1
+    out = []
     for a in _scaled_divisors(t[0], spec, bud):
         mv = t[0] - a
         if not is_member(mv):
@@ -254,7 +273,9 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget):
                     cofactor = _cofactors(t, a, cand, is_member)
                 c, covers, union = cofactor(u)
                 if union == full:
-                    yield u, c, covers
+                    out.append((u, c, covers))
+    memo[t] = None if t not in memo else (out, bud.used - before)
+    return out
 
 
 def singleton_candidates(

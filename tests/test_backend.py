@@ -23,7 +23,9 @@ from finpow.backend import (
     BudgetExceededError,
     MonoidSpec,
     atoms,
+    decode,
     divisors,
+    encode,
     ex44_a1_atoms,
     ex44_a2_atoms,
     expand_family,
@@ -43,7 +45,7 @@ from finpow.mcd import (
     mcd_in_P,
     p_divisors,
 )
-from finpow.power import FinSet, decompositions, divides_in_P, is_p_atom
+from finpow.power import FinSet, _scaled_divisors, decompositions, divides_in_P, is_p_atom
 from test_power import puiseux_specs, rank2_specs
 
 
@@ -150,6 +152,10 @@ class TestMonoidSpec:
         divisors(QPoint2(Fraction(1, 5), Fraction(23, 6)), r2)
         members_upto(MonoidSpec.puiseux(Fraction(1, 2)), Fraction(3))
         factorizations(Fraction(5), MonoidSpec.numerical(2, 3))
+        # twice, so the set's divisor enumeration is kept, not only marked
+        for _ in range(2):
+            decompositions(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3))
+        mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], MonoidSpec.numerical(3, 4, 5))
         cap_spec = MonoidSpec.puiseux(Fraction(4, 15), Fraction(1, 7), Fraction(2))
         assert cap_constant_on(FinSet((Fraction(4, 15),)), Fraction(4, 15), 5, cap_spec)
         assert _check_cap_preconditions.cache_info().currsize == 1
@@ -162,6 +168,7 @@ class TestMonoidSpec:
             if hasattr(f, "cache_info")
         }.values()
         assert backend._cache and any(f.cache_info().currsize for f in lru)
+        assert any(e[3].get((4, 5, 6, 7)) for e in backend._cache.values())
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
@@ -291,6 +298,14 @@ class TestBudget:
             bud.spend()
         with pytest.raises(BudgetExceededError):
             bud.spend()
+        assert bud.used == 6
+
+    def test_overshooting_spend_stops_one_past_the_limit(self):
+        # a replayed enumeration spends its cost at once; it must leave the
+        # count where spending node by node would have stopped
+        bud = Budget(5)
+        with pytest.raises(BudgetExceededError):
+            bud.spend(9)
         assert bud.used == 6
 
     def test_budget_tracks_usage(self):
@@ -428,6 +443,31 @@ class TestNodeCounts:
         bud = Budget()
         assert fn(s, spec, bud) == answer
         assert bud.used == used
+
+
+class TestScaledDivisors:
+    """The divisor slot of the result cache holds scaled elements: the power
+    layer reads them as they are, and `divisors` decodes them."""
+
+    @pytest.mark.parametrize(
+        "b, spec, kind",
+        [
+            (F(12), N23, F),
+            (F(10, 3), MonoidSpec.puiseux(F(1, 2), F(2, 3)), F),
+            (EX44_2_SET.max, EX44_2, F),
+            (QPoint2(F(12, 35), F(179, 30)), R2_SPEC, QPoint2),
+        ],
+        ids=["N23", "puiseux", "EX44@2", "RANK2@3"],
+    )
+    def test_cache_serves_the_encoded_public_answer(self, b, spec, kind):
+        clear_caches()
+        spec = spec.expanded()
+        want = divisors(b, spec)
+        assert want and all(type(d) is kind for d in want)
+        assert want == sorted(d for d in want if member(d, spec) and member(b - d, spec))
+        got = _scaled_divisors(encode(b, spec), spec, Budget(0))
+        assert list(got) == [encode(d, spec) for d in want]
+        assert [decode(n, spec) for n in got] == divisors(b, spec, Budget(0))
 
 
 # (1/12)Z holds every generator of `puiseux_specs`; 1/8, 1/5 and 1/24 steps

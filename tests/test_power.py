@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.atomicity import rank2_atom
-from finpow.backend import Budget, MonoidSpec, decode
+from finpow import backend
+from finpow.backend import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceededError,
+    MonoidSpec,
+    TruncationError,
+    clear_caches,
+    decode,
+)
 from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
 from finpow.power import (
     FinSet,
@@ -414,3 +423,112 @@ class TestDecodeSet:
         want = FinSet(tuple(points))
         assert got == want and hash(got) == hash(want)
         assert got.elems == want.elems
+
+
+# ---------------------------------------------------------------------------
+# The kept divisor enumerations of sets: a replay spends what a rerun would
+
+
+class TestEnumerationMemo:
+    T = (4, 5, 6, 7)  # {0, 1} + {4, 6} over <2, 3>
+
+    def memo(self) -> dict:
+        return backend._cache[N23][3]
+
+    def test_a_set_asked_for_once_keeps_only_its_mark(self):
+        clear_caches()
+        decompositions(FinSet(self.T), N23)
+        assert self.memo() == {self.T: None}
+
+    def test_the_second_request_keeps_what_a_rerun_spends(self):
+        clear_caches()
+        decompositions(FinSet(self.T), N23)
+        used = []
+        for _ in range(3):
+            bud = Budget()
+            got = decompositions(FinSet(self.T), N23, bud)
+            used.append(bud.used)
+        divs, nodes = self.memo()[self.T]
+        assert len(got) == 4 and used == [nodes] * 3 and nodes > 0
+        # with every test cached, an uncached rerun spends only its U tries
+        self.memo().clear()
+        bud = Budget()
+        decompositions(FinSet(self.T), N23, bud)
+        assert bud.used == nodes
+
+    def test_a_run_that_raises_keeps_nothing(self):
+        clear_caches()
+        with pytest.raises(BudgetExceededError):
+            decompositions(FinSet(self.T), N23, Budget(10))
+        assert self.T not in self.memo()
+        decompositions(FinSet(self.T), N23)
+        with pytest.raises(BudgetExceededError):
+            decompositions(FinSet(self.T), N23, Budget(10))
+        assert self.memo() == {self.T: None}
+
+
+def run_calls(calls: list, spec: MonoidSpec, empty_memo: bool) -> list:
+    """(answer or exception type, Budget.used) per call, from cold caches;
+    with `empty_memo` every kept enumeration is dropped before each call."""
+    clear_caches()
+    out = []
+    for fn, arg, limit in calls:
+        if empty_memo:
+            for entry in backend._cache.values():
+                entry[3].clear()
+        bud = Budget(limit)
+        try:
+            got = fn(arg, spec, bud)
+        except (BudgetExceededError, InvalidInputError, TruncationError) as exc:
+            got = type(exc)
+        out.append((got, bud.used))
+    return out
+
+
+def draw_calls(data, members: set, half) -> list:
+    """A sequence of power-layer calls on a small pool of sets, so that sets
+    repeat, under budgets small enough to run out mid-enumeration."""
+    low = sorted(m for m in members if half(m))
+    small = st.lists(st.sampled_from(low), min_size=1, max_size=3).map(
+        lambda xs: FinSet(tuple(xs))
+    )
+    # sums of two sets, so that the pool has sets that decompose
+    pool = data.draw(
+        st.lists(st.one_of(st.tuples(small, small).map(lambda p: sumset(*p)), small),
+                 min_size=1, max_size=3)
+    )
+    sets = st.sampled_from(pool)
+    call = st.one_of(
+        st.tuples(st.sampled_from((decompositions, is_p_atom, p_divisors, p_factorize)), sets),
+        st.tuples(st.just(mcd_in_P), st.lists(sets, min_size=1, max_size=2)),
+    )
+    budgets = st.one_of(st.integers(0, 150), st.just(DEFAULT_BUDGET))
+    return [
+        (fn, arg, limit)
+        for (fn, arg), limit in data.draw(st.lists(st.tuples(call, budgets), min_size=2, max_size=8))
+    ]
+
+
+def check_memo_moves_nothing(calls: list, spec: MonoidSpec) -> None:
+    assert run_calls(calls, spec, False) == run_calls(calls, spec, True)
+
+
+class TestEnumerationMemoOracle:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, spec, data):
+        members = rank1_members(spec, 16)
+        check_memo_moves_nothing(draw_calls(data, members, lambda m: m <= 8), spec)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_lattice_puiseux(self, spec, data):
+        members = rank1_members(spec, 4)
+        check_memo_moves_nothing(draw_calls(data, members, lambda m: m <= 2), spec)
+
+    @given(rank2_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank2(self, spec, data):
+        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
+        half = lambda m: m.x <= 2 and m.y <= 2  # noqa: E731
+        check_memo_moves_nothing(draw_calls(data, members, half), spec)
