@@ -36,7 +36,15 @@ from finpow.backend import (
     render_monoid_spec,
     representations,
 )
-from finpow.atomicity import p_furstenberg_divisor, rank2_atom
+from finpow.atomicity import (
+    accp_chain_explore,
+    atom_divisors,
+    is_furstenberg_sample,
+    p_accp_chain_explore,
+    p_furstenberg_divisor,
+    rank2_atom,
+    tidf_implies_atomic_check,
+)
 from finpow.mcd import (
     _check_cap_preconditions,
     cap_constant_on,
@@ -45,7 +53,14 @@ from finpow.mcd import (
     mcd_in_P,
     p_divisors,
 )
-from finpow.power import FinSet, _scaled_divisors, decompositions, divides_in_P, is_p_atom
+from finpow.power import (
+    FinSet,
+    _scaled_divisors,
+    decompositions,
+    divides_in_P,
+    is_p_atom,
+    p_factorize,
+)
 from test_power import puiseux_specs, rank2_specs
 
 
@@ -442,6 +457,48 @@ class TestNodeCounts:
         clear_caches()
         bud = Budget()
         assert fn(s, spec, bud) == answer
+        assert bud.used == used
+
+    # the atomicity layer and p_factorize, query by query: longest chains,
+    # atom divisors and the descents and samples built on them
+    @pytest.mark.parametrize(
+        "call, answer, used",
+        [
+            (lambda b: accp_chain_explore(F(12), N23, budget=b).chain,
+             tuple(F(k) for k in (12, 10, 8, 6, 4, 2, 0)), 207),
+            (lambda b: accp_chain_explore(F(1, 2), EX44_2, budget=b).chain,
+             tuple(F(k, 26) for k in range(13, -1, -1)), 171),
+            (lambda b: p_accp_chain_explore(FinSet((4, 5, 6, 7)), N23, budget=b).chain,
+             (FinSet((4, 5, 6, 7)), FinSet((2, 3, 4, 5)), FinSet((0, 2)), FinSet((0,))), 115),
+            (lambda b: p_accp_chain_explore(EX44_2_SET, EX44_2, budget=b).chain,
+             (EX44_2_SET, FinSet((0, F(1, 26), F(1, 7), F(33, 182))), FinSet((0, F(1, 26))),
+              FinSet((0,))), 79),
+            (lambda b: atom_divisors(F(6), N23, b), [2, 3], 15),
+            (lambda b: atom_divisors(F(772, 3003), EX44_2, b), [F(1, 26), F(5, 66), F(1, 7)], 14),
+            (lambda b: is_furstenberg_sample(N345, 50, b).ok, True, 1537),
+            (lambda b: is_furstenberg_sample(EX44_2, F(1, 2), b).ok, True, 679),
+            (lambda b: tidf_implies_atomic_check(N23, 30, b).max_descent, 15, 492),
+            (lambda b: tidf_implies_atomic_check(EX44_2, F(1, 2), b).max_descent, 13, 980),
+            (lambda b: p_factorize(FinSet((4, 5, 6, 7)), N23, b),
+             [FinSet((0, 2)), FinSet((2,)), FinSet((2, 3))], 92),
+            (lambda b: p_factorize(FinSet((6, 7, 8, 9, 10)), N345, b),
+             [FinSet((3,)), FinSet((3, 4, 5, 6, 7))], 150),
+            (lambda b: p_factorize(EX44_2_SET, EX44_2, b),
+             [FinSet((0, F(1, 26))), FinSet((0, F(1, 7))), FinSet((F(5, 66),))], 66),
+        ],
+        ids=[
+            "accp_chain_explore-N23", "accp_chain_explore-EX44@2",
+            "p_accp_chain_explore-N23", "p_accp_chain_explore-EX44@2",
+            "atom_divisors-N23", "atom_divisors-EX44@2",
+            "is_furstenberg_sample-N345", "is_furstenberg_sample-EX44@2",
+            "tidf_implies_atomic_check-N23", "tidf_implies_atomic_check-EX44@2",
+            "p_factorize-N23", "p_factorize-N345", "p_factorize-EX44@2",
+        ],
+    )
+    def test_atomicity_layer_budget_used(self, call, answer, used):
+        clear_caches()
+        bud = Budget()
+        assert call(bud) == answer
         assert bud.used == used
 
 
