@@ -20,7 +20,6 @@ from .backend import (
     MonoidSpec,
     TruncationError,
     atoms,
-    divides,
     divisors,
     expand_family,
     factorizations,

@@ -16,13 +16,6 @@ class InvalidInputError(ValueError):
     """Raised when an argument violates an operation's contract."""
 
 
-def reduce(num: int, den: int) -> Rat:
-    """Canonical lowest-terms rational with positive denominator."""
-    if den == 0:
-        raise InvalidInputError("zero denominator")
-    return Fraction(num, den)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -185,7 +178,7 @@ def parse_rational(text: str) -> Rat:
     try:
         if "/" in t:
             n, _, d = t.partition("/")
-            return reduce(int(n.strip()), int(d.strip()))
+            return Fraction(int(n.strip()), int(d.strip()))
         return Fraction(int(t))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad rational literal {text!r}") from exc

@@ -2,6 +2,9 @@
 extraction in the power monoid, finite-factorization counting, the canonical
 decomposition of rationals over odd-prime unit fractions, the rank-2 atom
 construction, and the first-coordinate projection-gap checker.
+
+Chains in M and in P_fin(M) share one memoised search, `_longest_chain`;
+every atom-divisor question is one lazy scan, `_atom_divisors`.
 """
 from __future__ import annotations
 
@@ -38,20 +41,13 @@ class ChainReport:
     def length(self) -> int:
         return len(self.chain)
 
-    @property
-    def cardinality_profile(self) -> tuple:
-        if not self.chain or not isinstance(self.chain[0], FinSet):
-            raise InvalidInputError("cardinality profile is defined for set chains")
-        return tuple(len(s) for s in self.chain)
 
+def _longest_chain(start, proper_divisors, maxlen: int) -> ChainReport:
+    """The longest chain start = x_0, x_1, ... with each x_{i+1} in
+    proper_divisors(x_i), tried in the order given, at most maxlen steps deep.
+    stabilized is True when the final element has no proper divisor.
 
-def accp_chain_explore(
-    b: Element, spec: MonoidSpec, maxlen: int = 32, budget: "Budget | int | None" = None
-) -> ChainReport:
-    """Longest chain b = b_0, b_1, ... with each b_{i+1} a proper divisor of
-    b_i.  stabilized is True when the final element has no proper divisor."""
-    spec = spec.expanded()
-    bud = as_budget(budget)
+    An element whose search was not cut at maxlen is memoised by itself."""
     memo: dict = {}
 
     def longest(x, depth):
@@ -60,9 +56,7 @@ def accp_chain_explore(
         if x in memo:
             return memo[x]
         best, done = [x], True
-        for d in sorted(divisors(x, spec, bud), reverse=True):
-            if d == x:
-                continue
+        for d in proper_divisors(x):
             tail, tail_done = longest(d, depth + 1)
             if len(tail) + 1 > len(best):
                 best, done = [x] + tail, tail_done
@@ -70,8 +64,22 @@ def accp_chain_explore(
             memo[x] = (best, done)
         return best, done
 
-    chain, stabilized = longest(b, 0)
-    return ChainReport(b, tuple(chain), stabilized)
+    chain, stabilized = longest(start, 0)
+    return ChainReport(start, tuple(chain), stabilized)
+
+
+def accp_chain_explore(
+    b: Element, spec: MonoidSpec, maxlen: int = 32, budget: "Budget | int | None" = None
+) -> ChainReport:
+    """Longest chain b = b_0, b_1, ... with each b_{i+1} a proper divisor of
+    b_i, trying the largest divisors first."""
+    spec = spec.expanded()
+    bud = as_budget(budget)
+    return _longest_chain(
+        b,
+        lambda x: [d for d in sorted(divisors(x, spec, bud), reverse=True) if d != x],
+        maxlen,
+    )
 
 
 def p_accp_chain_explore(
@@ -83,26 +91,9 @@ def p_accp_chain_explore(
     what forces stabilization."""
     spec = spec.expanded()
     bud = as_budget(budget)
-    memo: dict = {}
-
-    def longest(t: FinSet, depth):
-        if depth >= maxlen:
-            return [t], False
-        if t.elems in memo:
-            return memo[t.elems]
-        best, done = [t], True
-        for u in p_divisors(t, spec, bud):
-            if u == t:
-                continue
-            tail, tail_done = longest(u, depth + 1)
-            if len(tail) + 1 > len(best):
-                best, done = [t] + tail, tail_done
-        if done:
-            memo[t.elems] = (best, done)
-        return best, done
-
-    chain, stabilized = longest(s, 0)
-    return ChainReport(s, tuple(chain), stabilized)
+    return _longest_chain(
+        s, lambda t: [u for u in p_divisors(t, spec, bud) if u != t], maxlen
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ def is_furstenberg_sample(
     for b in members_upto(spec, bound, bud):
         if b == 0:
             continue
-        if not any(a <= b and member(b - a, spec, bud) for a in ats):
+        if next(_atom_divisors(b, ats, spec, bud), None) is None:
             return SampleReport(False, counterexample=b)
     return SampleReport(True)
 
@@ -150,10 +141,10 @@ def p_furstenberg_divisor(
     single = [d for d in (decode(x, spec) for x in scaled) if d != spec.zero]
     if single:
         d = max(single)
-        for a in atoms(spec, bud):
-            if a <= d and member(d - a, spec, bud):
-                return singleton(a)
-        raise InvalidInputError(f"no atom divides {d}")
+        a = next(_atom_divisors(d, atoms(spec, bud), spec, bud), None)
+        if a is None:
+            raise InvalidInputError(f"no atom divides {d}")
+        return singleton(a)
     cands = sorted(
         (u for u in p_divisors(s, spec, bud) if len(u) >= 2 and u != s),
         key=lambda u: (len(u), u.elems),
@@ -166,13 +157,18 @@ def p_furstenberg_divisor(
     raise InvalidInputError(f"no atom divisor found for {s.render()}")
 
 
+def _atom_divisors(b: Element, ats: list, spec: MonoidSpec, bud: Budget):
+    """The atoms in ats that divide b, lazily and in the order of ats."""
+    return (a for a in ats if a <= b and member(b - a, spec, bud))
+
+
 def atom_divisors(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """All atoms of the monoid dividing b."""
     spec = spec.expanded()
     bud = as_budget(budget)
-    return [a for a in atoms(spec, bud) if a <= b and member(b - a, spec, bud)]
+    return list(_atom_divisors(b, atoms(spec, bud), spec, bud))
 
 
 def ffm_count(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> int:
@@ -200,7 +196,8 @@ def tidf_implies_atomic_check(
     if spec.is_rank2:
         raise InvalidInputError("descent check requires a rank-1 positive backend")
     bud = as_budget(budget)
-    min_atom = min(atoms(spec, bud))
+    ats = atoms(spec, bud)
+    min_atom = min(ats)
     worst = 0
     for b in members_upto(spec, bound, bud):
         if b == 0:
@@ -208,7 +205,7 @@ def tidf_implies_atomic_check(
         q, steps = b, 0
         limit = math.ceil(b / min_atom)
         while q != 0:
-            advs = atom_divisors(q, spec, bud)
+            advs = list(_atom_divisors(q, ats, spec, bud))
             if not advs or steps >= limit:
                 return DescentReport(False, counterexample=b)
             q -= min(advs)
@@ -312,23 +309,24 @@ class Lemma54Certificate:
         return self.left_sum == self.right_sum
 
 
+_LEMMA54_PRIME_FLOOR = 5
+_LEMMA54_SEARCH_CAP = 10_000
+
+
 def lemma54_sum_witness(
-    q: Rat,
-    r: Rat,
-    branches: tuple = ("A", "B"),
-    prime_floor: int = 5,
-    search_cap: int = 10_000,
+    q: Rat, r: Rat, branches: tuple = ("A", "B")
 ) -> Lemma54Certificate:
     """Express the sum of two atoms as a sum of two other atoms plus a dyadic
-    increment, using the first odd prime p >= prime_floor at which both q and
-    r have nonnegative valuation and q - 1/p, r + 1/p stay inside (2, 3)."""
+    increment, using the first prime p >= 5 at which both q and r have
+    nonnegative valuation and q - 1/p, r + 1/p stay inside (2, 3); the search
+    gives up above 10,000."""
     q, r = Fraction(q), Fraction(r)
     two, three = Fraction(2), Fraction(3)
     if not (two < q < three and two < r < three):
         raise InvalidInputError("both arguments must lie in (2, 3)")
     chosen = None
-    for p in primes_from(max(prime_floor, 3)):
-        if p > search_cap:
+    for p in primes_from(_LEMMA54_PRIME_FLOOR):
+        if p > _LEMMA54_SEARCH_CAP:
             break
         inv = Fraction(1, p)
         if (
@@ -341,7 +339,7 @@ def lemma54_sum_witness(
             break
     if chosen is None:
         raise InvalidInputError(
-            f"no admissible odd prime below {search_cap} for ({q}, {r})"
+            f"no admissible odd prime below {_LEMMA54_SEARCH_CAP} for ({q}, {r})"
         )
     inv = Fraction(1, chosen)
     kq, kr = k_of(q), k_of(r)

@@ -397,7 +397,8 @@ def representations(
     _search(_plan(ordered, scale), 0, y, x, bud, False, results, [])
     # re-index from the internal descending order back to the basis order
     index = {g: i for i, g in enumerate(ordered)}
-    return sorted({tuple(vec[index[g]] for g in basis) for vec in results})
+    perm = [index[g] for g in basis]
+    return sorted({tuple(vec[i] for i in perm) for vec in results})
 
 
 # The one result cache: expanded spec -> ({scaled element: verdict},
@@ -468,11 +469,6 @@ def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -
     if q < spec.zero:
         return False
     return membership(spec, as_budget(budget))(encode(q, spec))
-
-
-def divides(d: Element, b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
-    """d divides b in the monoid: b - d is a member."""
-    return member(b - d, spec, budget)
 
 
 def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
@@ -549,10 +545,6 @@ class Factorization:
         if zero is None:
             zero = 0 * self.parts[0][0] if self.parts else Fraction(0)
         return sum((m * a for a, m in self.parts), zero)
-
-    @property
-    def length(self) -> int:
-        return sum(m for _, m in self.parts)
 
     def __iter__(self):
         return iter(self.parts)

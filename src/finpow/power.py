@@ -73,10 +73,6 @@ class FinSet:
         object.__setattr__(s, "elems", elems)
         return s
 
-    @classmethod
-    def of(cls, *elems) -> "FinSet":
-        return cls(tuple(elems))
-
     def __len__(self) -> int:
         return len(self.elems)
 
@@ -93,9 +89,6 @@ class FinSet:
     @property
     def max(self) -> Element:
         return self.elems[-1]
-
-    def translate(self, d: Element) -> "FinSet":
-        return FinSet(tuple(e + d for e in self.elems))
 
     def __lt__(self, other: "FinSet") -> bool:
         return self.elems < other.elems
@@ -115,9 +108,6 @@ def parse_finset(text: str) -> FinSet:
 class Decomposition:
     left: FinSet
     right: FinSet
-
-    def resums_to(self, s: FinSet) -> bool:
-        return sumset(self.left, self.right) == s
 
 
 def singleton(e: Element) -> FinSet:
@@ -342,7 +332,6 @@ class AtomCertificate:
     subject: FinSet
     is_atom: bool
     counterexample: Optional[Decomposition]
-    nodes_used: int
 
 
 def is_p_atom(
@@ -352,11 +341,8 @@ def is_p_atom(
     spec = spec.expanded()
     if s == zero_set(spec):
         raise InvalidInputError("the identity {0} is not a candidate atom")
-    bud = as_budget(budget)
-    decs = decompositions(s, spec, bud)
-    if decs:
-        return AtomCertificate(s, False, decs[0], bud.used)
-    return AtomCertificate(s, True, None, bud.used)
+    decs = decompositions(s, spec, as_budget(budget))
+    return AtomCertificate(s, not decs, decs[0] if decs else None)
 
 
 def is_indecomposable(
@@ -391,39 +377,34 @@ class NotAtomic:
 NOT_ATOMIC = NotAtomic()
 
 
-def p_factorize(
-    s: FinSet,
-    spec: MonoidSpec,
-    budget: "Budget | int | None" = None,
-    _memo: Optional[dict] = None,
-):
+def p_factorize(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None):
     """Factor s into certified power-monoid atoms, or prove there is no way.
 
-    Returns a list of FinSet atoms summing to s, or NOT_ATOMIC.
+    Returns a list of FinSet atoms summing to s, or NOT_ATOMIC.  No side of
+    a decomposition is {0}, so the recursion never meets the zero set.
     """
     spec = spec.expanded()
     bud = as_budget(budget)
     if s == zero_set(spec):
         return []
-    if _memo is None:
-        _memo = {}
-    if s.elems in _memo:
-        return _memo[s.elems]
-    _memo[s.elems] = NOT_ATOMIC  # guards re-entry on cyclic translates
-    decs = decompositions(s, spec, bud)
-    if not decs:
-        result = [s]
-        _memo[s.elems] = result
+    memo: dict = {}
+
+    def factor(t: FinSet):
+        if t.elems in memo:
+            return memo[t.elems]
+        memo[t.elems] = NOT_ATOMIC  # guards re-entry on cyclic translates
+        decs = decompositions(t, spec, bud)
+        result = NOT_ATOMIC if decs else [t]
+        for dec in decs:
+            left = factor(dec.left)
+            if left is NOT_ATOMIC:
+                continue
+            right = factor(dec.right)
+            if right is NOT_ATOMIC:
+                continue
+            result = sorted(left + right, key=lambda f: f.elems)
+            break
+        memo[t.elems] = result
         return result
-    result = NOT_ATOMIC
-    for dec in decs:
-        left = p_factorize(dec.left, spec, bud, _memo)
-        if left is NOT_ATOMIC:
-            continue
-        right = p_factorize(dec.right, spec, bud, _memo)
-        if right is NOT_ATOMIC:
-            continue
-        result = sorted(left + right, key=lambda f: f.elems)
-        break
-    _memo[s.elems] = result
-    return result
+
+    return factor(s)

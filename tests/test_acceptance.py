@@ -201,3 +201,15 @@ def test_criterion_14_deterministic_full_run():
         assert digest.hexdigest() == (
             "e3f17e0f4299d8674ffde12067d17d4cbc787029359b338db45b4fdca1c033a6"
         )
+
+
+def test_run_all_suites_keeps_a_zero_budget_limit():
+    # a limit of 0 is a budget like any other: every suite that searches at
+    # all runs out, as it does under run_verify_suite(name, budget=0)
+    reports = run_all_suites(budget_limit=0)
+    for r in reports:
+        clear_caches()
+        alone = run_verify_suite(r.suite, budget=0)
+        assert (r.status, r.budget_used) == (alone.status, alone.budget_used)
+    assert {r.status for r in reports} == {"pass", "budget-exceeded"}
+    assert max(r.budget_used for r in reports) == 1

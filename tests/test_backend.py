@@ -264,6 +264,16 @@ class TestOracleEquivalence:
                 (k * g for k, g in zip(rep, sp.generators)), Fraction(0)
             ) == Fraction(10, 3)
 
+    def test_representations_over_a_permuted_basis(self):
+        # each vector is indexed by `over`, so an unsorted basis permutes the
+        # vectors over the sorted generators
+        sp = MonoidSpec.numerical(3, 4, 5)
+        perm = (2, 0, 1)
+        over = tuple(sp.generators[i] for i in perm)
+        want = sorted(tuple(v[i] for i in perm) for v in representations(Fraction(20), sp))
+        assert len(want) == 6
+        assert representations(Fraction(20), sp, over=over) == want
+
 
 class TestAtoms:
     def test_numerical_atoms(self):
