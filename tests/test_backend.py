@@ -48,7 +48,9 @@ from finpow.atomicity import (
 from finpow.mcd import (
     _check_cap_preconditions,
     cap_constant_on,
+    chain_divisors,
     common_divisors,
+    ex44_chain,
     mcd,
     mcd_in_P,
     p_divisors,
@@ -367,6 +369,8 @@ R2_SPEC = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3), F(32, 15)))
 EX44_3 = MonoidSpec.of_family("EX44", 3)
 N345 = MonoidSpec.numerical(3, 4, 5)
 N23 = MonoidSpec.numerical(2, 3)
+N234 = MonoidSpec.numerical(2, 3, 4)
+N34567 = MonoidSpec.numerical(3, 4, 5, 6, 7)
 EX44_2 = MonoidSpec.of_family("EX44", 2)
 # {0, 1/26} + {5/66, 5/66 + 1/7}, over the generators 1/26, 5/66, 1/7, 4/15
 EX44_2_SET = FinSet((F(5, 66), F(49, 429), F(101, 462), F(772, 3003)))
@@ -510,6 +514,39 @@ class TestNodeCounts:
         bud = Budget()
         assert call(bud) == answer
         assert bud.used == used
+
+    # atoms and factorizations, cold and then warm in one process: a repeated
+    # atom list costs nothing, while a repeated factorization reruns the
+    # coefficient search over the atoms
+    @pytest.mark.parametrize(
+        "call, answer, cold, warm",
+        [
+            (lambda b: atoms(N234, b), [2, 3], 12, 0),
+            (lambda b: atoms(N34567, b), [3, 4, 5], 36, 0),
+            (lambda b: len(factorizations(F(20), N34567, b)), 6, 106, 70),
+        ],
+        ids=["atoms-N234", "atoms-N34567", "factorizations-N34567"],
+    )
+    def test_warm_budget_used(self, call, answer, cold, warm):
+        clear_caches()
+        for used in (cold, warm):
+            bud = Budget()
+            assert call(bud) == answer
+            assert bud.used == used
+
+    def test_ex44_chain_budget_used(self):
+        clear_caches()
+        bud = Budget()
+        steps = ex44_chain(3, 6, bud)
+        assert chain_divisors(steps) == [0, F(1, 2), F(3, 4), F(7, 8)]
+        assert bud.used == 501
+
+    def test_atoms_returns_a_fresh_list(self):
+        clear_caches()
+        first = atoms(N234)
+        first.append(F(4))
+        first[0] = F(7)
+        assert atoms(N234) == [2, 3]
 
 
 class TestScaledDivisors:
