@@ -385,28 +385,45 @@ def representations(
     """All coefficient vectors writing b over the spec's generators.
 
     The vectors are indexed by the (sorted) generator tuple; pass `over` to
-    enumerate over a different basis, e.g. the atom list.
+    enumerate over a different basis, e.g. the atom list.  `over` must hold
+    distinct, strictly positive elements of the spec's kind, as a generator
+    list must.
     """
     spec = spec.expanded()
     spec.check_element(b)
     bud = as_budget(budget)
-    basis = tuple(over) if over is not None else spec.generators
-    ordered = tuple(sorted(basis, reverse=True))
+    if over is None:
+        basis, ordered = spec.generators, spec.generators[::-1]
+    else:
+        basis = tuple(over)
+        for g in basis:
+            spec.check_element(g)  # first, as elements of two kinds do not compare
+        ordered = tuple(sorted(basis, reverse=True))
+        if any(g == h for g, h in zip(ordered, ordered[1:])):
+            raise InvalidInputError("repeated basis element")
+        if ordered and not ordered[-1] > spec.zero:
+            raise InvalidInputError(
+                f"basis element {render_element(ordered[-1])} is not strictly positive"
+            )
+        if spec.is_rank2 and any(g.x < 0 for g in ordered):
+            raise InvalidInputError("a rank2 basis element has a negative first coordinate")
     scale, y, x = _lattice(b, _basis_scale(ordered, spec.is_rank2))
     results: list[tuple[int, ...]] = []
     _search(_plan(ordered, scale), 0, y, x, bud, False, results, [])
-    # re-index from the internal descending order back to the basis order
+    # re-index from the internal descending order back to the basis order; a
+    # basis without repeats gives distinct vectors
     index = {g: i for i, g in enumerate(ordered)}
     perm = [index[g] for g in basis]
-    return sorted({tuple(vec[i] for i in perm) for vec in results})
+    return sorted(tuple(map(vec.__getitem__, perm)) for vec in results)
 
 
-# The one result cache: expanded spec -> ({scaled element: verdict},
+# The one result cache: expanded spec -> [{scaled element: verdict},
 # {scaled element: its scaled divisors}, the plan over its generators,
 # {scaled set: None once enumerated, then (its divisor enumeration, the nodes
-# an uncached rerun spends)}), so that a repeated membership test, divisor
-# query or enumeration costs one lookup; `power._anchored_divisors` owns the last.
-_cache: dict[MonoidSpec, tuple[dict, dict, tuple, dict]] = {}
+# an uncached rerun spends)}, the atom tuple once `atoms` has completed (None
+# before)], so that a repeated membership test, divisor query, enumeration or
+# atom list costs one lookup; `power._anchored_divisors` owns the fourth slot.
+_cache: dict[MonoidSpec, list] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
@@ -427,11 +444,11 @@ def decode(n, spec: MonoidSpec) -> Element:
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
-def _entry(spec: MonoidSpec) -> tuple[dict, dict, tuple, dict]:
+def _entry(spec: MonoidSpec) -> list:
     """The cache entry of an expanded spec, made on first use."""
     entry = _cache.get(spec)
     if entry is None:
-        entry = _cache[spec] = ({}, {}, _plan(spec.generators[::-1], spec.scale), {})
+        entry = _cache[spec] = [{}, {}, _plan(spec.generators[::-1], spec.scale), {}, None]
     return entry
 
 
@@ -450,7 +467,7 @@ def membership(spec: MonoidSpec, budget: Budget):
     The test reads and fills the spec's verdicts in the result cache; a miss
     runs the coefficient search and charges it to `budget`.
     """
-    cache, _, plan, _ = _entry(spec)
+    cache, _, plan, _, _ = _entry(spec)
 
     def is_member(n) -> bool:
         ok = cache.get(n)
@@ -481,7 +498,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     """
     spec = spec.expanded()
     spec.check_element(b)
-    _, cache, plan, _ = _entry(spec)
+    _, cache, plan, _, _ = _entry(spec)
     key = encode(b, spec)
     out = cache.get(key)
     if out is None:
@@ -513,20 +530,25 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
 
     Shortcut: a generator whose denominator carries a prime that no other
     generator's denominator does can never be expressed over the others, so
-    it is an atom without any search.
+    it is an atom without any search.  The finished list is kept in the
+    spec's result-cache entry, so a repeated call costs one lookup; a search
+    cut short by the budget keeps nothing.
     """
     spec = spec.expanded()
-    bud = as_budget(budget)
-    gens = spec.generators
-    out = []
-    for g in gens:
-        others = tuple(h for h in gens if h != g)
-        lone_prime = not spec.is_rank2 and any(
-            all(h.denominator % p for h in others) for p in _den_primes(g.denominator)
-        )
-        if not others or lone_prime or not member(g, MonoidSpec(spec.kind, others), bud):
-            out.append(g)
-    return out
+    entry = _entry(spec)
+    if entry[4] is None:
+        bud = as_budget(budget)
+        gens = spec.generators
+        out = []
+        for i, g in enumerate(gens):
+            others = gens[:i] + gens[i + 1:]
+            lone_prime = not spec.is_rank2 and any(
+                all(h.denominator % p for h in others) for p in _den_primes(g.denominator)
+            )
+            if not others or lone_prime or not member(g, MonoidSpec(spec.kind, others), bud):
+                out.append(g)
+        entry[4] = tuple(out)
+    return list(entry[4])
 
 
 @dataclass(frozen=True)
@@ -539,6 +561,13 @@ class Factorization:
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
         if any(m < 1 for _, m in self.parts):
             raise InvalidInputError("factorization multiplicities must be >= 1")
+
+    @classmethod
+    def _ascending(cls, parts: tuple) -> "Factorization":
+        """The Factorization of parts already sorted by atom, multiplicities >= 1."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "parts", parts)
+        return f
 
     def total(self, zero: Optional[Element] = None) -> Element:
         """The sum of the parts, from `zero`: by default the zero of their kind."""
@@ -561,9 +590,10 @@ def factorizations(
     """The complete list Z(b) of factorizations of b into atoms."""
     spec = spec.expanded()
     bud = as_budget(budget)
-    atom_list = tuple(atoms(spec, bud))
+    atom_list = atoms(spec, bud)
+    # the atoms ascend, so each vector's nonzero parts do too
     return [
-        Factorization(tuple((a, c) for a, c in zip(atom_list, vec) if c))
+        Factorization._ascending(tuple((a, c) for a, c in zip(atom_list, vec) if c))
         for vec in representations(b, spec, bud, over=atom_list)
     ]
 

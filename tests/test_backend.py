@@ -276,6 +276,35 @@ class TestOracleEquivalence:
         assert len(want) == 6
         assert representations(Fraction(20), sp, over=over) == want
 
+    @pytest.mark.parametrize(
+        "over, match",
+        [
+            # (2, 2, 3) gave (0, 0, 0) and (1, 1, 0), which do not sum to 6
+            ((2, 2, 3), "repeated"),
+            ((3, 2, 3), "repeated"),
+            # (0, 2) and (-1, 2) gave only (0, 3) of infinitely many vectors
+            ((0, 2), "not strictly positive"),
+            ((-1, 2), "not strictly positive"),
+            ((QPoint2(Fraction(0), Fraction(1)), 2), "does not match"),
+        ],
+    )
+    def test_representations_reject_an_invalid_basis(self, over, match):
+        with pytest.raises(InvalidInputError, match=match):
+            representations(Fraction(6), MonoidSpec.numerical(2, 3), over=over)
+
+    @pytest.mark.parametrize(
+        "over, match",
+        [
+            ((Fraction(1, 2),), "does not match"),
+            ((QPoint2(Fraction(-1), Fraction(1)), QPoint2(Fraction(0), Fraction(1, 2))),
+             "negative first coordinate"),
+        ],
+    )
+    def test_rank2_representations_reject_an_invalid_basis(self, over, match):
+        unit = QPoint2(Fraction(0), Fraction(1))
+        with pytest.raises(InvalidInputError, match=match):
+            representations(unit, MonoidSpec.rank2(unit), over=over)
+
 
 class TestAtoms:
     def test_numerical_atoms(self):
@@ -601,6 +630,56 @@ def naive_points(gens, top):
     return out
 
 
+def naive_box_representations(b, gens):
+    """All coefficient vectors over gens summing to b, of rank 1 or 2.  Every
+    generator is nonzero and nonnegative in each coordinate, so a residual
+    that leaves the box [0, b] is dropped."""
+    zero = b - b
+    out = []
+
+    def inside(r):
+        return r.x >= 0 and r.y >= 0 if isinstance(r, QPoint2) else r >= 0
+
+    def rec(i, rest, acc):
+        if i == len(gens):
+            if rest == zero:
+                out.append(tuple(acc))
+            return
+        k = 0
+        while inside(rest):
+            rec(i + 1, rest, acc + [k])
+            rest, k = rest - gens[i], k + 1
+
+    rec(0, b, [])
+    return out
+
+
+def check_atoms_and_factorizations(spec, targets, closure):
+    """`atoms` and `factorizations` against the naive oracles, cold and then
+    warm: a generator is an atom iff the other generators' closure below it
+    misses it, and the factorizations of b are the vectors over the atoms
+    that sum to b."""
+    clear_caches()
+    gens = spec.generators
+    want_atoms = [
+        g for i, g in enumerate(gens) if g not in closure(gens[:i] + gens[i + 1:], g)
+    ]
+    for _ in ("cold", "warm"):
+        assert atoms(spec) == want_atoms
+        for b in targets:
+            got = factorizations(b, spec)
+            want = {
+                tuple((a, k) for a, k in zip(want_atoms, vec) if k)
+                for vec in naive_box_representations(b, want_atoms)
+            }
+            assert len(got) == len(want) and {f.parts for f in got} == want, b
+            for f in got:
+                # the trusted constructor keeps the public one's invariant
+                assert f == Factorization(f.parts)
+                assert f.total(spec.zero) == b
+    assert atoms(spec, Budget(0)) == want_atoms
+
+
 class TestEngineOracles:
     @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -633,6 +712,16 @@ class TestEngineOracles:
         for b in targets:
             box = naive_points(spec.generators, b)
             assert divisors(b, spec) == sorted(d for d in box if b - d in box), b
+
+    @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_small_lattice_puiseux_atoms_and_factorizations(self, spec, targets):
+        check_atoms_and_factorizations(spec, targets, naive_members)
+
+    @given(rank2_specs, st.lists(rank2_targets, min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_rank2_atoms_and_factorizations(self, spec, targets):
+        check_atoms_and_factorizations(spec, targets, naive_points)
 
     @given(puiseux_specs, st.builds(F, st.integers(-12, 36), st.sampled_from((12, 8, 5))))
     @settings(max_examples=40, deadline=None)
