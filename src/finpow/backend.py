@@ -15,8 +15,9 @@ built once per (basis, scale).  For rational bases the plan holds p-adic
 congruences: the coefficient of a generator is forced into one residue
 class modulo the primes of L that no later denominator carries, which is
 what keeps truncated Puiseux families with large denominators tractable.
-Membership verdicts, scaled divisor lists and set divisor enumerations live
-in one result cache per expanded spec; `clear_caches` empties it.
+Membership verdicts, scaled divisor lists, set divisor enumerations and the
+atom list live in one result cache per expanded spec; `clear_caches` empties
+it.  Factorizations are built from the cached atoms without re-sorting.
 """
 from __future__ import annotations
 

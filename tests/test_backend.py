@@ -83,22 +83,27 @@ def naive_members(gens, bound):
 
 
 def naive_representations(b, gens):
-    """All coefficient vectors over gens summing to b, with no pruning."""
+    """All coefficient vectors over gens summing to b, of rank 1 or 2, in
+    ascending order.  Every generator is nonzero and nonnegative in each
+    coordinate, so a residual that leaves the box [0, b] is dropped."""
+    zero = b - b
     out = []
+
+    def inside(r):
+        return r.x >= 0 and r.y >= 0 if isinstance(r, QPoint2) else r >= 0
 
     def rec(i, rest, acc):
         if i == len(gens):
-            if rest == 0:
+            if rest == zero:
                 out.append(tuple(acc))
             return
-        g = gens[i]
         k = 0
-        while k * g <= rest:
-            rec(i + 1, rest - k * g, acc + [k])
-            k += 1
+        while inside(rest):
+            rec(i + 1, rest, acc + [k])
+            rest, k = rest - gens[i], k + 1
 
     rec(0, b, [])
-    return sorted(out)
+    return out
 
 
 class TestMonoidSpec:
@@ -630,30 +635,6 @@ def naive_points(gens, top):
     return out
 
 
-def naive_box_representations(b, gens):
-    """All coefficient vectors over gens summing to b, of rank 1 or 2.  Every
-    generator is nonzero and nonnegative in each coordinate, so a residual
-    that leaves the box [0, b] is dropped."""
-    zero = b - b
-    out = []
-
-    def inside(r):
-        return r.x >= 0 and r.y >= 0 if isinstance(r, QPoint2) else r >= 0
-
-    def rec(i, rest, acc):
-        if i == len(gens):
-            if rest == zero:
-                out.append(tuple(acc))
-            return
-        k = 0
-        while inside(rest):
-            rec(i + 1, rest, acc + [k])
-            rest, k = rest - gens[i], k + 1
-
-    rec(0, b, [])
-    return out
-
-
 def check_atoms_and_factorizations(spec, targets, closure):
     """`atoms` and `factorizations` against the naive oracles, cold and then
     warm: a generator is an atom iff the other generators' closure below it
@@ -670,7 +651,7 @@ def check_atoms_and_factorizations(spec, targets, closure):
             got = factorizations(b, spec)
             want = {
                 tuple((a, k) for a, k in zip(want_atoms, vec) if k)
-                for vec in naive_box_representations(b, want_atoms)
+                for vec in naive_representations(b, want_atoms)
             }
             assert len(got) == len(want) and {f.parts for f in got} == want, b
             for f in got:
