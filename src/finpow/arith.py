@@ -151,9 +151,6 @@ class QPoint2:
     def __sub__(self, other: "QPoint2") -> "QPoint2":
         return QPoint2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "QPoint2":
-        return QPoint2(-self.x, -self.y)
-
     def __mul__(self, k: int) -> "QPoint2":
         return QPoint2(k * self.x, k * self.y)
 

@@ -377,45 +377,25 @@ def _search(
     return found
 
 
-def representations(
-    b: Element,
-    spec: MonoidSpec,
-    budget: "Budget | int | None" = None,
-    over: Optional[tuple] = None,
-) -> list[tuple[int, ...]]:
-    """All coefficient vectors writing b over the spec's generators.
+def _solve(basis: tuple, b: Element, budget: Budget, first_only: bool) -> list:
+    """The coefficient vectors writing b over an ascending basis of distinct
+    positive elements, indexed by the basis and sorted; with `first_only`,
+    only the first one found (none if b is not a sum over the basis)."""
+    ordered = basis[::-1]
+    scale, y, x = _lattice(b, _basis_scale(ordered, isinstance(b, QPoint2)))
+    results: list = []
+    _search(_plan(ordered, scale), 0, y, x, budget, first_only, results, [])
+    return sorted(vec[::-1] for vec in results)
 
-    The vectors are indexed by the (sorted) generator tuple; pass `over` to
-    enumerate over a different basis, e.g. the atom list.  `over` must hold
-    distinct, strictly positive elements of the spec's kind, as a generator
-    list must.
-    """
+
+def representations(
+    b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
+) -> list[tuple[int, ...]]:
+    """All coefficient vectors writing b over the spec's generators, indexed
+    by the (sorted) generator tuple."""
     spec = spec.expanded()
     spec.check_element(b)
-    bud = as_budget(budget)
-    if over is None:
-        basis, ordered = spec.generators, spec.generators[::-1]
-    else:
-        basis = tuple(over)
-        for g in basis:
-            spec.check_element(g)  # first, as elements of two kinds do not compare
-        ordered = tuple(sorted(basis, reverse=True))
-        if any(g == h for g, h in zip(ordered, ordered[1:])):
-            raise InvalidInputError("repeated basis element")
-        if ordered and not ordered[-1] > spec.zero:
-            raise InvalidInputError(
-                f"basis element {render_element(ordered[-1])} is not strictly positive"
-            )
-        if spec.is_rank2 and any(g.x < 0 for g in ordered):
-            raise InvalidInputError("a rank2 basis element has a negative first coordinate")
-    scale, y, x = _lattice(b, _basis_scale(ordered, spec.is_rank2))
-    results: list[tuple[int, ...]] = []
-    _search(_plan(ordered, scale), 0, y, x, bud, False, results, [])
-    # re-index from the internal descending order back to the basis order; a
-    # basis without repeats gives distinct vectors
-    index = {g: i for i, g in enumerate(ordered)}
-    perm = [index[g] for g in basis]
-    return sorted(tuple(map(vec.__getitem__, perm)) for vec in results)
+    return _solve(spec.generators, b, as_budget(budget), False)
 
 
 # The one result cache: expanded spec -> [{scaled element: verdict},
@@ -546,7 +526,7 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
             lone_prime = not spec.is_rank2 and any(
                 all(h.denominator % p for h in others) for p in _den_primes(g.denominator)
             )
-            if not others or lone_prime or not member(g, MonoidSpec(spec.kind, others), bud):
+            if not others or lone_prime or not _solve(others, g, bud, True):
                 out.append(g)
         entry[4] = tuple(out)
     return list(entry[4])
@@ -591,11 +571,12 @@ def factorizations(
     """The complete list Z(b) of factorizations of b into atoms."""
     spec = spec.expanded()
     bud = as_budget(budget)
-    atom_list = atoms(spec, bud)
+    atom_tuple = tuple(atoms(spec, bud))
+    spec.check_element(b)
     # the atoms ascend, so each vector's nonzero parts do too
     return [
-        Factorization._ascending(tuple((a, c) for a, c in zip(atom_list, vec) if c))
-        for vec in representations(b, spec, bud, over=atom_list)
+        Factorization._ascending(tuple((a, c) for a, c in zip(atom_tuple, vec) if c))
+        for vec in _solve(atom_tuple, b, bud, False)
     ]
 
 

@@ -90,9 +90,6 @@ class FinSet:
     def max(self) -> Element:
         return self.elems[-1]
 
-    def __lt__(self, other: "FinSet") -> bool:
-        return self.elems < other.elems
-
     def render(self) -> str:
         return "{" + ", ".join(render_element(e) for e in self.elems) + "}"
 

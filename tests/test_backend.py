@@ -271,45 +271,6 @@ class TestOracleEquivalence:
                 (k * g for k, g in zip(rep, sp.generators)), Fraction(0)
             ) == Fraction(10, 3)
 
-    def test_representations_over_a_permuted_basis(self):
-        # each vector is indexed by `over`, so an unsorted basis permutes the
-        # vectors over the sorted generators
-        sp = MonoidSpec.numerical(3, 4, 5)
-        perm = (2, 0, 1)
-        over = tuple(sp.generators[i] for i in perm)
-        want = sorted(tuple(v[i] for i in perm) for v in representations(Fraction(20), sp))
-        assert len(want) == 6
-        assert representations(Fraction(20), sp, over=over) == want
-
-    @pytest.mark.parametrize(
-        "over, match",
-        [
-            # (2, 2, 3) gave (0, 0, 0) and (1, 1, 0), which do not sum to 6
-            ((2, 2, 3), "repeated"),
-            ((3, 2, 3), "repeated"),
-            # (0, 2) and (-1, 2) gave only (0, 3) of infinitely many vectors
-            ((0, 2), "not strictly positive"),
-            ((-1, 2), "not strictly positive"),
-            ((QPoint2(Fraction(0), Fraction(1)), 2), "does not match"),
-        ],
-    )
-    def test_representations_reject_an_invalid_basis(self, over, match):
-        with pytest.raises(InvalidInputError, match=match):
-            representations(Fraction(6), MonoidSpec.numerical(2, 3), over=over)
-
-    @pytest.mark.parametrize(
-        "over, match",
-        [
-            ((Fraction(1, 2),), "does not match"),
-            ((QPoint2(Fraction(-1), Fraction(1)), QPoint2(Fraction(0), Fraction(1, 2))),
-             "negative first coordinate"),
-        ],
-    )
-    def test_rank2_representations_reject_an_invalid_basis(self, over, match):
-        unit = QPoint2(Fraction(0), Fraction(1))
-        with pytest.raises(InvalidInputError, match=match):
-            representations(unit, MonoidSpec.rank2(unit), over=over)
-
 
 class TestAtoms:
     def test_numerical_atoms(self):
@@ -568,6 +529,15 @@ class TestNodeCounts:
             assert call(bud) == answer
             assert bud.used == used
 
+    def test_cold_atoms_ignore_a_warm_spec_of_the_other_generators(self):
+        # atoms test 4 over (2, 3) on the coefficient search, not through a
+        # cached verdict of member(4, <2,3>)
+        clear_caches()
+        assert member(F(4), MonoidSpec.numerical(2, 3))
+        bud = Budget()
+        assert atoms(N234, bud) == [2, 3]
+        assert bud.used == 12
+
     def test_ex44_chain_budget_used(self):
         clear_caches()
         bud = Budget()
@@ -659,6 +629,8 @@ def check_atoms_and_factorizations(spec, targets, closure):
                 assert f == Factorization(f.parts)
                 assert f.total(spec.zero) == b
     assert atoms(spec, Budget(0)) == want_atoms
+    # atoms test each generator over the others without a spec of their own
+    assert list(backend._cache) == [spec]
 
 
 class TestEngineOracles:
