@@ -129,10 +129,9 @@ def p_furstenberg_divisor(
     """A certified atom of the power monoid dividing s.
 
     Dichotomy: when s has a nonzero singleton divisor {d}, any atom dividing
-    d serves; otherwise a minimal-cardinality non-singleton divisor of s is
-    itself an atom: a split u = V + W of it has no singleton side, as that
-    would be a nonzero singleton divisor of s, so |V| < |u| (Lemma 3.2) and V
-    would be a smaller one."""
+    d serves; otherwise a non-singleton proper divisor u of s of least size
+    is an atom, as a split V + W of u has no singleton side, so |V| < |u|
+    (Lemma 3.2) and V would be a smaller one."""
     spec = spec.expanded()
     bud = as_budget(budget)
     if s == zero_set(spec):
@@ -147,11 +146,8 @@ def p_furstenberg_divisor(
         if a is None:
             raise InvalidInputError(f"no atom divides {d}")
         return singleton(a)
-    u = min(
-        (u for u in p_divisors(s, spec, bud) if len(u) >= 2 and u != s),
-        key=lambda u: (len(u), u.elems),
-        default=None,
-    )
+    cands = (u for u in p_divisors(s, spec, bud) if len(u) >= 2 and u != s)
+    u = min(cands, key=lambda u: (len(u), u.elems), default=None)
     if u is not None and is_p_atom(u, spec, bud).is_atom:
         return u
     raise InvalidInputError(f"no atom divisor found for {s.render()}")

@@ -9,15 +9,16 @@ Every enumeration runs on scaled int coordinates (y, x): a rational q
 becomes (q*L, 0) and a plane point (x, y) becomes (y*Ly, x*Lx), where the
 scales clear every denominator of the basis and of the target; `Fraction`
 and `QPoint2` stay in `encode`/`decode` and at the API boundary.  Membership,
-divisors and factorizations share one engine, `_search`: a depth-first
+divisors, atoms and factorizations share one engine, `_search`: a depth-first
 enumeration of coefficient vectors over a descending basis, run from a plan
 built once per (basis, scale).  For rational bases the plan holds p-adic
 congruences: the coefficient of a generator is forced into one residue
 class modulo the primes of L that no later denominator carries, which is
 what keeps truncated Puiseux families with large denominators tractable.
-Membership verdicts, scaled divisor lists, set divisor enumerations and the
-atom list live in one result cache per expanded spec; `clear_caches` empties
-it.  Factorizations are built from the cached atoms without re-sorting.
+`_solve` runs it over the atoms for `factorizations`, and for `atoms` over
+the generators but the one tested, with no spec built for them.  Membership
+verdicts, scaled divisor lists, set divisor enumerations and the atom list
+live in one result cache per expanded spec; `clear_caches` empties it.
 """
 from __future__ import annotations
 
@@ -378,9 +379,8 @@ def _search(
 
 
 def _solve(basis: tuple, b: Element, budget: Budget, first_only: bool) -> list:
-    """The coefficient vectors writing b over an ascending basis of distinct
-    positive elements, indexed by the basis and sorted; with `first_only`,
-    only the first one found (none if b is not a sum over the basis)."""
+    """The sorted coefficient vectors writing b over an ascending basis of
+    distinct positive elements; with `first_only`, at most the first found."""
     ordered = basis[::-1]
     scale, y, x = _lattice(b, _basis_scale(ordered, isinstance(b, QPoint2)))
     results: list = []
@@ -391,8 +391,7 @@ def _solve(basis: tuple, b: Element, budget: Budget, first_only: bool) -> list:
 def representations(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[tuple[int, ...]]:
-    """All coefficient vectors writing b over the spec's generators, indexed
-    by the (sorted) generator tuple."""
+    """All coefficient vectors writing b over the spec's (sorted) generators."""
     spec = spec.expanded()
     spec.check_element(b)
     return _solve(spec.generators, b, as_budget(budget), False)
@@ -402,8 +401,8 @@ def representations(
 # {scaled element: its scaled divisors}, the plan over its generators,
 # {scaled set: None once enumerated, then (its divisor enumeration, the nodes
 # an uncached rerun spends)}, the atom tuple once `atoms` has completed (None
-# before)], so that a repeated membership test, divisor query, enumeration or
-# atom list costs one lookup; `power._anchored_divisors` owns the fourth slot.
+# before)], so a repeated query of each kind is one lookup.  The fourth slot
+# is `power._anchored_divisors`'s.  The searches of `atoms` add no entry.
 _cache: dict[MonoidSpec, list] = {}
 
 
