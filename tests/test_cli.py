@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,11 @@ from finpow.cli import (
 )
 
 SPEC23 = "kind numerical; gens 2, 3"
+COMMON_FLAGS = ("--spec", "--spec-file", "--budget", "--depth")
+SUBCOMMANDS = (
+    "sumset", "atoms", "member", "factorize", "divides",
+    "p-atom", "p-factorize", "mcd", "chain", "verify",
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +74,35 @@ class TestBasicCommands:
         assert code == EXIT_PASS and out.strip() == "6"
 
 
+class TestParser:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help_lists_every_flag(self, capsys, name):
+        code, out, _ = run(capsys, name, "--help")
+        assert code == EXIT_PASS
+        extra = ("--suite", "--format", "--out") if name == "verify" else ()
+        for flag in COMMON_FLAGS + extra:
+            assert flag in out
+
+    def test_chain_length_must_be_an_integer(self, capsys):
+        code, out, _ = run(capsys, "chain", "x")
+        assert code == EXIT_USAGE and out == ""
+
+    def test_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "m.spec"
+        path.write_text("kind numerical\ngens 2, 3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "atoms", "--spec-file", str(path))
+        assert code == EXIT_PASS
+        assert out.split() == ["2", "3"]
+
+    def test_depth_overrides_family_spec(self, capsys):
+        # 1/76 is a generator of EX44 at depth 3 but not at depth 2
+        spec = "kind family; family EX44 depth 3"
+        code, out, _ = run(capsys, "member", "1/76", "--spec", spec)
+        assert code == EXIT_PASS and out.strip() == "member"
+        code, out, _ = run(capsys, "member", "1/76", "--spec", spec, "--depth", "2")
+        assert code == EXIT_FAIL and out.strip() == "non-member"
+
+
 class TestChain:
     def test_chain_prints_certificates(self, capsys):
         code, out, _ = run(capsys, "chain", "2", "--depth", "3")
@@ -109,6 +144,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "lemma-2.6")
         assert code == EXIT_PASS
         assert "pass" in out
+
+    def test_budget_exhausted_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "lemma-2.6", "--budget", "1")
+        assert code == EXIT_INCONCLUSIVE
+        assert "budget-exceeded" in out
+
+    def test_all_suites_through_main_are_byte_stable(self, capsys, tmp_path):
+        path = tmp_path / "all.jsonl"
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--format", "json-lines",
+            "--out", str(path),
+        )
+        assert code == EXIT_PASS and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e3f17e0f4299d8674ffde12067d17d4cbc787029359b338db45b4fdca1c033a6"
+        )
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "lemma-9.9")
