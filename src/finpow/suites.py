@@ -358,12 +358,16 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
     return checks
 
 
-def _ex44_residue_pairs(sp: MonoidSpec):
-    pairs = []
-    for g in sp.generators:
-        for p in _den_primes(g.denominator):
-            if p != 2 and all(h == g or h.denominator % p for h in sp.generators):
-                pairs.append((g, p))
+def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
+    pairs = [] if sp.is_rank2 else [
+        (g, p) for g in sp.generators for p in _den_primes(g.denominator)
+        if p != 2 and all(h == g or h.denominator % p for h in sp.generators)
+    ]
+    if not pairs:
+        raise InvalidInputError(
+            f"{suite} needs a rank-1 spec in which an odd prime divides the"
+            " denominator of exactly one generator"
+        )
     return pairs
 
 
@@ -373,7 +377,7 @@ def _random_member(rng: random.Random, sp: MonoidSpec) -> Rat:
 
 def _suite_cap_additivity(spec, bud, rng) -> list:
     sp = (spec if spec is not None else expand_family("EX44", 3)).expanded()
-    pairs = _ex44_residue_pairs(sp)
+    pairs = _ex44_residue_pairs(sp, "cap-additivity")
     bad = None
     for _ in range(500):
         a, p = rng.choice(pairs)
@@ -399,7 +403,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
 
 def _suite_lemma_5_2(spec, bud, rng) -> list:
     sp = (spec if spec is not None else expand_family("EX44", 2)).expanded()
-    pairs = _ex44_residue_pairs(sp)
+    pairs = _ex44_residue_pairs(sp, "lemma-5.2")
     bad = None
     checked = 0
     for _ in range(100):
@@ -500,6 +504,8 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
         if spec is not None
         else MonoidSpec.of_family("RANK2-5.3", 3, sample)
     ).expanded()
+    if not sp.is_rank2:
+        raise InvalidInputError("thm-5.5-gap needs a rank-2 spec")
     # sample atoms of the two structural classes: those containing the
     # identity, and those whose minimum is a monoid atom with every other
     # element offset by a nonnegative first-coordinate step

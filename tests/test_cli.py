@@ -229,6 +229,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "suite, spec, needs",
+        [
+            ("cap-additivity", SPEC23, "rank-1"),
+            ("lemma-5.2", SPEC23, "rank-1"),
+            ("cap-additivity", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("lemma-5.2", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("thm-5.5-gap", "family EX44 depth 2", "rank-2"),
+            ("all", SPEC23, "rank-1"),
+        ],
+    )
+    def test_suite_given_a_spec_of_the_wrong_kind(self, capsys, suite, spec, needs):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--spec", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and f"needs a {needs} spec" in err
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "absent" / "x"
         code, out, err = run(capsys, "verify", "--suite", "lemma-3.2", "--out", str(out_path))
