@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands: sumset, atoms, member, factorize, divides, p-atom, p-factorize,
-mcd, chain, verify.  Exit codes: 0 pass, 1 check failure, 2 usage error,
-3 budget exhausted or truncation-inconclusive.
+Exit codes: 0 pass, 1 check failure, 2 usage error, 3 budget exhausted or
+truncation-inconclusive.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from .backend import (
 )
 from .power import divides_in_P, is_p_atom, p_factorize, parse_finset, sumset, NOT_ATOMIC
 from .mcd import chain_divisors, ex44_chain, mcd
-from .suites import run_all_suites, run_verify_suite
+from .suites import FAIL, OVER, TRUNC, run_all_suites, run_verify_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,17 +62,13 @@ def _load_spec(args) -> MonoidSpec:
     return spec
 
 
-def _budget_limit(args) -> int:
+def _budget(args) -> Budget:
     limit = _env_int("FINPOW_BUDGET", args.budget)
     if limit is None:
-        return DEFAULT_BUDGET
+        return Budget(DEFAULT_BUDGET)
     if limit <= 0:
         raise InvalidInputError(f"budget must be a positive node count, got {limit}")
-    return limit
-
-
-def _budget(args) -> Budget:
-    return Budget(_budget_limit(args))
+    return Budget(limit)
 
 
 def _element(args, spec: MonoidSpec):
@@ -83,20 +78,18 @@ def _element(args, spec: MonoidSpec):
     return q
 
 
-def _require_members(spec: MonoidSpec, bud: Budget, *sets) -> None:
-    """Reject a set with an element outside M: such a set lies outside
-    P_fin(M), and no verdict about it may be certified."""
+def _load_sets(args, *texts) -> tuple:
+    """(spec, budget, *sets) for the set arguments `texts`.  A set with an
+    element outside M lies outside P_fin(M), and no verdict about it may be
+    certified, so it is rejected."""
+    spec = _load_spec(args)
+    sets = [parse_finset(t) for t in texts]
+    bud = _budget(args)
     for s in sets:
         for e in s:
             if not member(e, spec, bud):
                 raise InvalidInputError(f"{render_element(e)} is not in the monoid")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", help="inline monoid spec; ';' separates lines")
-    p.add_argument("--spec-file", help="path to a monoid spec file")
-    p.add_argument("--budget", type=int, default=None, help="search-node budget")
-    p.add_argument("--depth", type=int, default=None, help="family truncation depth")
+    return (spec, bud, *sets)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,71 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computation in finitary power monoids of ordered monoids.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sumset", help="sumset of two finite sets")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-
-    p = sub.add_parser("atoms", help="atoms of the monoid")
-    _add_common(p)
-
-    p = sub.add_parser("member", help="membership of an element")
-    p.add_argument("element")
-    _add_common(p)
-
-    p = sub.add_parser("factorize", help="factorizations of an element into atoms")
-    p.add_argument("element")
-    _add_common(p)
-
-    p = sub.add_parser("divides", help="set divisibility in the power monoid")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-
-    p = sub.add_parser("p-atom", help="atom test in the power monoid")
-    p.add_argument("set")
-    _add_common(p)
-
-    p = sub.add_parser("p-factorize", help="factor a set into power-monoid atoms")
-    p.add_argument("set")
-    _add_common(p)
-
-    p = sub.add_parser("mcd", help="maximal common divisors of a finite set")
-    p.add_argument("set")
-    _add_common(p)
-
-    p = sub.add_parser("chain", help="ascending common-divisor chain of {1, 4/3}")
-    p.add_argument("length", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, help="suite name or 'all'")
-    p.add_argument("--format", choices=("text", "json-lines"), default="text")
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    _add_common(p)
-
+    for name, (help_text, positionals, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg == "length" else None)
+        if name == "verify":
+            p.add_argument("--suite", required=True, help="suite name or 'all'")
+            p.add_argument("--format", choices=("text", "json-lines"), default="text")
+            p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        p.add_argument("--spec", help="inline monoid spec; ';' separates lines")
+        p.add_argument("--spec-file", help="path to a monoid spec file")
+        p.add_argument("--budget", type=int, default=None, help="search-node budget")
+        p.add_argument("--depth", type=int, default=None, help="family truncation depth")
     return ap
-
-
-def _emit(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def emit_report(report, path: str = "-", format: str = "text") -> None:
-    """Serialize one report (or a list of reports) bit-stably."""
-    reports = report if isinstance(report, list) else [report]
-    chunks = [
-        r.to_text() if format == "text" else r.to_json_lines() for r in reports
-    ]
-    _emit("".join(chunks), path)
 
 
 def _cmd_sumset(args) -> int:
@@ -201,10 +142,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_divides(args) -> int:
-    spec = _load_spec(args)
-    s, t = parse_finset(args.left), parse_finset(args.right)
-    bud = _budget(args)
-    _require_members(spec, bud, s, t)
+    spec, bud, s, t = _load_sets(args, args.left, args.right)
     w = divides_in_P(s, t, spec, bud)
     if w is None:
         print("does not divide")
@@ -214,10 +152,7 @@ def _cmd_divides(args) -> int:
 
 
 def _cmd_p_atom(args) -> int:
-    spec = _load_spec(args)
-    s = parse_finset(args.set)
-    bud = _budget(args)
-    _require_members(spec, bud, s)
+    spec, bud, s = _load_sets(args, args.set)
     cert = is_p_atom(s, spec, bud)
     if cert.is_atom:
         print("atom")
@@ -228,10 +163,7 @@ def _cmd_p_atom(args) -> int:
 
 
 def _cmd_p_factorize(args) -> int:
-    spec = _load_spec(args)
-    s = parse_finset(args.set)
-    bud = _budget(args)
-    _require_members(spec, bud, s)
+    spec, bud, s = _load_sets(args, args.set)
     parts = p_factorize(s, spec, bud)
     if parts is NOT_ATOMIC:
         print("not atomic")
@@ -241,10 +173,7 @@ def _cmd_p_factorize(args) -> int:
 
 
 def _cmd_mcd(args) -> int:
-    spec = _load_spec(args)
-    s = parse_finset(args.set)
-    bud = _budget(args)
-    _require_members(spec, bud, s)
+    spec, bud, s = _load_sets(args, args.set)
     out = mcd(s, spec, bud)
     if not out:
         print("no maximal common divisor found")
@@ -268,8 +197,7 @@ def _cmd_chain(args) -> int:
     except TruncationError as exc:
         partial = exc.partial or []
         print(
-            "truncation reached after "
-            f"{len(partial)} steps: "
+            f"truncation reached after {len(partial)} steps: "
             + " < ".join(render_element(v) for v in chain_divisors(partial))
         )
         return EXIT_INCONCLUSIVE
@@ -285,42 +213,49 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load_spec(args) if (args.spec or args.spec_file) else None
+    bud = _budget(args)
     if args.suite == "all":
-        reports = run_all_suites(spec, _budget_limit(args))
+        reports = run_all_suites(spec, bud.limit)
     else:
-        reports = [run_verify_suite(args.suite, spec, _budget(args))]
-    emit_report(reports, args.out, args.format)
-    worst = EXIT_PASS
-    for r in reports:
-        if r.status == "fail":
-            worst = max(worst, EXIT_FAIL)
-        elif r.status in ("truncation-inconclusive", "budget-exceeded"):
-            worst = max(worst, EXIT_INCONCLUSIVE)
-    return worst
+        reports = [run_verify_suite(args.suite, spec, bud)]
+    text = "".join(
+        r.to_text() if args.format == "text" else r.to_json_lines() for r in reports
+    )
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc.strerror}") from exc
+    exits = {FAIL: EXIT_FAIL, OVER: EXIT_INCONCLUSIVE, TRUNC: EXIT_INCONCLUSIVE}
+    return max(exits.get(r.status, EXIT_PASS) for r in reports)
 
 
+# name -> (help, positional arguments, handler); every subcommand also takes
+# --spec, --spec-file, --budget and --depth
 _COMMANDS = {
-    "sumset": _cmd_sumset,
-    "atoms": _cmd_atoms,
-    "member": _cmd_member,
-    "factorize": _cmd_factorize,
-    "divides": _cmd_divides,
-    "p-atom": _cmd_p_atom,
-    "p-factorize": _cmd_p_factorize,
-    "mcd": _cmd_mcd,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
+    "sumset": ("sumset of two finite sets", ("left", "right"), _cmd_sumset),
+    "atoms": ("atoms of the monoid", (), _cmd_atoms),
+    "member": ("membership of an element", ("element",), _cmd_member),
+    "factorize": ("factorizations of an element into atoms", ("element",), _cmd_factorize),
+    "divides": ("set divisibility in the power monoid", ("left", "right"), _cmd_divides),
+    "p-atom": ("atom test in the power monoid", ("set",), _cmd_p_atom),
+    "p-factorize": ("factor a set into power-monoid atoms", ("set",), _cmd_p_factorize),
+    "mcd": ("maximal common divisors of a finite set", ("set",), _cmd_mcd),
+    "chain": ("ascending common-divisor chain of {1, 4/3}", ("length",), _cmd_chain),
+    "verify": ("run a named verification suite", (), _cmd_verify),
 }
 
 
 def main(argv: Optional[list] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
