@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
+
 from finpow.atomicity import canonical_decomp_Q, k_of, lemma54_sum_witness, rank2_atom
 from finpow.arith import QPoint2
 from finpow.backend import (
@@ -21,6 +23,7 @@ from finpow.backend import (
     factorizations,
     member,
     members_upto,
+    parse_monoid_spec,
 )
 from finpow.mcd import chain_divisors, ex44_chain
 from finpow.power import FinSet, divides_in_P, sumset
@@ -136,6 +139,27 @@ def test_criterion_08_residue_invariants():
     with criterion(8, "residue-class invariants"):
         suite_ok("cap-additivity")
         suite_ok("lemma-5.2")
+
+
+@pytest.mark.parametrize(
+    "text, status, witness, used",
+    [
+        ("kind puiseux\ngens 1/3, 1/2", "pass", "100 random sets, 335 decompositions", 1097),
+        ("kind puiseux\ngens 1/3, 1/5, 1/2", "pass", "100 random sets, 1478 decompositions", 7802),
+        ("kind family\nfamily Q-ODDPRIMES depth 3", "pass", "100 random sets, 2230 decompositions", 12839),
+        (
+            "kind family\nfamily EX44 depth 3",
+            "budget-exceeded",
+            "budget 1000000 exhausted: search budget of 1000000 nodes exceeded",
+            1000001,
+        ),
+    ],
+)
+def test_lemma_5_2_on_other_specs(text, status, witness, used):
+    clear_caches()
+    report = run_verify_suite("lemma-5.2", parse_monoid_spec(text))
+    assert [(c.status, c.witness) for c in report.checks] == [(status, witness)]
+    assert report.budget_used == used
 
 
 def test_criterion_09_augmented_indecomposables():

@@ -245,6 +245,15 @@ class TestUsageErrors:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and f"needs a {needs} spec" in err
 
+    def test_lemma_5_2_rejects_a_generator_without_valuation_minus_one(self, capsys):
+        # the suite's residue check on scaled ints is sound only for a pair
+        # (a, p) with v_p(a) = -1, which 1/9 at 3 is not
+        code, out, err = run(
+            capsys, "verify", "--suite", "lemma-5.2", "--spec", "kind puiseux; gens 1/9, 1/2"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: generator 1/9 does not have valuation -1 at 3\n"
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "absent" / "x"
         code, out, err = run(capsys, "verify", "--suite", "lemma-3.2", "--out", str(out_path))
