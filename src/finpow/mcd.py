@@ -194,6 +194,20 @@ def cap_constant_on(s: FinSet, a: Rat, p: int, spec: MonoidSpec) -> bool:
     return len({_residue(q, a, p) for q in s}) == 1
 
 
+def _cap_constant_on_scaled(s: tuple, a: Rat, p: int, spec: MonoidSpec) -> bool:
+    """`cap_constant_on` of the set whose scaled elements over the expanded
+    spec are s: True iff n mod p is the same for every n in s.
+
+    As v_p(a) = -1 and p divides no other generator's denominator, v_p(L) =
+    1 for L = spec.scale.  So for q = n/L, q/a = n*(a.den/p) / (a.num*L/p),
+    and the residue of q/a mod p is n*c mod p, where c = (a.den/p) *
+    (a.num*L/p)^-1 is a unit mod p: the residue is constant on s iff n mod p
+    is.
+    """
+    _check_cap_preconditions(a, p, spec)
+    return len({n % p for n in s}) == 1
+
+
 # ---------------------------------------------------------------------------
 # The MCD-failure witness chain for the EX44 family
 

@@ -8,7 +8,10 @@ minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
 One enumeration, `_anchored_divisors`, lists every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
-`mcd.p_divisors` collects the U's.
+`mcd.p_divisors` collects the U's.  The V's are found on scaled sets by the
+private core `_decompositions`, which the public function wraps in one encode
+and one decode, and which the lemma-5.2 suite runs on its scaled sets with
+the int residue check of `mcd`.
 
 Cofactors are computed by one mask kernel, `_cofactors`, which also serves
 `divides_in_P` and `singleton_candidates`.  For the sets U with minimum a
@@ -25,7 +28,7 @@ element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
 M, and a set holding one is rejected with InvalidInputError; so is a set
 holding a lattice point outside M, wherever the divisor enumeration runs.
 Results are decoded through a constructor that trusts the scaled order, as
-decoding is monotone.  Membership tests, divisor lists and set divisor
+decoding is monotone; `sumset` builds its sorted distinct sums through it too.  Membership tests, divisor lists and set divisor
 enumerations share the one result cache of `backend`; a kept enumeration is
 replayed at the node cost of an uncached rerun, so caching moves no count.
 """
@@ -118,7 +121,7 @@ def zero_set(spec: MonoidSpec) -> FinSet:
 def sumset(s: FinSet, t: FinSet) -> FinSet:
     if isinstance(s.min, QPoint2) != isinstance(t.min, QPoint2):
         raise InvalidInputError("cannot add a set of points to a set of rationals")
-    return FinSet(tuple(a + b for a in s for b in t))
+    return FinSet._ascending(tuple(sorted({a + b for a in s for b in t})))
 
 
 def sumset_all(sets: list[FinSet], spec: MonoidSpec) -> FinSet:
@@ -287,22 +290,14 @@ def divides_in_P(
     return _decode_set(c, spec) if union == (1 << len(w)) - 1 else None
 
 
-def decompositions(
-    s: FinSet,
-    spec: MonoidSpec,
-    budget: "Budget | int | None" = None,
-    both_nonsingleton: bool = False,
-) -> list[Decomposition]:
-    """All nontrivial pairs (U, V) with U + V = s, up to swap.
-
-    Each divisor U of s comes with its largest cofactor C, and the V's that
-    go with U are the subsets of C holding min C whose covers OR to all of s.
-    """
-    spec = spec.expanded()
-    t = _encode_set(s, spec)
+def _decompositions(t: tuple, spec: MonoidSpec, bud: Budget, both_nonsingleton=False) -> list:
+    """`decompositions` of the scaled set t of an expanded spec, as sorted
+    scaled pairs (left, right).  Each divisor U of t comes with its largest
+    cofactor C, and the V's that go with U are the subsets of C holding min C
+    whose covers OR to all of t."""
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     found: set = set()
-    for u, c, covers in _anchored_divisors(t, spec, as_budget(budget)):
+    for u, c, covers in _anchored_divisors(t, spec, bud):
         if u == (zero,) or (both_nonsingleton and len(u) < 2):
             continue
         for r in range(len(c)):
@@ -316,10 +311,19 @@ def decompositions(
                 if v == (zero,) or (both_nonsingleton and len(v) < 2):
                     continue
                 found.add((min(u, v), max(u, v)))
-    return [
-        Decomposition(_decode_set(left, spec), _decode_set(right, spec))
-        for left, right in sorted(found)
-    ]
+    return sorted(found)
+
+
+def decompositions(
+    s: FinSet,
+    spec: MonoidSpec,
+    budget: "Budget | int | None" = None,
+    both_nonsingleton: bool = False,
+) -> list[Decomposition]:
+    """All nontrivial pairs (U, V) with U + V = s, up to swap."""
+    spec = spec.expanded()
+    pairs = _decompositions(_encode_set(s, spec), spec, as_budget(budget), both_nonsingleton)
+    return [Decomposition(_decode_set(u, spec), _decode_set(v, spec)) for u, v in pairs]
 
 
 @dataclass(frozen=True)

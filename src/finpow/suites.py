@@ -21,6 +21,7 @@ from .backend import (
     as_budget,
     atoms,
     clear_caches,
+    encode,
     ex44_a2_atoms,
     expand_family,
     factorizations,
@@ -30,8 +31,9 @@ from .backend import (
 )
 from .power import (
     FinSet,
+    _decode_set,
+    _decompositions,
     augment_indecomposable,
-    decompositions,
     divides_in_P,
     is_indecomposable,
     is_p_atom,
@@ -42,7 +44,7 @@ from .power import (
     NOT_ATOMIC,
 )
 from .mcd import (
-    cap_constant_on,
+    _cap_constant_on_scaled,
     cap_residue,
     chain_divisors,
     ex44_chain,
@@ -138,7 +140,7 @@ def _seed(name: str) -> int:
 
 def _random_finset(rng: random.Random, pool: list, max_size: int, min_size: int = 1) -> FinSet:
     size = rng.randint(min_size, max_size)
-    return FinSet(tuple(rng.sample(pool, min(size, len(pool)))))
+    return FinSet._ascending(tuple(sorted(rng.sample(pool, min(size, len(pool))))))
 
 
 def _pair_corpora(spec: Optional[MonoidSpec], bud: Budget):
@@ -408,27 +410,25 @@ def _suite_lemma_5_2(spec, bud, rng) -> list:
     checked = 0
     for _ in range(100):
         a, p = rng.choice(pairs)
-        others = [g for g in sp.generators if g != a]
+        others = [encode(g, sp) for g in sp.generators if g != a]
 
-        def constant_set() -> FinSet:
-            shift = rng.randint(0, p - 1) * a
-            elems = set()
-            for _ in range(rng.randint(1, 3)):
-                elems.add(shift + sum(
-                    (rng.randint(0, 1) * g for g in others), Fraction(0)
-                ))
-            return FinSet(tuple(elems))
+        def constant_set() -> set:
+            shift = rng.randint(0, p - 1) * encode(a, sp)
+            return {
+                shift + sum(rng.randint(0, 1) * g for g in others)
+                for _ in range(rng.randint(1, 3))
+            }
 
         u0, v0 = constant_set(), constant_set()
-        t = sumset(u0, v0)
-        if not cap_constant_on(t, a, p, sp):
+        t = tuple(sorted({x + y for x in u0 for y in v0}))
+        if not _cap_constant_on_scaled(t, a, p, sp):
             bad = (t, a, p)
             break
-        for dec in decompositions(t, sp, bud):
+        for left, right in _decompositions(t, sp, bud):
             checked += 1
             if not (
-                cap_constant_on(dec.left, a, p, sp)
-                and cap_constant_on(dec.right, a, p, sp)
+                _cap_constant_on_scaled(left, a, p, sp)
+                and _cap_constant_on_scaled(right, a, p, sp)
             ):
                 bad = (t, a, p)
                 break
@@ -436,9 +436,8 @@ def _suite_lemma_5_2(spec, bud, rng) -> list:
             break
     cid = "residue-constant-on-divisors"
     if bad:
-        return [
-            CheckResult(cid, FAIL, f"{bad[0].render()} at a={render_element(bad[1])} p={bad[2]}")
-        ]
+        t = _decode_set(bad[0], sp)
+        return [CheckResult(cid, FAIL, f"{t.render()} at a={render_element(bad[1])} p={bad[2]}")]
     return [CheckResult(cid, PASS, f"100 random sets, {checked} decompositions")]
 
 
@@ -632,7 +631,7 @@ def run_verify_suite(
         checks = [CheckResult("suite-body", TRUNC, str(exc))]
     return VerificationReport(
         suite=suite,
-        spec=render_monoid_spec(spec) if spec is not None else "",
+        spec="; ".join(render_monoid_spec(spec).splitlines()) if spec is not None else "",
         checks=list(checks),
         budget_used=bud.used,
     )

@@ -12,6 +12,8 @@ from finpow.cli import (
     EXIT_USAGE,
     main,
 )
+from finpow.backend import parse_monoid_spec
+from finpow.suites import run_verify_suite
 
 SPEC23 = "kind numerical; gens 2, 3"
 COMMON_FLAGS = ("--spec", "--spec-file", "--budget", "--depth")
@@ -160,6 +162,33 @@ class TestVerify:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e3f17e0f4299d8674ffde12067d17d4cbc787029359b338db45b4fdca1c033a6"
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_spec_line_parses_back_to_the_spec(self, capsys, fmt):
+        spec = "kind puiseux; gens 1/3, 1/2"
+        code, out, _ = run(
+            capsys, "verify", "--suite", "lemma-5.2", "--spec", spec, "--format", fmt
+        )
+        assert code == EXIT_PASS
+        if fmt == "text":
+            assert out.splitlines()[1] == f"  spec: {spec}"
+            assert "" not in out.splitlines()
+        else:
+            assert [json.loads(line)["spec"] for line in out.splitlines()] == [spec]
+
+    @pytest.mark.parametrize(
+        "suite, spec",
+        [
+            ("lemma-2.6", "kind numerical; gens 2, 3"),
+            ("lemma-2.6", "kind family; family EX44 depth 2"),
+            ("thm-5.5-gap", "kind family; family RANK2-5.3 depth 3; sample 32/15, 7/3"),
+        ],
+    )
+    def test_report_spec_is_the_cli_syntax(self, suite, spec):
+        parsed = parse_monoid_spec(spec.replace(";", "\n"))
+        report = run_verify_suite(suite, parsed, budget=1)
+        assert report.spec == spec
+        assert parse_monoid_spec(report.spec.replace(";", "\n")) == parsed
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "lemma-9.9")

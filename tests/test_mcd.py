@@ -13,11 +13,13 @@ from finpow.backend import (
     TruncationError,
     clear_caches,
     divisors,
+    encode,
     expand_family,
 )
 from finpow.mcd import (
     McdWitnessStep,
     ResidueClass,
+    _cap_constant_on_scaled,
     _residue,
     cap_constant_on,
     cap_residue,
@@ -33,13 +35,16 @@ from finpow.power import (
     FinSet,
     _anchored_divisors,
     _decode_set,
+    _decompositions,
     _encode_set,
+    decompositions,
     divides_in_P,
     singleton,
     sumset,
     zero_set,
 )
 from test_backend import naive_members
+from finpow.suites import _ex44_residue_pairs
 from test_power import numerical_specs, puiseux_specs
 
 N23 = MonoidSpec.numerical(2, 3)
@@ -357,3 +362,66 @@ class TestScaledMcdLayer:
     def test_small_lattice_puiseux_mcd_in_P(self, spec, data):
         fam = draw_family(data, sorted(naive_members(spec.generators, 2)))
         assert cold(mcd_in_P, fam, spec) == cold(reference_mcd_in_P, fam, spec)
+
+
+# ---------------------------------------------------------------------------
+# The scaled path of the lemma-5.2 suite: the decomposition core on scaled
+# sets and the residue check on ints, against the public functions
+
+
+RESIDUE_SPECS = [
+    expand_family("EX44", 2),
+    expand_family("EX44", 3),
+    MonoidSpec.puiseux(F(1, 3), F(1, 2)).expanded(),
+]
+
+
+def draw_residue_set(data, spec: MonoidSpec) -> FinSet:
+    """A set of one to three sums of distinct generators, sometimes added to
+    a second such set, as the lemma-5.2 suite builds its sets."""
+
+    def one() -> FinSet:
+        picks = st.lists(st.sampled_from(spec.generators), unique=True, max_size=3)
+        sums = st.lists(picks.map(lambda gs: sum(gs, F(0))), min_size=1, max_size=3)
+        return FinSet(tuple(data.draw(sums)))
+
+    s = one()
+    return sumset(s, one()) if data.draw(st.booleans()) else s
+
+
+class TestScaledLemma52Path:
+    @pytest.mark.parametrize("spec", RESIDUE_SPECS, ids=["EX44@2", "EX44@3", "puiseux(1/3,1/2)"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_decomposition_core_matches_the_public_function(self, spec, data):
+        s = draw_residue_set(data, spec)
+        for both in (False, True):
+            clear_caches()
+            bud = Budget()
+            want = decompositions(s, spec, bud, both_nonsingleton=both)
+            clear_caches()
+            core_bud = Budget()
+            got = _decompositions(_encode_set(s, spec), spec, core_bud, both)
+            assert [(_decode_set(u, spec), _decode_set(v, spec)) for u, v in got] == [
+                (d.left, d.right) for d in want
+            ]
+            assert core_bud.used == bud.used
+
+    @pytest.mark.parametrize("spec", RESIDUE_SPECS, ids=["EX44@2", "EX44@3", "puiseux(1/3,1/2)"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_int_residue_check_matches_cap_constant_on(self, spec, data):
+        s = draw_residue_set(data, spec)
+        sides = [s] + [side for d in decompositions(s, spec) for side in (d.left, d.right)]
+        # lattice points outside M have a residue too
+        ns = data.draw(st.sets(st.integers(-3 * spec.scale, 3 * spec.scale), min_size=1, max_size=4))
+        sides.append(FinSet(tuple(F(n, spec.scale) for n in ns)))
+        for a, p in _ex44_residue_pairs(spec, "lemma-5.2"):
+            for side in sides:
+                scaled = tuple(encode(q, spec) for q in side)
+                assert _cap_constant_on_scaled(scaled, a, p, spec) == cap_constant_on(side, a, p, spec)
+
+    def test_int_residue_check_rejects_a_bad_pair(self):
+        spec = MonoidSpec.puiseux(F(1, 9), F(1, 2)).expanded()
+        with pytest.raises(InvalidInputError, match="does not have valuation -1 at 3"):
+            _cap_constant_on_scaled((0, 2), F(1, 9), 3, spec)

@@ -403,6 +403,37 @@ class TestCofactorKernel:
         check_cofactor(*draw_pair(data, members, half), spec, members)
 
 
+class TestSumsetConstructor:
+    """sumset builds its result unvalidated, from sorted distinct sums."""
+
+    @given(
+        st.lists(small_rationals, min_size=1, max_size=5),
+        st.lists(small_rationals, min_size=1, max_size=5),
+    )
+    def test_equals_the_validating_constructor_on_rationals(self, xs, ys):
+        s, t = FinSet(tuple(xs)), FinSet(tuple(ys))
+        want = FinSet(tuple(a + b for a in s for b in t))
+        got = sumset(s, t)
+        assert got == want and hash(got) == hash(want) and got.elems == want.elems
+
+    @given(
+        st.lists(small_points, min_size=1, max_size=5),
+        st.lists(small_points, min_size=1, max_size=5),
+    )
+    def test_equals_the_validating_constructor_on_points(self, xs, ys):
+        # the points come unsorted, and many pairs share a sum
+        s, t = FinSet(tuple(xs)), FinSet(tuple(ys))
+        want = FinSet(tuple(a + b for a in s for b in t))
+        got = sumset(s, t)
+        assert got == want and hash(got) == hash(want) and got.elems == want.elems
+
+    def test_points_plus_rationals_rejected(self):
+        points = FinSet((QPoint2(Fraction(0), Fraction(1)),))
+        for s, t in ((points, FinSet((1, 2))), (FinSet((Fraction(1, 2),)), points)):
+            with pytest.raises(InvalidInputError, match="cannot add a set of points"):
+                sumset(s, t)
+
+
 class TestDecodeSet:
     @given(
         st.one_of(numerical_specs, puiseux_specs),
