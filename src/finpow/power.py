@@ -8,10 +8,9 @@ minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
 One enumeration, `_anchored_divisors`, lists every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
-`mcd.p_divisors` collects the U's.  The V's are found on scaled sets by the
-private core `_decompositions`, which the public function wraps in one encode
-and one decode, and which the lemma-5.2 suite runs on its scaled sets with
-the int residue check of `mcd`.
+`mcd.p_divisors` collects the U's.  The scaled core of `decompositions`,
+`_decompositions`, also serves the lemma-5.2 suite, which checks residues on
+ints through `mcd._cap_constant_on_scaled`.
 
 Cofactors are computed by one mask kernel, `_cofactors`, which also serves
 `divides_in_P` and `singleton_candidates`.  For the sets U with minimum a
@@ -28,9 +27,10 @@ element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
 M, and a set holding one is rejected with InvalidInputError; so is a set
 holding a lattice point outside M, wherever the divisor enumeration runs.
 Results are decoded through a constructor that trusts the scaled order, as
-decoding is monotone; `sumset` builds its sorted distinct sums through it too.  Membership tests, divisor lists and set divisor
-enumerations share the one result cache of `backend`; a kept enumeration is
-replayed at the node cost of an uncached rerun, so caching moves no count.
+decoding is monotone; `sumset` builds its sorted, distinct sums through it
+too.  Membership tests, divisor lists and set divisor enumerations share the
+one result cache of `backend`; a kept enumeration is replayed at the node
+cost of an uncached rerun, so caching moves no count.
 """
 from __future__ import annotations
 

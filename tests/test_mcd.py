@@ -370,9 +370,9 @@ class TestScaledMcdLayer:
 
 
 RESIDUE_SPECS = [
-    expand_family("EX44", 2),
-    expand_family("EX44", 3),
-    MonoidSpec.puiseux(F(1, 3), F(1, 2)).expanded(),
+    pytest.param(expand_family("EX44", 2), id="EX44@2"),
+    pytest.param(expand_family("EX44", 3), id="EX44@3"),
+    pytest.param(MonoidSpec.puiseux(F(1, 3), F(1, 2)).expanded(), id="puiseux(1/3,1/2)"),
 ]
 
 
@@ -390,7 +390,7 @@ def draw_residue_set(data, spec: MonoidSpec) -> FinSet:
 
 
 class TestScaledLemma52Path:
-    @pytest.mark.parametrize("spec", RESIDUE_SPECS, ids=["EX44@2", "EX44@3", "puiseux(1/3,1/2)"])
+    @pytest.mark.parametrize("spec", RESIDUE_SPECS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_decomposition_core_matches_the_public_function(self, spec, data):
@@ -407,7 +407,7 @@ class TestScaledLemma52Path:
             ]
             assert core_bud.used == bud.used
 
-    @pytest.mark.parametrize("spec", RESIDUE_SPECS, ids=["EX44@2", "EX44@3", "puiseux(1/3,1/2)"])
+    @pytest.mark.parametrize("spec", RESIDUE_SPECS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_int_residue_check_matches_cap_constant_on(self, spec, data):

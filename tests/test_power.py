@@ -403,6 +403,13 @@ class TestCofactorKernel:
         check_cofactor(*draw_pair(data, members, half), spec, members)
 
 
+def check_sumset(xs: list, ys: list) -> None:
+    s, t = FinSet(tuple(xs)), FinSet(tuple(ys))
+    want = FinSet(tuple(a + b for a in s for b in t))
+    got = sumset(s, t)
+    assert got == want and hash(got) == hash(want) and got.elems == want.elems
+
+
 class TestSumsetConstructor:
     """sumset builds its result unvalidated, from sorted distinct sums."""
 
@@ -411,10 +418,7 @@ class TestSumsetConstructor:
         st.lists(small_rationals, min_size=1, max_size=5),
     )
     def test_equals_the_validating_constructor_on_rationals(self, xs, ys):
-        s, t = FinSet(tuple(xs)), FinSet(tuple(ys))
-        want = FinSet(tuple(a + b for a in s for b in t))
-        got = sumset(s, t)
-        assert got == want and hash(got) == hash(want) and got.elems == want.elems
+        check_sumset(xs, ys)
 
     @given(
         st.lists(small_points, min_size=1, max_size=5),
@@ -422,10 +426,7 @@ class TestSumsetConstructor:
     )
     def test_equals_the_validating_constructor_on_points(self, xs, ys):
         # the points come unsorted, and many pairs share a sum
-        s, t = FinSet(tuple(xs)), FinSet(tuple(ys))
-        want = FinSet(tuple(a + b for a in s for b in t))
-        got = sumset(s, t)
-        assert got == want and hash(got) == hash(want) and got.elems == want.elems
+        check_sumset(xs, ys)
 
     def test_points_plus_rationals_rejected(self):
         points = FinSet((QPoint2(Fraction(0), Fraction(1)),))
