@@ -4,13 +4,11 @@ atomicity-hierarchy predicates over exact rational backends.
 """
 from .arith import (
     InvalidInputError,
-    PadicVal,
     QPoint2,
     Rat,
     parse_element,
     parse_rational,
     render_element,
-    vp,
     vp_value,
 )
 from .backend import (

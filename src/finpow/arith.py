@@ -1,5 +1,5 @@
-"""Exact rational arithmetic, p-adic valuations, prime streams, and the
-lexicographically ordered plane points used by the rank-2 backend.
+"""Exact rational arithmetic, p-adic valuations, prime factors and streams,
+and the lexicographically ordered plane points used by the rank-2 backend.
 
 All values here are immutable and all functions are pure.
 """
@@ -52,51 +52,6 @@ def primes_geq(lower: int, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PadicVal:
-    """A p-adic valuation: a plain integer, or the infinity reserved for 0.
-
-    Infinity is the tagged value ``PadicVal.infinity()``, never a magic number.
-    """
-
-    value: int | None  # None encodes infinity
-
-    @classmethod
-    def infinity(cls) -> "PadicVal":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, v: int) -> "PadicVal":
-        return cls(int(v))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __int__(self) -> int:
-        if self.value is None:
-            raise InvalidInputError("infinite valuation has no integer value")
-        return self.value
-
-    def _key(self) -> tuple[int, int]:
-        # infinity sorts above every finite valuation
-        return (1, 0) if self.value is None else (0, self.value)
-
-    def __lt__(self, other: "PadicVal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "PadicVal") -> bool:
-        return self._key() <= other._key()
-
-    def __add__(self, other: "PadicVal") -> "PadicVal":
-        if self.value is None or other.value is None:
-            return PadicVal.infinity()
-        return PadicVal(self.value + other.value)
-
-    def __repr__(self) -> str:
-        return "PadicVal(inf)" if self.value is None else f"PadicVal({self.value})"
-
-
 def _vp_int(p: int, n: int) -> int:
     # n != 0
     m = 0
@@ -106,19 +61,28 @@ def _vp_int(p: int, n: int) -> int:
     return m
 
 
-def vp(p: int, q: Rat) -> PadicVal:
-    """The exact p-adic valuation of a rational; infinity iff q = 0."""
+def vp_value(p: int, q: Rat) -> int:
+    """The exact p-adic valuation of a nonzero rational."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
     if q == 0:
-        return PadicVal.infinity()
-    return PadicVal.finite(_vp_int(p, q.numerator) - _vp_int(p, q.denominator))
+        raise InvalidInputError("0 has no finite valuation")
+    return _vp_int(p, q.numerator) - _vp_int(p, q.denominator)
 
 
-def vp_value(p: int, q: Rat) -> int:
-    """Finite valuation of a nonzero rational, as a plain int."""
-    v = vp(p, q)
-    return int(v)
+def _den_primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @dataclass(frozen=True, order=False)

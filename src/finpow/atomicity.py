@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Element, InvalidInputError, QPoint2, Rat, primes_from, vp_value
+from .arith import Element, InvalidInputError, QPoint2, Rat, _den_primes, primes_from, vp_value
 from .backend import (
     Budget,
     MonoidSpec,
@@ -100,7 +100,6 @@ def p_accp_chain_explore(
 class SampleReport:
     ok: bool
     counterexample: object = None
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -243,18 +242,10 @@ def canonical_decomp_Q(q: Rat) -> CanonicalDecompQ:
         raise InvalidInputError(f"{q} has even denominator")
     coeffs = []
     rest = q
-    p = 3
-    d = den
-    while d > 1:
-        while d % p:
-            p += 2
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e > 1:
+    for p in _den_primes(den):
+        if den % (p * p) == 0:
             raise InvalidInputError(f"{q} has a repeated odd prime in its denominator")
-        c = q.numerator * pow(q.denominator // p, -1, p) % p
+        c = q.numerator * pow(den // p, -1, p) % p
         coeffs.append((p, c))
         rest -= Fraction(c, p)
     if rest.denominator != 1:

@@ -35,6 +35,7 @@ from .arith import (
     QPoint2,
     QPOINT_ZERO,
     Rat,
+    _den_primes,
     parse_element,
     primes_geq,
     render_element,
@@ -272,20 +273,6 @@ def _expand_family(family: str, depth: int, sample: tuple) -> MonoidSpec:
 
 # ---------------------------------------------------------------------------
 # The coefficient search
-
-
-def _den_primes(n: int) -> tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _lattice(b: Element, base) -> tuple:

@@ -212,12 +212,16 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args) if (args.spec or args.spec_file) else None
-    bud = _budget(args)
+    given = bool(args.spec or args.spec_file)
     if args.suite == "all":
-        reports = run_all_suites(spec, bud.limit)
+        if given:
+            raise InvalidInputError(
+                "--suite all takes no spec; name one suite to run it on a spec"
+            )
+        reports = run_all_suites(_budget(args).limit)
     else:
-        reports = [run_verify_suite(args.suite, spec, bud)]
+        spec = _load_spec(args) if given else None
+        reports = [run_verify_suite(args.suite, spec, _budget(args))]
     text = "".join(
         r.to_text() if args.format == "text" else r.to_json_lines() for r in reports
     )

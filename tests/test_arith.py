@@ -1,4 +1,5 @@
 """Exact-arithmetic layer: rationals, p-adic valuations, ordered pairs."""
+import math
 import operator
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from finpow.arith import (
     InvalidInputError,
-    PadicVal,
     QPoint2,
+    _den_primes,
     is_prime,
     parse_element,
     parse_qpoint,
@@ -17,7 +18,6 @@ from finpow.arith import (
     primes_geq,
     render_element,
     render_rational,
-    vp,
     vp_value,
 )
 
@@ -50,6 +50,12 @@ class TestPrimes:
         first = [next(it) for _ in range(10)]
         assert first == sorted(first) and all(is_prime(p) for p in first)
 
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_den_primes_matches_naive_factoring(self, n):
+        # the prime divisors among the pairs (d, n/d) with d <= sqrt(n)
+        pairs = (e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d))
+        assert _den_primes(n) == tuple(sorted({e for e in pairs if is_prime(e)}))
+
 
 class TestValuations:
     def test_vp_values(self):
@@ -57,19 +63,13 @@ class TestValuations:
         assert vp_value(3, Fraction(9, 2)) == 2
         assert vp_value(2, Fraction(7)) == 0
 
-    def test_vp_of_zero_is_infinite(self):
-        v = vp(5, Fraction(0))
-        assert v == PadicVal.infinity()
-        assert PadicVal.finite(10**9) < v
-
-    def test_infinite_plus_finite(self):
-        assert PadicVal.infinity() + PadicVal.finite(3) == PadicVal.infinity()
+    def test_vp_of_zero_is_an_error(self):
         with pytest.raises(InvalidInputError):
-            int(PadicVal.infinity())
+            vp_value(5, Fraction(0))
 
     def test_vp_requires_prime(self):
-        with pytest.raises(InvalidInputError):
-            vp(6, Fraction(1, 2))
+        with pytest.raises(InvalidInputError, match="6 is not prime"):
+            vp_value(6, Fraction(1, 2))
 
     @given(rationals.filter(lambda q: q != 0), rationals.filter(lambda q: q != 0))
     def test_vp_is_additive_on_products(self, a, b):

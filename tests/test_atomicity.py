@@ -120,13 +120,19 @@ class TestCanonicalDecomp:
         d = canonical_decomp_Q(F(3))
         assert d.ell == 3 and d.coeffs == ()
 
+    def test_decomp_with_a_large_prime(self):
+        d = canonical_decomp_Q(F(1, 3) + F(1, 10007))
+        assert d.ell == 0
+        assert d.coeffs == ((3, 1), (10007, 1))
+
     def test_even_denominator_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^1/2 has even denominator$"):
             canonical_decomp_Q(F(1, 2))
 
     def test_repeated_prime_rejected(self):
-        with pytest.raises(InvalidInputError):
-            canonical_decomp_Q(F(1, 9))
+        for q in (F(1, 9), F(2, 75), F(1, 3 * 10007**2)):
+            with pytest.raises(InvalidInputError, match="has a repeated odd prime"):
+                canonical_decomp_Q(q)
 
     def test_random_reconstruction(self):
         rng = random.Random(20260826)

@@ -12,10 +12,12 @@ from finpow.cli import (
     EXIT_USAGE,
     main,
 )
+from finpow import suites
 from finpow.backend import parse_monoid_spec
 from finpow.suites import run_verify_suite
 
 SPEC23 = "kind numerical; gens 2, 3"
+RANK2 = "kind family; family RANK2-5.3 depth 3; sample 7/3, 32/15"
 COMMON_FLAGS = ("--spec", "--spec-file", "--budget", "--depth")
 SUBCOMMANDS = (
     "sumset", "atoms", "member", "factorize", "divides",
@@ -266,13 +268,42 @@ class TestUsageErrors:
             ("cap-additivity", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
             ("lemma-5.2", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
             ("thm-5.5-gap", "family EX44 depth 2", "rank-2"),
-            ("all", SPEC23, "rank-1"),
         ],
     )
     def test_suite_given_a_spec_of_the_wrong_kind(self, capsys, suite, spec, needs):
         code, out, err = run(capsys, "verify", "--suite", suite, "--spec", spec)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and f"needs a {needs} spec" in err
+
+    @pytest.mark.parametrize(
+        "suite, spec, message",
+        [
+            ("ex-4.4", SPEC23, "ex-4.4 needs an EX44 family spec"),
+            ("ex-4.4", "family Q-ODDPRIMES depth 3", "ex-4.4 needs an EX44 family spec"),
+            ("lemma-5.4", SPEC23, "lemma-5.4 takes no spec"),
+            ("lemma-5.4", RANK2, "lemma-5.4 takes no spec"),
+        ],
+    )
+    def test_suite_rejects_a_spec_it_would_ignore(self, capsys, suite, spec, message):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--spec", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec", [SPEC23, "kind rank2; gens (0,1), (1/5, 2)", None])
+    def test_all_suites_take_no_spec(self, capsys, monkeypatch, tmp_path, spec):
+        def no_suite_runs(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(suites, "run_verify_suite", no_suite_runs)
+        if spec is None:
+            path = tmp_path / "m.spec"
+            path.write_text("kind numerical\ngens 2, 3\n", encoding="utf-8")
+            flags = ("--spec-file", str(path))
+        else:
+            flags = ("--spec", spec)
+        code, out, err = run(capsys, "verify", "--suite", "all", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --suite all takes no spec")
 
     def test_lemma_5_2_rejects_a_generator_without_valuation_minus_one(self, capsys):
         # the suite's residue check on scaled ints is sound only for a pair
@@ -288,9 +319,6 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--suite", "lemma-3.2", "--out", str(out_path))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: cannot write")
-
-
-RANK2 = "kind family; family RANK2-5.3 depth 3; sample 7/3, 32/15"
 
 
 class TestRank2Elements:
