@@ -73,7 +73,6 @@ def accp_chain_explore(
 ) -> ChainReport:
     """Longest chain b = b_0, b_1, ... with each b_{i+1} a proper divisor of
     b_i, trying the largest divisors first."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     return _longest_chain(
         b,
@@ -89,7 +88,6 @@ def p_accp_chain_explore(
 
     The cardinality profile along any such chain is non-increasing, which is
     what forces stabilization."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     return _longest_chain(
         s, lambda t: [u for u in p_divisors(t, spec, bud) if u != t], maxlen
@@ -111,7 +109,6 @@ def is_furstenberg_sample(
     """True iff every nonzero member below the bound is divisible by an atom."""
     if bound <= 0:
         raise InvalidInputError("bound must be positive")
-    spec = spec.expanded()
     bud = as_budget(budget)
     ats = atoms(spec, bud)
     for b in members_upto(spec, bound, bud):
@@ -131,7 +128,6 @@ def p_furstenberg_divisor(
     d serves; otherwise a non-singleton proper divisor u of s of least size
     is an atom, as a split V + W of u has no singleton side, so |V| < |u|
     (Lemma 3.2) and V would be a smaller one."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     if s == zero_set(spec):
         raise InvalidInputError("the zero set has no atom divisor")
@@ -161,7 +157,6 @@ def atom_divisors(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """All atoms of the monoid dividing b."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     return list(_atom_divisors(b, atoms(spec, bud), spec, bud))
 
@@ -187,7 +182,6 @@ def tidf_implies_atomic_check(
     """Replay the atomicity descent from every member below the bound:
     repeatedly subtract the minimum atom divisor and confirm termination at 0
     within ceil(b / min atom) steps."""
-    spec = spec.expanded()
     if spec.is_rank2:
         raise InvalidInputError("descent check requires a rank-1 positive backend")
     bud = as_budget(budget)
@@ -376,7 +370,6 @@ def thm55_projection_check(
     1/7, and in the total sumset every first-coordinate offset from the
     minimum is 0 or at least 2/35 — so an offset of exactly 1/35 never
     occurs.  The report covers the supplied atoms only."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     if not atom_list:
         return ProjectionGapReport(True, "mechanism verified (vacuous)")

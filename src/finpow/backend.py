@@ -18,14 +18,15 @@ what keeps truncated Puiseux families with large denominators tractable.
 `_solve` runs it over the atoms for `factorizations`, and for `atoms` over
 the generators but the one tested, with no spec built for them.  Membership
 verdicts, scaled divisor lists, set divisor enumerations and the atom list
-live in one result cache per expanded spec; `clear_caches` empties it.
+live in one result cache per spec; `clear_caches` empties it.  A family spec
+is expanded once, when it is built, and equals its expansion.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -107,21 +108,26 @@ class MonoidSpec:
 
     Generators are strictly positive, deduplicated, and sorted; truncated
     families expand deterministically given their depth (and, for the rank-2
-    family, a finite sample of second-coordinate seeds).  Rank-2 generators
+    family, a finite sample of second-coordinate seeds).  A family spec
+    holds its expansion's generators from construction.  Rank-2 generators
     must have a nonnegative first coordinate, because the rank-2 search
     prunes every residual with negative x.
 
-    The hash is computed once per instance and kept out of `__eq__`, the
-    repr and the pickled state, so that cache keys do not rehash every
-    generator on each lookup.  The lattice scale of a rank-1 spec is cached
-    the same way.
+    Two specs are equal iff their generators are: `kind`, `family`, `depth`
+    and `sample` are labels that name the presentation, and take no part in
+    `==` or the hash.  So a family spec equals its expansion, and
+    `numerical(2, 3)` equals `puiseux(2, 3)`; equal specs share one
+    result-cache entry.  The hash, the same in every process, is computed
+    once per instance and kept out of `__eq__` and the repr, so that cache
+    keys do not rehash every generator on each lookup.  The lattice scale
+    is cached the same way.
     """
 
-    kind: str  # numerical | puiseux | rank2 | family
+    kind: str = field(compare=False)  # numerical | puiseux | rank2 | family
     generators: tuple = ()
-    family: Optional[str] = None
-    depth: Optional[int] = None
-    sample: tuple = ()
+    family: Optional[str] = field(default=None, compare=False)
+    depth: Optional[int] = field(default=None, compare=False)
+    sample: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.kind == "family":
@@ -129,7 +135,10 @@ class MonoidSpec:
                 raise InvalidInputError(f"unknown family tag {self.family!r}")
             if self.depth is None or self.depth < 1:
                 raise InvalidInputError("family depth must be >= 1")
-            object.__setattr__(self, "sample", tuple(sorted(set(self.sample))))
+            sample = tuple(sorted(set(self.sample)))
+            object.__setattr__(self, "sample", sample)
+            gens = expand_family(self.family, self.depth, sample).generators
+            object.__setattr__(self, "generators", gens)
             return
         if self.kind not in ("numerical", "puiseux", "rank2"):
             raise InvalidInputError(f"unknown spec kind {self.kind!r}")
@@ -157,15 +166,9 @@ class MonoidSpec:
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.kind, self.generators, self.family, self.depth, self.sample))
+            h = hash(self.generators)
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so the cached hash is not state
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     # -- convenience constructors ------------------------------------------
     @classmethod
@@ -187,18 +190,17 @@ class MonoidSpec:
     # ----------------------------------------------------------------------
     @property
     def is_rank2(self) -> bool:
-        if self.kind == "family":
-            return self.family == "RANK2-5.3"
-        return self.kind == "rank2"
+        return isinstance(self.generators[0], QPoint2)
 
     @property
     def zero(self) -> Element:
         return QPOINT_ZERO if self.is_rank2 else Fraction(0)
 
     def expanded(self) -> "MonoidSpec":
-        if self.kind != "family":
-            return self
-        return expand_family(self.family, self.depth, self.sample)
+        """The spec itself, as a family spec holds its expansion already.
+        Nothing in the package calls it; it stays because perfbench's tracer
+        wraps it and perfbench's workloads call it."""
+        return self
 
     @property
     def scale(self):
@@ -208,7 +210,7 @@ class MonoidSpec:
         of the x denominators."""
         scale = self.__dict__.get("_scale")
         if scale is None:
-            scale = _basis_scale(self.expanded().generators, self.is_rank2)
+            scale = _basis_scale(self.generators, self.is_rank2)
             object.__setattr__(self, "_scale", scale)
         return scale
 
@@ -237,17 +239,11 @@ def ex44_a2_atoms(depth: int) -> tuple[Rat, ...]:
     return tuple(g for i, g in enumerate(_ex44_generators(depth)) if i % 2 == 1)
 
 
-def expand_family(family: str, depth: int, sample: Iterable[Rat] = ()) -> MonoidSpec:
-    """Expand a named truncated family into an explicit generator list.
-
-    Expansions are memoized, so a family spec's expansion, hash and scale
-    are computed once rather than on every call that expands it.
-    """
-    return _expand_family(family, depth, tuple(sample))
-
-
 @memoized(maxsize=64)
-def _expand_family(family: str, depth: int, sample: tuple) -> MonoidSpec:
+def expand_family(family: str, depth: int, sample: tuple = ()) -> MonoidSpec:
+    """The unlabelled puiseux or rank2 spec of a named truncated family, its
+    sample a sorted tuple of distinct rationals; memoized, so the family
+    specs of one (family, depth, sample) share one generator tuple."""
     if depth is None or depth < 1:
         raise InvalidInputError("family depth must be >= 1")
     if family == "EX44":
@@ -259,14 +255,8 @@ def _expand_family(family: str, depth: int, sample: tuple) -> MonoidSpec:
     if family == "RANK2-5.3":
         from .atomicity import rank2_atom  # deferred: atomicity builds on this module
 
-        gens: list[QPoint2] = []
-        for q in sample:
-            gens.append(rank2_atom(Fraction(q), "A"))
-            gens.append(rank2_atom(Fraction(q), "B"))
-        for n in range(1, depth + 1):
-            gens.append(QPoint2(Fraction(0), Fraction(1, 2**n)))
-        if not gens:
-            raise InvalidInputError("RANK2-5.3 needs a nonempty sample or depth")
+        gens = [rank2_atom(Fraction(q), branch) for q in sample for branch in "AB"]
+        gens += [QPoint2(Fraction(0), Fraction(1, 2**n)) for n in range(1, depth + 1)]
         return MonoidSpec("rank2", tuple(gens))
     raise InvalidInputError(f"unknown family tag {family!r}")
 
@@ -379,12 +369,12 @@ def representations(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[tuple[int, ...]]:
     """All coefficient vectors writing b over the spec's (sorted) generators."""
-    spec = spec.expanded()
     spec.check_element(b)
     return _solve(spec.generators, b, as_budget(budget), False)
 
 
-# The one result cache: expanded spec -> [{scaled element: verdict},
+# The one result cache, keyed by generators (a family spec shares the entry
+# of its expansion): spec -> [{scaled element: verdict},
 # {scaled element: its scaled divisors}, the plan over its generators,
 # {scaled set: None once enumerated, then (its divisor enumeration, the nodes
 # an uncached rerun spends)}, the atom tuple once `atoms` has completed (None
@@ -394,7 +384,7 @@ _cache: dict[MonoidSpec, list] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
-    """The scaled form of an element of an expanded spec.
+    """The scaled form of an element of a spec.
 
     A rank-1 element of (1/L)Z becomes the int q*L, where L = spec.scale; one
     off that lattice becomes the non-integral Fraction q*L, so it can never
@@ -407,12 +397,12 @@ def encode(q: Element, spec: MonoidSpec):
 
 
 def decode(n, spec: MonoidSpec) -> Element:
-    """The element whose scaled form over an expanded spec is n."""
+    """The element whose scaled form over a spec is n."""
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
 def _entry(spec: MonoidSpec) -> list:
-    """The cache entry of an expanded spec, made on first use."""
+    """The cache entry of a spec, made on first use."""
     entry = _cache.get(spec)
     if entry is None:
         entry = _cache[spec] = [{}, {}, _plan(spec.generators[::-1], spec.scale), {}, None]
@@ -420,7 +410,7 @@ def _entry(spec: MonoidSpec) -> list:
 
 
 def _locate(b: Element, spec: MonoidSpec, plan: tuple) -> tuple:
-    """(plan, y, x) for an element b of an expanded spec: off the spec's
+    """(plan, y, x) for an element b of a spec: off the spec's
     lattice the spec's `plan` is redone on one that holds b too."""
     scale, y, x = _lattice(b, spec.scale)
     if scale != spec.scale:
@@ -429,7 +419,7 @@ def _locate(b: Element, spec: MonoidSpec, plan: tuple) -> tuple:
 
 
 def membership(spec: MonoidSpec, budget: Budget):
-    """A membership test for scaled elements n >= 0 of an expanded spec.
+    """A membership test for scaled elements n >= 0 of a spec.
 
     The test reads and fills the spec's verdicts in the result cache; a miss
     runs the coefficient search and charges it to `budget`.
@@ -448,7 +438,6 @@ def membership(spec: MonoidSpec, budget: Budget):
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
     """Exact membership: is q a nonnegative-integer combination of generators?"""
-    spec = spec.expanded()
     spec.check_element(q)
     if q < spec.zero:
         return False
@@ -463,7 +452,6 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     coordinates, each sub-multiset sum spends one node, and the sorted sums
     are cached scaled under the scaled b and decoded on return.
     """
-    spec = spec.expanded()
     spec.check_element(b)
     _, cache, plan, _, _ = _entry(spec)
     key = encode(b, spec)
@@ -501,7 +489,6 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     spec's result-cache entry, so a repeated call costs one lookup; a search
     cut short by the budget keeps nothing.
     """
-    spec = spec.expanded()
     entry = _entry(spec)
     if entry[4] is None:
         bud = as_budget(budget)
@@ -555,7 +542,6 @@ def factorizations(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[Factorization]:
     """The complete list Z(b) of factorizations of b into atoms."""
-    spec = spec.expanded()
     bud = as_budget(budget)
     atom_tuple = tuple(atoms(spec, bud))
     spec.check_element(b)
@@ -570,7 +556,6 @@ def members_upto(
     spec: MonoidSpec, bound: Rat, budget: "Budget | int | None" = None
 ) -> list:
     """All members of a rank-1 spec in [0, bound], sorted."""
-    spec = spec.expanded()
     if spec.is_rank2:
         raise InvalidInputError("members_upto supports rank-1 specs only")
     if bound < 0:
@@ -603,8 +588,10 @@ def clear_caches() -> None:
 # Spec file grammar, shared by library and CLI:
 #   kind numerical|puiseux|rank2|family
 #   gens 2, 3            (or rationals `1/7, 4/15`, or points `(0,1/2), ...`)
-#   family EX44 depth 3
+#   family EX44 depth 3  (`family EX44` alone is depth 1)
 #   sample 7/3, 32/15    (seeds for the RANK2-5.3 family)
+# `gens` is for the explicit kinds only, `family` for kind family (implied
+# when `kind` is missing), and `sample` for the RANK2-5.3 family only.
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -629,7 +616,7 @@ def parse_monoid_spec(text: str) -> MonoidSpec:
     kind = None
     gens: list[Element] = []
     family = None
-    depth = None
+    depth = 1
     sample: list[Rat] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -647,7 +634,9 @@ def parse_monoid_spec(text: str) -> MonoidSpec:
                 if not fields:
                     raise InvalidInputError("`family` needs a family tag")
                 family = fields[0]
-                if len(fields) >= 3 and fields[1] == "depth":
+                if len(fields) > 1:
+                    if len(fields) != 3 or fields[1] != "depth":
+                        raise InvalidInputError(f"expected `family {family} depth N`")
                     try:
                         depth = int(fields[2])
                     except ValueError:
@@ -659,9 +648,15 @@ def parse_monoid_spec(text: str) -> MonoidSpec:
         except InvalidInputError as exc:
             raise InvalidInputError(f"line {lineno}: {exc}") from exc
     if kind == "family" or (kind is None and family is not None):
-        return MonoidSpec.of_family(family, depth if depth is not None else 1, sample)
+        if gens:
+            raise InvalidInputError("a family spec takes no `gens`")
+        if sample and family != "RANK2-5.3":
+            raise InvalidInputError("only the RANK2-5.3 family takes a `sample`")
+        return MonoidSpec.of_family(family, depth, sample)
     if kind is None:
         raise InvalidInputError("missing `kind` directive")
+    if family is not None or sample:
+        raise InvalidInputError("`family` and `sample` need `kind family`")
     return MonoidSpec(kind, tuple(gens))
 
 

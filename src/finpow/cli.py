@@ -56,9 +56,7 @@ def _load_spec(args) -> MonoidSpec:
     spec = parse_monoid_spec(text)
     depth = _env_int("FINPOW_DEPTH", args.depth)
     if depth is not None and spec.kind == "family":
-        spec = MonoidSpec(
-            spec.kind, spec.generators, family=spec.family, depth=depth, sample=spec.sample
-        )
+        spec = MonoidSpec.of_family(spec.family, depth, spec.sample)
     return spec
 
 
@@ -185,11 +183,10 @@ def _cmd_mcd(args) -> int:
 
 def _cmd_chain(args) -> int:
     spec = _load_spec(args) if (args.spec or args.spec_file) else None
-    depth = (
-        spec.depth
-        if spec is not None and spec.kind == "family"
-        else _env_int("FINPOW_DEPTH", args.depth)
-    )
+    if spec is not None and spec.family != "EX44":
+        raise InvalidInputError("chain needs an EX44 family spec")
+    # `_load_spec` has applied --depth and FINPOW_DEPTH to a spec's depth
+    depth = spec.depth if spec is not None else _env_int("FINPOW_DEPTH", args.depth)
     if depth is None:
         depth = 6
     try:

@@ -65,7 +65,6 @@ def common_divisors(
     s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """Intersection of the divisor sets of the elements of s."""
-    spec = spec.expanded()
     out = _common_divisors(_encode_set(s, spec), spec, as_budget(budget))
     return list(_decode_set(out, spec))
 
@@ -73,7 +72,6 @@ def common_divisors(
 def mcd(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """All maximal common divisors of s: common divisors d such that the
     shifted set {e - d} has no common divisor besides 0."""
-    spec = spec.expanded()
     out = _mcd(_encode_set(s, spec), spec, as_budget(budget))
     return list(_decode_set(out, spec))
 
@@ -86,7 +84,6 @@ def p_divisors(
     t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[FinSet]:
     """All divisors of t in the power monoid, including {0} and t itself."""
-    spec = spec.expanded()
     divs = _anchored_divisors(_encode_set(t, spec), spec, as_budget(budget))
     return [_decode_set(u, spec) for u in sorted(u for u, _, _ in divs)]
 
@@ -103,7 +100,6 @@ def mcd_in_P(
     """
     if not family:
         raise InvalidInputError("empty family")
-    spec = spec.expanded()
     bud = as_budget(budget)
     fam = [_encode_set(t, spec) for t in family]
     stripped = (fam[0][0] - fam[0][0],)
@@ -152,7 +148,7 @@ class ResidueClass:
 
 @memoized(maxsize=256)
 def _check_cap_preconditions(a: Rat, p: int, spec: MonoidSpec) -> None:
-    """Raise unless (a, p) is a cap pair of the expanded spec.  A pair that
+    """Raise unless (a, p) is a cap pair of the spec.  A pair that
     passes is remembered until `clear_caches`; one that fails raises on
     every call."""
     if not is_prime(p):
@@ -183,20 +179,21 @@ def cap_residue(q: Rat, a: Rat, p: int, spec: MonoidSpec) -> ResidueClass:
     """The residue class mod p of the number of copies of atom a in any
     expression of q over the generators.  Well defined because p divides the
     denominator of a alone."""
-    _check_cap_preconditions(a, p, spec.expanded())
+    _check_cap_preconditions(a, p, spec)
     return ResidueClass(p, _residue(q, a, p))
 
 
 def cap_constant_on(s: FinSet, a: Rat, p: int, spec: MonoidSpec) -> bool:
     """True iff every element of s has the same residue at (a, p); the
     preconditions on (a, p) are checked once for the whole set."""
-    _check_cap_preconditions(a, p, spec.expanded())
+    _check_cap_preconditions(a, p, spec)
     return len({_residue(q, a, p) for q in s}) == 1
 
 
 def _cap_constant_on_scaled(s: tuple, a: Rat, p: int, spec: MonoidSpec) -> bool:
-    """`cap_constant_on` of the set whose scaled elements over the expanded
-    spec are s: True iff n mod p is the same for every n in s.
+    """`cap_constant_on` of the set whose scaled elements over the spec are
+    s, for a cap pair (a, p) that the caller has checked with
+    `_check_cap_preconditions`: True iff n mod p is the same for every n in s.
 
     As v_p(a) = -1 and p divides no other generator's denominator, v_p(L) =
     1 for L = spec.scale.  So for q = n/L, q/a = n*(a.den/p) / (a.num*L/p),
@@ -204,7 +201,6 @@ def _cap_constant_on_scaled(s: tuple, a: Rat, p: int, spec: MonoidSpec) -> bool:
     (a.num*L/p)^-1 is a unit mod p: the residue is constant on s iff n mod p
     is.
     """
-    _check_cap_preconditions(a, p, spec)
     return len({n % p for n in s}) == 1
 
 

@@ -44,6 +44,7 @@ from .power import (
 )
 from .mcd import (
     _cap_constant_on_scaled,
+    _check_cap_preconditions,
     cap_residue,
     chain_divisors,
     ex44_chain,
@@ -354,6 +355,7 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
 
 
 def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
+    """The cap pairs (a, p) of sp with p odd, each checked once, up front."""
     pairs = [] if sp.is_rank2 else [
         (g, p) for g in sp.generators for p in _den_primes(g.denominator)
         if p != 2 and all(h == g or h.denominator % p for h in sp.generators)
@@ -363,6 +365,8 @@ def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
             f"{suite} needs a rank-1 spec in which an odd prime divides the"
             " denominator of exactly one generator"
         )
+    for a, p in pairs:
+        _check_cap_preconditions(a, p, sp)
     return pairs
 
 
@@ -371,7 +375,7 @@ def _random_member(rng: random.Random, sp: MonoidSpec) -> Rat:
 
 
 def _suite_cap_additivity(spec, bud, rng) -> list:
-    sp = (spec if spec is not None else expand_family("EX44", 3)).expanded()
+    sp = spec if spec is not None else expand_family("EX44", 3)
     pairs = _ex44_residue_pairs(sp, "cap-additivity")
     bad = None
     for _ in range(500):
@@ -397,7 +401,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
 
 
 def _suite_lemma_5_2(spec, bud, rng) -> list:
-    sp = (spec if spec is not None else expand_family("EX44", 2)).expanded()
+    sp = spec if spec is not None else expand_family("EX44", 2)
     pairs = _ex44_residue_pairs(sp, "lemma-5.2")
     bad = None
     checked = 0
@@ -493,11 +497,7 @@ def _suite_lemma_5_4(spec, bud, rng) -> list:
 
 def _suite_thm_5_5(spec, bud, rng) -> list:
     sample = (Fraction(7, 3), Fraction(32, 15), Fraction(38, 15), Fraction(12, 5))
-    sp = (
-        spec
-        if spec is not None
-        else MonoidSpec.of_family("RANK2-5.3", 3, sample)
-    ).expanded()
+    sp = spec if spec is not None else MonoidSpec.of_family("RANK2-5.3", 3, sample)
     if not sp.is_rank2:
         raise InvalidInputError("thm-5.5-gap needs a rank-2 spec")
     # sample atoms of the two structural classes: those containing the

@@ -134,7 +134,12 @@ class TestMonoidSpec:
                 "RANK2-5.3", 2, (Fraction(7, 3), Fraction(32, 15))
             ),
         ):
-            assert parse_monoid_spec(render_monoid_spec(sp)) == sp
+            back = parse_monoid_spec(render_monoid_spec(sp))
+            # `==` compares generators only, so the labels are compared too
+            assert back == sp
+            assert (back.kind, back.family, back.depth, back.sample) == (
+                sp.kind, sp.family, sp.depth, sp.sample
+            )
 
     def test_rank2_rejects_negative_first_coordinate(self):
         # the rank-2 search prunes negative x, so such a generator would
@@ -210,10 +215,62 @@ class TestMonoidSpec:
         assert bud.used == 1
 
     def test_family_is_expanded_once(self):
-        sp = MonoidSpec.of_family("EX44", 3)
-        assert sp.expanded() is MonoidSpec.of_family("EX44", 3).expanded()
+        # a family spec holds its expansion from construction and equals it,
+        # so all three share one result-cache entry
+        clear_caches()
+        specs = (
+            MonoidSpec.of_family("EX44", 3),
+            MonoidSpec.of_family("EX44", 3),
+            expand_family("EX44", 3),
+        )
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(sp) for sp in specs}) == 1
+        for sp in specs:
+            assert member(Fraction(1), sp)
+        assert len(backend._cache) == 1
+        assert specs[0].expanded() is specs[0]
         # denominators 76, 204, 26, 66, 7, 15
-        assert sp.expanded().scale == 4 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+        assert specs[0].scale == 4 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+
+    def test_specs_are_equal_by_their_generators(self):
+        # the kind is a label: both present the same monoid with one plan
+        assert MonoidSpec.numerical(2, 3) == MonoidSpec.puiseux(2, 3)
+        assert MonoidSpec.of_family("EX44", 2) != MonoidSpec.of_family("EX44", 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MonoidSpec.of_family("EX44", 2),
+            MonoidSpec.of_family("EX44", 3),
+            MonoidSpec.of_family("EX44", 4),
+            MonoidSpec.of_family("Q-ODDPRIMES", 3),
+            MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),)),
+        ],
+        ids=["EX44@2", "EX44@3", "EX44@4", "Q-ODDPRIMES@3", "RANK2-5.3@2"],
+    )
+    def test_family_spec_answers_as_its_generators(self, spec):
+        gens = spec.generators
+        plain = MonoidSpec("rank2" if spec.is_rank2 else "puiseux", gens)
+        b = gens[0] + gens[-1]
+        s = FinSet((gens[0], b))
+        queries = [
+            lambda sp, bud: member(b, sp, bud),
+            lambda sp, bud: divisors(b, sp, bud),
+            lambda sp, bud: atoms(sp, bud),
+            lambda sp, bud: factorizations(b, sp, bud),
+            lambda sp, bud: decompositions(s, sp, bud),
+        ]
+        for query in queries:
+            answers = []
+            for sp in (spec, plain):
+                clear_caches()
+                bud = Budget()
+                answers.append((query(sp, bud), bud.used))
+            assert answers[0] == answers[1]
+
+    def test_a_family_that_fails_to_expand_raises_when_built(self):
+        with pytest.raises(InvalidInputError, match="5 is outside"):
+            MonoidSpec.of_family("RANK2-5.3", 2, [5])
 
     def test_pickle_round_trip_keeps_eq_and_hash(self):
         sp = MonoidSpec.of_family("EX44", 3)
@@ -339,13 +396,13 @@ class TestBudget:
 
 class TestRank2Backend:
     def test_family_expansion_contains_branch_atoms(self):
-        sp = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),)).expanded()
+        sp = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),))
         assert QPoint2(Fraction(1, 5), Fraction(10, 3)) in sp.generators
         assert QPoint2(Fraction(1, 7), Fraction(10, 3)) in sp.generators
         assert QPoint2(Fraction(0), Fraction(1, 2)) in sp.generators
 
     def test_rank2_membership(self):
-        sp = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),)).expanded()
+        sp = MonoidSpec.of_family("RANK2-5.3", 2, (Fraction(7, 3),))
         a = QPoint2(Fraction(1, 5), Fraction(10, 3))
         d = QPoint2(Fraction(0), Fraction(1, 2))
         assert member(a + d, sp)
@@ -569,7 +626,6 @@ class TestScaledDivisors:
     )
     def test_cache_serves_the_encoded_public_answer(self, b, spec, kind):
         clear_caches()
-        spec = spec.expanded()
         want = divisors(b, spec)
         assert want and all(type(d) is kind for d in want)
         assert want == sorted(d for d in want if member(d, spec) and member(b - d, spec))
@@ -706,3 +762,20 @@ def test_every_traced_name_exists():
         )
     ]
     assert traced and missing == []
+
+
+def test_no_module_calls_expanded():
+    # a spec holds its generators, family specs too, so `expanded()` is the
+    # identity and a call to it in the package is dead weight
+    root = os.path.dirname(finpow.__file__)
+    calls = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as f:
+                tree = ast.parse(f.read())
+            calls += [
+                f"{name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "expanded"
+            ]
+    assert calls == []

@@ -98,6 +98,11 @@ class TestParser:
         assert code == EXIT_PASS
         assert out.split() == ["2", "3"]
 
+    def test_family_tag_alone_is_depth_1(self, capsys):
+        # EX44 at depth 1 is generated by 1/7 and 4/15; 1/26 comes at depth 2
+        code, out, _ = run(capsys, "atoms", "--spec", "family EX44")
+        assert code == EXIT_PASS and out.split() == ["1/7", "4/15"]
+
     def test_depth_overrides_family_spec(self, capsys):
         # 1/76 is a generator of EX44 at depth 3 but not at depth 2
         spec = "kind family; family EX44 depth 3"
@@ -119,6 +124,12 @@ class TestChain:
         assert code == EXIT_INCONCLUSIVE
         assert "after 2 steps" in out
 
+
+    def test_default_depth_is_6(self, capsys, monkeypatch):
+        monkeypatch.delenv("FINPOW_DEPTH", raising=False)
+        default = run(capsys, "chain", "3")
+        assert default == run(capsys, "chain", "3", "--depth", "6")
+        assert default[0] == EXIT_PASS
 
     def test_depth_zero_is_usage_error(self, capsys):
         code, out, err = run(capsys, "chain", "2", "--depth", "0")
@@ -253,6 +264,17 @@ class TestUsageErrors:
             ("sumset", "{1, (0,1)}", "{0}"),
             ("member", "1", "--spec", "kind family; family EX44 depth x"),
             ("member", "1", "--spec", "kind family; family"),
+            # malformed specs: a line the grammar would otherwise ignore
+            ("member", "1", "--spec", "family EX44 dpth 3"),
+            ("member", "1", "--spec", "family EX44 depth"),
+            ("member", "1", "--spec", "family EX44 depth 3 extra"),
+            ("member", "1", "--spec", "kind numerical; gens 2, 3; family EX44 depth 2"),
+            ("member", "1", "--spec", "kind puiseux; gens 1/2; sample 7/3"),
+            ("atoms", "--spec", "kind rank2; gens (0,1); family RANK2-5.3"),
+            ("member", "1", "--spec", "kind family; family EX44 depth 2; gens 1/2"),
+            ("member", "1", "--spec", "family Q-ODDPRIMES depth 2; gens 1/2"),
+            ("member", "1", "--spec", "family EX44 depth 2; sample 7/3"),
+            ("member", "1", "--spec", "family Q-ODDPRIMES depth 2; sample 7/3"),
         ],
     )
     def test_no_traceback(self, capsys, argv):
@@ -304,6 +326,14 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--suite", "all", *flags)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: --suite all takes no spec")
+
+    @pytest.mark.parametrize(
+        "spec", [SPEC23, "family Q-ODDPRIMES depth 3", RANK2, "kind puiseux; gens 1/7, 4/15"]
+    )
+    def test_chain_needs_an_ex44_family_spec(self, capsys, spec):
+        code, out, err = run(capsys, "chain", "2", "--spec", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: chain needs an EX44 family spec\n"
 
     def test_lemma_5_2_rejects_a_generator_without_valuation_minus_one(self, capsys):
         # the suite's residue check on scaled ints is sound only for a pair

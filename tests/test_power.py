@@ -284,7 +284,7 @@ class TestAnchoredEnumerationOracle:
         s = FinSet(elems)
         top_x, top_y = max(e.x for e in elems), max(e.y for e in elems)
         members = closure(
-            spec.expanded().generators,
+            spec.generators,
             spec.zero,
             lambda q: q.x <= top_x and q.y <= top_y,
         )
