@@ -154,10 +154,10 @@ class MonoidSpec:
             if self.kind != "rank2" and isinstance(g, QPoint2):
                 raise InvalidInputError("rank-1 spec requires rational generators")
             if not g > zero:
-                raise InvalidInputError(f"generator {g!r} is not strictly positive")
+                raise InvalidInputError(f"generator {render_element(g)} is not strictly positive")
             if self.kind == "rank2" and g.x < 0:
                 raise InvalidInputError(
-                    f"rank2 generator {g!r} has a negative first coordinate"
+                    f"rank2 generator {render_element(g)} has a negative first coordinate"
                 )
         if self.kind == "numerical" and any(g.denominator != 1 for g in gens):
             raise InvalidInputError("numerical spec requires integer generators")

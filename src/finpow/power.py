@@ -8,7 +8,12 @@ minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
 One enumeration, `_anchored_divisors`, lists every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
-`mcd.p_divisors` collects the U's.  The scaled core of `decompositions`,
+`mcd.p_divisors` collects the U's.  Its subsets are walked once per anchor
+membership pattern rather than once per anchor, as translating by the
+anchor changes neither the subsets nor their covers; each anchor still
+spends one node per subset it stands for, in one charge, so node counts
+are those of a walk per anchor, and a budget that runs out stops at
+limit + 1.  The scaled core of `decompositions`,
 `_decompositions`, also serves the lemma-5.2 suite, which checks residues on
 ints through `mcd._cap_constant_on_scaled`.
 
@@ -215,6 +220,25 @@ def _cofactors(t: tuple, a, es, is_member):
     return cofactor
 
 
+def _relative_divisors(rel: tuple, ins: tuple, outs: tuple) -> list:
+    """(U - a, C - mv, covers) for every divisor U of the set t = min t + rel,
+    with its largest cofactor C, for the anchors a whose pattern is (ins,
+    outs): a + rel[i] is in M for the i in ins, and mv + rel[i], mv =
+    min t - a, for the i in outs.  Subsets come in the order a walk over
+    them takes: by size, then lexicographically."""
+    us = [rel[i] for i in ins]
+    vs = {rel[i] for i in outs}
+    cofactor = _cofactors(rel, rel[0], us, vs.__contains__)
+    full, out = (1 << len(rel)) - 1, []
+    for r in range(len(us)):
+        for extra in itertools.combinations(us[1:], r):
+            u = (us[0],) + extra
+            c, covers, union = cofactor(u)
+            if union == full:
+                out.append((u, c, tuple(covers)))
+    return out
+
+
 def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     """The list of (U, C, covers) for every divisor U of the scaled set t in
     the power monoid, where C is the largest cofactor, U + C = t, and
@@ -222,8 +246,20 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
 
     Anchored at the minimum: min U is a divisor a of min t, so min C =
     min t - a =: mv, and every u in U has u + mv in t.  U therefore ranges
-    over the subsets containing a of the members of {x - mv : x in t}; each
-    subset tried spends one node.  An element of t outside M is rejected
+    over the subsets containing a of the members of {x - mv : x in t}, and C
+    over the members of {x - a : x in t}.  In terms of rel = t - min t, U - a
+    ranges over the subsets of A = {d in rel : a + d in M} and C - mv over
+    V = {d in rel : mv + d in M}, and the covers do not change under the
+    translation; so the subsets are enumerated once per pattern (A, V), in
+    a dict local to the call, and each anchor translates that result.  The
+    V tests run only if some tail test tmax - x, x in A + a, passes: if
+    U + C = t then tmax - max U = max C is in M, so an anchor that fails
+    every tail test has no divisor.
+
+    Each anchor spends one node per subset it stands for, 2^(|A| - 1), in
+    one charge, and makes the membership tests that trying its subsets one
+    by one made, so node counts match that enumeration; a budget that runs
+    out still stops at limit + 1.  An element of t outside M is rejected
     first; the membership tests that makes are ones the anchor a = min t
     makes anyway.
 
@@ -244,29 +280,28 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     for x in t:
         if not is_member(x):
             raise InvalidInputError(f"{render_element(decode(x, spec))} is not in the monoid")
-    tmax, full = t[-1], (1 << len(t)) - 1
+    t0, tmax = t[0], t[-1]
+    rel = tuple(x - t0 for x in t)
+    patterns: dict = {}
     out = []
-    for a in _scaled_divisors(t[0], spec, bud):
-        mv = t[0] - a
+    for a in _scaled_divisors(t0, spec, bud):
+        mv = t0 - a
         if not is_member(mv):
             continue
         # a itself heads the list: it is a divisor, hence a member
-        cand = [x - mv for x in t if is_member(x - mv)]
-        others = cand[1:]
-        cofactor = None
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                bud.spend()
-                u = (a,) + extra
-                if not is_member(tmax - u[-1]):
-                    continue
-                # built lazily: an anchor whose every U fails the test above
-                # makes no membership tests for it
-                if cofactor is None:
-                    cofactor = _cofactors(t, a, cand, is_member)
-                c, covers, union = cofactor(u)
-                if union == full:
-                    out.append((u, c, covers))
+        ins = tuple(i for i, x in enumerate(t) if is_member(x - mv))
+        # a list, not any(): every tail test is made, as a walk over U made it
+        tails = [is_member(tmax - (t[i] - mv)) for i in ins]
+        bud.spend(1 << (len(ins) - 1))
+        if not any(tails):
+            continue
+        # x >= a for every x in t, as x - a = mv + rel[i] with mv in M
+        outs = tuple(i for i, x in enumerate(t) if is_member(x - a))
+        found = patterns.get((ins, outs))
+        if found is None:
+            found = patterns[ins, outs] = _relative_divisors(rel, ins, outs)
+        for u, c, covers in found:
+            out.append((tuple(a + d for d in u), [mv + d for d in c], covers))
     memo[t] = None if t not in memo else (out, bud.used - before)
     return out
 
@@ -295,23 +330,29 @@ def _decompositions(t: tuple, spec: MonoidSpec, bud: Budget, both_nonsingleton=F
     """`decompositions` of the scaled set t of a spec, as sorted
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
-    whose covers OR to all of t."""
+    whose covers OR to all of t; which subsets those are depends on the
+    covers alone, so they are listed once per covers tuple."""
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     found: set = set()
+    picks: dict = {}
     for u, c, covers in _anchored_divisors(t, spec, bud):
         if u == (zero,) or (both_nonsingleton and len(u) < 2):
             continue
-        for r in range(len(c)):
-            for extra in itertools.combinations(range(1, len(c)), r):
-                union = covers[0]
-                for i in extra:
-                    union |= covers[i]
-                if union != full:
-                    continue
-                v = (c[0],) + tuple(c[i] for i in extra)
-                if v == (zero,) or (both_nonsingleton and len(v) < 2):
-                    continue
-                found.add((min(u, v), max(u, v)))
+        extras = picks.get(covers)
+        if extras is None:
+            extras = picks[covers] = []
+            for r in range(len(c)):
+                for extra in itertools.combinations(range(1, len(c)), r):
+                    union = covers[0]
+                    for i in extra:
+                        union |= covers[i]
+                    if union == full:
+                        extras.append(extra)
+        for extra in extras:
+            v = (c[0],) + tuple(c[i] for i in extra)
+            if v == (zero,) or (both_nonsingleton and len(v) < 2):
+                continue
+            found.add((min(u, v), max(u, v)))
     return sorted(found)
 
 

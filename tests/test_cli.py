@@ -244,6 +244,15 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "negative first coordinate" in err
 
+    @pytest.mark.parametrize(
+        "gens, shown",
+        [("-1/2", "-1/2"), ("1/3, -2", "-2")],
+    )
+    def test_nonpositive_generator_printed_in_spec_syntax(self, capsys, gens, shown):
+        code, _, err = run(capsys, "atoms", "--spec", f"kind puiseux; gens {gens}")
+        assert code == EXIT_USAGE
+        assert err == f"error: generator {shown} is not strictly positive\n"
+
     def test_missing_spec_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.spec"
         code, _, err = run(capsys, "atoms", "--spec-file", str(missing))

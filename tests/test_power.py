@@ -18,12 +18,18 @@ from finpow.backend import (
     TruncationError,
     clear_caches,
     decode,
+    expand_family,
+    membership,
 )
 from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
 from finpow.power import (
     FinSet,
     NOT_ATOMIC,
+    _anchored_divisors,
+    _cofactors,
     _decode_set,
+    _encode_set,
+    _scaled_divisors,
     augment_indecomposable,
     decompositions,
     divides_in_P,
@@ -37,6 +43,7 @@ from finpow.power import (
     sumset_all,
     zero_set,
 )
+from finpow.suites import _ex44_residue_pairs
 
 N23 = MonoidSpec.numerical(2, 3)
 N0 = MonoidSpec.numerical(1)
@@ -562,3 +569,117 @@ class TestEnumerationMemoOracle:
         members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
         half = lambda m: m.x <= 2 and m.y <= 2  # noqa: E731
         check_memo_moves_nothing(draw_calls(data, members, half), spec)
+
+
+# ---------------------------------------------------------------------------
+# The per-pattern enumeration of `_anchored_divisors` against the per-subset
+# enumeration it replaced: the same divisors, and the same nodes, also when
+# the budget runs out mid-set.
+
+
+def reference_anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
+    """Each anchor tries its subsets U one by one, one node each, and builds
+    its cofactor kernel at the first U that passes the tail test."""
+    is_member = membership(spec, bud)
+    for x in t:
+        if not is_member(x):
+            raise InvalidInputError(f"{x} is not in the monoid")
+    tmax, full = t[-1], (1 << len(t)) - 1
+    out = []
+    for a in _scaled_divisors(t[0], spec, bud):
+        mv = t[0] - a
+        if not is_member(mv):
+            continue
+        cand = [x - mv for x in t if is_member(x - mv)]
+        others = cand[1:]
+        cofactor = None
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                bud.spend()
+                u = (a,) + extra
+                if not is_member(tmax - u[-1]):
+                    continue
+                if cofactor is None:
+                    cofactor = _cofactors(t, a, cand, is_member)
+                c, covers, union = cofactor(u)
+                if union == full:
+                    out.append((u, c, covers))
+    return out
+
+
+def cold_enumeration(fn, t: tuple, spec: MonoidSpec, limit: int = DEFAULT_BUDGET):
+    """(sorted (U, C, covers) or the raised error's type, Budget.used) from
+    cold caches."""
+    clear_caches()
+    bud = Budget(limit)
+    try:
+        got = sorted((u, tuple(c), tuple(covers)) for u, c, covers in fn(t, spec, bud))
+    except BudgetExceededError:
+        got = BudgetExceededError
+    return got, bud.used
+
+
+def check_pattern_enumeration(s: FinSet, spec: MonoidSpec, data) -> None:
+    t = _encode_set(s, spec)
+    want = cold_enumeration(reference_anchored_divisors, t, spec)
+    assert cold_enumeration(_anchored_divisors, t, spec) == want
+    used = want[1]
+    if used:
+        limit = data.draw(st.integers(0, used - 1), label="limit")
+        for fn in (reference_anchored_divisors, _anchored_divisors):
+            assert cold_enumeration(fn, t, spec, limit) == (BudgetExceededError, limit + 1)
+
+
+def draw_lemma_5_2_set(data, spec: MonoidSpec) -> FinSet:
+    """A sumset of two sets, each of one to three sums of a multiple k*a,
+    k < p, and some generators other than a, as the lemma-5.2 suite builds
+    its sets, over a drawn cap pair (a, p)."""
+    a, p = data.draw(st.sampled_from(_ex44_residue_pairs(spec, "lemma-5.2")), label="pair")
+    others = [g for g in spec.generators if g != a]
+
+    def constant_set() -> set:
+        shift = data.draw(st.integers(0, p - 1)) * a
+        picks = st.lists(st.booleans(), min_size=len(others), max_size=len(others))
+        return {
+            shift + sum((g for g, on in zip(others, bits) if on), Fraction(0))
+            for bits in data.draw(st.lists(picks, min_size=1, max_size=3))
+        }
+
+    return sumset(FinSet(tuple(constant_set())), FinSet(tuple(constant_set())))
+
+
+RANK2_53 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
+
+
+def rank2_atom_sets(spec: MonoidSpec) -> list:
+    """The sets {0, g}, {d, g} and {g} of the thm-5.5-gap suite, for
+    generators g and dyadic generators d (first coordinate 0)."""
+    zero = spec.zero
+    dyadics = [g for g in spec.generators if g.x == 0]
+    return (
+        [singleton(g) for g in spec.generators]
+        + [FinSet((zero, g)) for g in spec.generators]
+        + [FinSet((d, g)) for d in dyadics for g in spec.generators if g != d]
+    )
+
+
+class TestPatternEnumerationOracle:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, spec, data):
+        members = sorted(rank1_members(spec, 10))
+        parts = st.lists(st.sampled_from(members), min_size=1, max_size=3)
+        s = sumset(FinSet(tuple(data.draw(parts))), FinSet(tuple(data.draw(parts))))
+        check_pattern_enumeration(s, spec, data)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ex44_lemma_5_2_sets(self, data):
+        spec = expand_family("EX44", 2)
+        check_pattern_enumeration(draw_lemma_5_2_set(data, spec), spec, data)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank2_sums_of_atom_sets(self, data):
+        sets = data.draw(st.lists(st.sampled_from(rank2_atom_sets(RANK2_53)), min_size=1, max_size=2))
+        check_pattern_enumeration(sumset_all(sets, RANK2_53), RANK2_53, data)
