@@ -8,12 +8,10 @@ minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
 One enumeration, `_anchored_divisors`, lists every divisor U of a set with
 its largest cofactor C; `decompositions` takes the V's inside C, and
-`mcd.p_divisors` collects the U's.  Its subsets are walked once per anchor
-membership pattern rather than once per anchor, as translating by the
-anchor changes neither the subsets nor their covers; each anchor still
-spends one node per subset it stands for, in one charge, so node counts
-are those of a walk per anchor, and a budget that runs out stops at
-limit + 1.  The scaled core of `decompositions`,
+`mcd.p_divisors` collects the U's.  It walks the subsets once per anchor
+membership pattern, not once per anchor, yet charges each anchor one node
+per subset, so node counts are those of a walk per anchor, and a budget
+that runs out stops at limit + 1.  The scaled core of `decompositions`,
 `_decompositions`, also serves the lemma-5.2 suite, which checks residues on
 ints through `mcd._cap_constant_on_scaled`.
 
@@ -220,22 +218,23 @@ def _cofactors(t: tuple, a, es, is_member):
     return cofactor
 
 
-def _relative_divisors(rel: tuple, ins: tuple, outs: tuple) -> list:
-    """(U - a, C - mv, covers) for every divisor U of the set t = min t + rel,
-    with its largest cofactor C, for the anchors a whose pattern is (ins,
-    outs): a + rel[i] is in M for the i in ins, and mv + rel[i], mv =
-    min t - a, for the i in outs.  Subsets come in the order a walk over
-    them takes: by size, then lexicographically."""
+def _relative_divisors(rel: tuple, ins: list, outs: list) -> list:
+    """(U, C, covers) for every divisor U of the set t = min t + rel, with
+    its largest cofactor C, for the anchors a whose pattern is (ins, outs):
+    a + rel[i] is in M for the i in ins, and min t - a + rel[i] for the i in
+    outs.  U and C are given as the indices i of their elements a + rel[i]
+    and min t - a + rel[i].  Subsets come in the order a walk over them
+    takes: by size, then lexicographically."""
     us = [rel[i] for i in ins]
-    vs = {rel[i] for i in outs}
-    cofactor = _cofactors(rel, rel[0], us, vs.__contains__)
-    full, out = (1 << len(rel)) - 1, []
-    for r in range(len(us)):
-        for extra in itertools.combinations(us[1:], r):
+    cofactor = _cofactors(rel, rel[0], us, {rel[i] for i in outs}.__contains__)
+    at = {d: i for i, d in enumerate(rel)}
+    full, others, out = (1 << len(rel)) - 1, us[1:], []
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
             u = (us[0],) + extra
             c, covers, union = cofactor(u)
             if union == full:
-                out.append((u, c, tuple(covers)))
+                out.append(([at[d] for d in u], [at[d] for d in c], tuple(covers)))
     return out
 
 
@@ -289,19 +288,24 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
         if not is_member(mv):
             continue
         # a itself heads the list: it is a divisor, hence a member
-        ins = tuple(i for i, x in enumerate(t) if is_member(x - mv))
+        lows = [x - mv for x in t]
+        ins = [i for i, y in enumerate(lows) if is_member(y)]
         # a list, not any(): every tail test is made, as a walk over U made it
-        tails = [is_member(tmax - (t[i] - mv)) for i in ins]
+        tails = [is_member(tmax - lows[i]) for i in ins]
         bud.spend(1 << (len(ins) - 1))
         if not any(tails):
             continue
         # x >= a for every x in t, as x - a = mv + rel[i] with mv in M
-        outs = tuple(i for i, x in enumerate(t) if is_member(x - a))
-        found = patterns.get((ins, outs))
+        highs = [x - a for x in t]
+        outs = [i for i, y in enumerate(highs) if is_member(y)]
+        # one int as the key: a pair of tuples per anchor, freed by the
+        # thousand onto the interpreter's tuple free lists, raised peak RSS
+        key = sum(1 << i for i in ins) << len(t) | sum(1 << i for i in outs)
+        found = patterns.get(key)
         if found is None:
-            found = patterns[ins, outs] = _relative_divisors(rel, ins, outs)
+            found = patterns[key] = _relative_divisors(rel, ins, outs)
         for u, c, covers in found:
-            out.append((tuple(a + d for d in u), [mv + d for d in c], covers))
+            out.append((tuple(lows[i] for i in u), [highs[j] for j in c], covers))
     memo[t] = None if t not in memo else (out, bud.used - before)
     return out
 
