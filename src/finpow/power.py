@@ -244,23 +244,19 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     covers[i] is the mask of the indices in t of U + C[i].
 
     Anchored at the minimum: min U is a divisor a of min t, so min C =
-    min t - a =: mv, and every u in U has u + mv in t.  U therefore ranges
-    over the subsets containing a of the members of {x - mv : x in t}, and C
-    over the members of {x - a : x in t}.  In terms of rel = t - min t, U - a
-    ranges over the subsets of A = {d in rel : a + d in M} and C - mv over
-    V = {d in rel : mv + d in M}, and the covers do not change under the
-    translation; so the subsets are enumerated once per pattern (A, V), in
-    a dict local to the call, and each anchor translates that result.  The
-    V tests run only if some tail test tmax - x, x in A + a, passes: if
-    U + C = t then tmax - max U = max C is in M, so an anchor that fails
-    every tail test has no divisor.
+    min t - a =: mv, and every u in U has u + mv in t.  With rel = t - min t,
+    U - a ranges over the subsets holding 0 of A = {d in rel : a + d in M}
+    and C - mv lies in V = {d in rel : mv + d in M}; translation keeps the
+    covers, so the subsets are walked once per pattern (A, V), in a dict
+    local to the call, and each anchor translates the result.  The V tests
+    are made only if some tail test tmax - x, x in a + A, passes: if
+    U + C = t, then tmax - max U = max C is in M.
 
-    Each anchor spends one node per subset it stands for, 2^(|A| - 1), in
-    one charge, and makes the membership tests that trying its subsets one
-    by one made, so node counts match that enumeration; a budget that runs
-    out still stops at limit + 1.  An element of t outside M is rejected
-    first; the membership tests that makes are ones the anchor a = min t
-    makes anyway.
+    Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
+    one charge, and makes the membership tests a walk over its subsets made,
+    so node counts are that walk's, and a budget that runs out still stops
+    at limit + 1.  An element of t outside M is rejected first; the
+    membership tests that makes are ones the anchor a = min t makes anyway.
 
     A completed enumeration marks t in the result cache; the next finds every
     test cached, so it spends what an uncached rerun would, and is kept with
