@@ -18,8 +18,12 @@ what keeps truncated Puiseux families with large denominators tractable.
 `_solve` runs it over the atoms for `factorizations`, and for `atoms` over
 the generators but the one tested, with no spec built for them.  Membership
 verdicts, scaled divisor lists, set divisor enumerations and the atom list
-live in one result cache per spec; `clear_caches` empties it.  A family spec
-is expanded once, when it is built, and equals its expansion.
+live in one result cache per spec, an `_Entry` with a named field for each;
+`clear_caches` empties it.  `member` and `divisors` wrap the scaled cores
+`membership` and `_divisors` in one encode and one decode; the power layer
+calls `membership`, and reads cached divisor lists scaled.  `_locate` maps a
+scaled element to the plan and the coordinates that both cores search from.
+A family spec is expanded once, when it is built, and equals its expansion.
 """
 from __future__ import annotations
 
@@ -373,14 +377,29 @@ def representations(
     return _solve(spec.generators, b, as_budget(budget), False)
 
 
-# The one result cache, keyed by generators (a family spec shares the entry
-# of its expansion): spec -> [{scaled element: verdict},
-# {scaled element: its scaled divisors}, the plan over its generators,
-# {scaled set: None once enumerated, then (its divisor enumeration, the nodes
-# an uncached rerun spends)}, the atom tuple once `atoms` has completed (None
-# before)], so a repeated query of each kind is one lookup.  The fourth slot
-# is `power._anchored_divisors`'s.  The searches of `atoms` add no entry.
-_cache: dict[MonoidSpec, list] = {}
+class _Entry:
+    """The result cache of one spec, so a repeated query of each kind is
+    one lookup.
+
+    `verdicts` maps a scaled element to its membership verdict and `divisors`
+    to its scaled divisors, an ascending tuple; `plan` is the search plan over
+    the spec's generators at its scale; `enumerations` is
+    `power._anchored_divisors`'s, and maps a scaled set to None once it has
+    been enumerated, then to (its divisor enumeration, the nodes an uncached
+    rerun spends); `atoms` is the atom tuple once `atoms` has completed, None
+    before.
+    """
+
+    __slots__ = ("verdicts", "divisors", "plan", "enumerations", "atoms")
+
+    def __init__(self, spec: MonoidSpec):
+        self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
+        self.plan = _plan(spec.generators[::-1], spec.scale)
+
+
+# The one result cache, keyed by generators: a family spec shares the entry
+# of its expansion.  The searches of `atoms` add no entry.
+_cache: dict[MonoidSpec, _Entry] = {}
 
 
 def encode(q: Element, spec: MonoidSpec):
@@ -401,18 +420,21 @@ def decode(n, spec: MonoidSpec) -> Element:
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
-def _entry(spec: MonoidSpec) -> list:
+def _entry(spec: MonoidSpec) -> _Entry:
     """The cache entry of a spec, made on first use."""
     entry = _cache.get(spec)
     if entry is None:
-        entry = _cache[spec] = [{}, {}, _plan(spec.generators[::-1], spec.scale), {}, None]
+        entry = _cache[spec] = _Entry(spec)
     return entry
 
 
-def _locate(b: Element, spec: MonoidSpec, plan: tuple) -> tuple:
-    """(plan, y, x) for an element b of a spec: off the spec's
-    lattice the spec's `plan` is redone on one that holds b too."""
-    scale, y, x = _lattice(b, spec.scale)
+def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
+    """(plan, y, x) for the scaled element n of a spec: an int lies on the
+    spec's lattice, where the spec's `plan` serves; off it, the plan is
+    redone on a lattice that holds n too."""
+    if type(n) is int:
+        return plan, n, 0
+    scale, y, x = _lattice(decode(n, spec), spec.scale)
     if scale != spec.scale:
         plan = _plan(spec.generators[::-1], scale)
     return plan, y, x
@@ -424,12 +446,13 @@ def membership(spec: MonoidSpec, budget: Budget):
     The test reads and fills the spec's verdicts in the result cache; a miss
     runs the coefficient search and charges it to `budget`.
     """
-    cache, _, plan, _, _ = _entry(spec)
+    entry = _entry(spec)
+    cache, plan = entry.verdicts, entry.plan
 
     def is_member(n) -> bool:
         ok = cache.get(n)
         if ok is None:
-            sub, y, x = (plan, n, 0) if type(n) is int else _locate(decode(n, spec), spec, plan)
+            sub, y, x = _locate(n, spec, plan)
             ok = cache[n] = _search(sub, 0, y, x, budget, True, [], [])
         return ok
 
@@ -444,21 +467,17 @@ def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -
     return membership(spec, as_budget(budget))(encode(q, spec))
 
 
-def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
-    """The full divisor set {d in M : d | b}, sorted.
+def _divisors(n, spec: MonoidSpec, bud: Budget) -> tuple:
+    """The divisors of the scaled element n of a spec, scaled and ascending.
 
     Every divisor is a sub-multiset sum of some generator representation of
-    b.  The coefficient search enumerates the representations on scaled int
-    coordinates, each sub-multiset sum spends one node, and the sorted sums
-    are cached scaled under the scaled b and decoded on return.
+    n.  The coefficient search enumerates the representations, each
+    sub-multiset sum spends one node, and the sorted sums are cached under n.
     """
-    spec.check_element(b)
-    _, cache, plan, _, _ = _entry(spec)
-    key = encode(b, spec)
-    out = cache.get(key)
+    entry = _entry(spec)
+    out = entry.divisors.get(n)
     if out is None:
-        bud = as_budget(budget)
-        sub, y, x = _locate(b, spec, plan)
+        sub, y, x = _locate(n, spec, entry.plan)
         reps: list = []
         _search(sub, 0, y, x, bud, False, reps, [])
         found: set = set()
@@ -473,7 +492,16 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
                 found.add((dy, dx))
         # a representation exists only on the spec's lattice
         rank2 = spec.is_rank2
-        out = cache[key] = tuple(_element(spec.scale, *p) if rank2 else p[0] for p in sorted(found))
+        out = tuple(_element(spec.scale, *p) if rank2 else p[0] for p in sorted(found))
+        entry.divisors[n] = out
+    return out
+
+
+def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
+    """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
+    scaled b, decoded."""
+    spec.check_element(b)
+    out = _divisors(encode(b, spec), spec, as_budget(budget))
     if spec.is_rank2:
         return list(out)
     scale = spec.scale
@@ -490,7 +518,7 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     cut short by the budget keeps nothing.
     """
     entry = _entry(spec)
-    if entry[4] is None:
+    if entry.atoms is None:
         bud = as_budget(budget)
         gens = spec.generators
         out = []
@@ -501,8 +529,8 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
             )
             if not others or lone_prime or not _solve(others, g, bud, True):
                 out.append(g)
-        entry[4] = tuple(out)
-    return list(entry[4])
+        entry.atoms = tuple(out)
+    return list(entry.atoms)
 
 
 @dataclass(frozen=True)
@@ -560,22 +588,23 @@ def members_upto(
         raise InvalidInputError("members_upto supports rank-1 specs only")
     if bound < 0:
         return []
-    bud = as_budget(budget)
-    gens = [level[0] for level in _entry(spec)[2]]
-    top = math.floor(bound * spec.scale)
+    # descending, as the search plan orders them
+    gens = [encode(g, spec) for g in spec.generators[::-1]]
     found: set = set()
-
-    def walk(i: int, acc: int) -> None:
-        bud.spend()
-        found.add(acc)
-        if i == len(gens):
-            return
-        g = gens[i]
-        for k in range((top - acc) // g + 1):
-            walk(i + 1, acc + k * g)
-
-    walk(0, 0)
+    _walk(gens, 0, 0, math.floor(bound * spec.scale), as_budget(budget), found)
     return [decode(n, spec) for n in sorted(found)]
+
+
+def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> None:
+    """Add to `found` every acc + a combination of gens[i:] up to top; each
+    node spends one budget unit."""
+    bud.spend()
+    found.add(acc)
+    if i == len(gens):
+        return
+    g = gens[i]
+    for k in range((top - acc) // g + 1):
+        _walk(gens, i + 1, acc + k * g, top, bud, found)
 
 
 def clear_caches() -> None:

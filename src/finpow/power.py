@@ -32,8 +32,9 @@ holding a lattice point outside M, wherever the divisor enumeration runs.
 Results are decoded through a constructor that trusts the scaled order, as
 decoding is monotone; `sumset` builds its sorted, distinct sums through it
 too.  Membership tests, divisor lists and set divisor enumerations share the
-one result cache of `backend`; a kept enumeration is replayed at the node
-cost of an uncached rerun, so caching moves no count.
+one result cache of `backend`, read by scaled element through
+`backend.membership` and `_scaled_divisors`; a kept enumeration is replayed
+at the node cost of an uncached rerun, so caching moves no count.
 """
 from __future__ import annotations
 
@@ -169,14 +170,14 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
 
 
 def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> tuple:
-    """`divisors` of the scaled element n of a spec, scaled, as the
-    result cache holds them; a miss fills the cache through `divisors`."""
-    cache = _entry(spec)[1]
-    out = cache.get(n)
-    if out is None:
+    """The scaled divisors of the scaled element n of a spec, as the result
+    cache holds them.  A miss fills the cache through the public `divisors`,
+    so the traced per-layer view counts the divisor work of this layer and
+    of `mcd` under `backend.divisors`."""
+    cache = _entry(spec).divisors
+    if n not in cache:
         divisors(decode(n, spec), spec, bud)
-        out = cache[n]
-    return out
+    return cache[n]
 
 
 def _cofactors(t: tuple, a, es, is_member):
@@ -244,13 +245,14 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     covers[i] is the mask of the indices in t of U + C[i].
 
     Anchored at the minimum: min U is a divisor a of min t, so min C =
-    min t - a =: mv, and every u in U has u + mv in t.  With rel = t - min t,
-    U - a ranges over the subsets holding 0 of A = {d in rel : a + d in M}
-    and C - mv lies in V = {d in rel : mv + d in M}; translation keeps the
-    covers, so the subsets are walked once per pattern (A, V), in a dict
-    local to the call, and each anchor translates the result.  The V tests
-    are made only if some tail test tmax - x, x in a + A, passes: if
-    U + C = t, then tmax - max U = max C is in M.
+    min t - a =: mv, which is in M as a divides min t, and every u in U has
+    u + mv in t.  With rel = t - min t, U - a ranges over the subsets
+    holding 0 of A = {d in rel : a + d in M} and C - mv lies in
+    V = {d in rel : mv + d in M}; translation keeps the covers, so the
+    subsets are walked once per pattern (A, V), in a dict local to the call,
+    and each anchor translates the result.  The V tests are made only if
+    some tail test tmax - x, x in a + A, passes: if U + C = t, then
+    tmax - max U = max C is in M.
 
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
@@ -265,7 +267,7 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     the peak RSS of `verify --suite all` from 24.0 to 30.1 MB to save its
     361 reruns, with no faster run (one run each, on a 2-core VM).
     """
-    memo = _entry(spec)[3]
+    memo = _entry(spec).enumerations
     kept = memo.get(t)
     if kept is not None:
         bud.spend(kept[1])
@@ -281,8 +283,6 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     out = []
     for a in _scaled_divisors(t0, spec, bud):
         mv = t0 - a
-        if not is_member(mv):
-            continue
         # a itself heads the list: it is a divisor, hence a member
         lows = [x - mv for x in t]
         ins = [i for i, y in enumerate(lows) if is_member(y)]
@@ -424,27 +424,26 @@ def p_factorize(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = Non
     Returns a list of FinSet atoms summing to s, or NOT_ATOMIC.  No side of
     a decomposition is {0}, so the recursion never meets the zero set.
     """
-    bud = as_budget(budget)
     if s == zero_set(spec):
         return []
-    memo: dict = {}
+    return _p_factor(s, spec, as_budget(budget), {})
 
-    def factor(t: FinSet):
-        if t.elems in memo:
-            return memo[t.elems]
-        memo[t.elems] = NOT_ATOMIC  # guards re-entry on cyclic translates
-        decs = decompositions(t, spec, bud)
-        result = NOT_ATOMIC if decs else [t]
-        for dec in decs:
-            left = factor(dec.left)
-            if left is NOT_ATOMIC:
-                continue
-            right = factor(dec.right)
-            if right is NOT_ATOMIC:
-                continue
-            result = sorted(left + right, key=lambda f: f.elems)
-            break
-        memo[t.elems] = result
-        return result
 
-    return factor(s)
+def _p_factor(t: FinSet, spec: MonoidSpec, bud: Budget, memo: dict):
+    """`p_factorize` of t, with the verdicts of the sets met so far in memo."""
+    if t.elems in memo:
+        return memo[t.elems]
+    memo[t.elems] = NOT_ATOMIC  # guards re-entry on cyclic translates
+    decs = decompositions(t, spec, bud)
+    result = NOT_ATOMIC if decs else [t]
+    for dec in decs:
+        left = _p_factor(dec.left, spec, bud, memo)
+        if left is NOT_ATOMIC:
+            continue
+        right = _p_factor(dec.right, spec, bud, memo)
+        if right is NOT_ATOMIC:
+            continue
+        result = sorted(left + right, key=lambda f: f.elems)
+        break
+    memo[t.elems] = result
+    return result

@@ -1,5 +1,6 @@
 """Monoid backends checked against a naive exhaustive-coefficient oracle."""
 import ast
+import gc
 import importlib
 import itertools
 import os
@@ -22,6 +23,7 @@ from finpow.backend import (
     Budget,
     BudgetExceededError,
     MonoidSpec,
+    _divisors,
     atoms,
     decode,
     divisors,
@@ -57,7 +59,6 @@ from finpow.mcd import (
 )
 from finpow.power import (
     FinSet,
-    _scaled_divisors,
     decompositions,
     divides_in_P,
     is_p_atom,
@@ -195,7 +196,7 @@ class TestMonoidSpec:
             if hasattr(f, "cache_info")
         }.values()
         assert backend._cache and any(f.cache_info().currsize for f in lru)
-        assert any(e[3].get((4, 5, 6, 7)) for e in backend._cache.values())
+        assert any(e.enumerations.get((4, 5, 6, 7)) for e in backend._cache.values())
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
@@ -611,8 +612,9 @@ class TestNodeCounts:
 
 
 class TestScaledDivisors:
-    """The divisor slot of the result cache holds scaled elements: the power
-    layer reads them as they are, and `divisors` decodes them."""
+    """The result cache's divisor lists hold scaled elements: the scaled core
+    `_divisors` returns them as they are, the power and MCD layers read them
+    as they are, and `divisors` decodes them."""
 
     @pytest.mark.parametrize(
         "b, spec, kind",
@@ -629,9 +631,62 @@ class TestScaledDivisors:
         want = divisors(b, spec)
         assert want and all(type(d) is kind for d in want)
         assert want == sorted(d for d in want if member(d, spec) and member(b - d, spec))
-        got = _scaled_divisors(encode(b, spec), spec, Budget(0))
+        got = _divisors(encode(b, spec), spec, Budget(0))
         assert list(got) == [encode(d, spec) for d in want]
         assert [decode(n, spec) for n in got] == divisors(b, spec, Budget(0))
+
+    @pytest.mark.parametrize("b, nodes", [(F(7, 5), 1), (F(25, 8), 3)])
+    def test_off_the_lattice_the_core_caches_no_divisor(self, b, nodes):
+        # (1/6)Z holds the generators; b lies off it, so its scaled key is a
+        # non-integral Fraction, and the search walks a finer plan
+        spec = MonoidSpec.puiseux(F(1, 2), F(2, 3))
+        clear_caches()
+        bud = Budget()
+        assert divisors(b, spec, bud) == [] and bud.used == nodes
+        clear_caches()
+        n = encode(b, spec)
+        assert type(n) is F and n.denominator > 1
+        bud = Budget()
+        assert _divisors(n, spec, bud) == () and bud.used == nodes
+        assert backend._cache[spec].divisors == {n: ()}
+        assert divisors(b, spec, Budget(0)) == []
+
+    def test_power_and_mcd_fill_a_miss_through_divisors(self, monkeypatch):
+        # so a traced run counts their divisor work under `backend.divisors`;
+        # a hit is read from the cache and calls nothing
+        seen = []
+
+        def spy(b, spec, budget=None):
+            seen.append(b)
+            return divisors(b, spec, budget)
+
+        monkeypatch.setattr(sys.modules["finpow.power"], "divisors", spy)
+        clear_caches()
+        for _ in range(2):
+            decompositions(FinSet((4, 5, 6, 7)), N23)
+            common_divisors(FinSet((6, 9)), N23)
+        assert seen == [4, 6, 9]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: p_factorize(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3)),
+        lambda: members_upto(MonoidSpec.numerical(2, 3), F(10)),
+    ],
+    ids=["p_factorize", "members_upto"],
+)
+def test_recursion_leaves_no_reference_cycle(call):
+    # a recursive closure that names itself is a function <-> cell cycle,
+    # which holds its memo until the cyclic collector runs
+    clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # (1/12)Z holds every generator of `puiseux_specs`; 1/8, 1/5 and 1/24 steps

@@ -16,6 +16,7 @@ from finpow.backend import (
     BudgetExceededError,
     MonoidSpec,
     TruncationError,
+    _divisors,
     clear_caches,
     decode,
     expand_family,
@@ -29,7 +30,6 @@ from finpow.power import (
     _cofactors,
     _decode_set,
     _encode_set,
-    _scaled_divisors,
     augment_indecomposable,
     decompositions,
     divides_in_P,
@@ -470,7 +470,7 @@ class TestEnumerationMemo:
     T = (4, 5, 6, 7)  # {0, 1} + {4, 6} over <2, 3>
 
     def memo(self) -> dict:
-        return backend._cache[N23][3]
+        return backend._cache[N23].enumerations
 
     def test_a_set_asked_for_once_keeps_only_its_mark(self):
         clear_caches()
@@ -512,7 +512,7 @@ def run_calls(calls: list, spec: MonoidSpec, empty_memo: bool) -> list:
     for fn, arg, limit in calls:
         if empty_memo:
             for entry in backend._cache.values():
-                entry[3].clear()
+                entry.enumerations.clear()
         bud = Budget(limit)
         try:
             got = fn(arg, spec, bud)
@@ -586,7 +586,7 @@ def reference_anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list
             raise InvalidInputError(f"{x} is not in the monoid")
     tmax, full = t[-1], (1 << len(t)) - 1
     out = []
-    for a in _scaled_divisors(t[0], spec, bud):
+    for a in _divisors(t[0], spec, bud):
         mv = t[0] - a
         if not is_member(mv):
             continue
