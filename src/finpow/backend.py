@@ -11,10 +11,12 @@ scales clear every denominator of the basis and of the target; `Fraction`
 and `QPoint2` stay in `encode`/`decode` and at the API boundary.  Membership,
 divisors, atoms and factorizations share one engine, `_search`: a depth-first
 enumeration of coefficient vectors over a descending basis, run from a plan
-built once per (basis, scale).  For rational bases the plan holds p-adic
-congruences: the coefficient of a generator is forced into one residue
-class modulo the primes of L that no later denominator carries, which is
-what keeps truncated Puiseux families with large denominators tractable.
+built once per (basis, scale), whose last level charges its leaves in one
+budget spend rather than one frame each.  For rational bases the plan
+holds p-adic congruences: the coefficient of a generator is forced into one
+residue class modulo the primes of L that no later denominator carries,
+which is what keeps truncated Puiseux families with large denominators
+tractable.
 `_solve` runs it over the atoms for `factorizations`, and for `atoms` over
 the generators but the one tested, with no spec built for them.  Membership
 verdicts, scaled divisor lists, set divisor enumerations and the atom list
@@ -334,12 +336,20 @@ def _search(
     budget: Budget, first_only: bool, results: list, prefix: list,
 ) -> bool:
     """Depth-first search for the coefficients of levels i.. of a plan that
-    write the scaled residual (y, x); each node spends one budget unit."""
+    write the scaled residual (y, x); each node spends one budget unit.
+
+    The leaf level is folded into its parent: a node of the last level
+    spends one unit per candidate k in one `spend` and enters none of them.
+    A leaf is a hit only if its residual is zero, so k*gy = y and k*gx = x;
+    then k = kmax, since kmax is y // gy or x // gx (the lesser where both
+    are taken).  So only the last k of the range can hit, and only it is
+    tested.
+    """
     budget.spend()
     if not y and not x:
         results.append(tuple(prefix) + (0,) * (len(plan) - i))
         return True
-    if y < 0 or x < 0 or i == len(plan):
+    if y < 0 or x < 0:
         return False
     gy, gx, more_y, more_x, d, step, inv = plan[i]
     if (y and not more_y) or (x and not more_x) or y % d:
@@ -347,8 +357,15 @@ def _search(
     kmax = y // gy if gy else x // gx
     if gy and gx:
         kmax = min(kmax, x // gx)
+    ks = range(y // d * inv % step, kmax + 1, step)
+    if i + 1 == len(plan):
+        budget.spend(len(ks))
+        if ks and ks[-1] * gy == y and ks[-1] * gx == x:
+            results.append((*prefix, ks[-1]))
+            return True
+        return False
     found = False
-    for k in range(y // d * inv % step, kmax + 1, step):
+    for k in ks:
         prefix.append(k)
         ok = _search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)
         prefix.pop()

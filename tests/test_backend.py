@@ -24,6 +24,8 @@ from finpow.backend import (
     BudgetExceededError,
     MonoidSpec,
     _divisors,
+    _plan,
+    _search,
     atoms,
     decode,
     divisors,
@@ -424,6 +426,7 @@ N345 = MonoidSpec.numerical(3, 4, 5)
 N23 = MonoidSpec.numerical(2, 3)
 N234 = MonoidSpec.numerical(2, 3, 4)
 N34567 = MonoidSpec.numerical(3, 4, 5, 6, 7)
+N101 = MonoidSpec.numerical(101, 103, 107)
 EX44_2 = MonoidSpec.of_family("EX44", 2)
 # {0, 1/26} + {5/66, 5/66 + 1/7}, over the generators 1/26, 5/66, 1/7, 4/15
 EX44_2_SET = FinSet((F(5, 66), F(49, 429), F(101, 462), F(772, 3003)))
@@ -450,6 +453,10 @@ class TestNodeCounts:
             (member, F(1), MonoidSpec.of_family("EX44", 4), True, 10),
             (member, F(117, 232), MonoidSpec.of_family("EX44", 4), True, 9),
             (member, F(1, 3), EX44_3, False, 5),
+            # the benchmark's member slice: wide leaf levels
+            (member, F(2399), N101, True, 2108),
+            (member, F(2311), N101, False, 2540),
+            (member, F(2000), N101, False, 1731),
             (representations, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), 0, 2),
             (representations, F(10, 3), MonoidSpec.puiseux(F(1, 2), F(2, 3)), 2, 6),
             (representations, F(1), EX44_3, 4, 15),
@@ -468,6 +475,22 @@ class TestNodeCounts:
         out = fn(q, spec, bud)
         assert (out if isinstance(out, bool) else len(out)) == answer
         assert bud.used == used
+
+    def test_the_search_enters_no_leaf_frame(self, monkeypatch):
+        # the last level charges its leaves itself; a frame at i == len(plan)
+        # would mean that the fold of the leaf level came undone
+        search, seen = backend._search, []
+
+        def spy(plan, i, *rest):
+            seen.append((i, len(plan)))
+            return search(plan, i, *rest)
+
+        monkeypatch.setattr(backend, "_search", spy)
+        clear_caches()
+        for n in (2399, 2311, 2000):
+            member(F(n), N101, Budget())
+        assert {i for i, _ in seen} == {0, 1, 2}
+        assert {size for _, size in seen} == {3}
 
     # the power layer, query by query: a member set's own membership tests
     # are ones the divisor enumeration makes anyway, so they cost nothing
@@ -666,6 +689,85 @@ class TestScaledDivisors:
             decompositions(FinSet((4, 5, 6, 7)), N23)
             common_divisors(FinSet((6, 9)), N23)
         assert seen == [4, 6, 9]
+
+
+def node_by_node_search(plan, i, y, x, budget, first_only, results, prefix):
+    """The reference coefficient search: one frame and one budget unit per
+    node, the leaves included."""
+    budget.spend()
+    if not y and not x:
+        results.append(tuple(prefix) + (0,) * (len(plan) - i))
+        return True
+    if y < 0 or x < 0 or i == len(plan):
+        return False
+    gy, gx, more_y, more_x, d, step, inv = plan[i]
+    if (y and not more_y) or (x and not more_x) or y % d:
+        return False
+    kmax = y // gy if gy else x // gx
+    if gy and gx:
+        kmax = min(kmax, x // gx)
+    found = False
+    for k in range(y // d * inv % step, kmax + 1, step):
+        prefix.append(k)
+        ok = node_by_node_search(
+            plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix
+        )
+        prefix.pop()
+        if ok:
+            if first_only:
+                return True
+            found = True
+    return found
+
+
+def spec_plan(spec):
+    return _plan(spec.generators[::-1], spec.scale)
+
+
+class TestFoldedLeafLevel:
+    """`_search` charges its last level's leaves in one spend and enters none
+    of them; it must return, find and spend what node-by-node recursion does,
+    and stop at the same count when the budget runs out."""
+
+    @staticmethod
+    def check(plan, y, x, data):
+        for first_only in (True, False):
+            want, got, ref, bud = [], [], Budget(), Budget()
+            expected = node_by_node_search(plan, 0, y, x, ref, first_only, want, [])
+            assert _search(plan, 0, y, x, bud, first_only, got, []) == expected
+            assert got == want
+            assert bud.used == ref.used
+            limit = data.draw(st.integers(0, ref.used - 1))
+            for search in (_search, node_by_node_search):
+                bud = Budget(limit)
+                with pytest.raises(BudgetExceededError):
+                    search(plan, 0, y, x, bud, first_only, [], [])
+                assert bud.used == limit + 1
+
+    @given(
+        st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True),
+        st.integers(0, 150),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_numerical(self, gens, n, data):
+        self.check(spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
+
+    @given(
+        puiseux_specs.filter(lambda spec: spec.generators[0].denominator > 1),
+        st.integers(0, 60),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_puiseux_with_a_congruence_on_the_last_level(self, spec, n, data):
+        plan = spec_plan(spec)
+        assert plan[-1][5] > 1  # step
+        self.check(plan, n, 0, data)
+
+    @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank2(self, spec, y, x, data):
+        self.check(spec_plan(spec), y, x, data)
 
 
 @pytest.mark.parametrize(
