@@ -340,10 +340,9 @@ def _search(
 
     The leaf level is folded into its parent: a node of the last level
     spends one unit per candidate k in one `spend` and enters none of them.
-    A leaf is a hit only if its residual is zero, so k*gy = y and k*gx = x;
-    then k = kmax, since kmax is y // gy or x // gx (the lesser where both
-    are taken).  So only the last k of the range can hit, and only it is
-    tested.
+    A leaf is a hit only if its residual is zero: k*gy = y and k*gx = x.
+    Then y // gy = k where gy > 0 and x // gx = k where gx > 0, so k = kmax,
+    and only the last k of the range can hit; only it is tested.
     """
     budget.spend()
     if not y and not x:
