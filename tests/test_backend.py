@@ -453,10 +453,6 @@ class TestNodeCounts:
             (member, F(1), MonoidSpec.of_family("EX44", 4), True, 10),
             (member, F(117, 232), MonoidSpec.of_family("EX44", 4), True, 9),
             (member, F(1, 3), EX44_3, False, 5),
-            # the benchmark's member slice: wide leaf levels
-            (member, F(2399), N101, True, 2108),
-            (member, F(2311), N101, False, 2540),
-            (member, F(2000), N101, False, 1731),
             (representations, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), 0, 2),
             (representations, F(10, 3), MonoidSpec.puiseux(F(1, 2), F(2, 3)), 2, 6),
             (representations, F(1), EX44_3, 4, 15),
@@ -467,6 +463,10 @@ class TestNodeCounts:
             (factorizations, F(20), N345, 6, 83),
             (factorizations, F(1), EX44_3, 4, 15),
             (factorizations, QPoint2(F(1, 5), F(43, 12)), R2_SPEC, 1, 117),
+            # the benchmark's member slice: wide leaf levels
+            (member, F(2399), N101, True, 2108),
+            (member, F(2311), N101, False, 2540),
+            (member, F(2000), N101, False, 1731),
         ],
     )
     def test_budget_used(self, fn, q, spec, answer, used):
