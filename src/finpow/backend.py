@@ -30,6 +30,7 @@ A family spec is expanded once, when it is built, and equals its expansion.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -375,14 +376,18 @@ def _search(
     return found
 
 
-def _solve(basis: tuple, b: Element, budget: Budget, first_only: bool) -> list:
+def _solve(
+    basis: tuple, b: Element, budget: Budget, first_only: bool, limit: Optional[int] = None
+) -> list:
     """The sorted coefficient vectors writing b over an ascending basis of
-    distinct positive elements; with `first_only`, at most the first found."""
+    distinct positive elements; with `first_only`, at most the first found.
+    A `limit` keeps the least `limit` vectors of the full search."""
     ordered = basis[::-1]
     scale, y, x = _lattice(b, _basis_scale(ordered, isinstance(b, QPoint2)))
     results: list = []
     _search(_plan(ordered, scale), 0, y, x, budget, first_only, results, [])
-    return sorted(vec[::-1] for vec in results)
+    vecs = (vec[::-1] for vec in results)
+    return sorted(vecs) if limit is None else heapq.nsmallest(limit, vecs)
 
 
 def representations(
@@ -583,16 +588,24 @@ class Factorization:
 
 
 def factorizations(
-    b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
+    b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None,
+    limit: Optional[int] = None,
 ) -> list[Factorization]:
-    """The complete list Z(b) of factorizations of b into atoms."""
+    """The complete list Z(b) of factorizations of b into atoms, ascending.
+
+    With `limit` k >= 1, only the first k of that list.  The search still
+    walks all of Z(b), so `Budget.used` is that of the complete list; only
+    the kept factorizations are built.
+    """
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise InvalidInputError(f"factorization limit must be an int >= 1, not {limit!r}")
     bud = as_budget(budget)
     atom_tuple = tuple(atoms(spec, bud))
     spec.check_element(b)
     # the atoms ascend, so each vector's nonzero parts do too
     return [
         Factorization._ascending(tuple((a, c) for a, c in zip(atom_tuple, vec) if c))
-        for vec in _solve(atom_tuple, b, bud, False)
+        for vec in _solve(atom_tuple, b, bud, False, limit)
     ]
 
 

@@ -231,7 +231,13 @@ def ex44_witness(
     q: Rat, depth: int, budget: "Budget | int | None" = None
 ) -> McdWitnessStep:
     """Given a common divisor q of {1, 4/3} in the depth-truncated EX44
-    monoid, produce the dyadic increment that strictly improves it."""
+    monoid, produce the dyadic increment that strictly improves it.
+
+    Each residual's certificate is its least factorization, the first of
+    `factorizations(target)`.  It is taken with `limit=1`, which builds no
+    other factorization but still enumerates all of Z(target), so the step
+    spends the nodes of the complete list.
+    """
     bud = as_budget(budget)
     spec = expand_family("EX44", depth)
     one, four_thirds = Fraction(1), Fraction(4, 3)
@@ -251,7 +257,7 @@ def ex44_witness(
     inc = Fraction(1, 2 ** (pivot + 1))
     certs = []
     for target in (one - q - inc, four_thirds - q - inc):
-        facs = factorizations(target, spec, bud)
+        facs = factorizations(target, spec, bud, limit=1)
         if not facs:
             raise TruncationError(
                 f"residual {target} has no factorization at depth {depth}"

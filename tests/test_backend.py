@@ -626,6 +626,14 @@ class TestNodeCounts:
         assert chain_divisors(steps) == [0, F(1, 2), F(3, 4), F(7, 8)]
         assert bud.used == 501
 
+    @pytest.mark.parametrize("depth, used", [(7, 2187), (8, 19612)])
+    def test_deep_ex44_chain_budget_used(self, depth, used):
+        clear_caches()
+        bud = Budget()
+        steps = ex44_chain(3, depth, bud)
+        assert chain_divisors(steps) == [0, F(1, 2), F(3, 4), F(7, 8)]
+        assert bud.used == used
+
     def test_atoms_returns_a_fresh_list(self):
         clear_caches()
         first = atoms(N234)
@@ -768,6 +776,117 @@ class TestFoldedLeafLevel:
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
         self.check(spec_plan(spec), y, x, data)
+
+
+def half(g):
+    return QPoint2(g.x / 2, g.y / 2) if isinstance(g, QPoint2) else g / 2
+
+
+class TestFactorizationLimit:
+    """`factorizations(b, spec, limit=k)` is the first k factorizations of
+    the complete list, at the same `Budget.used`, and an exhausted budget
+    stops both at the same node."""
+
+    @staticmethod
+    def check(spec, b, data):
+        clear_caches()
+        full_bud = Budget()
+        full = factorizations(b, spec, full_bud)
+        for k in (1, 2, 3):
+            clear_caches()
+            bud = Budget()
+            assert factorizations(b, spec, bud, limit=k) == full[:k]
+            assert bud.used == full_bud.used
+        if full_bud.used:
+            limit = data.draw(st.integers(0, full_bud.used - 1))
+            for k in (None, data.draw(st.integers(1, 3))):
+                clear_caches()
+                bud = Budget(limit)
+                with pytest.raises(BudgetExceededError):
+                    factorizations(b, spec, bud, limit=k)
+                assert bud.used == limit + 1
+
+    @staticmethod
+    def sum_of_generators(spec, data, top=3):
+        gens = spec.generators
+        coeffs = data.draw(st.lists(st.integers(0, top), min_size=len(gens), max_size=len(gens)))
+        return sum((c * g for c, g in zip(coeffs, gens)), spec.zero)
+
+    @given(
+        st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, gens, non_member, data):
+        spec = MonoidSpec.numerical(*gens)
+        # 1 and g0 - 1 lie below the least generator g0 >= 2
+        b = (
+            F(data.draw(st.sampled_from((1, spec.generators[0] - 1))))
+            if non_member else self.sum_of_generators(spec, data)
+        )
+        self.check(spec, b, data)
+
+    @given(
+        st.sampled_from(("EX44", "Q-ODDPRIMES")),
+        st.integers(1, 4),
+        st.integers(-1, 3),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_families(self, family, depth, whole, data):
+        # an added whole number has several factorizations in both families;
+        # whole == -1 draws half the least generator, which lies below it
+        spec = MonoidSpec.of_family(family, depth)
+        b = (
+            half(spec.generators[0]) if whole < 0
+            else self.sum_of_generators(spec, data) + whole
+        )
+        self.check(spec, b, data)
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank2(self, non_member, data):
+        b = (
+            half(R2_SPEC.generators[0]) if non_member
+            else self.sum_of_generators(R2_SPEC, data, top=2)
+        )
+        self.check(R2_SPEC, b, data)
+
+    @pytest.mark.parametrize("limit", [0, -1, 1.0, "1", True])
+    def test_a_bad_limit_is_rejected_before_any_node(self, limit):
+        # heapq.nsmallest(0, ...) would return [], read as "no factorization"
+        clear_caches()
+        bud = Budget()
+        with pytest.raises(InvalidInputError):
+            factorizations(F(20), N345, bud, limit=limit)
+        assert bud.used == 0
+
+    def test_the_chain_builds_two_factorizations_per_step(self, monkeypatch):
+        # each step keeps one certificate per residual; building the other
+        # 9,500 factorizations of Z(target) at depth 8 was two thirds of the
+        # chain's time
+        built = []
+        ascending = Factorization._ascending.__func__
+
+        def spy(cls, parts):
+            built.append(parts)
+            return ascending(cls, parts)
+
+        monkeypatch.setattr(Factorization, "_ascending", classmethod(spy))
+        clear_caches()
+        ex44_chain(3, 8)
+        assert len(built) <= 6
+
+    @pytest.mark.parametrize("depth", [6, 7])
+    def test_chain_certificates_are_the_least_factorizations(self, depth):
+        clear_caches()
+        spec = expand_family("EX44", depth)
+        for step in ex44_chain(3, depth):
+            residual = step.q + step.increment
+            targets = (1 - residual, F(4, 3) - residual)
+            for cert, target in zip(step.residual_certificates, targets):
+                assert cert == factorizations(target, spec)[0]
 
 
 @pytest.mark.parametrize(
