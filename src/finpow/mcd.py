@@ -4,7 +4,10 @@ the truncated family whose pair {1, 4/3} has no maximal common divisor.
 
 MCDs at both levels run on the scaled elements of `power`, encoded once on
 entry and decoded once on return; `mcd_in_P` strips a common divisor with the
-cofactors that the anchored divisor enumeration yields beside it.
+cofactors that the anchored divisor enumeration yields beside it.  The
+scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
+partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
+`mcd_in_P` decodes it.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .power import (
     _decode_set,
     _encode_set,
     _scaled_divisors,
+    _sumset,
 )
 
 
@@ -88,6 +92,29 @@ def p_divisors(
     return [_decode_set(u, spec) for u in sorted(u for u, _, _ in divs)]
 
 
+def _mcd_in_P(fam: list, spec: MonoidSpec, bud: Budget) -> list:
+    """`mcd_in_P` of a nonempty family of scaled sets, as ascending scaled
+    sets; a TruncationError carries the scaled stripped divisor as partial."""
+    stripped = (fam[0][0] - fam[0][0],)
+    while True:
+        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, spec, bud)} for t in fam]
+        common = set(cofactors[0]).intersection(*cofactors[1:])
+        # scaled divisors sort as their decoded sets do
+        nonsingleton = sorted(u for u in common if len(u) >= 2)
+        if not nonsingleton:
+            break
+        d = nonsingleton[0]
+        fam = [tuple(cof[d]) for cof in cofactors]
+        stripped = _sumset(stripped, d)
+    m_level = _mcd(tuple(sorted({e for t in fam for e in t})), spec, bud)
+    if not m_level:
+        raise TruncationError(
+            "monoid-level MCD reduction inconclusive within truncation", partial=stripped
+        )
+    # translates by ascending m0 come out in ascending order
+    return [tuple(e + m0 for e in stripped) for m0 in m_level]
+
+
 def mcd_in_P(
     family: list[FinSet], spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[FinSet]:
@@ -102,25 +129,11 @@ def mcd_in_P(
         raise InvalidInputError("empty family")
     bud = as_budget(budget)
     fam = [_encode_set(t, spec) for t in family]
-    stripped = (fam[0][0] - fam[0][0],)
-    while True:
-        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, spec, bud)} for t in fam]
-        common = set(cofactors[0]).intersection(*cofactors[1:])
-        # scaled divisors sort as their decoded sets do
-        nonsingleton = sorted(u for u in common if len(u) >= 2)
-        if not nonsingleton:
-            break
-        d = nonsingleton[0]
-        fam = [tuple(cof[d]) for cof in cofactors]
-        stripped = tuple(sorted({x + y for x in stripped for y in d}))
-    m_level = _mcd(tuple(sorted({e for t in fam for e in t})), spec, bud)
-    if not m_level:
-        raise TruncationError(
-            "monoid-level MCD reduction inconclusive within truncation",
-            partial=_decode_set(stripped, spec),
-        )
-    # translates by ascending m0 come out in ascending order
-    return [_decode_set(tuple(e + m0 for e in stripped), spec) for m0 in m_level]
+    try:
+        out = _mcd_in_P(fam, spec, bud)
+    except TruncationError as exc:
+        raise TruncationError(str(exc), partial=_decode_set(exc.partial, spec)) from None
+    return [_decode_set(u, spec) for u in out]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,15 @@ its largest cofactor C; `decompositions` takes the V's inside C, and
 `mcd.p_divisors` collects the U's.  It walks the subsets once per anchor
 membership pattern, not once per anchor, yet charges each anchor one node
 per subset, so node counts are those of a walk per anchor, and a budget
-that runs out stops at limit + 1.  The scaled core of `decompositions`,
-`_decompositions`, also serves the lemma-5.2 suite, which checks residues on
-ints through `mcd._cap_constant_on_scaled`.
+that runs out stops at limit + 1.
+
+`divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
+scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
+decode.  `_sumset` adds two ascending tuples of elements, scaled or not, so
+`sumset`, `sumset_all` (through `_sumset_all`) and `mcd_in_P`'s strip step
+share it with no encoding.  The rank-1 set suites call these cores on scaled
+sets and decode a set only to render a failure; lemma-5.2 checks residues
+on ints through `mcd._cap_constant_on_scaled`.
 
 Cofactors are computed by one mask kernel, `_cofactors`, which also serves
 `divides_in_P` and `singleton_candidates`.  For the sets U with minimum a
@@ -122,17 +128,30 @@ def zero_set(spec: MonoidSpec) -> FinSet:
     return singleton(spec.zero)
 
 
+def _sumset(a: tuple, b: tuple) -> tuple:
+    """The sumset of two ascending tuples of elements of one kind, ascending;
+    the elements may be scaled or not."""
+    return tuple(sorted({x + y for x in a for y in b}))
+
+
+def _sumset_all(sets, zero) -> tuple:
+    """The sumset of the ascending tuples in sets, from the identity (zero,)."""
+    acc = (zero,)
+    for s in sets:
+        acc = _sumset(acc, s)
+    return acc
+
+
 def sumset(s: FinSet, t: FinSet) -> FinSet:
     if isinstance(s.min, QPoint2) != isinstance(t.min, QPoint2):
         raise InvalidInputError("cannot add a set of points to a set of rationals")
-    return FinSet._ascending(tuple(sorted({a + b for a in s for b in t})))
+    return FinSet._ascending(_sumset(s.elems, t.elems))
 
 
 def sumset_all(sets: list[FinSet], spec: MonoidSpec) -> FinSet:
-    acc = zero_set(spec)
-    for s in sets:
-        acc = sumset(acc, s)
-    return acc
+    if any(isinstance(s.min, QPoint2) != spec.is_rank2 for s in sets):
+        raise InvalidInputError("cannot add a set of points to a set of rationals")
+    return FinSet._ascending(_sumset_all([s.elems for s in sets], spec.zero))
 
 
 def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
@@ -315,15 +334,22 @@ def singleton_candidates(
     return _decode_set(c, spec) if c else None
 
 
+def _divides_in_P(u: tuple, w: tuple, spec: MonoidSpec, bud: Budget) -> Optional[tuple]:
+    """`divides_in_P` of the scaled sets u and w: the largest scaled cofactor
+    C with u + C = w, or None when u does not divide w."""
+    if len(w) < len(u):
+        return None
+    c, _, union = _cofactors(w, u[0], u, membership(spec, bud))(u)
+    return tuple(c) if union == (1 << len(w)) - 1 else None
+
+
 def divides_in_P(
     s: FinSet, t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> Optional[FinSet]:
     """A witness D with s + D = t, or None when s does not divide t."""
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    if len(w) < len(u):
-        return None
-    c, _, union = _cofactors(w, u[0], u, membership(spec, as_budget(budget)))(u)
-    return _decode_set(c, spec) if union == (1 << len(w)) - 1 else None
+    c = _divides_in_P(u, w, spec, as_budget(budget))
+    return None if c is None else _decode_set(c, spec)
 
 
 def _decompositions(t: tuple, spec: MonoidSpec, bud: Budget, both_nonsingleton=False) -> list:
@@ -426,24 +452,28 @@ def p_factorize(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = Non
     """
     if s == zero_set(spec):
         return []
-    return _p_factor(s, spec, as_budget(budget), {})
+    parts = _p_factor(_encode_set(s, spec), spec, as_budget(budget), {})
+    return parts if parts is NOT_ATOMIC else [_decode_set(p, spec) for p in parts]
 
 
-def _p_factor(t: FinSet, spec: MonoidSpec, bud: Budget, memo: dict):
-    """`p_factorize` of t, with the verdicts of the sets met so far in memo."""
-    if t.elems in memo:
-        return memo[t.elems]
-    memo[t.elems] = NOT_ATOMIC  # guards re-entry on cyclic translates
-    decs = decompositions(t, spec, bud)
+def _p_factor(t: tuple, spec: MonoidSpec, bud: Budget, memo: dict):
+    """`p_factorize` of the scaled set t other than the zero set: its atoms
+    as ascending scaled sets, or NOT_ATOMIC, with the verdicts of the sets
+    met so far in memo."""
+    if t in memo:
+        return memo[t]
+    memo[t] = NOT_ATOMIC  # guards re-entry on cyclic translates
+    decs = _decompositions(t, spec, bud)
     result = NOT_ATOMIC if decs else [t]
-    for dec in decs:
-        left = _p_factor(dec.left, spec, bud, memo)
+    for u, v in decs:
+        left = _p_factor(u, spec, bud, memo)
         if left is NOT_ATOMIC:
             continue
-        right = _p_factor(dec.right, spec, bud, memo)
+        right = _p_factor(v, spec, bud, memo)
         if right is NOT_ATOMIC:
             continue
-        result = sorted(left + right, key=lambda f: f.elems)
+        # scaled sets sort as their decoded sets do
+        result = sorted(left + right)
         break
-    memo[t.elems] = result
+    memo[t] = result
     return result

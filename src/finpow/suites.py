@@ -20,36 +20,38 @@ from .backend import (
     as_budget,
     atoms,
     clear_caches,
+    decode,
     encode,
     ex44_a2_atoms,
     expand_family,
     factorizations,
-    member,
     members_upto,
+    membership,
     render_monoid_spec,
 )
 from .power import (
     FinSet,
     _decode_set,
     _decompositions,
+    _divides_in_P,
+    _p_factor,
+    _sumset,
+    _sumset_all,
     augment_indecomposable,
     divides_in_P,
     is_indecomposable,
     is_p_atom,
-    p_factorize,
     singleton,
-    sumset,
-    sumset_all,
     NOT_ATOMIC,
 )
 from .mcd import (
     _cap_constant_on_scaled,
     _check_cap_preconditions,
+    _mcd,
+    _mcd_in_P,
     cap_residue,
     chain_divisors,
     ex44_chain,
-    mcd,
-    mcd_in_P,
 )
 from .atomicity import (
     lemma54_sum_witness,
@@ -134,62 +136,77 @@ def _seed(name: str) -> int:
     return sum(ord(ch) * (i + 1) for i, ch in enumerate(name))
 
 
-def _random_finset(rng: random.Random, pool: list, max_size: int, min_size: int = 1) -> FinSet:
+def _random_set(rng: random.Random, pool: list, max_size: int, min_size: int = 1) -> tuple:
     size = rng.randint(min_size, max_size)
-    return FinSet._ascending(tuple(sorted(rng.sample(pool, min(size, len(pool))))))
+    return tuple(sorted(rng.sample(pool, min(size, len(pool)))))
 
 
-def _pair_corpora(spec: Optional[MonoidSpec], bud: Budget):
-    if spec is not None:
-        return [(spec, members_upto(spec, Fraction(30), bud))]
-    out = []
-    for s in (MonoidSpec.numerical(1), MonoidSpec.numerical(2, 3)):
-        out.append((s, members_upto(s, Fraction(30), bud)))
-    return out
+def _rank1(suite: str, sp: Optional[MonoidSpec]) -> None:
+    if sp is not None and sp.is_rank2:
+        raise InvalidInputError(f"{suite} needs a rank-1 spec")
+
+
+def _corpus(suite: str, sp: MonoidSpec, bound: int, bud: Budget) -> list:
+    """The scaled members of sp in [0, bound], ascending: the pool a suite
+    draws its sets from.  Only a rank-1 spec has one, so a rank-2 spec is
+    refused before any node is spent."""
+    _rank1(suite, sp)
+    return [encode(q, sp) for q in members_upto(sp, Fraction(bound), bud)]
+
+
+def _render(s: tuple, sp: MonoidSpec) -> str:
+    """The scaled set s of sp, rendered as a set of its elements."""
+    return _decode_set(s, sp).render()
+
+
+def _pair_corpora(suite: str, spec: Optional[MonoidSpec], bud: Budget) -> list:
+    specs = [spec] if spec is not None else [MonoidSpec.numerical(1), MonoidSpec.numerical(2, 3)]
+    return [(sp, _corpus(suite, sp, 30, bud)) for sp in specs]
 
 
 def _suite_lemma_2_6(spec, bud, rng) -> list:
     checks = []
-    corpora = _pair_corpora(spec, bud)
+    corpora = _pair_corpora("lemma-2.6", spec, bud)
     for sp, pool in corpora:
         n = 1000 // len(corpora)
         bad = None
         for _ in range(n):
-            s = _random_finset(rng, pool, 4)
-            t = _random_finset(rng, pool, 4)
-            u = sumset(s, t)
-            if u.min != s.min + t.min or u.max != s.max + t.max:
+            s = _random_set(rng, pool, 4)
+            t = _random_set(rng, pool, 4)
+            u = _sumset(s, t)
+            if u[0] != s[0] + t[0] or u[-1] != s[-1] + t[-1]:
                 bad = (s, t)
                 break
         cid = f"min-max-additivity[{_spec_tag(sp)}]"
         if bad:
-            checks.append(CheckResult(cid, FAIL, f"{bad[0].render()} + {bad[1].render()}"))
+            checks.append(CheckResult(cid, FAIL, f"{_render(bad[0], sp)} + {_render(bad[1], sp)}"))
         else:
             checks.append(CheckResult(cid, PASS, f"{n} random pairs"))
     # witness invariants for divisibility in the power monoid
     for sp, pool in corpora:
         n = 500 // len(corpora)
+        is_member = membership(sp, bud)
         bad = None
         for _ in range(n):
-            s = _random_finset(rng, pool, 3)
-            d = _random_finset(rng, pool, 3)
-            t = sumset(s, d)
-            w = divides_in_P(s, t, sp, bud)
+            s = _random_set(rng, pool, 3)
+            d = _random_set(rng, pool, 3)
+            t = _sumset(s, d)
+            w = _divides_in_P(s, t, sp, bud)
             ok = (
                 w is not None
-                and sumset(s, w) == t
+                and _sumset(s, w) == t
                 and len(s) <= len(t)
-                and member(t.min - s.min, sp, bud)
-                and member(t.max - s.max, sp, bud)
-                and w.min == t.min - s.min
-                and w.max == t.max - s.max
+                and is_member(t[0] - s[0])
+                and is_member(t[-1] - s[-1])
+                and w[0] == t[0] - s[0]
+                and w[-1] == t[-1] - s[-1]
             )
             if not ok:
                 bad = (s, t)
                 break
         cid = f"divides-witness-invariants[{_spec_tag(sp)}]"
         if bad:
-            checks.append(CheckResult(cid, FAIL, f"{bad[0].render()} | {bad[1].render()}"))
+            checks.append(CheckResult(cid, FAIL, f"{_render(bad[0], sp)} | {_render(bad[1], sp)}"))
         else:
             checks.append(CheckResult(cid, PASS, f"{n} random instances"))
     return checks
@@ -197,14 +214,14 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
 
 def _suite_lemma_3_2(spec, bud, rng) -> list:
     checks = []
-    corpora = _pair_corpora(spec, bud)
+    corpora = _pair_corpora("lemma-3.2", spec, bud)
     for sp, pool in corpora:
         n = 1000 // len(corpora)
         bad = None
         for _ in range(n):
-            s = _random_finset(rng, pool, 4)
-            t = _random_finset(rng, pool, 4)
-            u = sumset(s, t)
+            s = _random_set(rng, pool, 4)
+            t = _random_set(rng, pool, 4)
+            u = _sumset(s, t)
             if len(u) < len(s) + len(t) - 1:
                 bad = ("cardinality-bound", s, t)
                 break
@@ -214,7 +231,7 @@ def _suite_lemma_3_2(spec, bud, rng) -> list:
         cid = f"sumset-cardinality[{_spec_tag(sp)}]"
         if bad:
             checks.append(
-                CheckResult(cid, FAIL, f"{bad[0]}: {bad[1].render()} + {bad[2].render()}")
+                CheckResult(cid, FAIL, f"{bad[0]}: {_render(bad[1], sp)} + {_render(bad[2], sp)}")
             )
         else:
             checks.append(CheckResult(cid, PASS, f"{n} random pairs"))
@@ -228,25 +245,21 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
         MonoidSpec.numerical(3, 4, 5),
     ]
     for sp in specs:
-        pool = members_upto(sp, Fraction(10), bud)
-        sets = [
-            FinSet(c)
-            for size in (1, 2)
-            for c in itertools.combinations(pool, size)
-        ]
-        m_ok = all(mcd(s, sp, bud) for s in sets)
+        pool = _corpus("prop-4.1", sp, 10, bud)
+        sets = [c for size in (1, 2) for c in itertools.combinations(pool, size)]
+        m_ok = all(_mcd(s, sp, bud) for s in sets)
         p_ok = True
         witness = ""
         for fam_size in (1, 2):
             for fam in itertools.combinations(sets, fam_size):
                 try:
-                    if not mcd_in_P(list(fam), sp, bud):
+                    if not _mcd_in_P(list(fam), sp, bud):
                         p_ok = False
-                        witness = " , ".join(f.render() for f in fam)
+                        witness = " , ".join(_render(f, sp) for f in fam)
                         break
                 except TruncationError:
                     p_ok = False
-                    witness = " , ".join(f.render() for f in fam)
+                    witness = " , ".join(_render(f, sp) for f in fam)
                     break
             if not p_ok:
                 break
@@ -260,10 +273,10 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
 
 def _suite_lemma_4_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(1)
-    pool = [q for q in members_upto(sp, Fraction(9), bud) if q > 0]
+    pool = [decode(n, sp) for n in _corpus("lemma-4.2", sp, 9, bud) if n > 0]
     bad = None
     for _ in range(200):
-        s = _random_finset(rng, pool, 4, min_size=2)
+        s = FinSet._ascending(_random_set(rng, pool, 4, min_size=2))
         aug = augment_indecomposable(s)
         if not is_indecomposable(aug, sp, bud):
             bad = s
@@ -276,21 +289,22 @@ def _suite_lemma_4_2(spec, bud, rng) -> list:
 
 def _suite_thm_4_5(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = members_upto(sp, Fraction(12), bud)
+    pool = _corpus("thm-4.5", sp, 12, bud)
     total = 0
     for size in (1, 2, 3):
-        for combo in itertools.combinations(pool, size):
-            s = FinSet(combo)
-            if s == FinSet((sp.zero,)):
+        for s in itertools.combinations(pool, size):
+            if s == (0,):
                 continue
-            parts = p_factorize(s, sp, bud)
+            parts = _p_factor(s, sp, bud, {})
             if parts is NOT_ATOMIC:
-                return [CheckResult("p-factorization-exists", FAIL, s.render())]
-            if sumset_all(parts, sp) != s:
-                return [CheckResult("certificate-resums", FAIL, s.render())]
+                return [CheckResult("p-factorization-exists", FAIL, _render(s, sp))]
+            if _sumset_all(parts, 0) != s:
+                return [CheckResult("certificate-resums", FAIL, _render(s, sp))]
             for p in parts:
-                if not is_p_atom(p, sp, bud).is_atom:
-                    return [CheckResult("parts-are-atoms", FAIL, p.render())]
+                # a part is never the zero set, so an atom is a part with
+                # no decomposition
+                if _decompositions(p, sp, bud):
+                    return [CheckResult("parts-are-atoms", FAIL, _render(p, sp))]
             total += 1
     return [
         CheckResult(
@@ -535,7 +549,7 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
 
 def _suite_lemma_6_1(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = members_upto(sp, Fraction(10), bud)
+    pool = [decode(n, sp) for n in _corpus("lemma-6.1", sp, 10, bud)]
     singleton_branch = nonsingleton_branch = 0
     for size in (1, 2, 3):
         for combo in itertools.combinations(pool, size):
@@ -562,6 +576,7 @@ def _suite_lemma_6_1(spec, bud, rng) -> list:
 
 
 def _suite_prop_6_4(spec, bud, rng) -> list:
+    _rank1("prop-6.4", spec)
     checks = []
     cases = (
         [(spec, Fraction(30))]

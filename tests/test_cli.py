@@ -299,6 +299,14 @@ class TestUsageErrors:
             ("cap-additivity", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
             ("lemma-5.2", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
             ("thm-5.5-gap", "family EX44 depth 2", "rank-2"),
+            ("lemma-2.6", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("lemma-3.2", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("prop-4.1", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("lemma-4.2", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("thm-4.5", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("lemma-6.1", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("prop-6.4", "kind rank2; gens (0,1), (1/5, 2)", "rank-1"),
+            ("prop-6.4", RANK2, "rank-1"),
         ],
     )
     def test_suite_given_a_spec_of_the_wrong_kind(self, capsys, suite, spec, needs):

@@ -194,6 +194,18 @@ class TestPFactorize:
         p_factorize(FinSet((4, 5, 6, 7)), N23, bud)
         assert bud.used > 0
 
+    @pytest.mark.parametrize(
+        "elems, parts",
+        [
+            ((3, Fraction(9, 2)), [(0, Fraction(3, 2)), (Fraction(3, 2),), (Fraction(3, 2),)]),
+            ((Fraction(9, 2), Fraction(11, 2)),
+             [(Fraction(3, 2),), (Fraction(3, 2),), (Fraction(3, 2), Fraction(5, 2))]),
+        ],
+    )
+    def test_parts_are_decoded_and_ascend(self, elems, parts):
+        spec = MonoidSpec.puiseux(Fraction(3, 2), Fraction(5, 2))
+        assert p_factorize(FinSet(elems), spec) == [FinSet(p) for p in parts]
+
 
 # ---------------------------------------------------------------------------
 # Differential checks of the anchored divisor enumeration against a
