@@ -1,22 +1,16 @@
 """The suites that run on scaled sets: how each behaves when its budget runs
 out, on a spec of its own, which membership tests it makes in which order,
-which specs it refuses, and what it reports when a core it calls is wrong."""
+and which specs the corpus suites refuse."""
 
 import hashlib
-import sys
 
 import pytest
 
 from finpow import backend
 from finpow.arith import InvalidInputError
 from finpow.backend import clear_caches, parse_monoid_spec
-from finpow.mcd import _mcd_in_P
-from finpow.power import _divides_in_P, _sumset
 from finpow.suites import run_verify_suite
 
-power = sys.modules["finpow.power"]
-mcd = sys.modules["finpow.mcd"]
-suites = sys.modules["finpow.suites"]
 PUISEUX = parse_monoid_spec("kind puiseux\ngens 3/2, 5/2")
 
 
@@ -106,86 +100,3 @@ def test_a_rank2_spec_is_refused_before_any_node(suite):
     spec = parse_monoid_spec("kind rank2\ngens (0,1), (1/5, 2)")
     with pytest.raises(InvalidInputError, match=f"^{suite} needs a rank-1 spec$"):
         run_verify_suite(suite, spec, budget=0)
-
-
-def _drop_last(elems: tuple) -> tuple:
-    return elems[:-1] if len(elems) > 1 else elems
-
-
-def _wrong_sumset(a, b):
-    return _drop_last(_sumset(a, b))
-
-
-def _wrong_divides(u, w, spec, bud):
-    c = _divides_in_P(u, w, spec, bud)
-    return None if c is None else _drop_last(c)
-
-
-def _wrong_mcd_in_P(fam, spec, bud):
-    out = _mcd_in_P(fam, spec, bud)
-    return [] if any(len(t) > 1 for t in fam) else out
-
-
-# (core, wrong core, spec, suite, budget_used, checks); a FAIL witness shows
-# decoded elements, such as 21/2 over <3/2, 5/2>, never a scaled int
-@pytest.mark.parametrize(
-    "core, wrong, spec, suite, used, checks",
-    [
-        ("_sumset", _wrong_sumset, None, "lemma-2.6", 220, [
-            ("min-max-additivity[numerical(1)]", "fail", "{4, 11} + {8}"),
-            ("min-max-additivity[numerical(2,3)]", "fail", "{7} + {24, 25, 30}"),
-            ("divides-witness-invariants[numerical(1)]", "fail", "{22, 28} | {46}"),
-            ("divides-witness-invariants[numerical(2,3)]", "fail", "{3, 13} | {6, 16, 24, 26}"),
-        ]),
-        ("_sumset", _wrong_sumset, None, "lemma-3.2", 135, [
-            ("sumset-cardinality[numerical(1)]", "fail",
-             "cardinality-bound: {7, 8, 21, 23} + {28}"),
-            ("sumset-cardinality[numerical(2,3)]", "fail", "cardinality-bound: {12} + {2, 8, 22}"),
-        ]),
-        ("_sumset", _wrong_sumset, None, "thm-4.5", 609, [
-            ("certificate-resums", "fail", "{0, 2}"),
-        ]),
-        ("_sumset", _wrong_sumset, PUISEUX, "lemma-2.6", 288, [
-            ("min-max-additivity[puiseux(3/2,5/2)]", "fail", "{6, 13} + {21/2}"),
-            ("divides-witness-invariants[puiseux(3/2,5/2)]", "fail",
-             "{0, 17/2, 28} | {51/2, 53/2, 34, 35, 107/2}"),
-        ]),
-        ("_sumset", _wrong_sumset, PUISEUX, "lemma-3.2", 153, [
-            ("sumset-cardinality[puiseux(3/2,5/2)]", "fail",
-             "cardinality-bound: {19/2, 21/2, 23, 25} + {30}"),
-        ]),
-        ("_sumset", _wrong_sumset, PUISEUX, "thm-4.5", 1278, [
-            ("certificate-resums", "fail", "{0, 3/2}"),
-        ]),
-        ("_divides_in_P", _wrong_divides, None, "lemma-2.6", 445, [
-            ("min-max-additivity[numerical(1)]", "pass", "500 random pairs"),
-            ("min-max-additivity[numerical(2,3)]", "pass", "500 random pairs"),
-            ("divides-witness-invariants[numerical(1)]", "fail",
-             "{4, 7, 14} | {9, 12, 19, 34, 37, 44}"),
-            ("divides-witness-invariants[numerical(2,3)]", "fail", "{0} | {9, 20}"),
-        ]),
-        ("_divides_in_P", _wrong_divides, PUISEUX, "lemma-2.6", 381, [
-            ("min-max-additivity[puiseux(3/2,5/2)]", "pass", "1000 random pairs"),
-            ("divides-witness-invariants[puiseux(3/2,5/2)]", "fail",
-             "{21/2, 30} | {29/2, 63/2, 34, 38, 51, 115/2}"),
-        ]),
-        ("_mcd_in_P", _wrong_mcd_in_P, None, "prop-4.1", 546, [
-            ("mcd-existence-agrees[numerical(2,3)]", "fail", "{0, 2}"),
-            ("mcd-existence-agrees[numerical(3,4,5)]", "fail", "{0, 3}"),
-        ]),
-        ("_mcd_in_P", _wrong_mcd_in_P, PUISEUX, "prop-4.1", 512, [
-            ("mcd-existence-agrees[puiseux(3/2,5/2)]", "fail", "{0, 3/2}"),
-        ]),
-    ],
-)
-def test_a_wrong_core_makes_the_suite_fail_with_a_decoded_witness(
-    monkeypatch, core, wrong, spec, suite, used, checks
-):
-    # the suite and the public functions of the core's own module both see
-    # the wrong core; mcd_in_P's strip step keeps the right sumset
-    monkeypatch.setattr(suites, core, wrong)
-    monkeypatch.setattr(mcd if core == "_mcd_in_P" else power, core, wrong)
-    clear_caches()
-    report = run_verify_suite(suite, spec)
-    assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
-    assert report.budget_used == used
