@@ -1,7 +1,8 @@
 """What the suites that run on scaled sets report when a scaled core they
 call is wrong: a FAIL whose witness is rendered from decoded elements.  The
-expected reports were taken at the parent of the scaled suites, under the
-same wrong results from the public `sumset`, `divides_in_P` and `mcd_in_P`."""
+expected reports are those the suites gave while they still built `FinSet`s
+and called the public `sumset`, `divides_in_P` and `mcd_in_P`, made to
+return the same wrong sets."""
 
 import sys
 
