@@ -17,6 +17,7 @@ from .arith import Element, InvalidInputError, QPoint2, Rat, _den_primes, primes
 from .backend import (
     Budget,
     MonoidSpec,
+    _Query,
     as_budget,
     atoms,
     decode,
@@ -133,7 +134,7 @@ def p_furstenberg_divisor(
         raise InvalidInputError("the zero set has no atom divisor")
     if is_p_atom(s, spec, bud).is_atom:
         return s
-    scaled = _singleton_divisors(_encode_set(s, spec), spec, bud)
+    scaled = _singleton_divisors(_encode_set(s, spec), _Query(spec, bud))
     single = [d for d in (decode(x, spec) for x in scaled) if d != spec.zero]
     if single:
         d = max(single)

@@ -21,10 +21,10 @@ tractable.
 the generators but the one tested, with no spec built for them.  Membership
 verdicts, scaled divisor lists, set divisor enumerations and the atom list
 live in one result cache per spec, an `_Entry` with a named field for each;
-`clear_caches` empties it.  `member` and `divisors` wrap the scaled cores
-`membership` and `_divisors` in one encode and one decode; the power layer
-calls `membership`, and reads cached divisor lists scaled.  `_locate` maps a
-scaled element to the plan and the coordinates that both cores search from.
+`clear_caches` empties it.  A `_Query` holds a spec, its entry and a budget;
+the scaled cores here and in `power` and `mcd` take one, and `member` and
+`divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode.
+`_locate` maps a scaled element to the plan and coordinates both search from.
 A family spec is expanded once, when it is built, and equals its expansion.
 """
 from __future__ import annotations
@@ -441,14 +441,6 @@ def decode(n, spec: MonoidSpec) -> Element:
     return n if spec.is_rank2 else Fraction(n, spec.scale)
 
 
-def _entry(spec: MonoidSpec) -> _Entry:
-    """The cache entry of a spec, made on first use."""
-    entry = _cache.get(spec)
-    if entry is None:
-        entry = _cache[spec] = _Entry(spec)
-    return entry
-
-
 def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
     """(plan, y, x) for the scaled element n of a spec: an int lies on the
     spec's lattice, where the spec's `plan` serves; off it, the plan is
@@ -461,23 +453,27 @@ def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
     return plan, y, x
 
 
-def membership(spec: MonoidSpec, budget: Budget):
-    """A membership test for scaled elements n >= 0 of a spec.
+class _Query:
+    """One query over a spec: the spec, its result-cache entry, made on first
+    use, and the `Budget` its searches charge.  A public function builds one
+    per call, a suite one per spec; the scaled cores take it."""
 
-    The test reads and fills the spec's verdicts in the result cache; a miss
-    runs the coefficient search and charges it to `budget`.
-    """
-    entry = _entry(spec)
-    cache, plan = entry.verdicts, entry.plan
+    __slots__ = ("spec", "entry", "budget")
 
-    def is_member(n) -> bool:
-        ok = cache.get(n)
+    def __init__(self, spec: MonoidSpec, budget: Budget):
+        entry = _cache.get(spec)
+        if entry is None:
+            entry = _cache[spec] = _Entry(spec)
+        self.spec, self.entry, self.budget = spec, entry, budget
+
+    def is_member(self, n) -> bool:
+        """Membership of the scaled element n >= 0; a cache miss searches."""
+        entry = self.entry
+        ok = entry.verdicts.get(n)
         if ok is None:
-            sub, y, x = _locate(n, spec, plan)
-            ok = cache[n] = _search(sub, 0, y, x, budget, True, [], [])
+            sub, y, x = _locate(n, self.spec, entry.plan)
+            ok = entry.verdicts[n] = _search(sub, 0, y, x, self.budget, True, [], [])
         return ok
-
-    return is_member
 
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
@@ -485,17 +481,17 @@ def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -
     spec.check_element(q)
     if q < spec.zero:
         return False
-    return membership(spec, as_budget(budget))(encode(q, spec))
+    return _Query(spec, as_budget(budget)).is_member(encode(q, spec))
 
 
-def _divisors(n, spec: MonoidSpec, bud: Budget) -> tuple:
-    """The divisors of the scaled element n of a spec, scaled and ascending.
+def _divisors(n, q: _Query) -> tuple:
+    """The divisors of the scaled element n of q's spec, scaled and ascending.
 
     Every divisor is a sub-multiset sum of some generator representation of
     n.  The coefficient search enumerates the representations, each
     sub-multiset sum spends one node, and the sorted sums are cached under n.
     """
-    entry = _entry(spec)
+    spec, entry, bud = q.spec, q.entry, q.budget
     out = entry.divisors.get(n)
     if out is None:
         sub, y, x = _locate(n, spec, entry.plan)
@@ -522,7 +518,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
     scaled b, decoded."""
     spec.check_element(b)
-    out = _divisors(encode(b, spec), spec, as_budget(budget))
+    out = _divisors(encode(b, spec), _Query(spec, as_budget(budget)))
     if spec.is_rank2:
         return list(out)
     scale = spec.scale
@@ -538,9 +534,9 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     spec's result-cache entry, so a repeated call costs one lookup; a search
     cut short by the budget keeps nothing.
     """
-    entry = _entry(spec)
+    bud = as_budget(budget)
+    entry = _Query(spec, bud).entry
     if entry.atoms is None:
-        bud = as_budget(budget)
         gens = spec.generators
         out = []
         for i, g in enumerate(gens):

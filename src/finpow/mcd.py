@@ -19,12 +19,12 @@ from .backend import (
     Budget,
     MonoidSpec,
     TruncationError,
+    _Query,
     as_budget,
     ex44_a1_atoms,
     expand_family,
     factorizations,
     member,
-    membership,
     memoized,
 )
 from .power import (
@@ -37,31 +37,30 @@ from .power import (
 )
 
 
-def _common_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+def _common_divisors(s: tuple, q: _Query) -> list:
     """The scaled common divisors of the scaled set s, ascending."""
-    out = set(_scaled_divisors(s[0], spec, bud))
+    out = set(_scaled_divisors(s[0], q))
     for e in s[1:]:
-        out &= set(_scaled_divisors(e, spec, bud))
+        out &= set(_scaled_divisors(e, q))
     return sorted(out)
 
 
-def _singleton_divisors(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+def _singleton_divisors(s: tuple, q: _Query) -> list:
     """The scaled x with {x} dividing the scaled set s.
 
     The set of `_common_divisors`, by membership tests instead of divisor
     lists; merging the two either way moves node counts (`mcd_in_P` spends
     fewer on this one, `p_furstenberg_divisor` more on the other).
     """
-    is_member = membership(spec, bud)
-    return [x for x in _scaled_divisors(s[0], spec, bud) if all(is_member(e - x) for e in s)]
+    return [x for x in _scaled_divisors(s[0], q) if all(q.is_member(e - x) for e in s)]
 
 
-def _mcd(s: tuple, spec: MonoidSpec, bud: Budget) -> list:
+def _mcd(s: tuple, q: _Query) -> list:
     """The scaled maximal common divisors of the scaled set s, ascending."""
     zero = s[0] - s[0]
     return [
-        d for d in _common_divisors(s, spec, bud)
-        if _common_divisors(tuple(e - d for e in s), spec, bud) == [zero]
+        d for d in _common_divisors(s, q)
+        if _common_divisors(tuple(e - d for e in s), q) == [zero]
     ]
 
 
@@ -69,14 +68,14 @@ def common_divisors(
     s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """Intersection of the divisor sets of the elements of s."""
-    out = _common_divisors(_encode_set(s, spec), spec, as_budget(budget))
+    out = _common_divisors(_encode_set(s, spec), _Query(spec, as_budget(budget)))
     return list(_decode_set(out, spec))
 
 
 def mcd(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """All maximal common divisors of s: common divisors d such that the
     shifted set {e - d} has no common divisor besides 0."""
-    out = _mcd(_encode_set(s, spec), spec, as_budget(budget))
+    out = _mcd(_encode_set(s, spec), _Query(spec, as_budget(budget)))
     return list(_decode_set(out, spec))
 
 
@@ -88,16 +87,16 @@ def p_divisors(
     t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list[FinSet]:
     """All divisors of t in the power monoid, including {0} and t itself."""
-    divs = _anchored_divisors(_encode_set(t, spec), spec, as_budget(budget))
+    divs = _anchored_divisors(_encode_set(t, spec), _Query(spec, as_budget(budget)))
     return [_decode_set(u, spec) for u in sorted(u for u, _, _ in divs)]
 
 
-def _mcd_in_P(fam: list, spec: MonoidSpec, bud: Budget) -> list:
+def _mcd_in_P(fam: list, q: _Query) -> list:
     """`mcd_in_P` of a nonempty family of scaled sets, as ascending scaled
     sets; a TruncationError carries the scaled stripped divisor as partial."""
     stripped = (fam[0][0] - fam[0][0],)
     while True:
-        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, spec, bud)} for t in fam]
+        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, q)} for t in fam]
         common = set(cofactors[0]).intersection(*cofactors[1:])
         # scaled divisors sort as their decoded sets do
         nonsingleton = sorted(u for u in common if len(u) >= 2)
@@ -106,7 +105,7 @@ def _mcd_in_P(fam: list, spec: MonoidSpec, bud: Budget) -> list:
         d = nonsingleton[0]
         fam = [tuple(cof[d]) for cof in cofactors]
         stripped = _sumset(stripped, d)
-    m_level = _mcd(tuple(sorted({e for t in fam for e in t})), spec, bud)
+    m_level = _mcd(tuple(sorted({e for t in fam for e in t})), q)
     if not m_level:
         raise TruncationError(
             "monoid-level MCD reduction inconclusive within truncation", partial=stripped
@@ -127,10 +126,9 @@ def mcd_in_P(
     """
     if not family:
         raise InvalidInputError("empty family")
-    bud = as_budget(budget)
     fam = [_encode_set(t, spec) for t in family]
     try:
-        out = _mcd_in_P(fam, spec, bud)
+        out = _mcd_in_P(fam, _Query(spec, as_budget(budget)))
     except TruncationError as exc:
         raise TruncationError(str(exc), partial=_decode_set(exc.partial, spec)) from None
     return [_decode_set(u, spec) for u in out]

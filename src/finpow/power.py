@@ -53,14 +53,13 @@ from .arith import Element, InvalidInputError, QPoint2, parse_element, render_el
 from .backend import (
     Budget,
     MonoidSpec,
-    _entry,
+    _Query,
     _lattice,
     _split_top_level,
     as_budget,
     decode,
     divisors,
     encode,
-    membership,
 )
 
 
@@ -188,14 +187,14 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
     return FinSet._ascending(tuple(Fraction(n, scale) for n in elems))
 
 
-def _scaled_divisors(n, spec: MonoidSpec, bud: Budget) -> tuple:
-    """The scaled divisors of the scaled element n of a spec, as the result
+def _scaled_divisors(n, q: _Query) -> tuple:
+    """The scaled divisors of the scaled element n of q's spec, as the result
     cache holds them.  A miss fills the cache through the public `divisors`,
     so the traced per-layer view counts the divisor work of this layer and
     of `mcd` under `backend.divisors`."""
-    cache = _entry(spec).divisors
+    cache = q.entry.divisors
     if n not in cache:
-        divisors(decode(n, spec), spec, bud)
+        divisors(decode(n, q.spec), q.spec, q.budget)
     return cache[n]
 
 
@@ -258,7 +257,7 @@ def _relative_divisors(rel: tuple, ins: list, outs: list) -> list:
     return out
 
 
-def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
+def _anchored_divisors(t: tuple, q: _Query) -> list:
     """The list of (U, C, covers) for every divisor U of the scaled set t in
     the power monoid, where C is the largest cofactor, U + C = t, and
     covers[i] is the mask of the indices in t of U + C[i].
@@ -286,21 +285,20 @@ def _anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
     the peak RSS of `verify --suite all` from 24.0 to 30.1 MB to save its
     361 reruns, with no faster run (one run each, on a 2-core VM).
     """
-    memo = _entry(spec).enumerations
+    memo, bud, is_member = q.entry.enumerations, q.budget, q.is_member
     kept = memo.get(t)
     if kept is not None:
         bud.spend(kept[1])
         return kept[0]
     before = bud.used
-    is_member = membership(spec, bud)
     for x in t:
         if not is_member(x):
-            raise InvalidInputError(f"{render_element(decode(x, spec))} is not in the monoid")
+            raise InvalidInputError(f"{render_element(decode(x, q.spec))} is not in the monoid")
     t0, tmax = t[0], t[-1]
     rel = tuple(x - t0 for x in t)
     patterns: dict = {}
     out = []
-    for a in _scaled_divisors(t0, spec, bud):
+    for a in _scaled_divisors(t0, q):
         mv = t0 - a
         # a itself heads the list: it is a divisor, hence a member
         lows = [x - mv for x in t]
@@ -330,16 +328,16 @@ def singleton_candidates(
 ) -> Optional[FinSet]:
     """The largest C with s + C subset of t, or None when no m qualifies."""
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    c, _, _ = _cofactors(w, u[0], u, membership(spec, as_budget(budget)))(u)
+    c, _, _ = _cofactors(w, u[0], u, _Query(spec, as_budget(budget)).is_member)(u)
     return _decode_set(c, spec) if c else None
 
 
-def _divides_in_P(u: tuple, w: tuple, spec: MonoidSpec, bud: Budget) -> Optional[tuple]:
+def _divides_in_P(u: tuple, w: tuple, q: _Query) -> Optional[tuple]:
     """`divides_in_P` of the scaled sets u and w: the largest scaled cofactor
     C with u + C = w, or None when u does not divide w."""
     if len(w) < len(u):
         return None
-    c, _, union = _cofactors(w, u[0], u, membership(spec, bud))(u)
+    c, _, union = _cofactors(w, u[0], u, q.is_member)(u)
     return tuple(c) if union == (1 << len(w)) - 1 else None
 
 
@@ -348,12 +346,12 @@ def divides_in_P(
 ) -> Optional[FinSet]:
     """A witness D with s + D = t, or None when s does not divide t."""
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    c = _divides_in_P(u, w, spec, as_budget(budget))
+    c = _divides_in_P(u, w, _Query(spec, as_budget(budget)))
     return None if c is None else _decode_set(c, spec)
 
 
-def _decompositions(t: tuple, spec: MonoidSpec, bud: Budget, both_nonsingleton=False) -> list:
-    """`decompositions` of the scaled set t of a spec, as sorted
+def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
+    """`decompositions` of the scaled set t of q's spec, as sorted
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
     whose covers OR to all of t; which subsets those are depends on the
@@ -361,7 +359,7 @@ def _decompositions(t: tuple, spec: MonoidSpec, bud: Budget, both_nonsingleton=F
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     found: set = set()
     picks: dict = {}
-    for u, c, covers in _anchored_divisors(t, spec, bud):
+    for u, c, covers in _anchored_divisors(t, q):
         if u == (zero,) or (both_nonsingleton and len(u) < 2):
             continue
         extras = picks.get(covers)
@@ -389,7 +387,8 @@ def decompositions(
     both_nonsingleton: bool = False,
 ) -> list[Decomposition]:
     """All nontrivial pairs (U, V) with U + V = s, up to swap."""
-    pairs = _decompositions(_encode_set(s, spec), spec, as_budget(budget), both_nonsingleton)
+    t = _encode_set(s, spec)
+    pairs = _decompositions(t, _Query(spec, as_budget(budget)), both_nonsingleton)
     return [Decomposition(_decode_set(u, spec), _decode_set(v, spec)) for u, v in pairs]
 
 
@@ -452,24 +451,24 @@ def p_factorize(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = Non
     """
     if s == zero_set(spec):
         return []
-    parts = _p_factor(_encode_set(s, spec), spec, as_budget(budget), {})
+    parts = _p_factor(_encode_set(s, spec), _Query(spec, as_budget(budget)), {})
     return parts if parts is NOT_ATOMIC else [_decode_set(p, spec) for p in parts]
 
 
-def _p_factor(t: tuple, spec: MonoidSpec, bud: Budget, memo: dict):
+def _p_factor(t: tuple, q: _Query, memo: dict):
     """`p_factorize` of the scaled set t other than the zero set: its atoms
     as ascending scaled sets, or NOT_ATOMIC, with the verdicts of the sets
     met so far in memo."""
     if t in memo:
         return memo[t]
     memo[t] = NOT_ATOMIC  # guards re-entry on cyclic translates
-    decs = _decompositions(t, spec, bud)
+    decs = _decompositions(t, q)
     result = NOT_ATOMIC if decs else [t]
     for u, v in decs:
-        left = _p_factor(u, spec, bud, memo)
+        left = _p_factor(u, q, memo)
         if left is NOT_ATOMIC:
             continue
-        right = _p_factor(v, spec, bud, memo)
+        right = _p_factor(v, q, memo)
         if right is NOT_ATOMIC:
             continue
         # scaled sets sort as their decoded sets do

@@ -17,6 +17,7 @@ from .backend import (
     BudgetExceededError,
     MonoidSpec,
     TruncationError,
+    _Query,
     as_budget,
     atoms,
     clear_caches,
@@ -26,7 +27,6 @@ from .backend import (
     expand_family,
     factorizations,
     members_upto,
-    membership,
     render_monoid_spec,
 )
 from .power import (
@@ -185,19 +185,19 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
     # witness invariants for divisibility in the power monoid
     for sp, pool in corpora:
         n = 500 // len(corpora)
-        is_member = membership(sp, bud)
+        q = _Query(sp, bud)
         bad = None
         for _ in range(n):
             s = _random_set(rng, pool, 3)
             d = _random_set(rng, pool, 3)
             t = _sumset(s, d)
-            w = _divides_in_P(s, t, sp, bud)
+            w = _divides_in_P(s, t, q)
             ok = (
                 w is not None
                 and _sumset(s, w) == t
                 and len(s) <= len(t)
-                and is_member(t[0] - s[0])
-                and is_member(t[-1] - s[-1])
+                and q.is_member(t[0] - s[0])
+                and q.is_member(t[-1] - s[-1])
                 and w[0] == t[0] - s[0]
                 and w[-1] == t[-1] - s[-1]
             )
@@ -247,13 +247,14 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
     for sp in specs:
         pool = _corpus("prop-4.1", sp, 10, bud)
         sets = [c for size in (1, 2) for c in itertools.combinations(pool, size)]
-        m_ok = all(_mcd(s, sp, bud) for s in sets)
+        q = _Query(sp, bud)
+        m_ok = all(_mcd(s, q) for s in sets)
         p_ok = True
         witness = ""
         for fam_size in (1, 2):
             for fam in itertools.combinations(sets, fam_size):
                 try:
-                    if not _mcd_in_P(list(fam), sp, bud):
+                    if not _mcd_in_P(list(fam), q):
                         p_ok = False
                         witness = " , ".join(_render(f, sp) for f in fam)
                         break
@@ -290,12 +291,13 @@ def _suite_lemma_4_2(spec, bud, rng) -> list:
 def _suite_thm_4_5(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
     pool = _corpus("thm-4.5", sp, 12, bud)
+    q = _Query(sp, bud)
     total = 0
     for size in (1, 2, 3):
         for s in itertools.combinations(pool, size):
             if s == (0,):
                 continue
-            parts = _p_factor(s, sp, bud, {})
+            parts = _p_factor(s, q, {})
             if parts is NOT_ATOMIC:
                 return [CheckResult("p-factorization-exists", FAIL, _render(s, sp))]
             if _sumset_all(parts, 0) != s:
@@ -303,7 +305,7 @@ def _suite_thm_4_5(spec, bud, rng) -> list:
             for p in parts:
                 # a part is never the zero set, so an atom is a part with
                 # no decomposition
-                if _decompositions(p, sp, bud):
+                if _decompositions(p, q):
                     return [CheckResult("parts-are-atoms", FAIL, _render(p, sp))]
             total += 1
     return [
@@ -417,6 +419,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
 def _suite_lemma_5_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else expand_family("EX44", 2)
     pairs = _ex44_residue_pairs(sp, "lemma-5.2")
+    q = _Query(sp, bud)
     bad = None
     checked = 0
     for _ in range(100):
@@ -435,7 +438,7 @@ def _suite_lemma_5_2(spec, bud, rng) -> list:
         if not _cap_constant_on_scaled(t, a, p, sp):
             bad = (t, a, p)
             break
-        for left, right in _decompositions(t, sp, bud):
+        for left, right in _decompositions(t, q):
             checked += 1
             if not (
                 _cap_constant_on_scaled(left, a, p, sp)

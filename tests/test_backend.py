@@ -23,6 +23,7 @@ from finpow.backend import (
     Budget,
     BudgetExceededError,
     MonoidSpec,
+    _Query,
     _divisors,
     _plan,
     _search,
@@ -662,7 +663,7 @@ class TestScaledDivisors:
         want = divisors(b, spec)
         assert want and all(type(d) is kind for d in want)
         assert want == sorted(d for d in want if member(d, spec) and member(b - d, spec))
-        got = _divisors(encode(b, spec), spec, Budget(0))
+        got = _divisors(encode(b, spec), _Query(spec, Budget(0)))
         assert list(got) == [encode(d, spec) for d in want]
         assert [decode(n, spec) for n in got] == divisors(b, spec, Budget(0))
 
@@ -678,7 +679,7 @@ class TestScaledDivisors:
         n = encode(b, spec)
         assert type(n) is F and n.denominator > 1
         bud = Budget()
-        assert _divisors(n, spec, bud) == () and bud.used == nodes
+        assert _divisors(n, _Query(spec, bud)) == () and bud.used == nodes
         assert backend._cache[spec].divisors == {n: ()}
         assert divisors(b, spec, Budget(0)) == []
 

@@ -11,6 +11,7 @@ from finpow.backend import (
     Budget,
     MonoidSpec,
     TruncationError,
+    _Query,
     clear_caches,
     divisors,
     encode,
@@ -290,7 +291,7 @@ def reference_mcd_in_P(family: list, spec: MonoidSpec, bud: Budget) -> list:
     while True:
         common = None
         for t in fam:
-            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), spec, bud)}
+            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), _Query(spec, bud))}
             common = ds if common is None else common & ds
         nonsingleton = sorted(u for u in common if len(u) >= 2)
         if not nonsingleton:
@@ -401,7 +402,7 @@ class TestScaledLemma52Path:
             want = decompositions(s, spec, bud, both_nonsingleton=both)
             clear_caches()
             core_bud = Budget()
-            got = _decompositions(_encode_set(s, spec), spec, core_bud, both)
+            got = _decompositions(_encode_set(s, spec), _Query(spec, core_bud), both)
             assert [(_decode_set(u, spec), _decode_set(v, spec)) for u, v in got] == [
                 (d.left, d.right) for d in want
             ]

@@ -16,11 +16,11 @@ from finpow.backend import (
     BudgetExceededError,
     MonoidSpec,
     TruncationError,
+    _Query,
     _divisors,
     clear_caches,
     decode,
     expand_family,
-    membership,
 )
 from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
 from finpow.power import (
@@ -589,16 +589,16 @@ class TestEnumerationMemoOracle:
 # the budget runs out mid-set.
 
 
-def reference_anchored_divisors(t: tuple, spec: MonoidSpec, bud: Budget) -> list:
+def reference_anchored_divisors(t: tuple, q: _Query) -> list:
     """Each anchor tries its subsets U one by one, one node each, and builds
     its cofactor kernel at the first U that passes the tail test."""
-    is_member = membership(spec, bud)
+    is_member, bud = q.is_member, q.budget
     for x in t:
         if not is_member(x):
             raise InvalidInputError(f"{x} is not in the monoid")
     tmax, full = t[-1], (1 << len(t)) - 1
     out = []
-    for a in _divisors(t[0], spec, bud):
+    for a in _divisors(t[0], q):
         mv = t[0] - a
         if not is_member(mv):
             continue
@@ -625,7 +625,7 @@ def cold_enumeration(fn, t: tuple, spec: MonoidSpec, limit: int = DEFAULT_BUDGET
     clear_caches()
     bud = Budget(limit)
     try:
-        got = sorted((u, tuple(c), tuple(covers)) for u, c, covers in fn(t, spec, bud))
+        got = sorted((u, tuple(c), tuple(covers)) for u, c, covers in fn(t, _Query(spec, bud)))
     except BudgetExceededError:
         got = BudgetExceededError
     return got, bud.used

@@ -27,13 +27,13 @@ def _wrong_sumset(a, b):
     return _drop_last(_sumset(a, b))
 
 
-def _wrong_divides(u, w, spec, bud):
-    c = _divides_in_P(u, w, spec, bud)
+def _wrong_divides(u, w, q):
+    c = _divides_in_P(u, w, q)
     return None if c is None else _drop_last(c)
 
 
-def _wrong_mcd_in_P(fam, spec, bud):
-    out = _mcd_in_P(fam, spec, bud)
+def _wrong_mcd_in_P(fam, q):
+    out = _mcd_in_P(fam, q)
     return [] if any(len(t) > 1 for t in fam) else out
 
 
