@@ -34,12 +34,14 @@ once on entry and decodes its result once on return: a rank-1 element q of
 and a rank-2 point stays as it is, so one code path serves both ranks.  An
 element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
 M, and a set holding one is rejected with InvalidInputError; so is a set
-holding a lattice point outside M, wherever the divisor enumeration runs.
+holding a lattice point outside M, by `_check_members`, wherever the divisor
+enumeration runs and in `divides_in_P` and `singleton_candidates`.
 Results are decoded through a constructor that trusts the scaled order, as
 decoding is monotone; `sumset` builds its sorted, distinct sums through it
-too.  Membership tests, divisor lists and set divisor enumerations share the
-one result cache of `backend`, read by scaled element through
-`backend.membership` and `_scaled_divisors`; a kept enumeration is replayed
+too.  Each public function builds one `backend._Query` and passes it to the
+scaled cores.  Membership tests, divisor lists and set divisor enumerations
+share the one result cache of `backend`, read by scaled element through
+`_Query.is_member` and `_scaled_divisors`; a kept enumeration is replayed
 at the node cost of an uncached rerun, so caching moves no count.
 """
 from __future__ import annotations
@@ -187,6 +189,13 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
     return FinSet._ascending(tuple(Fraction(n, scale) for n in elems))
 
 
+def _check_members(t: tuple, q: _Query) -> None:
+    """Raise unless every scaled element of t is in the query's monoid."""
+    for x in t:
+        if not q.is_member(x):
+            raise InvalidInputError(f"{render_element(decode(x, q.spec))} is not in the monoid")
+
+
 def _scaled_divisors(n, q: _Query) -> tuple:
     """The scaled divisors of the scaled element n of q's spec, as the result
     cache holds them.  A miss fills the cache through the public `divisors`,
@@ -291,9 +300,7 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
         bud.spend(kept[1])
         return kept[0]
     before = bud.used
-    for x in t:
-        if not is_member(x):
-            raise InvalidInputError(f"{render_element(decode(x, q.spec))} is not in the monoid")
+    _check_members(t, q)
     t0, tmax = t[0], t[-1]
     rel = tuple(x - t0 for x in t)
     patterns: dict = {}
@@ -326,9 +333,12 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
 def singleton_candidates(
     s: FinSet, t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> Optional[FinSet]:
-    """The largest C with s + C subset of t, or None when no m qualifies."""
+    """The largest C with s + C subset of t, or None when no m qualifies.
+    A set holding an element outside M is rejected."""
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    c, _, _ = _cofactors(w, u[0], u, _Query(spec, as_budget(budget)).is_member)(u)
+    q = _Query(spec, as_budget(budget))
+    _check_members(u + w, q)
+    c, _, _ = _cofactors(w, u[0], u, q.is_member)(u)
     return _decode_set(c, spec) if c else None
 
 
@@ -344,9 +354,12 @@ def _divides_in_P(u: tuple, w: tuple, q: _Query) -> Optional[tuple]:
 def divides_in_P(
     s: FinSet, t: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> Optional[FinSet]:
-    """A witness D with s + D = t, or None when s does not divide t."""
+    """A witness D with s + D = t, or None when s does not divide t.  A set
+    holding an element outside M is rejected."""
     u, w = _encode_set(s, spec), _encode_set(t, spec)
-    c = _divides_in_P(u, w, _Query(spec, as_budget(budget)))
+    q = _Query(spec, as_budget(budget))
+    _check_members(u + w, q)
+    c = _divides_in_P(u, w, q)
     return None if c is None else _decode_set(c, spec)
 
 

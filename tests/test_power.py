@@ -361,6 +361,16 @@ class TestNonMemberSets:
         with pytest.raises(InvalidInputError, match="-1 is not in the monoid"):
             is_p_atom(FinSet((-1, 2)), N23)
 
+    @pytest.mark.parametrize("fn", [divides_in_P, singleton_candidates])
+    @pytest.mark.parametrize(
+        "s, t", [((1,), (1, 3)), ((0,), (0, 1))], ids=["left", "right"]
+    )
+    def test_divisibility_rejects_a_non_member_on_either_side(self, fn, s, t):
+        # {1} + {0, 2} = {1, 3} and {0} + {0, 1} = {0, 1}, yet neither pair
+        # lies in P_fin(<2, 3>), so neither may be given a witness
+        with pytest.raises(InvalidInputError, match="^1 is not in the monoid"):
+            fn(FinSet(s), FinSet(t), N23)
+
 
 # ---------------------------------------------------------------------------
 # The mask kernel of cofactors and the trusted decoding, against brute force
