@@ -196,9 +196,10 @@ def cap_residue(q: Rat, a: Rat, p: int, spec: MonoidSpec) -> ResidueClass:
 
 def cap_constant_on(s: FinSet, a: Rat, p: int, spec: MonoidSpec) -> bool:
     """True iff every element of s has the same residue at (a, p); the
-    preconditions on (a, p) are checked once for the whole set."""
+    preconditions on (a, p) are checked once for the whole set, and an
+    element off the generators' lattice is rejected."""
     _check_cap_preconditions(a, p, spec)
-    return len({_residue(q, a, p) for q in s}) == 1
+    return _cap_constant_on_scaled(_encode_set(s, spec), a, p, spec)
 
 
 def _cap_constant_on_scaled(s: tuple, a: Rat, p: int, spec: MonoidSpec) -> bool:

@@ -173,6 +173,13 @@ class TestCapResidue:
         assert cap_constant_on(FinSet((F(4, 15), F(4, 15) + F(5))), F(4, 15), 5, self.SPEC)
         assert not cap_constant_on(FinSet((F(4, 15), F(4, 3))), F(4, 15), 5, self.SPEC)
 
+    def test_constant_on_rejects_an_element_off_the_lattice(self):
+        # 1/11 lies outside (1/105)Z, so it is no element of M, though
+        # (1/11) / (4/15) has a residue mod 5
+        s = FinSet((F(4, 15), F(1, 11)))
+        with pytest.raises(InvalidInputError, match="1/11 is not in the monoid"):
+            cap_constant_on(s, F(4, 15), 5, self.SPEC)
+
 
 class TestEx44Witness:
     def test_first_step(self):
@@ -421,6 +428,18 @@ class TestScaledLemma52Path:
             for side in sides:
                 scaled = tuple(encode(q, spec) for q in side)
                 assert _cap_constant_on_scaled(scaled, a, p, spec) == cap_constant_on(side, a, p, spec)
+
+    @pytest.mark.parametrize("spec", RESIDUE_SPECS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cap_constant_on_matches_cap_residue(self, spec, data):
+        # cap_residue, on Fractions, is the reference of the int check
+        s = draw_residue_set(data, spec)
+        sides = [s] + [side for d in decompositions(s, spec) for side in (d.left, d.right)]
+        for a, p in _ex44_residue_pairs(spec, "lemma-5.2"):
+            for side in sides:
+                residues = {cap_residue(q, a, p, spec) for q in side}
+                assert cap_constant_on(side, a, p, spec) == (len(residues) == 1)
 
     def test_int_residue_check_rejects_a_bad_pair(self):
         # the int check assumes v_p(a) = -1; the suite checks each pair once,
