@@ -435,6 +435,10 @@ EX44_2_PAIR = FinSet(EX44_2_SET.elems[2:])
 R2_ONE = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3),))
 R2_STEPS = [QPoint2(F(0), F(k, 8)) for k in range(4)]
 R2_A = rank2_atom(F(7, 3), "A")
+# the search plan puts (0, 2), whose x is 0, ahead of (1, 0), so only the
+# x < 0 prune stops a residual with negative x at the root
+R2_PRUNE = MonoidSpec.rank2(QPoint2(F(0), F(2)), QPoint2(F(1), F(0)))
+R2_PRUNE_SET = FinSet((QPoint2(F(0), F(4)), QPoint2(F(1), F(2)), QPoint2(F(3), F(0))))
 
 
 class TestNodeCounts:
@@ -468,6 +472,7 @@ class TestNodeCounts:
             (member, F(2399), N101, True, 2108),
             (member, F(2311), N101, False, 2540),
             (member, F(2000), N101, False, 1731),
+            (member, QPoint2(F(-1), F(6)), R2_PRUNE, False, 1),
         ],
     )
     def test_budget_used(self, fn, q, spec, answer, used):
@@ -509,11 +514,12 @@ class TestNodeCounts:
             (lambda b: p_divisors(EX44_2_SET, EX44_2, b), 8, 54),
             (lambda b: decompositions(FinSet(tuple(R2_STEPS)), R2_ONE, b), 2, 35),
             (lambda b: is_p_atom(FinSet(R2_STEPS[:2] + [R2_A, R2_A + R2_STEPS[1]]), R2_ONE, b), False, 33),
+            (lambda b: decompositions(R2_PRUNE_SET, R2_PRUNE, b), 0, 51),
         ],
         ids=[
             "decompositions-N23", "p_divisors-N345", "divides_in_P-N23", "mcd_in_P-N345",
             "is_p_atom-N23", "is_p_atom-N345", "decompositions-EX44@2", "p_divisors-EX44@2",
-            "decompositions-RANK2@3", "is_p_atom-RANK2@3",
+            "decompositions-RANK2@3", "is_p_atom-RANK2@3", "decompositions-RANK2-prune",
         ],
     )
     def test_power_layer_budget_used(self, call, answer, used):
