@@ -1048,18 +1048,41 @@ def test_every_traced_name_exists():
     assert traced and missing == []
 
 
-def test_no_module_calls_expanded():
-    # a spec holds its generators, family specs too, so `expanded()` is the
-    # identity and a call to it in the package is dead weight
+def package_nodes():
+    """(file name, node) for every ast node of every module of the package."""
     root = os.path.dirname(finpow.__file__)
-    calls = []
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as f:
                 tree = ast.parse(f.read())
-            calls += [
-                f"{name}:{node.lineno}" for node in ast.walk(tree)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "expanded"
-            ]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_no_module_calls_expanded():
+    # a spec holds its generators, family specs too, so `expanded()` is the
+    # identity and a call to it in the package is dead weight
+    calls = [
+        f"{name}:{node.lineno}" for name, node in package_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "expanded"
+    ]
     assert calls == []
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # finpow runs on a bare interpreter: each import is relative or names a
+    # module of the standard library, deferred imports in functions included
+    outside = []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        outside += [
+            f"{name}:{node.lineno} {m}" for m in modules
+            if m.partition(".")[0] not in sys.stdlib_module_names
+        ]
+    assert outside == []
