@@ -595,9 +595,9 @@ def factorizations(
     """
     if limit is not None and (type(limit) is not int or limit < 1):
         raise InvalidInputError(f"factorization limit must be an int >= 1, not {limit!r}")
+    spec.check_element(b)
     bud = as_budget(budget)
     atom_tuple = tuple(atoms(spec, bud))
-    spec.check_element(b)
     # the atoms ascend, so each vector's nonzero parts do too
     return [
         Factorization._ascending(tuple((a, c) for a, c in zip(atom_tuple, vec) if c))

@@ -7,20 +7,22 @@ entry and decoded once on return; `mcd_in_P` strips a common divisor with the
 cofactors that the anchored divisor enumeration yields beside it.  The
 scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
 partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
-`mcd_in_P` decodes it.
+`mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, by
+`_common_divisors` on the divisor lists it reads anyway.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import InvalidInputError, Rat, is_prime, vp_value
+from .arith import InvalidInputError, Rat, is_prime, render_element, vp_value
 from .backend import (
     Budget,
     MonoidSpec,
     TruncationError,
     _Query,
     as_budget,
+    decode,
     ex44_a1_atoms,
     expand_family,
     factorizations,
@@ -38,10 +40,15 @@ from .power import (
 
 
 def _common_divisors(s: tuple, q: _Query) -> list:
-    """The scaled common divisors of the scaled set s, ascending."""
-    out = set(_scaled_divisors(s[0], q))
-    for e in s[1:]:
-        out &= set(_scaled_divisors(e, q))
+    """The scaled common divisors of the scaled set s, ascending.  Every
+    member has the divisor 0, so an element with none is outside M, and the
+    set is rejected."""
+    out = None
+    for e in s:
+        divs = _scaled_divisors(e, q)
+        if not divs:
+            raise InvalidInputError(f"{render_element(decode(e, q.spec))} is not in the monoid")
+        out = set(divs) if out is None else out & set(divs)
     return sorted(out)
 
 

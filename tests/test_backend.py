@@ -397,6 +397,11 @@ class TestBudget:
         member(Fraction(6), MonoidSpec.numerical(2, 3), bud)
         assert 0 < bud.used <= 1000
 
+    def test_factorizations_refuse_a_point_before_the_atoms_cost_a_node(self):
+        clear_caches()
+        with pytest.raises(InvalidInputError, match="^element \\(1, 2\\) does not match spec"):
+            factorizations(QPoint2(1, 2), MonoidSpec.numerical(2, 3), Budget(0))
+
 
 class TestRank2Backend:
     def test_family_expansion_contains_branch_atoms(self):

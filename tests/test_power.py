@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
-from finpow.atomicity import rank2_atom
+from finpow.atomicity import p_furstenberg_divisor, rank2_atom
 from finpow import backend
 from finpow.backend import (
     DEFAULT_BUDGET,
@@ -335,27 +335,32 @@ class TestOffLattice:
                     call()
 
 
+# every public function of a set in P_fin(M), by name
+SET_CALLS = {
+    "decompositions": lambda s: decompositions(s, N23),
+    "is_p_atom": lambda s: is_p_atom(s, N23),
+    "p_factorize": lambda s: p_factorize(s, N23),
+    "p_divisors": lambda s: p_divisors(s, N23),
+    "mcd_in_P": lambda s: mcd_in_P([FinSet((2, 3)), s], N23),
+    "is_indecomposable": lambda s: is_indecomposable(s, N23),
+    "common_divisors": lambda s: common_divisors(s, N23),
+    "mcd": lambda s: mcd(s, N23),
+    "p_furstenberg_divisor": lambda s: p_furstenberg_divisor(s, N23),
+}
+
+
 class TestNonMemberSets:
     # 1 lies on the lattice Z of <2, 3> but outside the monoid, so {1, 5} is
     # not in P_fin(<2, 3>) and no verdict about it may be certified
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda s: decompositions(s, N23),
-            lambda s: is_p_atom(s, N23),
-            lambda s: p_factorize(s, N23),
-            lambda s: p_divisors(s, N23),
-            lambda s: mcd_in_P([FinSet((2, 3)), s], N23),
-            lambda s: is_indecomposable(s, N23),
-        ],
-        ids=[
-            "decompositions", "is_p_atom", "p_factorize", "p_divisors",
-            "mcd_in_P", "is_indecomposable",
-        ],
-    )
-    def test_set_outside_the_monoid_is_rejected(self, call):
-        with pytest.raises(InvalidInputError, match="1 is not in the monoid"):
-            call(FinSet((1, 5)))
+    @pytest.mark.parametrize("name", list(SET_CALLS))
+    def test_set_outside_the_monoid_is_rejected(self, name):
+        with pytest.raises(InvalidInputError, match="^1 is not in the monoid$"):
+            SET_CALLS[name](FinSet((1, 5)))
+
+    @pytest.mark.parametrize("name", list(SET_CALLS))
+    def test_set_with_a_negative_element_is_rejected(self, name):
+        with pytest.raises(InvalidInputError, match="^-2 is not in the monoid$"):
+            SET_CALLS[name](FinSet((-2, 4)))
 
     def test_negative_element_is_rejected(self):
         with pytest.raises(InvalidInputError, match="-1 is not in the monoid"):
