@@ -255,12 +255,13 @@ def ex44_witness(
     Each residual's certificate is its least factorization, the first of
     `factorizations(target)`.  It is taken with `limit=1`, which builds no
     other factorization but still enumerates all of Z(target), so the step
-    spends the nodes of the complete list.
+    spends the nodes of the complete list.  A q < 0 is rejected before any
+    node; testing a q >= 0 for membership would add a search to every step.
     """
     bud = as_budget(budget)
     spec = expand_family("EX44", depth)
     one, four_thirds = Fraction(1), Fraction(4, 3)
-    if not (member(one - q, spec, bud) and member(four_thirds - q, spec, bud)):
+    if q < 0 or not (member(one - q, spec, bud) and member(four_thirds - q, spec, bud)):
         raise InvalidInputError(f"{q} is not a common divisor of {{1, 4/3}}")
     a1_spec = MonoidSpec("puiseux", ex44_a1_atoms(depth))
     pivot = None

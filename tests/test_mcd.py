@@ -212,6 +212,13 @@ class TestEx44Witness:
         with pytest.raises(InvalidInputError):
             ex44_witness(F(1, 5), 3)
 
+    @pytest.mark.parametrize("q", [F(-1, 2), F(-1)], ids=["-1/2", "-1"])
+    def test_negative_divisor_rejected_before_any_node(self, q):
+        # 1 - q and 4/3 - q are members for both, so only the sign shows
+        # that q, outside M, is no common divisor
+        with pytest.raises(InvalidInputError, match=f"^{q} is not a common divisor of"):
+            ex44_witness(q, 6, Budget(0))
+
 
 class TestEx44Chain:
     def test_short_chain(self):
