@@ -141,16 +141,9 @@ def _random_set(rng: random.Random, pool: list, max_size: int, min_size: int = 1
     return tuple(sorted(rng.sample(pool, min(size, len(pool)))))
 
 
-def _rank1(suite: str, sp: Optional[MonoidSpec]) -> None:
-    if sp is not None and sp.is_rank2:
-        raise InvalidInputError(f"{suite} needs a rank-1 spec")
-
-
-def _corpus(suite: str, sp: MonoidSpec, bound: int, bud: Budget) -> list:
-    """The scaled members of sp in [0, bound], ascending: the pool a suite
-    draws its sets from.  Only a rank-1 spec has one, so a rank-2 spec is
-    refused before any node is spent."""
-    _rank1(suite, sp)
+def _corpus(sp: MonoidSpec, bound: int, bud: Budget) -> list:
+    """The scaled members of the rank-1 spec sp in [0, bound], ascending: the
+    pool a suite draws its sets from."""
     return [encode(q, sp) for q in members_upto(sp, Fraction(bound), bud)]
 
 
@@ -159,14 +152,14 @@ def _render(s: tuple, sp: MonoidSpec) -> str:
     return _decode_set(s, sp).render()
 
 
-def _pair_corpora(suite: str, spec: Optional[MonoidSpec], bud: Budget) -> list:
+def _pair_corpora(spec: Optional[MonoidSpec], bud: Budget) -> list:
     specs = [spec] if spec is not None else [MonoidSpec.numerical(1), MonoidSpec.numerical(2, 3)]
-    return [(sp, _corpus(suite, sp, 30, bud)) for sp in specs]
+    return [(sp, _corpus(sp, 30, bud)) for sp in specs]
 
 
 def _suite_lemma_2_6(spec, bud, rng) -> list:
     checks = []
-    corpora = _pair_corpora("lemma-2.6", spec, bud)
+    corpora = _pair_corpora(spec, bud)
     for sp, pool in corpora:
         n = 1000 // len(corpora)
         bad = None
@@ -214,7 +207,7 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
 
 def _suite_lemma_3_2(spec, bud, rng) -> list:
     checks = []
-    corpora = _pair_corpora("lemma-3.2", spec, bud)
+    corpora = _pair_corpora(spec, bud)
     for sp, pool in corpora:
         n = 1000 // len(corpora)
         bad = None
@@ -245,7 +238,7 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
         MonoidSpec.numerical(3, 4, 5),
     ]
     for sp in specs:
-        pool = _corpus("prop-4.1", sp, 10, bud)
+        pool = _corpus(sp, 10, bud)
         sets = [c for size in (1, 2) for c in itertools.combinations(pool, size)]
         q = _Query(sp, bud)
         m_ok = all(_mcd(s, q) for s in sets)
@@ -274,7 +267,7 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
 
 def _suite_lemma_4_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(1)
-    pool = [decode(n, sp) for n in _corpus("lemma-4.2", sp, 9, bud) if n > 0]
+    pool = [decode(n, sp) for n in _corpus(sp, 9, bud) if n > 0]
     bad = None
     for _ in range(200):
         s = FinSet._ascending(_random_set(rng, pool, 4, min_size=2))
@@ -290,7 +283,7 @@ def _suite_lemma_4_2(spec, bud, rng) -> list:
 
 def _suite_thm_4_5(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = _corpus("thm-4.5", sp, 12, bud)
+    pool = _corpus(sp, 12, bud)
     q = _Query(sp, bud)
     total = 0
     for size in (1, 2, 3):
@@ -316,8 +309,6 @@ def _suite_thm_4_5(spec, bud, rng) -> list:
 
 
 def _suite_ex_4_4(spec, bud, rng) -> list:
-    if spec is not None and spec.family != "EX44":
-        raise InvalidInputError("ex-4.4 needs an EX44 family spec")
     depth = spec.depth if spec is not None else 6
     checks = []
     try:
@@ -371,8 +362,9 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
 
 
 def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
-    """The cap pairs (a, p) of sp with p odd, each checked once, up front."""
-    pairs = [] if sp.is_rank2 else [
+    """The cap pairs (a, p) of the rank-1 spec sp with p odd, each checked
+    once, up front."""
+    pairs = [
         (g, p) for g in sp.generators for p in _den_primes(g.denominator)
         if p != 2 and all(h == g or h.denominator % p for h in sp.generators)
     ]
@@ -466,8 +458,6 @@ def _random_gap_rational(rng: random.Random) -> Rat:
 
 
 def _suite_lemma_5_4(spec, bud, rng) -> list:
-    if spec is not None:
-        raise InvalidInputError("lemma-5.4 takes no spec")
     checks = []
     q = Fraction(7, 3)
     cert = lemma54_sum_witness(q, q, ("A", "B"))
@@ -515,8 +505,6 @@ def _suite_lemma_5_4(spec, bud, rng) -> list:
 def _suite_thm_5_5(spec, bud, rng) -> list:
     sample = (Fraction(7, 3), Fraction(32, 15), Fraction(38, 15), Fraction(12, 5))
     sp = spec if spec is not None else MonoidSpec.of_family("RANK2-5.3", 3, sample)
-    if not sp.is_rank2:
-        raise InvalidInputError("thm-5.5-gap needs a rank-2 spec")
     # sample atoms of the two structural classes: those containing the
     # identity, and those whose minimum is a monoid atom with every other
     # element offset by a nonnegative first-coordinate step
@@ -552,7 +540,7 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
 
 def _suite_lemma_6_1(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = [decode(n, sp) for n in _corpus("lemma-6.1", sp, 10, bud)]
+    pool = [decode(n, sp) for n in _corpus(sp, 10, bud)]
     singleton_branch = nonsingleton_branch = 0
     for size in (1, 2, 3):
         for combo in itertools.combinations(pool, size):
@@ -579,7 +567,6 @@ def _suite_lemma_6_1(spec, bud, rng) -> list:
 
 
 def _suite_prop_6_4(spec, bud, rng) -> list:
-    _rank1("prop-6.4", spec)
     checks = []
     cases = (
         [(spec, Fraction(30))]
@@ -606,19 +593,23 @@ def _suite_prop_6_4(spec, bud, rng) -> list:
     return checks
 
 
+_RANK1 = (lambda sp: not sp.is_rank2, "needs a rank-1 spec")
+
+# name -> (body, the test a given spec must pass, the words of the refusal
+# of one that fails it); the body runs on its defaults when no spec is given
 _SUITES: dict = {
-    "lemma-2.6": _suite_lemma_2_6,
-    "lemma-3.2": _suite_lemma_3_2,
-    "prop-4.1": _suite_prop_4_1,
-    "lemma-4.2": _suite_lemma_4_2,
-    "thm-4.5": _suite_thm_4_5,
-    "ex-4.4": _suite_ex_4_4,
-    "cap-additivity": _suite_cap_additivity,
-    "lemma-5.2": _suite_lemma_5_2,
-    "lemma-5.4": _suite_lemma_5_4,
-    "thm-5.5-gap": _suite_thm_5_5,
-    "lemma-6.1": _suite_lemma_6_1,
-    "prop-6.4": _suite_prop_6_4,
+    "lemma-2.6": (_suite_lemma_2_6, *_RANK1),
+    "lemma-3.2": (_suite_lemma_3_2, *_RANK1),
+    "prop-4.1": (_suite_prop_4_1, *_RANK1),
+    "lemma-4.2": (_suite_lemma_4_2, *_RANK1),
+    "thm-4.5": (_suite_thm_4_5, *_RANK1),
+    "ex-4.4": (_suite_ex_4_4, lambda sp: sp.family == "EX44", "needs an EX44 family spec"),
+    "cap-additivity": (_suite_cap_additivity, *_RANK1),
+    "lemma-5.2": (_suite_lemma_5_2, *_RANK1),
+    "lemma-5.4": (_suite_lemma_5_4, lambda sp: False, "takes no spec"),
+    "thm-5.5-gap": (_suite_thm_5_5, lambda sp: sp.is_rank2, "needs a rank-2 spec"),
+    "lemma-6.1": (_suite_lemma_6_1, *_RANK1),
+    "prop-6.4": (_suite_prop_6_4, *_RANK1),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -629,15 +620,19 @@ def run_verify_suite(
     spec: Optional[MonoidSpec] = None,
     budget: "Budget | int | None" = None,
 ) -> VerificationReport:
-    """Run one named suite and return its deterministic report."""
+    """Run one named suite and return its deterministic report; a spec that
+    its `_SUITES` entry does not take is refused before any node."""
     if suite not in _SUITES:
         raise InvalidInputError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
+    body, takes, refusal = _SUITES[suite]
+    if spec is not None and not takes(spec):
+        raise InvalidInputError(f"{suite} {refusal}")
     bud = as_budget(budget)
     rng = random.Random(_seed(suite))
     try:
-        checks = _SUITES[suite](spec, bud, rng)
+        checks = body(spec, bud, rng)
     except BudgetExceededError as exc:
         checks = [CheckResult("suite-body", OVER, f"budget {bud.limit} exhausted: {exc}")]
     except TruncationError as exc:

@@ -1,15 +1,17 @@
 """The suites that run on scaled sets: how each behaves when its budget runs
-out, on a spec of its own, which membership tests it makes in which order,
-and which specs the corpus suites refuse."""
+out, on a spec of its own, which membership tests it makes in which order;
+and which specs each suite refuses, here and in the README."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
 from finpow import backend
 from finpow.arith import InvalidInputError
-from finpow.backend import clear_caches, parse_monoid_spec
-from finpow.suites import run_verify_suite
+from finpow.backend import Budget, clear_caches, parse_monoid_spec
+from finpow.suites import _SUITES, SUITE_NAMES, run_verify_suite
 
 PUISEUX = parse_monoid_spec("kind puiseux\ngens 3/2, 5/2")
 
@@ -91,12 +93,51 @@ def test_a_default_run_asks_the_same_questions_in_the_same_order(suite, order):
     assert cache_order() == order
 
 
-@pytest.mark.parametrize(
-    "suite",
-    ["lemma-2.6", "lemma-3.2", "prop-4.1", "lemma-4.2", "thm-4.5", "lemma-6.1", "prop-6.4"],
-)
+RANK2 = "kind rank2\ngens (0,1), (1/5, 2)"
+N23 = "kind numerical\ngens 2, 3"
+
+# suite -> (a spec it refuses, the refusal): a rank-2 spec for every suite
+# that needs rank 1
+REFUSALS = {
+    "lemma-2.6": (RANK2, "lemma-2.6 needs a rank-1 spec"),
+    "lemma-3.2": (RANK2, "lemma-3.2 needs a rank-1 spec"),
+    "prop-4.1": (RANK2, "prop-4.1 needs a rank-1 spec"),
+    "lemma-4.2": (RANK2, "lemma-4.2 needs a rank-1 spec"),
+    "thm-4.5": (RANK2, "thm-4.5 needs a rank-1 spec"),
+    "ex-4.4": (N23, "ex-4.4 needs an EX44 family spec"),
+    "cap-additivity": (RANK2, "cap-additivity needs a rank-1 spec"),
+    "lemma-5.2": (RANK2, "lemma-5.2 needs a rank-1 spec"),
+    "lemma-5.4": (N23, "lemma-5.4 takes no spec"),
+    "thm-5.5-gap": ("family EX44 depth 2", "thm-5.5-gap needs a rank-2 spec"),
+    "lemma-6.1": (RANK2, "lemma-6.1 needs a rank-1 spec"),
+    "prop-6.4": (RANK2, "prop-6.4 needs a rank-1 spec"),
+}
+
+
+def test_every_suite_has_a_refusal_row():
+    assert tuple(REFUSALS) == SUITE_NAMES
+
+
+@pytest.mark.parametrize("suite", list(REFUSALS))
 def test_a_rank2_spec_is_refused_before_any_node(suite):
-    # a suite that spent a node under Budget(0) would report budget-exceeded
-    spec = parse_monoid_spec("kind rank2\ngens (0,1), (1/5, 2)")
-    with pytest.raises(InvalidInputError, match=f"^{suite} needs a rank-1 spec$"):
-        run_verify_suite(suite, spec, budget=0)
+    # the name is that of its first rows; a suite that spent a node under
+    # Budget(0) would report budget-exceeded rather than refuse
+    text, message = REFUSALS[suite]
+    bud = Budget(0)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_verify_suite(suite, parse_monoid_spec(text), bud)
+    assert bud.used == 0
+
+
+def readme_suite_bullets() -> list:
+    """The bullets of README "Verification suites", each on one line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Verification suites\n", 1)[1].split("\n## ", 1)[0]
+    return [" ".join(b.split()) for b in re.findall(r"^- .*?(?=^- |^$|\Z)", section, re.M | re.S)]
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_the_readme_bullet_of_a_suite_carries_its_refusal(suite):
+    named = [b for b in readme_suite_bullets() if f"`{suite}`" in b]
+    assert len(named) == 1, named
+    assert _SUITES[suite][2] in named[0]
