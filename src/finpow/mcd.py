@@ -7,8 +7,8 @@ entry and decoded once on return; `mcd_in_P` strips a common divisor with the
 cofactors that the anchored divisor enumeration yields beside it.  The
 scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
 partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
-`mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, by
-`_common_divisors` on the divisor lists it reads anyway.
+`mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, from the
+divisor lists `_common_divisors` reads or by the anchored enumeration.
 """
 from __future__ import annotations
 
