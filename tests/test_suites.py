@@ -20,12 +20,23 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def shown(n, spec):
+    """A cached key as the digest shows it: a rank-1 key as it is, a rank-2
+    key decoded, so that the digest does not depend on how a point is
+    scaled."""
+    return backend.decode(n, spec) if spec.is_rank2 else n
+
+
 def cache_order() -> str:
     """A digest of every cached membership verdict and divisor list, in the
     order the run first asked for them."""
     h = hashlib.sha256()
     for spec, entry in backend._cache.items():
-        key = (backend.render_monoid_spec(spec), list(entry.verdicts), list(entry.divisors))
+        key = (
+            backend.render_monoid_spec(spec),
+            [shown(n, spec) for n in entry.verdicts],
+            [shown(n, spec) for n in entry.divisors],
+        )
         h.update(repr(key).encode())
     return h.hexdigest()[:16]
 
@@ -51,6 +62,15 @@ def cache_order() -> str:
         ("thm-4.5", 50, 51, "budget-exceeded", "e55abe720712b304"),
         ("thm-4.5", 500, 501, "budget-exceeded", "d226ef91cc42910f"),
         ("thm-4.5", 7507, 7508, "budget-exceeded", "cb0e85eb1386c8f5"),
+        ("thm-5.5-gap", 1, 2, "budget-exceeded", "38ab84d4aa6637f9"),
+        ("thm-5.5-gap", 50, 51, "budget-exceeded", "2f26102b464ddf43"),
+        ("thm-5.5-gap", 3738, 3739, "budget-exceeded", "5892ececac8638ed"),
+        ("lemma-6.1", 1, 2, "budget-exceeded", "4f80f904a63da612"),
+        ("lemma-6.1", 50, 51, "budget-exceeded", "147ab2baedc3b280"),
+        ("lemma-6.1", 2093, 2094, "budget-exceeded", "cd07d4daa7bf1306"),
+        ("prop-6.4", 1, 2, "budget-exceeded", "44911a4543c8d567"),
+        ("prop-6.4", 50, 51, "budget-exceeded", "c384ba6723c8757e"),
+        ("prop-6.4", 1547, 1548, "budget-exceeded", "3775f3a7eac8d019"),
     ],
 )
 def test_a_suite_stops_where_its_budget_runs_out(suite, limit, used, status, lines):
@@ -68,6 +88,8 @@ def test_a_suite_stops_where_its_budget_runs_out(suite, limit, used, status, lin
         ("lemma-3.2", 153, "ac50a6e72470361d", "e3b0c44298fc1c14"),
         ("prop-4.1", 179567, "13853916dcef8ecc", "9931675e4a03ec1a"),
         ("thm-4.5", 54162, "df84dac171124452", "c4ccdf87566a9c3c"),
+        ("lemma-6.1", 11477, "75162df2c7f7a604", "7da215f77552944d"),
+        ("prop-6.4", 862, "d8e735b50441a57c", "d54bd39411b6d7a7"),
     ],
 )
 def test_a_suite_on_a_puiseux_spec(suite, used, lines, order):
@@ -85,11 +107,39 @@ def test_a_suite_on_a_puiseux_spec(suite, used, lines, order):
         ("lemma-3.2", "e3b0c44298fc1c14"),
         ("prop-4.1", "54bc173f7d6f1cf2"),
         ("thm-4.5", "246eb19a0696e306"),
+        ("thm-5.5-gap", "89acce45104c7847"),
+        ("lemma-6.1", "d710044be42929b0"),
+        ("prop-6.4", "5ebf5b4b8c201654"),
     ],
 )
 def test_a_default_run_asks_the_same_questions_in_the_same_order(suite, order):
     clear_caches()
     assert run_verify_suite(suite).ok
+    assert cache_order() == order
+
+
+# (suite, spec text or None for the defaults, budget_used, sha256 of the JSON
+# lines, `cache_order` after the run).  cap-additivity spends no node, so its
+# lines are all there is to pin; thm-5.5-gap also runs on rank-2 specs of
+# its own.
+@pytest.mark.parametrize(
+    "suite, text, used, lines, order",
+    [
+        ("cap-additivity", None, 0, "ae0480d282671661", "e3b0c44298fc1c14"),
+        ("cap-additivity", "family EX44 depth 2", 0, "725c61700a0ca203", "e3b0c44298fc1c14"),
+        ("cap-additivity", "kind puiseux\ngens 1/3, 1/2, 2/5", 0, "74565314098ae36d",
+         "e3b0c44298fc1c14"),
+        ("thm-5.5-gap", "family RANK2-5.3 depth 2\nsample 7/3, 12/5", 771, "fd79deb8e2aad204",
+         "9c00c4cdefd20c69"),
+        ("thm-5.5-gap", "kind rank2\ngens (0,1), (1/5,2), (1/7, 5/2)", 218, "89aad6272c76f790",
+         "d4a23ccc51d614d9"),
+    ],
+)
+def test_a_run_reports_the_same_lines(suite, text, used, lines, order):
+    clear_caches()
+    report = run_verify_suite(suite, None if text is None else parse_monoid_spec(text))
+    assert report.ok and report.budget_used == used
+    assert digest(report.to_json_lines()) == lines
     assert cache_order() == order
 
 
