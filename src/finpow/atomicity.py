@@ -4,7 +4,12 @@ decomposition of rationals over odd-prime unit fractions, the rank-2 atom
 construction, and the first-coordinate projection-gap checker.
 
 Chains in M and in P_fin(M) share one memoised search, `_longest_chain`;
-every atom-divisor question is one lazy scan, `_atom_divisors`.
+every atom-divisor question is one lazy scan, `_atom_divisors`, on scaled
+elements.  `p_furstenberg_divisor`, `tidf_implies_atomic_check` and
+`thm55_projection_check` are each one encode, a scaled core
+(`_p_furstenberg_divisor`, `_descent`, `_projection_failure`) and one
+decode; the lemma-6.1 and thm-5.5-gap suites call the cores on sets they
+encode once.
 """
 from __future__ import annotations
 
@@ -13,20 +18,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Element, InvalidInputError, QPoint2, Rat, _den_primes, primes_from, vp_value
+from .arith import (
+    Element,
+    InvalidInputError,
+    QPoint2,
+    Rat,
+    _den_primes,
+    primes_from,
+    render_element,
+    vp_value,
+)
 from .backend import (
     Budget,
     MonoidSpec,
     _Query,
+    _members_upto,
+    _split,
     as_budget,
     atoms,
     decode,
     divisors,
+    encode,
     factorizations,
     member,
     members_upto,
 )
-from .power import FinSet, _encode_set, is_p_atom, singleton, sumset_all, zero_set
+from .power import (
+    FinSet,
+    _anchored_divisors,
+    _decode_set,
+    _decompositions,
+    _encode_set,
+    _sumset_all,
+    zero_set,
+)
 from .mcd import _singleton_divisors, p_divisors
 
 
@@ -111,11 +136,12 @@ def is_furstenberg_sample(
     if bound <= 0:
         raise InvalidInputError("bound must be positive")
     bud = as_budget(budget)
-    ats = atoms(spec, bud)
+    ats = [encode(a, spec) for a in atoms(spec, bud)]
+    q = _Query(spec, bud)
     for b in members_upto(spec, bound, bud):
         if b == 0:
             continue
-        if next(_atom_divisors(b, ats, spec, bud), None) is None:
+        if next(_atom_divisors(encode(b, spec), ats, q), None) is None:
             return SampleReport(False, counterexample=b)
     return SampleReport(True)
 
@@ -123,35 +149,49 @@ def is_furstenberg_sample(
 def p_furstenberg_divisor(
     s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> FinSet:
-    """A certified atom of the power monoid dividing s.
+    """A certified atom of the power monoid dividing s: one encode, the
+    scaled core `_p_furstenberg_divisor`, one decode.
 
     Dichotomy: when s has a nonzero singleton divisor {d}, any atom dividing
     d serves; otherwise a non-singleton proper divisor u of s of least size
     is an atom, as a split V + W of u has no singleton side, so |V| < |u|
     (Lemma 3.2) and V would be a smaller one."""
-    bud = as_budget(budget)
     if s == zero_set(spec):
         raise InvalidInputError("the zero set has no atom divisor")
-    if is_p_atom(s, spec, bud).is_atom:
-        return s
-    scaled = _singleton_divisors(_encode_set(s, spec), _Query(spec, bud))
-    single = [d for d in (decode(x, spec) for x in scaled) if d != spec.zero]
+    q = _Query(spec, as_budget(budget))
+    return _decode_set(_p_furstenberg_divisor(_encode_set(s, spec), q, []), spec)
+
+
+def _p_furstenberg_divisor(t: tuple, q: _Query, ats: list) -> tuple:
+    """`p_furstenberg_divisor` of the scaled set t other than the zero set,
+    as a scaled set.
+
+    ats holds the spec's atoms, scaled and ascending, once some call has
+    needed them: a caller passes one list per query, empty at first, so
+    `atoms` runs only where a singleton divisor asks for it.
+    """
+    if not _decompositions(t, q):
+        return t
+    single = [x for x in _singleton_divisors(t, q) if x]
     if single:
         d = max(single)
-        a = next(_atom_divisors(d, atoms(spec, bud), spec, bud), None)
+        if not ats:
+            ats.extend(encode(a, q.spec) for a in atoms(q.spec, q.budget))
+        a = next(_atom_divisors(d, ats, q), None)
         if a is None:
-            raise InvalidInputError(f"no atom divides {d}")
-        return singleton(a)
-    cands = (u for u in p_divisors(s, spec, bud) if len(u) >= 2 and u != s)
-    u = min(cands, key=lambda u: (len(u), u.elems), default=None)
-    if u is not None and is_p_atom(u, spec, bud).is_atom:
+            raise InvalidInputError(f"no atom divides {render_element(decode(d, q.spec))}")
+        return (a,)
+    cands = (u for u, _, _ in _anchored_divisors(t, q) if len(u) >= 2 and u != t)
+    u = min(cands, key=lambda u: (len(u), u), default=None)
+    if u is not None and not _decompositions(u, q):
         return u
-    raise InvalidInputError(f"no atom divisor found for {s.render()}")
+    raise InvalidInputError(f"no atom divisor found for {_decode_set(t, q.spec).render()}")
 
 
-def _atom_divisors(b: Element, ats: list, spec: MonoidSpec, bud: Budget):
-    """The atoms in ats that divide b, lazily and in the order of ats."""
-    return (a for a in ats if a <= b and member(b - a, spec, bud))
+def _atom_divisors(n, ats: list, q: _Query):
+    """The scaled atoms in ats that divide the scaled element n, lazily and
+    in the order of ats."""
+    return (a for a in ats if a <= n and q.is_member(n - a))
 
 
 def atom_divisors(
@@ -159,7 +199,7 @@ def atom_divisors(
 ) -> list:
     """All atoms of the monoid dividing b."""
     bud = as_budget(budget)
-    return list(_atom_divisors(b, atoms(spec, bud), spec, bud))
+    return [a for a in atoms(spec, bud) if a <= b and member(b - a, spec, bud)]
 
 
 def ffm_count(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> int:
@@ -182,26 +222,38 @@ def tidf_implies_atomic_check(
 ) -> DescentReport:
     """Replay the atomicity descent from every member below the bound:
     repeatedly subtract the minimum atom divisor and confirm termination at 0
-    within ceil(b / min atom) steps."""
+    within ceil(b / min atom) steps.  One encode of the atoms and of the
+    members, the scaled core `_descent`, and one decode of a counterexample."""
     if spec.is_rank2:
         raise InvalidInputError("descent check requires a rank-1 positive backend")
     bud = as_budget(budget)
-    ats = atoms(spec, bud)
-    min_atom = min(ats)
+    ats = [encode(a, spec) for a in atoms(spec, bud)]
+    members = _members_upto(spec, math.floor(bound * spec.scale), bud) if bound >= 0 else []
+    ok, out = _descent(members, ats, _Query(spec, bud))
+    if ok:
+        return DescentReport(True, max_descent=out)
+    return DescentReport(False, counterexample=decode(out, spec))
+
+
+def _descent(members: list, ats: list, q: _Query) -> tuple:
+    """The atomicity descent from each scaled member, over the scaled atoms
+    ats, ascending: (True, the longest descent), or (False, the first member
+    whose descent fails).  Each step tests every atom, as the least atom
+    divisor is taken from the full list."""
     worst = 0
-    for b in members_upto(spec, bound, bud):
-        if b == 0:
+    for b in members:
+        if not b:
             continue
-        q, steps = b, 0
-        limit = math.ceil(b / min_atom)
-        while q != 0:
-            advs = list(_atom_divisors(q, ats, spec, bud))
+        n, steps = b, 0
+        limit = -(-b // ats[0])  # ceil(b / min atom)
+        while n:
+            advs = list(_atom_divisors(n, ats, q))
             if not advs or steps >= limit:
-                return DescentReport(False, counterexample=b)
-            q -= min(advs)
+                return False, b
+            n -= min(advs)
             steps += 1
         worst = max(worst, steps)
-    return DescentReport(True, max_descent=worst)
+    return True, worst
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +423,48 @@ def thm55_projection_check(
     1/7, and in the total sumset every first-coordinate offset from the
     minimum is 0 or at least 2/35 — so an offset of exactly 1/35 never
     occurs.  The report covers the supplied atoms only."""
-    bud = as_budget(budget)
     if not atom_list:
         return ProjectionGapReport(True, "mechanism verified (vacuous)")
-    for a in atom_list:
-        if a.min.x not in PROJECTION_HEADS:
-            return ProjectionGapReport(
-                False, "first-coordinate trichotomy violated", a
-            )
-        if not is_p_atom(a, spec, bud).is_atom:
-            return ProjectionGapReport(False, "input set is not an atom", a)
-    total = sumset_all(list(atom_list), spec)
-    base = total.min.x
+    sets = [_encode_set(a, spec) for a in atom_list]
+    return _gap_report(_projection_failure(sets, _Query(spec, as_budget(budget))), spec)
+
+
+def _gap_report(bad, spec: MonoidSpec) -> ProjectionGapReport:
+    """The report of `_projection_failure`'s answer bad, its violation, a
+    scaled set or element, decoded."""
+    if bad is None:
+        return ProjectionGapReport(True, "mechanism verified")
+    detail, v = bad
+    return ProjectionGapReport(
+        False, detail, _decode_set(v, spec) if type(v) is tuple else decode(v, spec)
+    )
+
+
+def _projection_failure(sets: list, q: _Query):
+    """`thm55_projection_check` of a nonempty list of scaled sets over a
+    rank-2 spec: None if the mechanism holds, else (detail, the scaled set
+    or element that violates it).
+
+    First coordinates are compared at the spec's x-scale Lx: a scaled x is
+    the head h iff x = h*Lx, and a scaled offset o is the rational o/Lx.
+    """
+    pack, lx = q.spec.pack, q.spec.scale[1]
+    heads = {h.numerator * lx // h.denominator for h in PROJECTION_HEADS
+             if h.numerator * lx % h.denominator == 0}
+    for t in sets:
+        if _split(t[0], pack)[1] not in heads:
+            return "first-coordinate trichotomy violated", t
+        if t == (0,):
+            raise InvalidInputError("the identity {0} is not a candidate atom")
+        if _decompositions(t, q):
+            return "input set is not an atom", t
+    total = _sumset_all(sets, 0)
+    base = _split(total[0], pack)[1]
+    odd, gap = UNATTAINABLE_OFFSET, PROJECTION_GAP
     for v in total:
-        offset = v.x - base
-        if offset == UNATTAINABLE_OFFSET:
-            return ProjectionGapReport(False, "unattainable offset 1/35 attained", v)
-        if offset != 0 and offset < PROJECTION_GAP:
-            return ProjectionGapReport(False, "offset inside the gap", v)
-    return ProjectionGapReport(True, "mechanism verified")
+        offset = _split(v, pack)[1] - base
+        if offset * odd.denominator == odd.numerator * lx:
+            return "unattainable offset 1/35 attained", v
+        if offset and offset * gap.denominator < gap.numerator * lx:
+            return "offset inside the gap", v
+    return None

@@ -7,8 +7,10 @@ divisors, compute atoms, and enumerate complete factorizations.
 
 Every enumeration runs on scaled int coordinates (y, x): a rational q
 becomes (q*L, 0) and a plane point (x, y) becomes (y*Ly, x*Lx), where the
-scales clear every denominator of the basis and of the target; `Fraction`
-and `QPoint2` stay in `encode`/`decode` and at the API boundary.  Membership,
+scales clear every denominator of the basis and of the target.  The scaled
+form of an element is one int for both ranks, y*K + x, where K = 1 for a
+rank-1 spec and K = 2**64 for a rank-2 one; `Fraction` and `QPoint2` stay
+in `encode`/`decode` and at the API boundary.  Membership,
 divisors, atoms and factorizations share one engine, `_search`: a depth-first
 enumeration of coefficient vectors over a descending basis, run from a plan
 built once per (basis, scale), whose last level charges its leaves in one
@@ -127,7 +129,9 @@ class MonoidSpec:
     result-cache entry.  The hash, the same in every process, is computed
     once per instance and kept out of `__eq__` and the repr, so that cache
     keys do not rehash every generator on each lookup.  The lattice scale
-    is cached the same way.
+    is cached the same way.  `is_rank2` and `pack`, the K of the scaled
+    form, are set once, when the spec is built, as `encode` and `decode`
+    read them for every element.
     """
 
     kind: str = field(compare=False)  # numerical | puiseux | rank2 | family
@@ -146,6 +150,7 @@ class MonoidSpec:
             object.__setattr__(self, "sample", sample)
             gens = expand_family(self.family, self.depth, sample).generators
             object.__setattr__(self, "generators", gens)
+            self._set_rank()
             return
         if self.kind not in ("numerical", "puiseux", "rank2"):
             raise InvalidInputError(f"unknown spec kind {self.kind!r}")
@@ -169,6 +174,12 @@ class MonoidSpec:
         if self.kind == "numerical" and any(g.denominator != 1 for g in gens):
             raise InvalidInputError("numerical spec requires integer generators")
         object.__setattr__(self, "generators", gens)
+        self._set_rank()
+
+    def _set_rank(self) -> None:
+        rank2 = isinstance(self.generators[0], QPoint2)
+        object.__setattr__(self, "is_rank2", rank2)
+        object.__setattr__(self, "pack", _PACK if rank2 else 1)
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
@@ -195,10 +206,6 @@ class MonoidSpec:
         return cls("family", family=family, depth=depth, sample=tuple(sample))
 
     # ----------------------------------------------------------------------
-    @property
-    def is_rank2(self) -> bool:
-        return isinstance(self.generators[0], QPoint2)
-
     @property
     def zero(self) -> Element:
         return QPOINT_ZERO if self.is_rank2 else Fraction(0)
@@ -284,13 +291,6 @@ def _lattice(b: Element, base) -> tuple:
         return (ly, lx), y, x
     scale = math.lcm(base, b.denominator)
     return scale, b.numerator * (scale // b.denominator), 0
-
-
-def _element(scale, y: int, x: int) -> Element:
-    """The element with int coordinates (y, x) at `scale`; undoes `_lattice`."""
-    if isinstance(scale, tuple):
-        return QPoint2(Fraction(x, scale[1]), Fraction(y, scale[0]))
-    return Fraction(y, scale)
 
 
 def _basis_scale(basis: tuple, rank2: bool):
@@ -423,22 +423,59 @@ class _Entry:
 _cache: dict[MonoidSpec, _Entry] = {}
 
 
+# A rank-2 point with int coordinates (y, x) is packed as y*_PACK + x.
+_PACK = 1 << 64
+# The bound on |x| that `encode` accepts.  A core forms each x it meets as a
+# sum or difference of at most four encoded x's, so |x| < 2**62 stays inside
+# [-_PACK/2, _PACK/2), where the packing is exact.
+_X_BOUND = 1 << 60
+
+
 def encode(q: Element, spec: MonoidSpec):
-    """The scaled form of an element of a spec.
+    """The scaled form of an element of a spec: for coordinates (y, x) at the
+    spec's scale, the int y*K + x, where K = spec.pack.
 
     A rank-1 element of (1/L)Z becomes the int q*L, where L = spec.scale; one
     off that lattice becomes the non-integral Fraction q*L, so it can never
-    be taken for an int.  A rank-2 point is its own scaled form.
+    be taken for an int.  A rank-2 point on the lattice (1/Lx)Z x (1/Ly)Z
+    becomes y*2**64 + x, so sums, differences and the lexicographic order
+    of points are those of ints; one off it is its own scaled form, again
+    no int.  A point whose |x| reaches 2**60 is refused, so that no sum a
+    core forms leaves the range in which `decode` recovers x.
     """
     if spec.is_rank2:
-        return q
+        ly, lx = spec.scale
+        y, ry = divmod(q.y.numerator * ly, q.y.denominator)
+        x, rx = divmod(q.x.numerator * lx, q.x.denominator)
+        if ry or rx:
+            return q
+        if not -_X_BOUND < x < _X_BOUND:
+            raise InvalidInputError(
+                f"point {render_element(q)} is too far from the y-axis: its x times"
+                f" {lx} must be below 2**60 in absolute value"
+            )
+        return y * _PACK + x
     num, den = q.numerator * spec.scale, q.denominator
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def _split(n: int, pack: int) -> tuple:
+    """The int coordinates (y, x) of the scaled element n = y*pack + x on a
+    spec's lattice: x is the balanced remainder, in [-pack/2, pack/2), so a
+    difference with x < 0 comes back as it was formed; (n, 0) for pack 1."""
+    x = (n + (pack >> 1)) % pack - (pack >> 1)
+    return (n - x) // pack, x
+
+
 def decode(n, spec: MonoidSpec) -> Element:
     """The element whose scaled form over a spec is n."""
-    return n if spec.is_rank2 else Fraction(n, spec.scale)
+    if not spec.is_rank2:
+        return Fraction(n, spec.scale)
+    if type(n) is not int:
+        return n
+    y, x = _split(n, _PACK)
+    ly, lx = spec.scale
+    return QPoint2(Fraction(x, lx), Fraction(y, ly))
 
 
 def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
@@ -446,7 +483,7 @@ def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
     spec's lattice, where the spec's `plan` serves; off it, the plan is
     redone on a lattice that holds n too."""
     if type(n) is int:
-        return plan, n, 0
+        return (plan, *_split(n, spec.pack))
     scale, y, x = _lattice(decode(n, spec), spec.scale)
     if scale != spec.scale:
         plan = _plan(spec.generators[::-1], scale)
@@ -498,19 +535,18 @@ def _divisors(n, q: _Query) -> tuple:
         reps: list = []
         _search(sub, 0, y, x, bud, False, reps, [])
         found: set = set()
+        # a representation exists only on the spec's lattice, where a level's
+        # scaled generator is gy*K + gx
+        pack = spec.pack
         for vec in reps:
-            used = [(level[0], level[1], c) for level, c in zip(sub, vec) if c]
-            for combo in itertools.product(*(range(c + 1) for _, _, c in used)):
+            used = [(level[0] * pack + level[1], c) for level, c in zip(sub, vec) if c]
+            for combo in itertools.product(*(range(c + 1) for _, c in used)):
                 bud.spend()
-                dy = dx = 0
-                for (gy, gx, _), k in zip(used, combo):
-                    dy += k * gy
-                    dx += k * gx
-                found.add((dy, dx))
-        # a representation exists only on the spec's lattice
-        rank2 = spec.is_rank2
-        out = tuple(_element(spec.scale, *p) if rank2 else p[0] for p in sorted(found))
-        entry.divisors[n] = out
+                d = 0
+                for (g, _), k in zip(used, combo):
+                    d += k * g
+                found.add(d)
+        out = entry.divisors[n] = tuple(sorted(found))
     return out
 
 
@@ -519,10 +555,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     scaled b, decoded."""
     spec.check_element(b)
     out = _divisors(encode(b, spec), _Query(spec, as_budget(budget)))
-    if spec.is_rank2:
-        return list(out)
-    scale = spec.scale
-    return [Fraction(n, scale) for n in out]
+    return [decode(n, spec) for n in out]
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
@@ -613,11 +646,17 @@ def members_upto(
         raise InvalidInputError("members_upto supports rank-1 specs only")
     if bound < 0:
         return []
+    members = _members_upto(spec, math.floor(bound * spec.scale), as_budget(budget))
+    return [decode(n, spec) for n in members]
+
+
+def _members_upto(spec: MonoidSpec, top: int, bud: Budget) -> list:
+    """The scaled members of a rank-1 spec in [0, top], ascending, top >= 0."""
     # descending, as the search plan orders them
     gens = [encode(g, spec) for g in spec.generators[::-1]]
     found: set = set()
-    _walk(gens, 0, 0, math.floor(bound * spec.scale), as_budget(budget), found)
-    return [decode(n, spec) for n in sorted(found)]
+    _walk(gens, 0, 0, top, bud, found)
+    return sorted(found)
 
 
 def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> None:

@@ -28,12 +28,15 @@ gives each candidate element e an int whose bit j says that e + m_j lies in
 T.  C(U) is then the AND of those ints over U, and U + C = T holds iff the
 OR of the index bits in T of the sums U + m, m in C, is the full mask.
 
-Set arithmetic runs on scaled elements.  A public function encodes its sets
-once on entry and decodes its result once on return: a rank-1 element q of
-(1/L)Z, with L the lcm of the generator denominators, becomes the int q*L,
-and a rank-2 point stays as it is, so one code path serves both ranks.  An
-element off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, is outside
-M, and a set holding one is rejected with InvalidInputError; so is a set
+Set arithmetic runs on scaled elements, ints for both ranks.  A public
+function encodes its sets once on entry and decodes its result once on
+return: a rank-1 element q of (1/L)Z, with L the lcm of the generator
+denominators, becomes the int q*L, and a rank-2 point with coordinates
+(y, x) at the spec's scale the packed int y*2**64 + x, whose sums and order
+are those of the points, so one code path serves both ranks.  An element
+off the generators' lattice, (1/L)Z or (1/Lx)Z x (1/Ly)Z, has no int
+form: it is outside M, and a set holding one is rejected with
+InvalidInputError; so is a set
 holding a lattice point outside M, by `_check_members`, wherever the divisor
 enumeration runs and in `divides_in_P` and `singleton_candidates`.
 Results are decoded through a constructor that trusts the scaled order, as
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .arith import Element, InvalidInputError, QPoint2, parse_element, render_element
@@ -56,7 +58,6 @@ from .backend import (
     Budget,
     MonoidSpec,
     _Query,
-    _lattice,
     _split_top_level,
     as_budget,
     decode,
@@ -165,11 +166,7 @@ def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
     for e in s:
         spec.check_element(e)
         n = encode(e, spec)
-        # encode makes a rank-1 element off the lattice a Fraction; a point
-        # is its own scaled form, so its lattice is checked here
-        if isinstance(n, Fraction) or (
-            isinstance(n, QPoint2) and _lattice(n, spec.scale)[0] != spec.scale
-        ):
+        if type(n) is not int:
             raise InvalidInputError(
                 f"{render_element(e)} is not in the monoid: it lies off the generators' lattice"
             )
@@ -183,10 +180,7 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
     Decoding is monotone, so the result is ascending and distinct too and is
     taken as it is, without sorting or hashing.
     """
-    if spec.is_rank2:
-        return FinSet._ascending(tuple(elems))
-    scale = spec.scale
-    return FinSet._ascending(tuple(Fraction(n, scale) for n in elems))
+    return FinSet._ascending(tuple([decode(n, spec) for n in elems]))
 
 
 def _check_members(t: tuple, q: _Query) -> None:

@@ -31,17 +31,16 @@ from .backend import (
 )
 from .power import (
     FinSet,
+    _check_members,
     _decode_set,
     _decompositions,
     _divides_in_P,
+    _encode_set,
     _p_factor,
     _sumset,
     _sumset_all,
     augment_indecomposable,
-    divides_in_P,
     is_indecomposable,
-    is_p_atom,
-    singleton,
     NOT_ATOMIC,
 )
 from .mcd import (
@@ -49,14 +48,15 @@ from .mcd import (
     _check_cap_preconditions,
     _mcd,
     _mcd_in_P,
-    cap_residue,
+    _residue,
     chain_divisors,
     ex44_chain,
 )
 from .atomicity import (
+    _gap_report,
+    _p_furstenberg_divisor,
+    _projection_failure,
     lemma54_sum_witness,
-    p_furstenberg_divisor,
-    thm55_projection_check,
     tidf_implies_atomic_check,
 )
 
@@ -378,22 +378,25 @@ def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
     return pairs
 
 
-def _random_member(rng: random.Random, sp: MonoidSpec) -> Rat:
-    return sum((rng.randint(0, 3) * g for g in sp.generators), Fraction(0))
+def _random_member(rng: random.Random, gens: list) -> int:
+    """A scaled member: each scaled generator in gens taken 0 to 3 times."""
+    return sum(rng.randint(0, 3) * g for g in gens)
 
 
 def _suite_cap_additivity(spec, bud, rng) -> list:
+    # the residue of q = n/L at (a, p) is that of q/a = n/encode(a), so it
+    # is taken on the scaled ints; each pair was checked once, up front
     sp = spec if spec is not None else expand_family("EX44", 3)
     pairs = _ex44_residue_pairs(sp, "cap-additivity")
+    gens = [encode(g, sp) for g in sp.generators]
     bad = None
     for _ in range(500):
         a, p = rng.choice(pairs)
-        q = _random_member(rng, sp)
-        r = _random_member(rng, sp)
-        if (cap_residue(q, a, p, sp) + cap_residue(r, a, p, sp)) != cap_residue(
-            q + r, a, p, sp
-        ):
-            bad = (q, r, a, p)
+        na = encode(a, sp)
+        m = _random_member(rng, gens)
+        n = _random_member(rng, gens)
+        if (_residue(m, na, p) + _residue(n, na, p)) % p != _residue(m + n, na, p):
+            bad = (m, n, a, p)
             break
     cid = "residue-additivity"
     if bad:
@@ -401,7 +404,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
             CheckResult(
                 cid,
                 FAIL,
-                f"q={render_element(bad[0])} r={render_element(bad[1])} "
+                f"q={render_element(decode(bad[0], sp))} r={render_element(decode(bad[1], sp))} "
                 f"a={render_element(bad[2])} p={bad[3]}",
             )
         ]
@@ -508,12 +511,13 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
     # sample atoms of the two structural classes: those containing the
     # identity, and those whose minimum is a monoid atom with every other
     # element offset by a nonnegative first-coordinate step
+    q = _Query(sp, bud)
     monoid_atoms = atoms(sp, bud)
-    atom_sets = [singleton(a) for a in monoid_atoms]
+    atom_sets = [_encode_set(FinSet((a,)), sp) for a in monoid_atoms]
     zero = sp.zero
     for g in sp.generators:
-        cand = FinSet((zero, g))
-        if is_p_atom(cand, sp, bud).is_atom:
+        cand = _encode_set(FinSet((zero, g)), sp)
+        if not _decompositions(cand, q):
             atom_sets.append(cand)
     dyadics = [a for a in monoid_atoms if a.x == 0]
     for d in dyadics:
@@ -521,15 +525,17 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
             if g == d:
                 continue
             cand = FinSet((d, g))
-            if cand.min.x <= min(e.x for e in cand) and is_p_atom(cand, sp, bud).is_atom:
-                atom_sets.append(cand)
+            if cand.min.x <= min(e.x for e in cand):
+                t = _encode_set(cand, sp)
+                if not _decompositions(t, q):
+                    atom_sets.append(t)
     cid = "projection-gap-mechanism"
     runs = 0
     for size in (1, 2, 3):
         for combo in itertools.combinations(atom_sets, size):
             if size == 3 and rng.random() > 0.02:
                 continue
-            report = thm55_projection_check(list(combo), sp, bud)
+            report = _gap_report(_projection_failure(list(combo), q), sp)
             runs += 1
             if not report.ok:
                 return [CheckResult(cid, FAIL, f"{report.detail}: {report.violation}")]
@@ -539,19 +545,23 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
 
 
 def _suite_lemma_6_1(spec, bud, rng) -> list:
+    # the membership tests of the public `divides_in_P` stay, so the suite
+    # asks the questions it asked on decoded sets, in the same order
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = [decode(n, sp) for n in _corpus(sp, 10, bud)]
+    pool = _corpus(sp, 10, bud)
+    q = _Query(sp, bud)
+    ats: list = []
     singleton_branch = nonsingleton_branch = 0
     for size in (1, 2, 3):
-        for combo in itertools.combinations(pool, size):
-            s = FinSet(combo)
-            if s == FinSet((sp.zero,)):
+        for s in itertools.combinations(pool, size):
+            if s == (0,):
                 continue
-            d = p_furstenberg_divisor(s, sp, bud)
-            if not is_p_atom(d, sp, bud).is_atom:
-                return [CheckResult("divisor-is-atom", FAIL, s.render())]
-            if divides_in_P(d, s, sp, bud) is None:
-                return [CheckResult("divisor-divides", FAIL, s.render())]
+            d = _p_furstenberg_divisor(s, q, ats)
+            if _decompositions(d, q):
+                return [CheckResult("divisor-is-atom", FAIL, _render(s, sp))]
+            _check_members(d + s, q)
+            if _divides_in_P(d, s, q) is None:
+                return [CheckResult("divisor-divides", FAIL, _render(s, sp))]
             if len(d) == 1:
                 singleton_branch += 1
             else:

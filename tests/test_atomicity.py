@@ -328,6 +328,14 @@ class TestThm55Projection:
         rep = thm55_projection_check(atoms, self.SPEC)
         assert rep.ok, rep.detail
 
+    def test_an_offset_of_exactly_the_gap_passes(self):
+        # {h, g} is an atom whose minimum h has x = 1/7, and g has x = 1/5:
+        # its offset 2/35 is the gap itself, which is attained
+        h, g = rank2_atom(F(7, 3), "B"), rank2_atom(F(7, 3), "A")
+        assert g.x - h.x == PROJECTION_GAP
+        rep = thm55_projection_check([FinSet((h, g))], self.SPEC)
+        assert rep.ok, rep.detail
+
     def test_trichotomy_violation(self):
         bad = FinSet((QPoint2(F(2, 35), F(1)),))
         rep = thm55_projection_check([bad], self.SPEC)

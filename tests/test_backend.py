@@ -6,6 +6,7 @@ import itertools
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import finpow
 from finpow import backend
-from finpow.arith import InvalidInputError, QPoint2
+from finpow.arith import InvalidInputError, QPoint2, render_element
 from finpow.backend import (
     Factorization,
     clear_caches,
@@ -712,6 +713,81 @@ class TestScaledDivisors:
         assert seen == [4, 6, 9]
 
 
+R2_SMALL = MonoidSpec.rank2(QPoint2(F(0), F(1, 4)), QPoint2(F(1, 3), F(0)))
+PACKED_SPECS = (R2_SPEC, R2_SMALL, MonoidSpec.rank2(QPoint2(F(0), F(2)), QPoint2(F(1), F(0))))
+X_BOUND = 2**60
+
+
+def lattice_points(spec, x_bound):
+    """Points of the spec's lattice (1/Lx)Z x (1/Ly)Z with |x*Lx| < x_bound;
+    x < 0 included, as in the differences the anchored walk forms."""
+    ly, lx = spec.scale
+    return st.builds(
+        lambda x, y: QPoint2(F(x, lx), F(y, ly)),
+        st.integers(-x_bound + 1, x_bound - 1) | st.integers(-8, 8),
+        st.integers(-(2**70), 2**70) | st.integers(-8, 8),
+    )
+
+
+@st.composite
+def packed_cases(draw, x_bound=X_BOUND):
+    spec = draw(st.sampled_from(PACKED_SPECS))
+    points = lattice_points(spec, x_bound)
+    return spec, draw(points), draw(points)
+
+
+class TestRank2Packing:
+    """A rank-2 point's scaled form is the int y*2**64 + x of its coordinates
+    at the spec's scale: `decode` inverts it, and int sums, differences and
+    order are those of the points, for every x the cores can form."""
+
+    @given(packed_cases())
+    def test_decode_inverts_encode_and_keeps_sums_and_differences(self, case):
+        spec, p, r = case
+        n, m = encode(p, spec), encode(r, spec)
+        assert type(n) is int and decode(n, spec) == p
+        assert decode(n + m, spec) == p + r
+        assert decode(n - m, spec) == p - r
+
+    @given(packed_cases(x_bound=X_BOUND // 2))
+    def test_encode_is_additive(self, case):
+        spec, p, r = case
+        assert encode(p + r, spec) == encode(p, spec) + encode(r, spec)
+        assert encode(p - r, spec) == encode(p, spec) - encode(r, spec)
+
+    @given(packed_cases())
+    def test_encode_keeps_the_lexicographic_order(self, case):
+        spec, p, r = case
+        n, m = encode(p, spec), encode(r, spec)
+        assert (n < m, n == m, n > m) == (p < r, p == r, p > r)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_point_past_the_bound_is_refused(self, sign):
+        lx = R2_SPEC.scale[1]
+        inside = QPoint2(F(sign * (X_BOUND - 1), lx), F(1))
+        assert decode(encode(inside, R2_SPEC), R2_SPEC) == inside
+        past = QPoint2(F(sign * X_BOUND, lx), F(1))
+        message = (
+            f"point {render_element(past)} is too far from the y-axis: its x times {lx}"
+            " must be below 2**60 in absolute value"
+        )
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            encode(past, R2_SPEC)
+        bud = Budget(0)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            member(past, R2_SPEC, bud)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            divides_in_P(FinSet((past,)), FinSet((past,)), R2_SPEC, bud)
+        assert bud.used == 0
+
+    def test_rank_and_pack_are_set_once_per_spec(self):
+        # plain attributes, set when the spec is built: encode and decode
+        # read them for every element
+        assert not isinstance(vars(MonoidSpec).get("is_rank2"), property)
+        for spec, rank2, pack in ((N23, False, 1), (EX44_3, False, 1), (R2_SPEC, True, 2**64)):
+            assert (vars(spec)["is_rank2"], vars(spec)["pack"]) == (rank2, pack)
+
+
 def node_by_node_search(plan, i, y, x, budget, first_only, results, prefix):
     """The reference coefficient search: one frame and one budget unit per
     node, the leaves included."""
@@ -1091,3 +1167,28 @@ def test_the_runtime_imports_only_the_standard_library():
             if m.partition(".")[0] not in sys.stdlib_module_names
         ]
     assert outside == []
+
+
+def test_no_function_that_takes_a_query_names_fraction_or_qpoint2():
+    # a function that takes a query `q: _Query` runs inside it, on scaled
+    # ints; Fraction and QPoint2 stay at the boundary, in encode and decode
+    cores, named = [], []
+    for name, node in package_nodes():
+        if name not in ("power.py", "mcd.py", "atomicity.py") or not isinstance(
+            node, ast.FunctionDef
+        ):
+            continue
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if not any(
+            a.arg == "q" and isinstance(a.annotation, ast.Name) and a.annotation.id == "_Query"
+            for a in params
+        ):
+            continue
+        cores.append(node.name)
+        named += [
+            f"{name}:{n.lineno} {node.name}" for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and n.id in ("Fraction", "QPoint2"))
+            or (isinstance(n, ast.Attribute) and n.attr in ("Fraction", "QPoint2"))
+        ]
+    assert {"_decompositions", "_mcd_in_P", "_descent", "_projection_failure"} <= set(cores)
+    assert named == []

@@ -20,6 +20,7 @@ from finpow.backend import (
     _divisors,
     clear_caches,
     decode,
+    encode,
     expand_family,
 )
 from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
@@ -481,12 +482,19 @@ class TestDecodeSet:
         assert got.elems == want.elems
         assert all(type(e) is Fraction for e in got)
 
-    @given(rank2_specs, st.sets(small_points, min_size=1, max_size=6))
-    def test_rank2(self, spec, points):
-        got = _decode_set(tuple(sorted(points)), spec)
+    @given(
+        rank2_specs,
+        st.sets(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1, max_size=6),
+    )
+    def test_rank2(self, spec, coords):
+        # points of the spec's lattice, scaled to packed ints
+        ly, lx = spec.scale
+        points = [QPoint2(Fraction(x, lx), Fraction(y, ly)) for x, y in coords]
+        got = _decode_set(tuple(sorted(encode(p, spec) for p in points)), spec)
         want = FinSet(tuple(points))
         assert got == want and hash(got) == hash(want)
         assert got.elems == want.elems
+        assert all(type(e) is QPoint2 for e in got)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """What the suites that run on scaled sets report when a scaled core they
 call is wrong: a FAIL whose witness is rendered from decoded elements.  The
 expected reports are those the suites gave while they still built `FinSet`s
-and called the public `sumset`, `divides_in_P` and `mcd_in_P`, made to
-return the same wrong sets."""
+or `Fraction`s and called the public functions, made to return the same
+wrong answers."""
 
 import sys
 
 import pytest
 
-from finpow.backend import clear_caches, parse_monoid_spec
+from finpow.backend import atoms, clear_caches, encode, parse_monoid_spec
 from finpow.mcd import _mcd_in_P
-from finpow.power import _divides_in_P, _sumset
+from finpow.power import _divides_in_P, _sumset, _sumset_all
 from finpow.suites import run_verify_suite
 
 power = sys.modules["finpow.power"]
@@ -96,6 +96,100 @@ def test_a_wrong_core_makes_the_suite_fail_with_a_decoded_witness(
     # the wrong core; mcd_in_P's strip step keeps the right sumset
     monkeypatch.setattr(suites, core, wrong)
     monkeypatch.setattr(mcd if core == "_mcd_in_P" else power, core, wrong)
+    clear_caches()
+    report = run_verify_suite(suite, spec)
+    assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
+    assert report.budget_used == used
+
+
+atomicity = sys.modules["finpow.atomicity"]
+RANK2 = parse_monoid_spec("kind rank2\ngens (0,1), (1/5,2), (1/7, 5/2)")
+EX44_2 = parse_monoid_spec("family EX44 depth 2")
+real_projection, real_descent = atomicity._projection_failure, atomicity._descent
+real_divisor, real_residue = atomicity._p_furstenberg_divisor, suites._residue
+
+
+def _gap_at_the_max(sets, q):
+    if len(sets) == 2:
+        return "offset inside the gap", _sumset_all(sets, 0)[-1]
+    return real_projection(sets, q)
+
+
+def _pair_not_an_atom(sets, q):
+    return ("input set is not an atom", sets[0]) if len(sets[0]) == 2 else real_projection(sets, q)
+
+
+def _descent_fails_at_two_atoms(members, ats, q):
+    real_descent(members, ats, q)
+    return False, ats[-1] + ats[0]
+
+
+def _divisor_is_the_triple(t, q, ats):
+    return t if len(t) == 3 else real_divisor(t, q, ats)
+
+
+def _divisor_is_the_largest_atom(t, q, ats):
+    if len(t) == 1:
+        return (encode(max(atoms(q.spec, q.budget)), q.spec),)
+    return real_divisor(t, q, ats)
+
+
+def _squared_residue(n, a, p):
+    return real_residue(n, a, p) ** 2 % p
+
+
+# (module, core, wrong core, spec, suite, budget_used, checks).  The expected
+# reports are those the suites gave while they called the public
+# `thm55_projection_check`, `tidf_implies_atomic_check`,
+# `p_furstenberg_divisor` and `cap_residue`, made to return the same wrong
+# answers: a point prints as (x, y), a set through its FinSet repr or as
+# {...}, a counterexample or a residue's element as a rational.
+@pytest.mark.parametrize(
+    "module, core, wrong, spec, suite, used, checks",
+    [
+        (suites, "_projection_failure", _gap_at_the_max, None, "thm-5.5-gap", 1473, [
+            ("projection-gap-mechanism", "fail", "offset inside the gap: (1/7, 331/120)"),
+        ]),
+        (suites, "_projection_failure", _pair_not_an_atom, None, "thm-5.5-gap", 1427, [
+            ("projection-gap-mechanism", "fail",
+             "input set is not an atom: FinSet(elems=((0, 0), (0, 1/8)))"),
+        ]),
+        (suites, "_projection_failure", _gap_at_the_max, RANK2, "thm-5.5-gap", 78, [
+            ("projection-gap-mechanism", "fail", "offset inside the gap: (1/5, 3)"),
+        ]),
+        (atomicity, "_descent", _descent_fails_at_two_atoms, None, "prop-6.4", 1548, [
+            ("atomicity-descent[numerical(2,3)]", "fail", "counterexample 5"),
+            ("atomicity-descent[numerical(1)]", "fail", "counterexample 2"),
+            ("atomicity-descent[puiseux(1/26,5/66,1/7,4/15)]", "fail", "counterexample 119/390"),
+        ]),
+        (atomicity, "_descent", _descent_fails_at_two_atoms, PUISEUX, "prop-6.4", 862, [
+            ("atomicity-descent[puiseux(3/2,5/2)]", "fail", "counterexample 4"),
+        ]),
+        (suites, "_p_furstenberg_divisor", _divisor_is_the_triple, None, "lemma-6.1", 682, [
+            ("divisor-is-atom", "fail", "{0, 2, 4}"),
+        ]),
+        (suites, "_p_furstenberg_divisor", _divisor_is_the_largest_atom, None, "lemma-6.1", 43, [
+            ("divisor-divides", "fail", "{2}"),
+        ]),
+        (suites, "_p_furstenberg_divisor", _divisor_is_the_triple, PUISEUX, "lemma-6.1", 1882, [
+            ("divisor-is-atom", "fail", "{0, 3/2, 3}"),
+        ]),
+        (suites, "_p_furstenberg_divisor", _divisor_is_the_largest_atom, PUISEUX, "lemma-6.1",
+         45, [
+            ("divisor-divides", "fail", "{3/2}"),
+        ]),
+        (suites, "_residue", _squared_residue, None, "cap-additivity", 0, [
+            ("residue-additivity", "fail", "q=238549/340340 r=1104539/1021020 a=7/204 p=17"),
+        ]),
+        (suites, "_residue", _squared_residue, EX44_2, "cap-additivity", 0, [
+            ("residue-additivity", "fail", "q=10139/15015 r=1121/2310 a=4/15 p=5"),
+        ]),
+    ],
+)
+def test_a_wrong_atomicity_or_residue_core_fails_with_a_decoded_witness(
+    monkeypatch, module, core, wrong, spec, suite, used, checks
+):
+    monkeypatch.setattr(module, core, wrong)
     clear_caches()
     report = run_verify_suite(suite, spec)
     assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
