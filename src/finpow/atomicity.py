@@ -18,21 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import (
-    Element,
-    InvalidInputError,
-    QPoint2,
-    Rat,
-    _den_primes,
-    primes_from,
-    render_element,
-    vp_value,
-)
+from .arith import Element, InvalidInputError, QPoint2, Rat, _den_primes, primes_from, vp_value
 from .backend import (
     Budget,
     MonoidSpec,
     _Query,
-    _members_upto,
     _split,
     as_budget,
     atoms,
@@ -44,13 +34,7 @@ from .backend import (
     members_upto,
 )
 from .power import (
-    FinSet,
-    _anchored_divisors,
-    _decode_set,
-    _decompositions,
-    _encode_set,
-    _sumset_all,
-    zero_set,
+    FinSet, _anchored_divisors, _decode_set, _decompositions, _encode_set, _sumset_all, zero_set
 )
 from .mcd import _singleton_divisors, p_divisors
 
@@ -179,7 +163,7 @@ def _p_furstenberg_divisor(t: tuple, q: _Query, ats: list) -> tuple:
             ats.extend(encode(a, q.spec) for a in atoms(q.spec, q.budget))
         a = next(_atom_divisors(d, ats, q), None)
         if a is None:
-            raise InvalidInputError(f"no atom divides {render_element(decode(d, q.spec))}")
+            raise InvalidInputError(f"no atom divides {decode(d, q.spec)}")
         return (a,)
     cands = (u for u, _, _ in _anchored_divisors(t, q) if len(u) >= 2 and u != t)
     u = min(cands, key=lambda u: (len(u), u), default=None)
@@ -228,7 +212,7 @@ def tidf_implies_atomic_check(
         raise InvalidInputError("descent check requires a rank-1 positive backend")
     bud = as_budget(budget)
     ats = [encode(a, spec) for a in atoms(spec, bud)]
-    members = _members_upto(spec, math.floor(bound * spec.scale), bud) if bound >= 0 else []
+    members = [encode(b, spec) for b in members_upto(spec, bound, bud)]
     ok, out = _descent(members, ats, _Query(spec, bud))
     if ok:
         return DescentReport(True, max_descent=out)

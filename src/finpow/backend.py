@@ -646,17 +646,11 @@ def members_upto(
         raise InvalidInputError("members_upto supports rank-1 specs only")
     if bound < 0:
         return []
-    members = _members_upto(spec, math.floor(bound * spec.scale), as_budget(budget))
-    return [decode(n, spec) for n in members]
-
-
-def _members_upto(spec: MonoidSpec, top: int, bud: Budget) -> list:
-    """The scaled members of a rank-1 spec in [0, top], ascending, top >= 0."""
     # descending, as the search plan orders them
     gens = [encode(g, spec) for g in spec.generators[::-1]]
     found: set = set()
-    _walk(gens, 0, 0, top, bud, found)
-    return sorted(found)
+    _walk(gens, 0, 0, math.floor(bound * spec.scale), as_budget(budget), found)
+    return [decode(n, spec) for n in sorted(found)]
 
 
 def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> None:

@@ -35,7 +35,6 @@ from .power import (
     _decode_set,
     _decompositions,
     _divides_in_P,
-    _encode_set,
     _p_factor,
     _sumset,
     _sumset_all,
@@ -387,16 +386,15 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
     # the residue of q = n/L at (a, p) is that of q/a = n/encode(a), so it
     # is taken on the scaled ints; each pair was checked once, up front
     sp = spec if spec is not None else expand_family("EX44", 3)
-    pairs = _ex44_residue_pairs(sp, "cap-additivity")
+    pairs = [(a, p, encode(a, sp)) for a, p in _ex44_residue_pairs(sp, "cap-additivity")]
     gens = [encode(g, sp) for g in sp.generators]
     bad = None
     for _ in range(500):
-        a, p = rng.choice(pairs)
-        na = encode(a, sp)
+        a, p, na = rng.choice(pairs)
         m = _random_member(rng, gens)
         n = _random_member(rng, gens)
         if (_residue(m, na, p) + _residue(n, na, p)) % p != _residue(m + n, na, p):
-            bad = (m, n, a, p)
+            bad = (decode(m, sp), decode(n, sp), a, p)
             break
     cid = "residue-additivity"
     if bad:
@@ -404,7 +402,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
             CheckResult(
                 cid,
                 FAIL,
-                f"q={render_element(decode(bad[0], sp))} r={render_element(decode(bad[1], sp))} "
+                f"q={render_element(bad[0])} r={render_element(bad[1])} "
                 f"a={render_element(bad[2])} p={bad[3]}",
             )
         ]
@@ -512,23 +510,19 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
     # identity, and those whose minimum is a monoid atom with every other
     # element offset by a nonnegative first-coordinate step
     q = _Query(sp, bud)
+    scaled = {g: encode(g, sp) for g in sp.generators}
     monoid_atoms = atoms(sp, bud)
-    atom_sets = [_encode_set(FinSet((a,)), sp) for a in monoid_atoms]
-    zero = sp.zero
+    atom_sets = [(scaled[a],) for a in monoid_atoms]
     for g in sp.generators:
-        cand = _encode_set(FinSet((zero, g)), sp)
-        if not _decompositions(cand, q):
-            atom_sets.append(cand)
+        if not _decompositions((0, scaled[g]), q):
+            atom_sets.append((0, scaled[g]))
     dyadics = [a for a in monoid_atoms if a.x == 0]
     for d in dyadics:
         for g in sp.generators:
-            if g == d:
-                continue
-            cand = FinSet((d, g))
-            if cand.min.x <= min(e.x for e in cand):
-                t = _encode_set(cand, sp)
-                if not _decompositions(t, q):
-                    atom_sets.append(t)
+            if g != d and min(d, g).x <= min(d.x, g.x):
+                cand = tuple(sorted((scaled[d], scaled[g])))
+                if not _decompositions(cand, q):
+                    atom_sets.append(cand)
     cid = "projection-gap-mechanism"
     runs = 0
     for size in (1, 2, 3):
