@@ -539,8 +539,8 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
 
 
 def _suite_lemma_6_1(spec, bud, rng) -> list:
-    # the membership tests of the public `divides_in_P` stay, so the suite
-    # asks the questions it asked on decoded sets, in the same order
+    # `_check_members` makes the membership tests of the public
+    # `divides_in_P` in their place: the pinned cache order counts them
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
     pool = _corpus(sp, 10, bud)
     q = _Query(sp, bud)
