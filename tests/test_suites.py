@@ -62,6 +62,9 @@ def cache_order() -> str:
         ("thm-4.5", 50, 51, "budget-exceeded", "e55abe720712b304"),
         ("thm-4.5", 500, 501, "budget-exceeded", "d226ef91cc42910f"),
         ("thm-4.5", 7507, 7508, "budget-exceeded", "cb0e85eb1386c8f5"),
+        ("lemma-5.2", 1, 2, "budget-exceeded", "ba33925197288a4f"),
+        ("lemma-5.2", 50, 51, "budget-exceeded", "62481ee13ee0720d"),
+        ("lemma-5.2", 83098, 83099, "budget-exceeded", "93a6178e7c115d3b"),
         ("thm-5.5-gap", 1, 2, "budget-exceeded", "38ab84d4aa6637f9"),
         ("thm-5.5-gap", 50, 51, "budget-exceeded", "2f26102b464ddf43"),
         ("thm-5.5-gap", 3738, 3739, "budget-exceeded", "5892ececac8638ed"),
@@ -107,6 +110,7 @@ def test_a_suite_on_a_puiseux_spec(suite, used, lines, order):
         ("lemma-3.2", "e3b0c44298fc1c14"),
         ("prop-4.1", "54bc173f7d6f1cf2"),
         ("thm-4.5", "246eb19a0696e306"),
+        ("lemma-5.2", "7841774429078fce"),
         ("thm-5.5-gap", "89acce45104c7847"),
         ("lemma-6.1", "d710044be42929b0"),
         ("prop-6.4", "5ebf5b4b8c201654"),
