@@ -11,7 +11,11 @@ its largest cofactor C; `decompositions` takes the V's inside C, and
 `mcd.p_divisors` collects the U's.  It walks the subsets once per anchor
 membership pattern, not once per anchor, yet charges each anchor one node
 per subset, so node counts are those of a walk per anchor, and a budget
-that runs out stops at limit + 1.
+that runs out stops at limit + 1.  Each anchor makes its membership tests
+in one pass, reading cached verdicts directly.  `decompositions` builds
+each unordered pair {U, V} once, from its lesser anchor: if min U <=
+min V, then V lies in U's largest cofactor and holds its minimum, so the
+pair is among U's; the anchors a > min S - a add none and are skipped.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -240,23 +244,22 @@ def _cofactors(t: tuple, a, es, is_member):
     return cofactor
 
 
-def _relative_divisors(rel: tuple, ins: list, outs: list) -> list:
+def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     """(U, C, covers) for every divisor U of the set t = min t + rel, with
-    its largest cofactor C, for the anchors a whose pattern is (ins, outs):
-    a + rel[i] is in M for the i in ins, and min t - a + rel[i] for the i in
-    outs.  U and C are given as the indices i of their elements a + rel[i]
-    and min t - a + rel[i].  Subsets come in the order a walk over them
-    takes: by size, then lexicographically."""
-    us = [rel[i] for i in ins]
-    cofactor = _cofactors(rel, rel[0], us, {rel[i] for i in outs}.__contains__)
-    at = {d: i for i, d in enumerate(rel)}
+    its largest cofactor C, for the anchors a whose pattern is (us, outs):
+    a + d is in M for the d in us, and min t - a + rel[i] for the i whose
+    bit is set in the mask outs.  U and C are given by the offsets d of
+    their elements a + d and min t - a + d.  Subsets come in the order a
+    walk over them takes: by size, then lexicographically."""
+    cs = {d for i, d in enumerate(rel) if outs >> i & 1}
+    cofactor = _cofactors(rel, rel[0], us, cs.__contains__)
     full, others, out = (1 << len(rel)) - 1, us[1:], []
     for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             u = (us[0],) + extra
             c, covers, union = cofactor(u)
             if union == full:
-                out.append(([at[d] for d in u], [at[d] for d in c], tuple(covers)))
+                out.append((u, c, tuple(covers)))
     return out
 
 
@@ -273,7 +276,12 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
     subsets are walked once per pattern (A, V), in a dict local to the call,
     and each anchor translates the result.  The V tests are made only if
     some tail test tmax - x, x in a + A, passes: if U + C = t, then
-    tmax - max U = max C is in M.
+    tmax - max U = max C is in M.  Each anchor makes its tests in one pass:
+    the A tests in ascending order, every tail test, then the V tests; it
+    reads a cached verdict straight from the result cache, searches only on
+    a miss, and sets the bits of the pattern key, the masks of A and V over
+    the indices of rel, as it goes.  The anchors ascend, so the list is
+    ordered by min U, which `_decompositions` relies on.
 
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
@@ -295,6 +303,8 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
         return kept[0]
     before = bud.used
     _check_members(t, q)
+    # read cached verdicts directly: most tests are hits, and a miss searches
+    verdict = q.entry.verdicts.get
     t0, tmax = t[0], t[-1]
     rel = tuple(x - t0 for x in t)
     patterns: dict = {}
@@ -302,24 +312,35 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
         # a itself heads the list: it is a divisor, hence a member
-        lows = [x - mv for x in t]
-        ins = [i for i, y in enumerate(lows) if is_member(y)]
-        # a list, not any(): every tail test is made, as a walk over U made it
-        tails = [is_member(tmax - lows[i]) for i in ins]
-        bud.spend(1 << (len(ins) - 1))
-        if not any(tails):
+        us, key = [], 0
+        for i, d in enumerate(rel):
+            ok = verdict(a + d)
+            if ok or ok is None and is_member(a + d):
+                us.append(d)
+                key |= 1 << i
+        # every tail test is made, as a walk over U made it
+        top, tail = tmax - a, False
+        for d in us:
+            ok = verdict(top - d)
+            if ok or ok is None and is_member(top - d):
+                tail = True
+        bud.spend(1 << (len(us) - 1))
+        if not tail:
             continue
-        # x >= a for every x in t, as x - a = mv + rel[i] with mv in M
-        highs = [x - a for x in t]
-        outs = [i for i, y in enumerate(highs) if is_member(y)]
-        # one int as the key: a pair of tuples per anchor, freed by the
-        # thousand onto the interpreter's tuple free lists, raised peak RSS
-        key = sum(1 << i for i in ins) << len(t) | sum(1 << i for i in outs)
+        outs = 0
+        for i, d in enumerate(rel):
+            ok = verdict(mv + d)
+            if ok or ok is None and is_member(mv + d):
+                outs |= 1 << i
+        # one int as the key, the mask of us above the outs mask: a pair of
+        # tuples per anchor, freed by the thousand onto the interpreter's
+        # tuple free lists, raised peak RSS
+        key = key << len(t) | outs
         found = patterns.get(key)
         if found is None:
-            found = patterns[key] = _relative_divisors(rel, ins, outs)
+            found = patterns[key] = _relative_divisors(rel, us, outs)
         for u, c, covers in found:
-            out.append((tuple(lows[i] for i in u), [highs[j] for j in c], covers))
+            out.append((tuple([a + d for d in u]), [mv + d for d in c], covers))
     memo[t] = None if t not in memo else (out, bud.used - before)
     return out
 
@@ -362,11 +383,21 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
     whose covers OR to all of t; which subsets those are depends on the
-    covers alone, so they are listed once per covers tuple."""
+    covers alone, so they are listed once per covers tuple.
+
+    Each pair is built once, from its lesser anchor.  If U + V = t with
+    min U <= min V, then U is a divisor with anchor a = min U, and V, a
+    subset of U's largest cofactor holding its minimum min t - a, is among
+    U's V's; so the divisors with a > min t - a add no pair, and as the
+    anchors ascend, the walk stops at the first of them.  A divisor with
+    a < min t - a gives (U, V) with U < V, as min U < min V; one with
+    a = min t - a gives both (U, V) and (V, U), and only U <= V is kept."""
     zero, full = t[0] - t[0], (1 << len(t)) - 1
-    found: set = set()
+    pairs: list = []
     picks: dict = {}
     for u, c, covers in _anchored_divisors(t, q):
+        if u[0] > c[0]:
+            break
         if u == (zero,) or (both_nonsingleton and len(u) < 2):
             continue
         extras = picks.get(covers)
@@ -379,12 +410,15 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
                         union |= covers[i]
                     if union == full:
                         extras.append(extra)
+        middle = u[0] == c[0]
         for extra in extras:
-            v = (c[0],) + tuple(c[i] for i in extra)
+            v = (c[0],) + tuple([c[i] for i in extra])
             if v == (zero,) or (both_nonsingleton and len(v) < 2):
                 continue
-            found.add((min(u, v), max(u, v)))
-    return sorted(found)
+            if not middle or u <= v:
+                pairs.append((u, v))
+    pairs.sort()
+    return pairs
 
 
 def decompositions(

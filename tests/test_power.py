@@ -245,15 +245,14 @@ def check_against_oracle(s: FinSet, spec: MonoidSpec, members: set) -> None:
     zero = spec.zero
     pairs = oracle_pairs(s, members)
     assert {d.elems for d in p_divisors(s, spec)} == {u for u, _ in pairs}
-    nontrivial = {
-        (min(u, v), max(u, v)) for u, v in pairs if u != (zero,) and v != (zero,)
-    }
-    assert {(d.left.elems, d.right.elems) for d in decompositions(s, spec)} == nontrivial
-    both = {(u, v) for u, v in nontrivial if len(u) >= 2 and len(v) >= 2}
-    assert {
-        (d.left.elems, d.right.elems)
-        for d in decompositions(s, spec, both_nonsingleton=True)
-    } == both
+    # lists, not sets: each pair up to swap comes once, in ascending order
+    nontrivial = sorted(
+        {(min(u, v), max(u, v)) for u, v in pairs if u != (zero,) and v != (zero,)}
+    )
+    both = [(u, v) for u, v in nontrivial if len(u) >= 2 and len(v) >= 2]
+    for both_nonsingleton, want in ((False, nontrivial), (True, both)):
+        got = decompositions(s, spec, both_nonsingleton=both_nonsingleton)
+        assert [(d.left.elems, d.right.elems) for d in got] == want
 
 
 numerical_specs = st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True).map(
@@ -291,6 +290,14 @@ class TestAnchoredEnumerationOracle:
         members = rank1_members(spec, 3)
         elems = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=4))
         check_against_oracle(FinSet(tuple(elems)), spec, members)
+
+    @pytest.mark.parametrize("elems", [(4, 5, 6, 7), (4, 5, 6)])
+    def test_middle_anchor(self, elems):
+        # 2 = 4 - 2 is an anchor of min t = 4 over <2, 3>: the pairs {2, 3} +
+        # {2, 4} and {2, 3} + {2, 3, 4} of {4, 5, 6, 7} have sides of equal
+        # minimum, each found from both of its sides; {4, 5, 6} is {2, 3} +
+        # {2, 3}, found once
+        check_against_oracle(FinSet(elems), N23, rank1_members(N23, 12))
 
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_rank2_family(self, with_atom):
