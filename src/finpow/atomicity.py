@@ -182,6 +182,7 @@ def atom_divisors(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """All atoms of the monoid dividing b."""
+    spec.check_element(b)
     bud = as_budget(budget)
     return [a for a in atoms(spec, bud) if a <= b and member(b - a, spec, bud)]
 
@@ -407,6 +408,8 @@ def thm55_projection_check(
     1/7, and in the total sumset every first-coordinate offset from the
     minimum is 0 or at least 2/35 — so an offset of exactly 1/35 never
     occurs.  The report covers the supplied atoms only."""
+    if not spec.is_rank2:
+        raise InvalidInputError("thm55_projection_check needs a rank-2 spec")
     if not atom_list:
         return ProjectionGapReport(True, "mechanism verified (vacuous)")
     sets = [_encode_set(a, spec) for a in atom_list]

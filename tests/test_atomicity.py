@@ -26,7 +26,7 @@ from finpow.atomicity import (
     thm55_projection_check,
     tidf_implies_atomic_check,
 )
-from finpow.backend import MonoidSpec, member
+from finpow.backend import Budget, MonoidSpec, clear_caches, member
 from finpow.power import FinSet, is_p_atom, singleton, sumset, zero_set
 
 N23 = MonoidSpec.numerical(2, 3)
@@ -90,6 +90,21 @@ class TestAtomDivisorsAndCounts:
     def test_atom_divisors(self):
         assert atom_divisors(6, N23) == [2, 3]
         assert atom_divisors(2, N23) == [2]
+
+    @pytest.mark.parametrize(
+        "b, spec",
+        [
+            (F(6), MonoidSpec.rank2(QPoint2(F(0), F(1)), QPoint2(F(1), F(0)))),
+            (QPoint2(F(0), F(6)), N23),
+        ],
+    )
+    def test_atom_divisors_refuses_an_element_of_the_wrong_kind(self, b, spec):
+        # refused before `atoms`, which would spend nodes on a cold cache
+        clear_caches()
+        bud = Budget(0)
+        with pytest.raises(InvalidInputError, match="does not match spec"):
+            atom_divisors(b, spec, bud)
+        assert bud.used == 0
 
     def test_ffm_counts(self):
         assert ffm_count(6, N23) == 2  # 2+2+2 and 3+3
@@ -315,6 +330,11 @@ class TestThm55Projection:
 
     def test_vacuous(self):
         assert thm55_projection_check([], self.SPEC).ok
+
+    @pytest.mark.parametrize("atoms", [[], [FinSet((F(2),))]])
+    def test_a_rank1_spec_is_refused(self, atoms):
+        with pytest.raises(InvalidInputError, match="^thm55_projection_check needs a rank-2 spec$"):
+            thm55_projection_check(atoms, N23, Budget(0))
 
     def test_structural_atoms_pass(self):
         g = rank2_atom(F(7, 3), "A")
