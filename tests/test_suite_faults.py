@@ -4,13 +4,16 @@ expected reports are those the suites gave while they still built `FinSet`s
 or `Fraction`s and called the public functions, made to return the same
 wrong answers."""
 
+import dataclasses
 import sys
 
 import pytest
 
-from finpow.backend import atoms, clear_caches, encode, parse_monoid_spec
-from finpow.mcd import _mcd_in_P
-from finpow.power import _divides_in_P, _sumset, _sumset_all
+from finpow.arith import InvalidInputError
+from finpow.atomicity import lemma54_sum_witness
+from finpow.backend import TruncationError, atoms, clear_caches, encode, parse_monoid_spec
+from finpow.mcd import _mcd_in_P, ex44_chain
+from finpow.power import _divides_in_P, _sumset, _sumset_all, is_indecomposable
 from finpow.suites import run_verify_suite
 
 power = sys.modules["finpow.power"]
@@ -190,6 +193,67 @@ def test_a_wrong_atomicity_or_residue_core_fails_with_a_decoded_witness(
     monkeypatch, module, core, wrong, spec, suite, used, checks
 ):
     monkeypatch.setattr(module, core, wrong)
+    clear_caches()
+    report = run_verify_suite(suite, spec)
+    assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
+    assert report.budget_used == used
+
+
+def _wide_sets_decompose(s, sp, bud):
+    return is_indecomposable(s, sp, bud) and len(s) < 5
+
+
+def _refuse_a_falling_pair(q, r, branches):
+    if q > r:
+        raise InvalidInputError(f"{q} > {r}")
+    return lemma54_sum_witness(q, r, branches)
+
+
+def _second_step_certificates_swapped(length, depth, bud):
+    steps = ex44_chain(length, depth, bud)
+    swapped = steps[1].residual_certificates[::-1]
+    return [steps[0], dataclasses.replace(steps[1], residual_certificates=swapped), *steps[2:]]
+
+
+def _pairs_truncate(fam, q):
+    out = _mcd_in_P(fam, q)
+    if len(fam) == 2:
+        raise TruncationError("a two-set family")
+    return out
+
+
+# (core, wrong core, spec, suite, budget_used, checks): the FAIL of a random
+# check is that of its first failing trial, and prop-4.1 reports a
+# TruncationError of `_mcd_in_P` as it reports a family with no MCD
+@pytest.mark.parametrize(
+    "core, wrong, spec, suite, used, checks",
+    [
+        ("is_indecomposable", _wide_sets_decompose, None, "lemma-4.2", 537, [
+            ("augmentation-indecomposable", "fail", "{6, 7, 8, 9}"),
+        ]),
+        ("is_indecomposable", _wide_sets_decompose, PUISEUX, "lemma-4.2", 380, [
+            ("augmentation-indecomposable", "fail", "{5, 13/2, 8, 17/2}"),
+        ]),
+        ("lemma54_sum_witness", _refuse_a_falling_pair, None, "lemma-5.4", 0, [
+            ("baseline-identity-7/3", "pass", "p=5, increment=(0, 1/2)"),
+            ("random-sum-certificates", "fail", "14/5, 395/143"),
+        ]),
+        ("ex44_chain", _second_step_certificates_swapped, None, "ex-4.4", 1115, [
+            ("ascending-divisor-chain", "pass", "0 < 1/2 < 3/4 < 7/8"),
+            ("chain-certificates-resum", "fail", "3 steps, two certificates each"),
+            ("one-avoids-second-family", "pass", "all depths <= 6"),
+        ]),
+        ("_mcd_in_P", _pairs_truncate, None, "prop-4.1", 1165, [
+            ("mcd-existence-agrees[numerical(2,3)]", "fail", "{0} , {2}"),
+            ("mcd-existence-agrees[numerical(3,4,5)]", "fail", "{0} , {3}"),
+        ]),
+        ("_mcd_in_P", _pairs_truncate, PUISEUX, "prop-4.1", 2011, [
+            ("mcd-existence-agrees[puiseux(3/2,5/2)]", "fail", "{0} , {3/2}"),
+        ]),
+    ],
+)
+def test_a_check_fails_at_its_first_bad_trial(monkeypatch, core, wrong, spec, suite, used, checks):
+    monkeypatch.setattr(suites, core, wrong)
     clear_caches()
     report = run_verify_suite(suite, spec)
     assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
