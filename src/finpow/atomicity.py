@@ -3,9 +3,13 @@ extraction in the power monoid, finite-factorization counting, the canonical
 decomposition of rationals over odd-prime unit fractions, the rank-2 atom
 construction, and the first-coordinate projection-gap checker.
 
-Chains in M and in P_fin(M) share one memoised search, `_longest_chain`;
-every atom-divisor question is one lazy scan, `_atom_divisors`, on scaled
-elements.  `p_furstenberg_divisor`, `tidf_implies_atomic_check` and
+Chains in M and in P_fin(M) share one memoised search, `_longest_chain`.
+Every atom-divisor question on scaled elements is one lazy scan,
+`_atom_divisors`; the public `atom_divisors` scans the decoded atoms with
+`member` instead, as an off-lattice rank-2 b encodes to a `QPoint2` that
+the scan's `a <= n` cannot compare with an int.
+
+`p_furstenberg_divisor`, `tidf_implies_atomic_check` and
 `thm55_projection_check` are each one encode, a scaled core
 (`_p_furstenberg_divisor`, `_descent`, `_projection_failure`) and one
 decode; the lemma-6.1 and thm-5.5-gap suites call the cores on sets they

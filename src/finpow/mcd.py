@@ -206,13 +206,14 @@ def cap_constant_on(s: FinSet, a: Rat, p: int, spec: MonoidSpec) -> bool:
     preconditions on (a, p) are checked once for the whole set, and an
     element off the generators' lattice is rejected."""
     _check_cap_preconditions(a, p, spec)
-    return _cap_constant_on_scaled(_encode_set(s, spec), a, p, spec)
+    return _cap_constant_on_scaled(_encode_set(s, spec), p)
 
 
-def _cap_constant_on_scaled(s: tuple, a: Rat, p: int, spec: MonoidSpec) -> bool:
+def _cap_constant_on_scaled(s: tuple, p: int) -> bool:
     """`cap_constant_on` of the set whose scaled elements over the spec are
     s, for a cap pair (a, p) that the caller has checked with
-    `_check_cap_preconditions`: True iff n mod p is the same for every n in s.
+    `_check_cap_preconditions`: True iff n mod p is the same for every n in s,
+    so neither a nor the spec is read.
 
     As v_p(a) = -1 and p divides no other generator's denominator, v_p(L) =
     1 for L = spec.scale.  So for q = n/L, q/a = n*(a.den/p) / (a.num*L/p),

@@ -1192,3 +1192,34 @@ def test_no_function_that_takes_a_query_names_fraction_or_qpoint2():
         ]
     assert {"_decompositions", "_mcd_in_P", "_descent", "_projection_failure"} <= set(cores)
     assert named == []
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    # a plain `x = ...` in a function whose x nothing reads, not even a
+    # nested function, is a dead value; a global or nonlocal x is no local
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    dead = []
+    for name, fn in package_nodes():
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, declared, stack = {}, set(), list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        bound.setdefault(t.id, node.lineno)
+            # a nested scope binds its own locals; its reads count below
+            if not isinstance(node, scopes):
+                stack.extend(ast.iter_child_nodes(node))
+        read = {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        dead += [
+            f"{name}:{line} {fn.name} {v}" for v, line in sorted(bound.items())
+            if v not in read and v not in declared
+        ]
+    assert dead == []

@@ -434,7 +434,7 @@ class TestScaledLemma52Path:
         for a, p in _ex44_residue_pairs(spec, "lemma-5.2"):
             for side in sides:
                 scaled = tuple(encode(q, spec) for q in side)
-                assert _cap_constant_on_scaled(scaled, a, p, spec) == cap_constant_on(side, a, p, spec)
+                assert _cap_constant_on_scaled(scaled, p) == cap_constant_on(side, a, p, spec)
 
     @pytest.mark.parametrize("spec", RESIDUE_SPECS)
     @given(data=st.data())
