@@ -184,6 +184,7 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
     # witness invariants for divisibility in the power monoid
     for sp, pool in corpora:
         q = _Query(sp, bud)
+
         def witness_invariants_hold() -> str:
             s = _random_set(rng, pool, 3)
             d = _random_set(rng, pool, 3)
@@ -260,6 +261,7 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
 def _suite_lemma_4_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(1)
     pool = [decode(n, sp) for n in _corpus(sp, 9, bud) if n > 0]
+
     def augmentation_indecomposable() -> str:
         s = FinSet._ascending(_random_set(rng, pool, 4, min_size=2))
         return "" if is_indecomposable(augment_indecomposable(s), sp, bud) else s.render()
@@ -306,9 +308,13 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
     expected = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)]
     cid = "ascending-divisor-chain"
     if values == expected:
-        checks.append(CheckResult(cid, PASS, " < ".join(render_element(v) for v in values)))
+        checks.append(
+            CheckResult(cid, PASS, " < ".join(render_element(v) for v in values))
+        )
     else:
-        checks.append(CheckResult(cid, FAIL, " , ".join(render_element(v) for v in values)))
+        checks.append(
+            CheckResult(cid, FAIL, " , ".join(render_element(v) for v in values))
+        )
     resum_ok = all(
         step.q + step.increment + cert.total() == target
         for step in steps
@@ -323,13 +329,10 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
     )
     bad_depth = None
     for d in range(1, depth + 1):
-        d_spec = expand_family("EX44", d)
         a2 = set(ex44_a2_atoms(d))
-        for fac in factorizations(Fraction(1), d_spec, bud):
-            if any(atom in a2 for atom, _ in fac):
-                bad_depth = d
-                break
-        if bad_depth:
+        facs = factorizations(Fraction(1), expand_family("EX44", d), bud)
+        if any(atom in a2 for fac in facs for atom, _ in fac):
+            bad_depth = d
             break
     checks.append(
         CheckResult(
@@ -369,6 +372,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
     sp = spec if spec is not None else expand_family("EX44", 3)
     pairs = [(a, p, encode(a, sp)) for a, p in _ex44_residue_pairs(sp, "cap-additivity")]
     gens = [encode(g, sp) for g in sp.generators]
+
     def residue_additive() -> str:
         a, p, na = rng.choice(pairs)
         m = _random_member(rng, gens)

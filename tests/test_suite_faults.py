@@ -11,7 +11,15 @@ import pytest
 
 from finpow.arith import InvalidInputError
 from finpow.atomicity import lemma54_sum_witness
-from finpow.backend import TruncationError, atoms, clear_caches, encode, parse_monoid_spec
+from finpow.backend import (
+    TruncationError,
+    atoms,
+    clear_caches,
+    encode,
+    ex44_a1_atoms,
+    ex44_a2_atoms,
+    parse_monoid_spec,
+)
 from finpow.mcd import _mcd_in_P, ex44_chain
 from finpow.power import _divides_in_P, _sumset, _sumset_all, is_indecomposable
 from finpow.suites import run_verify_suite
@@ -215,6 +223,10 @@ def _second_step_certificates_swapped(length, depth, bud):
     return [steps[0], dataclasses.replace(steps[1], residual_certificates=swapped), *steps[2:]]
 
 
+def _first_family_from_depth_3(d):
+    return ex44_a2_atoms(d) + ex44_a1_atoms(d) if d >= 3 else ex44_a2_atoms(d)
+
+
 def _pairs_truncate(fam, q):
     out = _mcd_in_P(fam, q)
     if len(fam) == 2:
@@ -242,6 +254,11 @@ def _pairs_truncate(fam, q):
             ("ascending-divisor-chain", "pass", "0 < 1/2 < 3/4 < 7/8"),
             ("chain-certificates-resum", "fail", "3 steps, two certificates each"),
             ("one-avoids-second-family", "pass", "all depths <= 6"),
+        ]),
+        ("ex44_a2_atoms", _first_family_from_depth_3, None, "ex-4.4", 527, [
+            ("ascending-divisor-chain", "pass", "0 < 1/2 < 3/4 < 7/8"),
+            ("chain-certificates-resum", "pass", "3 steps, two certificates each"),
+            ("one-avoids-second-family", "fail", "depth 3"),
         ]),
         ("_mcd_in_P", _pairs_truncate, None, "prop-4.1", 1165, [
             ("mcd-existence-agrees[numerical(2,3)]", "fail", "{0} , {2}"),
