@@ -13,11 +13,11 @@ the scan's `a <= n` cannot compare with an int.
 `thm55_projection_check` are each one encode, a scaled core
 (`_p_furstenberg_divisor`, `_descent`, `_projection_failure`) and one
 decode; the lemma-6.1 and thm-5.5-gap suites call the cores on sets they
-encode once.
+encode once.  `_p_furstenberg_divisor` takes a set's common divisors from
+`mcd._common_divisors`, the one algorithm for them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +40,7 @@ from .backend import (
 from .power import (
     FinSet, _anchored_divisors, _decode_set, _decompositions, _encode_set, _sumset_all, zero_set
 )
-from .mcd import _singleton_divisors, p_divisors
+from .mcd import _common_divisors, p_divisors
 
 
 @dataclass(frozen=True)
@@ -147,24 +147,20 @@ def p_furstenberg_divisor(
     if s == zero_set(spec):
         raise InvalidInputError("the zero set has no atom divisor")
     q = _Query(spec, as_budget(budget))
-    return _decode_set(_p_furstenberg_divisor(_encode_set(s, spec), q, []), spec)
+    return _decode_set(_p_furstenberg_divisor(_encode_set(s, spec), q), spec)
 
 
-def _p_furstenberg_divisor(t: tuple, q: _Query, ats: list) -> tuple:
+def _p_furstenberg_divisor(t: tuple, q: _Query) -> tuple:
     """`p_furstenberg_divisor` of the scaled set t other than the zero set,
-    as a scaled set.
-
-    ats holds the spec's atoms, scaled and ascending, once some call has
-    needed them: a caller passes one list per query, empty at first, so
-    `atoms` runs only where a singleton divisor asks for it.
-    """
+    as a scaled set.  The singleton branch takes d, the largest common
+    divisor, from `_common_divisors` and encodes the spec's atoms, which the
+    result cache keeps after the first call."""
     if not _decompositions(t, q):
         return t
-    single = [x for x in _singleton_divisors(t, q) if x]
-    if single:
-        d = max(single)
-        if not ats:
-            ats.extend(encode(a, q.spec) for a in atoms(q.spec, q.budget))
+    common = _common_divisors(t, q)
+    if len(common) > 1:
+        d = common[-1]
+        ats = [encode(a, q.spec) for a in atoms(q.spec, q.budget)]
         a = next(_atom_divisors(d, ats, q), None)
         if a is None:
             raise InvalidInputError(f"no atom divides {decode(d, q.spec)}")
@@ -417,12 +413,7 @@ def thm55_projection_check(
     if not atom_list:
         return ProjectionGapReport(True, "mechanism verified (vacuous)")
     sets = [_encode_set(a, spec) for a in atom_list]
-    return _gap_report(_projection_failure(sets, _Query(spec, as_budget(budget))), spec)
-
-
-def _gap_report(bad, spec: MonoidSpec) -> ProjectionGapReport:
-    """The report of `_projection_failure`'s answer bad, its violation, a
-    scaled set or element, decoded."""
+    bad = _projection_failure(sets, _Query(spec, as_budget(budget)))
     if bad is None:
         return ProjectionGapReport(True, "mechanism verified")
     detail, v = bad

@@ -5,7 +5,10 @@ the truncated family whose pair {1, 4/3} has no maximal common divisor.
 MCDs at both levels run on the scaled elements of `power`, encoded once on
 entry and decoded once on return; `mcd_in_P` strips a common divisor with the
 cofactors that the anchored divisor enumeration yields beside it.  The
-scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
+common divisors of a scaled set have one algorithm, `_common_divisors`, the
+intersection of its elements' divisor lists; `_mcd`, the singleton branch
+of `atomicity._p_furstenberg_divisor` and `common_divisors` all read it.
+The scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
 partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
 `mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, from the
 divisor lists `_common_divisors` reads or by the anchored enumeration.
@@ -50,16 +53,6 @@ def _common_divisors(s: tuple, q: _Query) -> list:
             raise InvalidInputError(f"{render_element(decode(e, q.spec))} is not in the monoid")
         out = set(divs) if out is None else out & set(divs)
     return sorted(out)
-
-
-def _singleton_divisors(s: tuple, q: _Query) -> list:
-    """The scaled x with {x} dividing the scaled set s.
-
-    The set of `_common_divisors`, by membership tests instead of divisor
-    lists; merging the two either way moves node counts (`mcd_in_P` spends
-    fewer on this one, `p_furstenberg_divisor` more on the other).
-    """
-    return [x for x in _scaled_divisors(s[0], q) if all(q.is_member(e - x) for e in s)]
 
 
 def _mcd(s: tuple, q: _Query) -> list:

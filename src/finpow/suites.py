@@ -31,7 +31,6 @@ from .backend import (
 )
 from .power import (
     FinSet,
-    _check_members,
     _decode_set,
     _decompositions,
     _divides_in_P,
@@ -52,7 +51,6 @@ from .mcd import (
     ex44_chain,
 )
 from .atomicity import (
-    _gap_report,
     _p_furstenberg_divisor,
     _projection_failure,
     lemma54_sum_witness,
@@ -260,7 +258,7 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
 
 def _suite_lemma_4_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else MonoidSpec.numerical(1)
-    pool = [decode(n, sp) for n in _corpus(sp, 9, bud) if n > 0]
+    pool = [m for m in members_upto(sp, Fraction(9), bud) if m > 0]
 
     def augmentation_indecomposable() -> str:
         s = FinSet._ascending(_random_set(rng, pool, 4, min_size=2))
@@ -498,31 +496,33 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
         for combo in itertools.combinations(atom_sets, size):
             if size == 3 and rng.random() > 0.02:
                 continue
-            report = _gap_report(_projection_failure(list(combo), q), sp)
+            bad = _projection_failure(list(combo), q)
             runs += 1
-            if not report.ok:
-                return [CheckResult(cid, FAIL, f"{report.detail}: {report.violation}")]
+            if bad is not None:
+                detail, v = bad
+                shown = _render(v, sp) if type(v) is tuple else render_element(decode(v, sp))
+                return [CheckResult(cid, FAIL, f"{detail}: {shown}")]
     return [
         CheckResult(cid, PASS, f"{len(atom_sets)} atoms, {runs} sampled sums verified")
     ]
 
 
 def _suite_lemma_6_1(spec, bud, rng) -> list:
-    # the core `_divides_in_P` tests no membership, so `_check_members`, as
-    # in the public `divides_in_P`, is what rejects a divisor outside M
     sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
     pool = _corpus(sp, 10, bud)
     q = _Query(sp, bud)
-    ats: list = []
     singleton_branch = nonsingleton_branch = 0
     for size in (1, 2, 3):
         for s in itertools.combinations(pool, size):
             if s == (0,):
                 continue
-            d = _p_furstenberg_divisor(s, q, ats)
+            d = _p_furstenberg_divisor(s, q)
+            # `_decompositions` raises on a set outside M and `_divides_in_P`
+            # tests no membership, so membership is tested first
+            if not all(q.is_member(e) for e in d + s):
+                return [CheckResult("divisor-in-monoid", FAIL, _render(s, sp))]
             if _decompositions(d, q):
                 return [CheckResult("divisor-is-atom", FAIL, _render(s, sp))]
-            _check_members(d + s, q)
             if _divides_in_P(d, s, q) is None:
                 return [CheckResult("divisor-divides", FAIL, _render(s, sp))]
             if len(d) == 1:
@@ -574,7 +574,13 @@ _SUITES: dict = {
     "lemma-2.6": (_suite_lemma_2_6, *_RANK1),
     "lemma-3.2": (_suite_lemma_3_2, *_RANK1),
     "prop-4.1": (_suite_prop_4_1, *_RANK1),
-    "lemma-4.2": (_suite_lemma_4_2, *_RANK1),
+    # lemma-4.2's sets take two or more of the positive members up to 9;
+    # over ascending generators g1 < g2 < ... the second least is min(2*g1, g2)
+    "lemma-4.2": (
+        _suite_lemma_4_2,
+        lambda sp: not sp.is_rank2 and min((2 * sp.generators[0], *sp.generators[1:2])) <= 9,
+        "needs a rank-1 spec with at least two positive members up to 9",
+    ),
     "thm-4.5": (_suite_thm_4_5, *_RANK1),
     "ex-4.4": (_suite_ex_4_4, lambda sp: sp.family == "EX44", "needs an EX44 family spec"),
     "cap-additivity": (_suite_cap_additivity, *_RANK1),

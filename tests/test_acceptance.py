@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finpow.atomicity import canonical_decomp_Q, k_of, lemma54_sum_witness, rank2_atom
+from finpow.atomicity import canonical_decomp_Q, k_of, lemma54_sum_witness
 from finpow.arith import QPoint2
 from finpow.backend import (
     MonoidSpec,

@@ -18,7 +18,6 @@ from finpow.backend import (
     expand_family,
 )
 from finpow.mcd import (
-    McdWitnessStep,
     ResidueClass,
     _cap_constant_on_scaled,
     _residue,

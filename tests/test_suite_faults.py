@@ -135,14 +135,19 @@ def _descent_fails_at_two_atoms(members, ats, q):
     return False, ats[-1] + ats[0]
 
 
-def _divisor_is_the_triple(t, q, ats):
-    return t if len(t) == 3 else real_divisor(t, q, ats)
+def _divisor_is_the_triple(t, q):
+    return t if len(t) == 3 else real_divisor(t, q)
 
 
-def _divisor_is_the_largest_atom(t, q, ats):
+def _divisor_is_the_largest_atom(t, q):
     if len(t) == 1:
         return (encode(max(atoms(q.spec, q.budget)), q.spec),)
-    return real_divisor(t, q, ats)
+    return real_divisor(t, q)
+
+
+def _divisor_is_one(t, q):
+    # the scaled {1} is {1} over <2, 3>, a set outside the monoid
+    return (1,) if len(t) == 1 and t != (1,) else real_divisor(t, q)
 
 
 def _squared_residue(n, a, p):
@@ -153,8 +158,10 @@ def _squared_residue(n, a, p):
 # reports are those the suites gave while they called the public
 # `thm55_projection_check`, `tidf_implies_atomic_check`,
 # `p_furstenberg_divisor` and `cap_residue`, made to return the same wrong
-# answers: a point prints as (x, y), a set through its FinSet repr or as
-# {...}, a counterexample or a residue's element as a rational.
+# answers, with a set in set syntax: a point prints as (x, y), a set as
+# {...}, a counterexample or a residue's element as a rational.  A divisor
+# outside the monoid fails as divisor-in-monoid, before `_decompositions`
+# would raise on it.
 @pytest.mark.parametrize(
     "module, core, wrong, spec, suite, used, checks",
     [
@@ -163,7 +170,7 @@ def _squared_residue(n, a, p):
         ]),
         (suites, "_projection_failure", _pair_not_an_atom, None, "thm-5.5-gap", 1427, [
             ("projection-gap-mechanism", "fail",
-             "input set is not an atom: FinSet(elems=((0, 0), (0, 1/8)))"),
+             "input set is not an atom: {(0, 0), (0, 1/8)}"),
         ]),
         (suites, "_projection_failure", _gap_at_the_max, RANK2, "thm-5.5-gap", 78, [
             ("projection-gap-mechanism", "fail", "offset inside the gap: (1/5, 3)"),
@@ -181,6 +188,9 @@ def _squared_residue(n, a, p):
         ]),
         (suites, "_p_furstenberg_divisor", _divisor_is_the_largest_atom, None, "lemma-6.1", 43, [
             ("divisor-divides", "fail", "{2}"),
+        ]),
+        (suites, "_p_furstenberg_divisor", _divisor_is_one, None, "lemma-6.1", 22, [
+            ("divisor-in-monoid", "fail", "{2}"),
         ]),
         (suites, "_p_furstenberg_divisor", _divisor_is_the_triple, PUISEUX, "lemma-6.1", 1882, [
             ("divisor-is-atom", "fail", "{0, 3/2, 3}"),

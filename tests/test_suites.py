@@ -156,7 +156,9 @@ REFUSALS = {
     "lemma-2.6": (RANK2, "lemma-2.6 needs a rank-1 spec"),
     "lemma-3.2": (RANK2, "lemma-3.2 needs a rank-1 spec"),
     "prop-4.1": (RANK2, "prop-4.1 needs a rank-1 spec"),
-    "lemma-4.2": (RANK2, "lemma-4.2 needs a rank-1 spec"),
+    "lemma-4.2": (
+        RANK2, "lemma-4.2 needs a rank-1 spec with at least two positive members up to 9"
+    ),
     "thm-4.5": (RANK2, "thm-4.5 needs a rank-1 spec"),
     "ex-4.4": (N23, "ex-4.4 needs an EX44 family spec"),
     "cap-additivity": (RANK2, "cap-additivity needs a rank-1 spec"),
@@ -177,6 +179,23 @@ def test_a_rank2_spec_is_refused_before_any_node(suite):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         run_verify_suite(suite, parse_monoid_spec(text), bud)
     assert bud.used == 0
+
+
+@pytest.mark.parametrize("gens", ["10", "5", "10, 11", "19/4"])
+def test_lemma_4_2_refuses_a_spec_with_fewer_than_two_members_up_to_9(gens):
+    # its sets have two to four of the positive members up to 9; the test
+    # reads the generators, so no node is spent
+    bud = Budget(0)
+    message = "lemma-4.2 needs a rank-1 spec with at least two positive members up to 9"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_verify_suite("lemma-4.2", parse_monoid_spec(f"kind puiseux\ngens {gens}"), bud)
+    assert bud.used == 0
+
+
+@pytest.mark.parametrize("gens", ["4", "5, 7", "9/2", "1/2, 10"])
+def test_lemma_4_2_takes_a_spec_with_two_members_up_to_9(gens):
+    report = run_verify_suite("lemma-4.2", parse_monoid_spec(f"kind puiseux\ngens {gens}"))
+    assert report.ok
 
 
 def readme_suite_bullets() -> list:
