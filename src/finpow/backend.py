@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -525,8 +524,11 @@ def _divisors(n, q: _Query) -> tuple:
     """The divisors of the scaled element n of q's spec, scaled and ascending.
 
     Every divisor is a sub-multiset sum of some generator representation of
-    n.  The coefficient search enumerates the representations, each
-    sub-multiset sum spends one node, and the sorted sums are cached under n.
+    n.  The coefficient search enumerates the representations, and the
+    sorted sums are cached under n.  Each sub-multiset of a representation
+    costs one node, spent for the whole representation in one charge before
+    its sums are expanded generator by generator; so a budget that runs out
+    stops at limit + 1, as it would node by node, with nothing cached.
     """
     spec, entry, bud = q.spec, q.entry, q.budget
     out = entry.divisors.get(n)
@@ -540,12 +542,11 @@ def _divisors(n, q: _Query) -> tuple:
         pack = spec.pack
         for vec in reps:
             used = [(level[0] * pack + level[1], c) for level, c in zip(sub, vec) if c]
-            for combo in itertools.product(*(range(c + 1) for _, c in used)):
-                bud.spend()
-                d = 0
-                for (g, _), k in zip(used, combo):
-                    d += k * g
-                found.add(d)
+            bud.spend(math.prod(c + 1 for _, c in used))
+            sums = {0}
+            for g, c in used:
+                sums = {s + k * g for s in sums for k in range(c + 1)}
+            found |= sums
         out = entry.divisors[n] = tuple(sorted(found))
     return out
 

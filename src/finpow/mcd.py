@@ -51,7 +51,10 @@ def _common_divisors(s: tuple, q: _Query) -> list:
         divs = _scaled_divisors(e, q)
         if not divs:
             raise InvalidInputError(f"{render_element(decode(e, q.spec))} is not in the monoid")
-        out = set(divs) if out is None else out & set(divs)
+        if out is None:
+            out = set(divs)
+        else:
+            out.intersection_update(divs)
     return sorted(out)
 
 

@@ -16,6 +16,9 @@ in one pass, reading cached verdicts directly.  `decompositions` builds
 each unordered pair {U, V} once, from its lesser anchor: if min U <=
 min V, then V lies in U's largest cofactor and holds its minimum, so the
 pair is among U's; the anchors a > min S - a add none and are skipped.
+So `decompositions` asks `_anchored_divisors` for a half run, in which
+those anchors make their tests and charges but translate no divisor,
+unless the list is to be kept: a kept list is always whole.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -263,7 +266,7 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     return out
 
 
-def _anchored_divisors(t: tuple, q: _Query) -> list:
+def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
     """The list of (U, C, covers) for every divisor U of the scaled set t in
     the power monoid, where C is the largest cofactor, U + C = t, and
     covers[i] is the mask of the indices in t of U + C[i].
@@ -283,6 +286,12 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
     the indices of rel, as it goes.  The anchors ascend, so the list is
     ordered by min U, which `_decompositions` relies on.
 
+    With `half`, a run whose list will not be kept (t not yet marked) lists
+    only the anchors a <= mv, the ones `_decompositions` reads: a later
+    anchor still makes every test and its charge, but skips the pattern
+    lookup and the translation.  A run whose list will be kept translates
+    every anchor, so a kept list is whole whoever asked for it.
+
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
     so node counts are that walk's, and a budget that runs out still stops
@@ -301,6 +310,8 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
     if kept is not None:
         bud.spend(kept[1])
         return kept[0]
+    # only a list that will be kept must be whole
+    half = half and t not in memo
     before = bud.used
     _check_members(t, q)
     # read cached verdicts directly: most tests are hits, and a miss searches
@@ -332,6 +343,8 @@ def _anchored_divisors(t: tuple, q: _Query) -> list:
             ok = verdict(mv + d)
             if ok or ok is None and is_member(mv + d):
                 outs |= 1 << i
+        if half and a > mv:
+            continue
         # one int as the key, the mask of us above the outs mask: a pair of
         # tuples per anchor, freed by the thousand onto the interpreter's
         # tuple free lists, raised peak RSS
@@ -389,13 +402,15 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     min U <= min V, then U is a divisor with anchor a = min U, and V, a
     subset of U's largest cofactor holding its minimum min t - a, is among
     U's V's; so the divisors with a > min t - a add no pair, and as the
-    anchors ascend, the walk stops at the first of them.  A divisor with
-    a < min t - a gives (U, V) with U < V, as min U < min V; one with
-    a = min t - a gives both (U, V) and (V, U), and only U <= V is kept."""
+    anchors ascend, the walk stops at the first of them, and a half run of
+    `_anchored_divisors`, which translates none of them, is enough unless
+    the list is to be kept.  A divisor with a < min t - a gives (U, V) with
+    U < V, as min U < min V; one with a = min t - a gives both (U, V) and
+    (V, U), and only U <= V is kept."""
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     pairs: list = []
     picks: dict = {}
-    for u, c, covers in _anchored_divisors(t, q):
+    for u, c, covers in _anchored_divisors(t, q, half=True):
         if u[0] > c[0]:
             break
         if u == (zero,) or (both_nonsingleton and len(u) < 2):

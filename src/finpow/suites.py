@@ -587,7 +587,13 @@ _SUITES: dict = {
     "lemma-5.2": (_suite_lemma_5_2, *_RANK1),
     "lemma-5.4": (_suite_lemma_5_4, lambda sp: False, "takes no spec"),
     "thm-5.5-gap": (_suite_thm_5_5, lambda sp: sp.is_rank2, "needs a rank-2 spec"),
-    "lemma-6.1": (_suite_lemma_6_1, *_RANK1),
+    # lemma-6.1's sets are drawn from the members up to 10; with no positive
+    # one among them it has no set to check
+    "lemma-6.1": (
+        _suite_lemma_6_1,
+        lambda sp: not sp.is_rank2 and sp.generators[0] <= 10,
+        "needs a rank-1 spec with a positive member up to 10",
+    ),
     "prop-6.4": (_suite_prop_6_4, *_RANK1),
 }
 

@@ -545,6 +545,28 @@ class TestEnumerationMemo:
             decompositions(FinSet(self.T), N23, Budget(10))
         assert self.memo() == {self.T: None}
 
+    def test_a_kept_list_is_whole(self):
+        # `decompositions` reads only the anchors a <= min T - a, so its
+        # first run translates no other; its second keeps the list, which
+        # `p_divisors` replays, and a kept half list would lack T itself
+        clear_caches()
+        for _ in range(2):
+            decompositions(FinSet(self.T), N23)
+        kept, nodes = self.memo()[self.T]
+        # the kept count is that of a rerun with every test cached
+        self.memo().clear()
+        bud = Budget()
+        rerun = _anchored_divisors(self.T, _Query(N23, bud))
+        assert (kept, nodes) == (rerun, bud.used)
+        want, _ = cold_enumeration(_anchored_divisors, self.T, N23)
+        assert sorted((u, tuple(c), covers) for u, c, covers in kept) == want
+        clear_caches()
+        for _ in range(2):
+            decompositions(FinSet(self.T), N23)
+        got = p_divisors(FinSet(self.T), N23)
+        assert [d.elems for d in got] == sorted(u for u, _, _ in want)
+        assert FinSet(self.T) in got
+
 
 def run_calls(calls: list, spec: MonoidSpec, empty_memo: bool) -> list:
     """(answer or exception type, Budget.used) per call, from cold caches;
@@ -688,6 +710,76 @@ def draw_lemma_5_2_set(data, spec: MonoidSpec) -> FinSet:
         }
 
     return sumset(FinSet(tuple(constant_set())), FinSet(tuple(constant_set())))
+
+
+# ---------------------------------------------------------------------------
+# `_divisors` charges each generator representation once, before it sums
+# the representation's sub-multisets, against the per-combination loop it
+# replaced: the same divisors, the same nodes, and the same stop when the
+# budget runs out mid-representation.
+
+
+def reference_divisors(n, q: _Query) -> tuple:
+    """Each sub-multiset of each representation spends one node as it is
+    summed; nothing is cached."""
+    spec, bud = q.spec, q.budget
+    sub, y, x = backend._locate(n, spec, q.entry.plan)
+    reps: list = []
+    backend._search(sub, 0, y, x, bud, False, reps, [])
+    found = set()
+    for vec in reps:
+        used = [(level[0] * spec.pack + level[1], c) for level, c in zip(sub, vec) if c]
+        for combo in itertools.product(*(range(c + 1) for _, c in used)):
+            bud.spend()
+            found.add(sum(k * g for (g, _), k in zip(used, combo)))
+    return tuple(sorted(found))
+
+
+def cold_divisors(fn, n, spec: MonoidSpec, limit: int = DEFAULT_BUDGET):
+    """(the divisors or the raised error's type, Budget.used, whether the
+    result cache holds a divisor list of n) from cold caches."""
+    clear_caches()
+    q = _Query(spec, Budget(limit))
+    try:
+        got = fn(n, q)
+    except BudgetExceededError:
+        got = BudgetExceededError
+    return got, q.budget.used, n in q.entry.divisors
+
+
+def check_divisors(b, spec: MonoidSpec, data) -> None:
+    n = encode(b, spec)
+    got, used, _ = want = cold_divisors(reference_divisors, n, spec)
+    assert cold_divisors(_divisors, n, spec) == (got, used, True)
+    # a limit from the representations' search cost on runs out while the
+    # sub-multiset sums are charged
+    clear_caches()
+    q = _Query(spec, Budget())
+    sub, y, x = backend._locate(n, spec, q.entry.plan)
+    backend._search(sub, 0, y, x, q.budget, False, [], [])
+    if q.budget.used < used:
+        limit = data.draw(st.integers(q.budget.used, used - 1), label="limit")
+        for fn in (reference_divisors, _divisors):
+            assert cold_divisors(fn, n, spec, limit) == (BudgetExceededError, limit + 1, False)
+
+
+class TestDivisorsOracle:
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, spec, data):
+        check_divisors(Fraction(data.draw(st.integers(0, 24), label="b")), spec, data)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_puiseux(self, spec, data):
+        members = sorted(rank1_members(spec, 6))
+        check_divisors(data.draw(st.sampled_from(members), label="b"), spec, data)
+
+    @given(rank2_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank2(self, spec, data):
+        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
+        check_divisors(data.draw(st.sampled_from(sorted(members)), label="b"), spec, data)
 
 
 RANK2_53 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))

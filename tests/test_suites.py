@@ -165,7 +165,7 @@ REFUSALS = {
     "lemma-5.2": (RANK2, "lemma-5.2 needs a rank-1 spec"),
     "lemma-5.4": (N23, "lemma-5.4 takes no spec"),
     "thm-5.5-gap": ("family EX44 depth 2", "thm-5.5-gap needs a rank-2 spec"),
-    "lemma-6.1": (RANK2, "lemma-6.1 needs a rank-1 spec"),
+    "lemma-6.1": (RANK2, "lemma-6.1 needs a rank-1 spec with a positive member up to 10"),
     "prop-6.4": (RANK2, "prop-6.4 needs a rank-1 spec"),
 }
 
@@ -195,6 +195,28 @@ def test_lemma_4_2_refuses_a_spec_with_fewer_than_two_members_up_to_9(gens):
 @pytest.mark.parametrize("gens", ["4", "5, 7", "9/2", "1/2, 10"])
 def test_lemma_4_2_takes_a_spec_with_two_members_up_to_9(gens):
     report = run_verify_suite("lemma-4.2", parse_monoid_spec(f"kind puiseux\ngens {gens}"))
+    assert report.ok
+
+
+@pytest.mark.parametrize(
+    "text", ["kind numerical\ngens 11", "kind numerical\ngens 11, 12", "kind puiseux\ngens 21/2, 11"]
+)
+def test_lemma_6_1_refuses_a_spec_with_no_positive_member_up_to_10(text):
+    # its sets are drawn from the members up to 10, so with no positive one
+    # it would check nothing; the test reads the generators, so no node is
+    # spent, even on a cold cache
+    clear_caches()
+    bud = Budget(0)
+    message = "lemma-6.1 needs a rank-1 spec with a positive member up to 10"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_verify_suite("lemma-6.1", parse_monoid_spec(text), bud)
+    assert bud.used == 0
+
+
+@pytest.mark.parametrize("text", ["kind numerical\ngens 10", None])
+def test_lemma_6_1_takes_a_spec_with_a_positive_member_up_to_10(text):
+    clear_caches()
+    report = run_verify_suite("lemma-6.1", None if text is None else parse_monoid_spec(text))
     assert report.ok
 
 
