@@ -6,8 +6,8 @@ construction, and the first-coordinate projection-gap checker.
 Chains in M and in P_fin(M) share one memoised search, `_longest_chain`.
 Every atom-divisor question on scaled elements is one lazy scan,
 `_atom_divisors`; the public `atom_divisors` scans the decoded atoms with
-`member` instead, as an off-lattice rank-2 b encodes to a `QPoint2` that
-the scan's `a <= n` cannot compare with an int.
+`member` instead, as an off-lattice b has no scaled form (`encode` gives
+None) for the scan's `a <= n` to compare.
 
 `p_furstenberg_divisor`, `tidf_implies_atomic_check` and
 `thm55_projection_check` are each one encode, a scaled core
@@ -120,7 +120,10 @@ class SampleReport:
 def is_furstenberg_sample(
     spec: MonoidSpec, bound: Rat, budget: "Budget | int | None" = None
 ) -> SampleReport:
-    """True iff every nonzero member below the bound is divisible by an atom."""
+    """True iff every nonzero member below the bound is divisible by an atom.
+    A rank-2 spec, whose members are not listed, is refused before any node."""
+    if spec.is_rank2:
+        raise InvalidInputError("Furstenberg sample requires a rank-1 spec")
     if bound <= 0:
         raise InvalidInputError("bound must be positive")
     bud = as_budget(budget)

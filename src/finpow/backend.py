@@ -25,8 +25,9 @@ verdicts, scaled divisor lists, set divisor enumerations and the atom list
 live in one result cache per spec, an `_Entry` with a named field for each;
 `clear_caches` empties it.  A `_Query` holds a spec, its entry and a budget;
 the scaled cores here and in `power` and `mcd` take one, and `member` and
-`divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode.
-`_locate` maps a scaled element to the plan and coordinates both search from.
+`divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode;
+an element off the generators' lattice has no scaled form and is answered
+there, at one node, so every scaled core searches the spec's plan.
 A family spec is expanded once, when it is built, and equals its expansion.
 """
 from __future__ import annotations
@@ -430,32 +431,31 @@ _PACK = 1 << 64
 _X_BOUND = 1 << 60
 
 
-def encode(q: Element, spec: MonoidSpec):
+def encode(q: Element, spec: MonoidSpec) -> Optional[int]:
     """The scaled form of an element of a spec: for coordinates (y, x) at the
     spec's scale, the int y*K + x, where K = spec.pack.
 
-    A rank-1 element of (1/L)Z becomes the int q*L, where L = spec.scale; one
-    off that lattice becomes the non-integral Fraction q*L, so it can never
-    be taken for an int.  A rank-2 point on the lattice (1/Lx)Z x (1/Ly)Z
-    becomes y*2**64 + x, so sums, differences and the lexicographic order
-    of points are those of ints; one off it is its own scaled form, again
-    no int.  A point whose |x| reaches 2**60 is refused, so that no sum a
-    core forms leaves the range in which `decode` recovers x.
+    A rank-1 element of (1/L)Z becomes the int q*L, where L = spec.scale,
+    and a rank-2 point on the lattice (1/Lx)Z x (1/Ly)Z becomes
+    y*2**64 + x, so sums, differences and the lexicographic order of points
+    are those of ints.  An element off the lattice lies outside M and has
+    no scaled form: None.  A point whose |x| reaches 2**60 is refused, so
+    that no sum a core forms leaves the range in which `decode` recovers x.
     """
     if spec.is_rank2:
         ly, lx = spec.scale
         y, ry = divmod(q.y.numerator * ly, q.y.denominator)
         x, rx = divmod(q.x.numerator * lx, q.x.denominator)
         if ry or rx:
-            return q
+            return None
         if not -_X_BOUND < x < _X_BOUND:
             raise InvalidInputError(
                 f"point {render_element(q)} is too far from the y-axis: its x times"
                 f" {lx} must be below 2**60 in absolute value"
             )
         return y * _PACK + x
-    num, den = q.numerator * spec.scale, q.denominator
-    return num // den if num % den == 0 else Fraction(num, den)
+    n, r = divmod(q.numerator * spec.scale, q.denominator)
+    return None if r else n
 
 
 def _split(n: int, pack: int) -> tuple:
@@ -470,23 +470,9 @@ def decode(n, spec: MonoidSpec) -> Element:
     """The element whose scaled form over a spec is n."""
     if not spec.is_rank2:
         return Fraction(n, spec.scale)
-    if type(n) is not int:
-        return n
     y, x = _split(n, _PACK)
     ly, lx = spec.scale
     return QPoint2(Fraction(x, lx), Fraction(y, ly))
-
-
-def _locate(n, spec: MonoidSpec, plan: tuple) -> tuple:
-    """(plan, y, x) for the scaled element n of a spec: an int lies on the
-    spec's lattice, where the spec's `plan` serves; off it, the plan is
-    redone on a lattice that holds n too."""
-    if type(n) is int:
-        return (plan, *_split(n, spec.pack))
-    scale, y, x = _lattice(decode(n, spec), spec.scale)
-    if scale != spec.scale:
-        plan = _plan(spec.generators[::-1], scale)
-    return plan, y, x
 
 
 class _Query:
@@ -502,25 +488,30 @@ class _Query:
             entry = _cache[spec] = _Entry(spec)
         self.spec, self.entry, self.budget = spec, entry, budget
 
-    def is_member(self, n) -> bool:
+    def is_member(self, n: int) -> bool:
         """Membership of the scaled element n >= 0; a cache miss searches."""
         entry = self.entry
         ok = entry.verdicts.get(n)
         if ok is None:
-            sub, y, x = _locate(n, self.spec, entry.plan)
-            ok = entry.verdicts[n] = _search(sub, 0, y, x, self.budget, True, [], [])
+            y, x = _split(n, self.spec.pack)
+            ok = entry.verdicts[n] = _search(entry.plan, 0, y, x, self.budget, True, [], [])
         return ok
 
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
-    """Exact membership: is q a nonnegative-integer combination of generators?"""
+    """Exact membership: is q a nonnegative-integer combination of generators?
+    An element off the generators' lattice is not, at one node, cold or warm."""
     spec.check_element(q)
     if q < spec.zero:
         return False
-    return _Query(spec, as_budget(budget)).is_member(encode(q, spec))
+    bud, n = as_budget(budget), encode(q, spec)
+    if n is None:
+        bud.spend()
+        return False
+    return _Query(spec, bud).is_member(n)
 
 
-def _divisors(n, q: _Query) -> tuple:
+def _divisors(n: int, q: _Query) -> tuple:
     """The divisors of the scaled element n of q's spec, scaled and ascending.
 
     Every divisor is a sub-multiset sum of some generator representation of
@@ -530,18 +521,15 @@ def _divisors(n, q: _Query) -> tuple:
     its sums are expanded generator by generator; so a budget that runs out
     stops at limit + 1, as it would node by node, with nothing cached.
     """
-    spec, entry, bud = q.spec, q.entry, q.budget
+    entry, bud, pack = q.entry, q.budget, q.spec.pack
     out = entry.divisors.get(n)
     if out is None:
-        sub, y, x = _locate(n, spec, entry.plan)
         reps: list = []
-        _search(sub, 0, y, x, bud, False, reps, [])
+        _search(entry.plan, 0, *_split(n, pack), bud, False, reps, [])
         found: set = set()
-        # a representation exists only on the spec's lattice, where a level's
-        # scaled generator is gy*K + gx
-        pack = spec.pack
+        # a level's scaled generator is gy*K + gx
         for vec in reps:
-            used = [(level[0] * pack + level[1], c) for level, c in zip(sub, vec) if c]
+            used = [(level[0] * pack + level[1], c) for level, c in zip(entry.plan, vec) if c]
             bud.spend(math.prod(c + 1 for _, c in used))
             sums = {0}
             for g, c in used:
@@ -553,10 +541,14 @@ def _divisors(n, q: _Query) -> tuple:
 
 def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
-    scaled b, decoded."""
+    scaled b, decoded.  An element off the generators' lattice has none, at
+    one node, cold or warm."""
     spec.check_element(b)
-    out = _divisors(encode(b, spec), _Query(spec, as_budget(budget)))
-    return [decode(n, spec) for n in out]
+    bud, n = as_budget(budget), encode(b, spec)
+    if n is None:
+        bud.spend()
+        return []
+    return [decode(d, spec) for d in _divisors(n, _Query(spec, bud))]
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:

@@ -173,7 +173,7 @@ def _encode_set(s: FinSet, spec: MonoidSpec) -> tuple:
     for e in s:
         spec.check_element(e)
         n = encode(e, spec)
-        if type(n) is not int:
+        if n is None:
             raise InvalidInputError(
                 f"{render_element(e)} is not in the monoid: it lies off the generators' lattice"
             )

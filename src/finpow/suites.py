@@ -43,7 +43,6 @@ from .power import (
 )
 from .mcd import (
     _cap_constant_on_scaled,
-    _check_cap_preconditions,
     _mcd,
     _mcd_in_P,
     _residue,
@@ -51,6 +50,7 @@ from .mcd import (
     ex44_chain,
 )
 from .atomicity import (
+    PROJECTION_HEADS,
     _p_furstenberg_divisor,
     _projection_failure,
     lemma54_sum_witness,
@@ -342,21 +342,15 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
     return checks
 
 
-def _ex44_residue_pairs(sp: MonoidSpec, suite: str):
-    """The cap pairs (a, p) of the rank-1 spec sp with p odd, each checked
-    once, up front."""
-    pairs = [
+def _ex44_residue_pairs(sp: MonoidSpec) -> list:
+    """The cap pairs (a, p) of the rank-1 spec sp with p odd: p divides the
+    denominator of a exactly once, so v_p(a) = -1, and that of no other
+    generator."""
+    return [
         (g, p) for g in sp.generators for p in _den_primes(g.denominator)
-        if p != 2 and all(h == g or h.denominator % p for h in sp.generators)
+        if p != 2 and g.denominator % (p * p)
+        and all(h == g or h.denominator % p for h in sp.generators)
     ]
-    if not pairs:
-        raise InvalidInputError(
-            f"{suite} needs a rank-1 spec in which an odd prime divides the"
-            " denominator of exactly one generator"
-        )
-    for a, p in pairs:
-        _check_cap_preconditions(a, p, sp)
-    return pairs
 
 
 def _random_member(rng: random.Random, gens: list) -> int:
@@ -366,9 +360,9 @@ def _random_member(rng: random.Random, gens: list) -> int:
 
 def _suite_cap_additivity(spec, bud, rng) -> list:
     # the residue of q = n/L at (a, p) is that of q/a = n/encode(a), so it
-    # is taken on the scaled ints; each pair was checked once, up front
+    # is taken on the scaled ints, as v_p(a) = -1 for each pair
     sp = spec if spec is not None else expand_family("EX44", 3)
-    pairs = [(a, p, encode(a, sp)) for a, p in _ex44_residue_pairs(sp, "cap-additivity")]
+    pairs = [(a, p, encode(a, sp)) for a, p in _ex44_residue_pairs(sp)]
     gens = [encode(g, sp) for g in sp.generators]
 
     def residue_additive() -> str:
@@ -385,7 +379,7 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
 
 def _suite_lemma_5_2(spec, bud, rng) -> list:
     sp = spec if spec is not None else expand_family("EX44", 2)
-    pairs = _ex44_residue_pairs(sp, "lemma-5.2")
+    pairs = _ex44_residue_pairs(sp)
     q = _Query(sp, bud)
     bad = None
     checked = 0
@@ -567,6 +561,11 @@ def _suite_prop_6_4(spec, bud, rng) -> list:
 
 
 _RANK1 = (lambda sp: not sp.is_rank2, "needs a rank-1 spec")
+_CAP_PAIRS = (
+    lambda sp: not sp.is_rank2 and bool(_ex44_residue_pairs(sp)),
+    "needs a rank-1 spec in which an odd prime divides the denominator of"
+    " exactly one generator, and its square does not",
+)
 
 # name -> (body, the test a given spec must pass, the words of the refusal
 # of one that fails it); the body runs on its defaults when no spec is given
@@ -583,10 +582,15 @@ _SUITES: dict = {
     ),
     "thm-4.5": (_suite_thm_4_5, *_RANK1),
     "ex-4.4": (_suite_ex_4_4, lambda sp: sp.family == "EX44", "needs an EX44 family spec"),
-    "cap-additivity": (_suite_cap_additivity, *_RANK1),
-    "lemma-5.2": (_suite_lemma_5_2, *_RANK1),
+    "cap-additivity": (_suite_cap_additivity, *_CAP_PAIRS),
+    "lemma-5.2": (_suite_lemma_5_2, *_CAP_PAIRS),
     "lemma-5.4": (_suite_lemma_5_4, lambda sp: False, "takes no spec"),
-    "thm-5.5-gap": (_suite_thm_5_5, lambda sp: sp.is_rank2, "needs a rank-2 spec"),
+    # the mechanism is stated for the first coordinates of the Section 5 family
+    "thm-5.5-gap": (
+        _suite_thm_5_5,
+        lambda sp: sp.is_rank2 and all(g.x in PROJECTION_HEADS for g in sp.generators),
+        "needs a rank-2 spec whose generators have first coordinate 0, 1/5 or 1/7",
+    ),
     # lemma-6.1's sets are drawn from the members up to 10; with no positive
     # one among them it has no set to check
     "lemma-6.1": (

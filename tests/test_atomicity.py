@@ -66,6 +66,15 @@ class TestFurstenberg:
         with pytest.raises(InvalidInputError):
             is_furstenberg_sample(N23, 0)
 
+    def test_a_rank2_spec_is_refused_before_any_node(self):
+        # the members below a bound are listed for rank-1 specs only; the
+        # refusal comes before the atoms are read, so a cold cache costs 0
+        clear_caches()
+        bud = Budget(0)
+        with pytest.raises(InvalidInputError, match="^Furstenberg sample requires a rank-1 spec$"):
+            is_furstenberg_sample(MonoidSpec.of_family("RANK2-5.3", 2, (F(7, 3),)), F(1), bud)
+        assert bud.used == 0
+
     def test_p_divisor_of_atom_is_itself(self):
         assert p_furstenberg_divisor(FinSet((2, 3)), N23) == FinSet((2, 3))
 

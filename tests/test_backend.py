@@ -455,9 +455,9 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "fn, q, spec, answer, used",
         [
-            # off the lattice: 1/4 is not in (1/6)Z; the search still walks
-            # the root and one child
-            (member, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), False, 2),
+            # off the lattice: 1/4 is not in (1/6)Z, so it is no member, at
+            # one node and with no search
+            (member, F(1, 4), MonoidSpec.puiseux(F(1, 2), F(1, 6)), False, 1),
             (member, QPoint2(F(1, 35), F(9, 2)), R2_SPEC, False, 5),
             (member, QPoint2(F(12, 35), F(373, 60)), R2_SPEC, True, 55),
             (member, F(1), MonoidSpec.of_family("EX44", 4), True, 10),
@@ -680,21 +680,17 @@ class TestScaledDivisors:
         assert list(got) == [encode(d, spec) for d in want]
         assert [decode(n, spec) for n in got] == divisors(b, spec, Budget(0))
 
-    @pytest.mark.parametrize("b, nodes", [(F(7, 5), 1), (F(25, 8), 3)])
-    def test_off_the_lattice_the_core_caches_no_divisor(self, b, nodes):
-        # (1/6)Z holds the generators; b lies off it, so its scaled key is a
-        # non-integral Fraction, and the search walks a finer plan
+    @pytest.mark.parametrize("b", [F(7, 5), F(25, 8)])
+    def test_off_the_lattice_the_core_caches_no_divisor(self, b):
+        # (1/6)Z holds the generators; b lies off it, so it has no scaled
+        # form, and `divisors` answers at one node without calling the core
         spec = MonoidSpec.puiseux(F(1, 2), F(2, 3))
         clear_caches()
-        bud = Budget()
-        assert divisors(b, spec, bud) == [] and bud.used == nodes
-        clear_caches()
-        n = encode(b, spec)
-        assert type(n) is F and n.denominator > 1
-        bud = Budget()
-        assert _divisors(n, _Query(spec, bud)) == () and bud.used == nodes
-        assert backend._cache[spec].divisors == {n: ()}
-        assert divisors(b, spec, Budget(0)) == []
+        assert encode(b, spec) is None
+        for _ in range(2):
+            bud = Budget()
+            assert divisors(b, spec, bud) == [] and bud.used == 1
+        assert backend._cache == {}
 
     def test_power_and_mcd_fill_a_miss_through_divisors(self, monkeypatch):
         # so a traced run counts their divisor work under `backend.divisors`;
@@ -786,6 +782,31 @@ class TestRank2Packing:
         assert not isinstance(vars(MonoidSpec).get("is_rank2"), property)
         for spec, rank2, pack in ((N23, False, 1), (EX44_3, False, 1), (R2_SPEC, True, 2**64)):
             assert (vars(spec)["is_rank2"], vars(spec)["pack"]) == (rank2, pack)
+
+
+@pytest.mark.parametrize(
+    "spec, q",
+    [
+        (MonoidSpec.puiseux(F(1, 2), F(2, 3)), F(25, 8)),
+        (MonoidSpec.of_family("EX44", 3), F(1) + F(1, 23)),
+        (R2_SMALL, QPoint2(F(1, 2), F(1))),
+        (R2_SMALL, QPoint2(F(1, 3), F(1, 5))),
+    ],
+    ids=["puiseux", "EX44@3", "rank2-x", "rank2-y"],
+)
+def test_off_the_lattice_costs_one_node_cold_and_warm(spec, q):
+    # an element with no scaled form is answered at the public boundary:
+    # one node, however often it is asked, and nothing in the cache
+    assert encode(q, spec) is None
+    clear_caches()
+    for fn, none in ((member, False), (divisors, [])):
+        for _ in range(2):
+            assert fn(q, spec, Budget(1)) == none
+            bud = Budget(0)
+            with pytest.raises(BudgetExceededError):
+                fn(q, spec, bud)
+            assert bud.used == 1
+    assert backend._cache == {}
 
 
 def node_by_node_search(plan, i, y, x, budget, first_only, results, prefix):

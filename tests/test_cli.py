@@ -356,12 +356,16 @@ class TestUsageErrors:
 
     def test_lemma_5_2_rejects_a_generator_without_valuation_minus_one(self, capsys):
         # the suite's residue check on scaled ints is sound only for a pair
-        # (a, p) with v_p(a) = -1, which 1/9 at 3 is not
+        # (a, p) with v_p(a) = -1, which 1/9 at 3 is not; the spec has no
+        # other pair, so its spec test refuses it
         code, out, err = run(
             capsys, "verify", "--suite", "lemma-5.2", "--spec", "kind puiseux; gens 1/9, 1/2"
         )
         assert code == EXIT_USAGE and out == ""
-        assert err == "error: generator 1/9 does not have valuation -1 at 3\n"
+        assert err == (
+            "error: lemma-5.2 needs a rank-1 spec in which an odd prime divides the"
+            " denominator of exactly one generator, and its square does not\n"
+        )
 
     def test_unwritable_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "absent" / "x"

@@ -20,6 +20,7 @@ from finpow.backend import (
 from finpow.mcd import (
     ResidueClass,
     _cap_constant_on_scaled,
+    _check_cap_preconditions,
     _residue,
     cap_constant_on,
     cap_residue,
@@ -383,6 +384,9 @@ class TestScaledMcdLayer:
 # sets and the residue check on ints, against the public functions
 
 
+# denominators over the odd primes 3, 5 and 7, some of them squared
+cap_rationals = st.builds(F, st.integers(1, 9), st.sampled_from((1, 2, 3, 5, 9, 15, 25, 45, 7)))
+
 RESIDUE_SPECS = [
     pytest.param(expand_family("EX44", 2), id="EX44@2"),
     pytest.param(expand_family("EX44", 3), id="EX44@3"),
@@ -430,7 +434,7 @@ class TestScaledLemma52Path:
         # lattice points outside M have a residue too
         ns = data.draw(st.sets(st.integers(-3 * spec.scale, 3 * spec.scale), min_size=1, max_size=4))
         sides.append(FinSet(tuple(F(n, spec.scale) for n in ns)))
-        for a, p in _ex44_residue_pairs(spec, "lemma-5.2"):
+        for a, p in _ex44_residue_pairs(spec):
             for side in sides:
                 scaled = tuple(encode(q, spec) for q in side)
                 assert _cap_constant_on_scaled(scaled, p) == cap_constant_on(side, a, p, spec)
@@ -442,14 +446,30 @@ class TestScaledLemma52Path:
         # cap_residue, on Fractions, is the reference of the int check
         s = draw_residue_set(data, spec)
         sides = [s] + [side for d in decompositions(s, spec) for side in (d.left, d.right)]
-        for a, p in _ex44_residue_pairs(spec, "lemma-5.2"):
+        for a, p in _ex44_residue_pairs(spec):
             for side in sides:
                 residues = {cap_residue(q, a, p, spec) for q in side}
                 assert cap_constant_on(side, a, p, spec) == (len(residues) == 1)
 
     def test_int_residue_check_rejects_a_bad_pair(self):
-        # the int check assumes v_p(a) = -1; the suite checks each pair once,
-        # when it lists the pairs, before any set is drawn
+        # the int check assumes v_p(a) = -1; 1/9 at 3 is no such pair, so
+        # it is not listed, and the residue suites refuse a spec without one
         spec = MonoidSpec.puiseux(F(1, 9), F(1, 2))
         with pytest.raises(InvalidInputError, match="does not have valuation -1 at 3"):
-            _ex44_residue_pairs(spec, "lemma-5.2")
+            _check_cap_preconditions(F(1, 9), 3, spec)
+        assert _ex44_residue_pairs(spec) == []
+
+    @given(st.lists(cap_rationals, min_size=1, max_size=4, unique=True))
+    def test_the_listed_pairs_are_the_odd_cap_pairs(self, gens):
+        # the list, read by the residue suites' spec test, is exactly the
+        # pairs (a, p) with p odd that `_check_cap_preconditions` takes
+        spec = MonoidSpec.puiseux(*gens)
+        want = []
+        for a in spec.generators:
+            for p in (3, 5, 7):
+                try:
+                    _check_cap_preconditions(a, p, spec)
+                except InvalidInputError:
+                    continue
+                want.append((a, p))
+        assert _ex44_residue_pairs(spec) == want

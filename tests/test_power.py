@@ -698,7 +698,7 @@ def draw_lemma_5_2_set(data, spec: MonoidSpec) -> FinSet:
     """A sumset of two sets, each of one to three sums of a multiple k*a,
     k < p, and some generators other than a, as the lemma-5.2 suite builds
     its sets, over a drawn cap pair (a, p)."""
-    a, p = data.draw(st.sampled_from(_ex44_residue_pairs(spec, "lemma-5.2")), label="pair")
+    a, p = data.draw(st.sampled_from(_ex44_residue_pairs(spec)), label="pair")
     others = [g for g in spec.generators if g != a]
 
     def constant_set() -> set:
@@ -722,13 +722,12 @@ def draw_lemma_5_2_set(data, spec: MonoidSpec) -> FinSet:
 def reference_divisors(n, q: _Query) -> tuple:
     """Each sub-multiset of each representation spends one node as it is
     summed; nothing is cached."""
-    spec, bud = q.spec, q.budget
-    sub, y, x = backend._locate(n, spec, q.entry.plan)
+    plan, bud, pack = q.entry.plan, q.budget, q.spec.pack
     reps: list = []
-    backend._search(sub, 0, y, x, bud, False, reps, [])
+    backend._search(plan, 0, *backend._split(n, pack), bud, False, reps, [])
     found = set()
     for vec in reps:
-        used = [(level[0] * spec.pack + level[1], c) for level, c in zip(sub, vec) if c]
+        used = [(level[0] * pack + level[1], c) for level, c in zip(plan, vec) if c]
         for combo in itertools.product(*(range(c + 1) for _, c in used)):
             bud.spend()
             found.add(sum(k * g for (g, _), k in zip(used, combo)))
@@ -755,8 +754,7 @@ def check_divisors(b, spec: MonoidSpec, data) -> None:
     # sub-multiset sums are charged
     clear_caches()
     q = _Query(spec, Budget())
-    sub, y, x = backend._locate(n, spec, q.entry.plan)
-    backend._search(sub, 0, y, x, q.budget, False, [], [])
+    backend._search(q.entry.plan, 0, *backend._split(n, spec.pack), q.budget, False, [], [])
     if q.budget.used < used:
         limit = data.draw(st.integers(q.budget.used, used - 1), label="limit")
         for fn in (reference_divisors, _divisors):

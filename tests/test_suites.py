@@ -150,6 +150,12 @@ def test_a_run_reports_the_same_lines(suite, text, used, lines, order):
 RANK2 = "kind rank2\ngens (0,1), (1/5, 2)"
 N23 = "kind numerical\ngens 2, 3"
 
+CAP_PAIR_WORDS = (
+    "needs a rank-1 spec in which an odd prime divides the denominator of exactly"
+    " one generator, and its square does not"
+)
+HEAD_WORDS = "needs a rank-2 spec whose generators have first coordinate 0, 1/5 or 1/7"
+
 # suite -> (a spec it refuses, the refusal), a row for every suite: a
 # rank-2 spec for each that needs rank 1
 REFUSALS = {
@@ -161,10 +167,10 @@ REFUSALS = {
     ),
     "thm-4.5": (RANK2, "thm-4.5 needs a rank-1 spec"),
     "ex-4.4": (N23, "ex-4.4 needs an EX44 family spec"),
-    "cap-additivity": (RANK2, "cap-additivity needs a rank-1 spec"),
-    "lemma-5.2": (RANK2, "lemma-5.2 needs a rank-1 spec"),
+    "cap-additivity": (RANK2, "cap-additivity " + CAP_PAIR_WORDS),
+    "lemma-5.2": (RANK2, "lemma-5.2 " + CAP_PAIR_WORDS),
     "lemma-5.4": (N23, "lemma-5.4 takes no spec"),
-    "thm-5.5-gap": ("family EX44 depth 2", "thm-5.5-gap needs a rank-2 spec"),
+    "thm-5.5-gap": ("family EX44 depth 2", "thm-5.5-gap " + HEAD_WORDS),
     "lemma-6.1": (RANK2, "lemma-6.1 needs a rank-1 spec with a positive member up to 10"),
     "prop-6.4": (RANK2, "prop-6.4 needs a rank-1 spec"),
 }
@@ -218,6 +224,41 @@ def test_lemma_6_1_takes_a_spec_with_a_positive_member_up_to_10(text):
     clear_caches()
     report = run_verify_suite("lemma-6.1", None if text is None else parse_monoid_spec(text))
     assert report.ok
+
+
+@pytest.mark.parametrize("suite", ["cap-additivity", "lemma-5.2"])
+@pytest.mark.parametrize("gens", ["1/9, 1/2", "1/3, 1/6", "2, 3", "1/2, 1/4"])
+def test_a_residue_suite_refuses_a_spec_with_no_cap_pair(suite, gens):
+    # 1/9 has valuation -2 at 3, 3 divides two denominators of <1/3, 1/6>,
+    # and the others have no odd prime in a denominator; the spec test reads
+    # the generators, so no node is spent
+    clear_caches()
+    bud = Budget(0)
+    message = f"{suite} {CAP_PAIR_WORDS}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_verify_suite(suite, parse_monoid_spec(f"kind puiseux\ngens {gens}"), bud)
+    assert bud.used == 0
+
+
+@pytest.mark.parametrize("suite", ["cap-additivity", "lemma-5.2"])
+def test_a_residue_suite_runs_on_the_cap_pair_a_spec_has(suite):
+    # 2/9 at 3 is no cap pair, but 3/5 at 5 is, and the suites take it
+    report = run_verify_suite(suite, parse_monoid_spec("kind puiseux\ngens 2/9, 3/5, 1"))
+    assert report.ok
+
+
+@pytest.mark.parametrize(
+    "gens", ["(0, 1/5), (2, 2/5)", "(1/3, 1)", "(0, 1), (1/5, 2), (1/6, 3)"]
+)
+def test_thm_5_5_gap_refuses_a_spec_off_its_heads(gens):
+    # the mechanism is stated for the first coordinates 0, 1/5 and 1/7; the
+    # test reads the generators, so no node is spent, even on a cold cache
+    clear_caches()
+    bud = Budget(0)
+    message = f"thm-5.5-gap {HEAD_WORDS}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run_verify_suite("thm-5.5-gap", parse_monoid_spec(f"kind rank2\ngens {gens}"), bud)
+    assert bud.used == 0
 
 
 def readme_suite_bullets() -> list:
