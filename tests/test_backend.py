@@ -444,6 +444,9 @@ R2_A = rank2_atom(F(7, 3), "A")
 # x < 0 prune stops a residual with negative x at the root
 R2_PRUNE = MonoidSpec.rank2(QPoint2(F(0), F(2)), QPoint2(F(1), F(0)))
 R2_PRUNE_SET = FinSet((QPoint2(F(0), F(4)), QPoint2(F(1), F(2)), QPoint2(F(3), F(0))))
+P12_23 = MonoidSpec.puiseux(F(1, 2), F(2, 3))
+N7 = MonoidSpec.numerical(7)
+R2_SINGLE = MonoidSpec.rank2(QPoint2(F(1, 2), F(1, 3)))
 
 
 class TestNodeCounts:
@@ -478,6 +481,24 @@ class TestNodeCounts:
             (member, F(2311), N101, False, 2540),
             (member, F(2000), N101, False, 1731),
             (member, QPoint2(F(-1), F(6)), R2_PRUNE, False, 1),
+            # two-generator plans, whose root is the second-to-last level
+            (member, F(11), N23, True, 14),
+            (divisors, F(12), N23, 11, 48),
+            (factorizations, F(12), N23, 3, 29),
+            (member, F(17, 6), P12_23, True, 4),
+            (member, QPoint2(F(3), F(4)), R2_PRUNE, True, 8),
+            (member, QPoint2(F(3), F(5)), R2_PRUNE, False, 4),
+            (divisors, QPoint2(F(3), F(4)), R2_PRUNE, 12, 20),
+            (factorizations, QPoint2(F(3), F(4)), R2_PRUNE, 1, 10),
+            # one-generator plans, whose root is the last level
+            (member, F(21), N7, True, 5),
+            (member, F(20), N7, False, 4),
+            (divisors, F(21), N7, 4, 9),
+            (factorizations, F(21), N7, 1, 5),
+            (member, QPoint2(F(2), F(4, 3)), R2_SINGLE, True, 6),
+            (member, QPoint2(F(2), F(1)), R2_SINGLE, False, 5),
+            (divisors, QPoint2(F(2), F(4, 3)), R2_SINGLE, 5, 11),
+            (factorizations, QPoint2(F(2), F(4, 3)), R2_SINGLE, 1, 6),
         ],
     )
     def test_budget_used(self, fn, q, spec, answer, used):
