@@ -13,8 +13,8 @@ rank-1 spec and K = 2**64 for a rank-2 one; `Fraction` and `QPoint2` stay
 in `encode`/`decode` and at the API boundary.  Membership,
 divisors, atoms and factorizations share one engine, `_search`: a depth-first
 enumeration of coefficient vectors over a descending basis, run from a plan
-built once per (basis, scale), whose last level charges its leaves in one
-budget spend rather than one frame each.  For rational bases the plan
+built once per (basis, scale), whose last two levels are swept in one budget
+spend, with no frame for any of their nodes.  For rational bases the plan
 holds p-adic congruences: the coefficient of a generator is forced into one
 residue class modulo the primes of L that no later denominator carries,
 which is what keeps truncated Puiseux families with large denominators
@@ -339,11 +339,15 @@ def _search(
     """Depth-first search for the coefficients of levels i.. of a plan that
     write the scaled residual (y, x); each node spends one budget unit.
 
-    The leaf level is folded into its parent: a node of the last level
-    spends one unit per candidate k in one `spend` and enters none of them.
-    A leaf is a hit only if its residual is zero: k*gy = y and k*gx = x.
-    Then y // gy = k where gy > 0 and x // gx = k where gx > 0, so k = kmax,
-    and only the last k of the range can hit; only it is tested.
+    The last two levels are swept in one charge: a node of the
+    second-to-last level tests each child itself, enters none, and spends
+    one unit per child it visits and one per leaf below it in one `spend`
+    after the sweep; a one-level plan charges its leaves the same way.  A
+    leaf is a hit only if its residual is zero: k*gy = y and k*gx = x.  Then
+    y // gy = k where gy > 0 and x // gx = k where gx > 0, so k = kmax; and
+    k*gy = y meets the level's congruence, so kmax is then in the range.
+    Only kmax is tested.  A child's residual needs no sign test: k <= kmax
+    and gx >= 0 keep it nonnegative.
     """
     budget.spend()
     if not y and not x:
@@ -360,11 +364,34 @@ def _search(
     ks = range(y // d * inv % step, kmax + 1, step)
     if i + 1 == len(plan):
         budget.spend(len(ks))
-        if ks and ks[-1] * gy == y and ks[-1] * gx == x:
-            results.append((*prefix, ks[-1]))
+        if kmax * gy == y and kmax * gx == x:
+            results.append((*prefix, kmax))
             return True
         return False
     found = False
+    if i + 2 == len(plan):
+        gy1, gx1, more_y1, more_x1, d1, step1, inv1 = plan[-1]
+        spent = 0
+        for k in ks:
+            cy, cx = y - k * gy, x - k * gx
+            spent += 1
+            if not cy and not cx:
+                results.append((*prefix, k, 0))
+            elif (cy and not more_y1) or (cx and not more_x1) or cy % d1:
+                continue
+            else:
+                kmax = cy // gy1 if gy1 else cx // gx1
+                if gy1 and gx1:
+                    kmax = min(kmax, cx // gx1)
+                spent += len(range(cy // d1 * inv1 % step1, kmax + 1, step1))
+                if kmax * gy1 != cy or kmax * gx1 != cx:
+                    continue
+                results.append((*prefix, k, kmax))
+            found = True
+            if first_only:
+                break
+        budget.spend(spent)
+        return found
     for k in ks:
         prefix.append(k)
         ok = _search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)

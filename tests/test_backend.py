@@ -25,8 +25,6 @@ from finpow.backend import (
     MonoidSpec,
     _Query,
     _divisors,
-    _plan,
-    _search,
     atoms,
     decode,
     divisors,
@@ -67,7 +65,7 @@ from finpow.power import (
     is_p_atom,
     p_factorize,
 )
-from test_power import puiseux_specs, rank2_specs
+from test_power import check_search, plan_of, puiseux_specs, rank2_specs
 
 
 def naive_members(gens, bound):
@@ -508,9 +506,14 @@ class TestNodeCounts:
         assert (out if isinstance(out, bool) else len(out)) == answer
         assert bud.used == used
 
-    def test_the_search_enters_no_leaf_frame(self, monkeypatch):
-        # the last level charges its leaves itself; a frame at i == len(plan)
-        # would mean that the fold of the leaf level came undone
+    @pytest.mark.parametrize(
+        "spec, ns, levels",
+        [(N101, (2399, 2311, 2000), {0, 1}), (MonoidSpec.numerical(101, 103), (2399, 2311), {0})],
+        ids=["three-generators", "two-generators"],
+    )
+    def test_the_search_enters_no_leaf_frame(self, monkeypatch, spec, ns, levels):
+        # the second-to-last level sweeps the last two levels itself; a frame
+        # at i > len(plan) - 2 would mean that the fold came undone
         search, seen = backend._search, []
 
         def spy(plan, i, *rest):
@@ -519,10 +522,10 @@ class TestNodeCounts:
 
         monkeypatch.setattr(backend, "_search", spy)
         clear_caches()
-        for n in (2399, 2311, 2000):
-            member(F(n), N101, Budget())
-        assert {i for i, _ in seen} == {0, 1, 2}
-        assert {size for _, size in seen} == {3}
+        for n in ns:
+            member(F(n), spec, Budget())
+        assert {i for i, _ in seen} == levels
+        assert {size for _, size in seen} == {len(spec.generators)}
 
     # the power layer, query by query: a member set's own membership tests
     # are ones the divisor enumeration makes anyway, so they cost nothing
@@ -859,29 +862,14 @@ def node_by_node_search(plan, i, y, x, budget, first_only, results, prefix):
     return found
 
 
-def spec_plan(spec):
-    return _plan(spec.generators[::-1], spec.scale)
-
-
 class TestFoldedLeafLevel:
-    """`_search` charges its last level's leaves in one spend and enters none
-    of them; it must return, find and spend what node-by-node recursion does,
-    and stop at the same count when the budget runs out."""
+    """`_search` sweeps its last two levels and enters none of their nodes;
+    it must return, find and spend what node-by-node recursion does, and
+    stop at the same count when the budget runs out."""
 
     @staticmethod
     def check(plan, y, x, data):
-        for first_only in (True, False):
-            want, got, ref, bud = [], [], Budget(), Budget()
-            expected = node_by_node_search(plan, 0, y, x, ref, first_only, want, [])
-            assert _search(plan, 0, y, x, bud, first_only, got, []) == expected
-            assert got == want
-            assert bud.used == ref.used
-            limit = data.draw(st.integers(0, ref.used - 1))
-            for search in (_search, node_by_node_search):
-                bud = Budget(limit)
-                with pytest.raises(BudgetExceededError):
-                    search(plan, 0, y, x, bud, first_only, [], [])
-                assert bud.used == limit + 1
+        check_search(node_by_node_search, plan, y, x, data)
 
     @given(
         st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True),
@@ -890,7 +878,7 @@ class TestFoldedLeafLevel:
     )
     @settings(max_examples=80, deadline=None)
     def test_numerical(self, gens, n, data):
-        self.check(spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
+        self.check(plan_of(MonoidSpec.numerical(*gens)), n, 0, data)
 
     @given(
         puiseux_specs.filter(lambda spec: spec.generators[0].denominator > 1),
@@ -899,14 +887,14 @@ class TestFoldedLeafLevel:
     )
     @settings(max_examples=80, deadline=None)
     def test_puiseux_with_a_congruence_on_the_last_level(self, spec, n, data):
-        plan = spec_plan(spec)
+        plan = plan_of(spec)
         assert plan[-1][5] > 1  # step
         self.check(plan, n, 0, data)
 
     @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
-        self.check(spec_plan(spec), y, x, data)
+        self.check(plan_of(spec), y, x, data)
 
 
 def half(g):

@@ -780,7 +780,87 @@ class TestDivisorsOracle:
         check_divisors(data.draw(st.sampled_from(sorted(members)), label="b"), spec, data)
 
 
-RANK2_53 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
+# ---------------------------------------------------------------------------
+# `_search` sweeps the last two levels of a plan in one charge, against the
+# recursion it replaced, which opened a frame for each node of the
+# second-to-last level: the same results in the same order, the same nodes,
+# and the same stop when the budget runs out.
+
+
+def reference_search(plan, i, y, x, budget, first_only, results, prefix) -> bool:
+    """One frame per node above the last level; a node of the last level
+    charges its leaves in one spend and tests only the last of them."""
+    budget.spend()
+    if not y and not x:
+        results.append(tuple(prefix) + (0,) * (len(plan) - i))
+        return True
+    if y < 0 or x < 0:
+        return False
+    gy, gx, more_y, more_x, d, step, inv = plan[i]
+    if (y and not more_y) or (x and not more_x) or y % d:
+        return False
+    kmax = y // gy if gy else x // gx
+    if gy and gx:
+        kmax = min(kmax, x // gx)
+    ks = range(y // d * inv % step, kmax + 1, step)
+    if i + 1 == len(plan):
+        budget.spend(len(ks))
+        if ks and ks[-1] * gy == y and ks[-1] * gx == x:
+            results.append((*prefix, ks[-1]))
+            return True
+        return False
+    found = False
+    for k in ks:
+        prefix.append(k)
+        ok = reference_search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)
+        prefix.pop()
+        if ok:
+            if first_only:
+                return True
+            found = True
+    return found
+
+
+def check_search(reference, plan: tuple, y: int, x: int, data) -> None:
+    """`_search` returns, finds, in order, and spends what `reference` does
+    from the residual (y, x), and stops at limit + 1 under any smaller
+    limit, for `first_only` both ways."""
+    for first_only in (True, False):
+        want, got, ref, bud = [], [], Budget(), Budget()
+        expected = reference(plan, 0, y, x, ref, first_only, want, [])
+        assert backend._search(plan, 0, y, x, bud, first_only, got, []) == expected
+        assert got == want
+        assert bud.used == ref.used
+        limit = data.draw(st.integers(0, ref.used - 1), label="limit")
+        for search in (backend._search, reference):
+            bud = Budget(limit)
+            with pytest.raises(BudgetExceededError):
+                search(plan, 0, y, x, bud, first_only, [], [])
+            assert bud.used == limit + 1
+
+
+def plan_of(spec: MonoidSpec) -> tuple:
+    return backend._plan(spec.generators[::-1], spec.scale)
+
+
+class TestSearchOracle:
+    @given(numerical_specs, st.integers(0, 60), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_numerical(self, spec, y, data):
+        check_search(reference_search, plan_of(spec), y, 0, data)
+
+    @given(puiseux_specs, st.integers(0, 80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_puiseux(self, spec, y, data):
+        check_search(reference_search, plan_of(spec), y, 0, data)
+
+    @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank2(self, spec, y, x, data):
+        check_search(reference_search, plan_of(spec), y, x, data)
+
+
+RANK2_53 =MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
 
 
 def rank2_atom_sets(spec: MonoidSpec) -> list:

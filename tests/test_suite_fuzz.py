@@ -2,13 +2,16 @@
 any node, through the spec test of its `_SUITES` entry, or it runs and
 reports PASS, budget-exceeded or truncation-inconclusive.  A FAIL on a
 generated spec would claim a counterexample to the paper, and a raise
-would be an error the spec test let through; neither may happen."""
+would be an error the spec test let through; neither may happen.  Through
+the CLI, `finpow verify --suite <name> --spec <spec>` exits with one of its
+documented codes and prints no traceback."""
 
 import random
 from fractions import Fraction as F
 
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.backend import Budget, MonoidSpec, clear_caches, render_monoid_spec
+from finpow.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 from finpow.suites import _SUITES, OVER, PASS, SUITE_NAMES, TRUNC, run_verify_suite
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 15, 25)
@@ -73,3 +76,29 @@ def test_every_suite_passes_or_refuses_each_generated_spec():
     assert bad == []
     # every suite that takes a spec took some of the generated ones
     assert [name for name, n in ran.items() if not n] == ["lemma-5.4"]
+
+
+def test_verify_through_the_cli_exits_with_a_code_and_no_traceback(monkeypatch, capsys):
+    # exit 2 exactly when the suite's spec test refuses the spec; a run that
+    # runs out of its 2000 nodes exits 3, inconclusive
+    monkeypatch.setenv("FINPOW_BUDGET", str(LIMIT))
+    rng = random.Random(29)
+    specs = [draw_spec(rng) for _ in range(20)] + FAMILIES
+    bad = []
+    for sp in specs:
+        shown = "; ".join(render_monoid_spec(sp).splitlines())
+        for name in SUITE_NAMES:
+            clear_caches()
+            try:
+                code = main(["verify", "--suite", name, "--spec", shown])
+            except Exception as exc:  # main let it out: a user would see a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            refused = not _SUITES[name][1](sp)
+            if (
+                code not in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE)
+                or "Traceback" in err
+                or (code == EXIT_USAGE) != refused
+            ):
+                bad.append((name, shown, code, err))
+    assert bad == []
