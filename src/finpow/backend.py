@@ -350,8 +350,9 @@ def _search(
     and gx >= 0 keep it nonnegative.
     """
     budget.spend()
+    levels = len(plan) - i
     if not y and not x:
-        results.append(tuple(prefix) + (0,) * (len(plan) - i))
+        results.append(tuple(prefix) + (0,) * levels)
         return True
     if y < 0 or x < 0:
         return False
@@ -362,14 +363,14 @@ def _search(
     if gy and gx:
         kmax = min(kmax, x // gx)
     ks = range(y // d * inv % step, kmax + 1, step)
-    if i + 1 == len(plan):
+    if levels == 1:
         budget.spend(len(ks))
         if kmax * gy == y and kmax * gx == x:
             results.append((*prefix, kmax))
             return True
         return False
     found = False
-    if i + 2 == len(plan):
+    if levels == 2:
         gy1, gx1, more_y1, more_x1, d1, step1, inv1 = plan[-1]
         spent = 0
         for k in ks:
