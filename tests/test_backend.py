@@ -65,7 +65,7 @@ from finpow.power import (
     is_p_atom,
     p_factorize,
 )
-from test_power import check_search, plan_of, puiseux_specs, rank2_specs
+from test_power import check_search, puiseux_specs, rank2_specs, spec_plan
 
 
 def naive_members(gens, bound):
@@ -867,10 +867,6 @@ class TestFoldedLeafLevel:
     it must return, find and spend what node-by-node recursion does, and
     stop at the same count when the budget runs out."""
 
-    @staticmethod
-    def check(plan, y, x, data):
-        check_search(node_by_node_search, plan, y, x, data)
-
     @given(
         st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True),
         st.integers(0, 150),
@@ -878,7 +874,7 @@ class TestFoldedLeafLevel:
     )
     @settings(max_examples=80, deadline=None)
     def test_numerical(self, gens, n, data):
-        self.check(plan_of(MonoidSpec.numerical(*gens)), n, 0, data)
+        check_search(node_by_node_search, spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
 
     @given(
         puiseux_specs.filter(lambda spec: spec.generators[0].denominator > 1),
@@ -887,14 +883,14 @@ class TestFoldedLeafLevel:
     )
     @settings(max_examples=80, deadline=None)
     def test_puiseux_with_a_congruence_on_the_last_level(self, spec, n, data):
-        plan = plan_of(spec)
+        plan = spec_plan(spec)
         assert plan[-1][5] > 1  # step
-        self.check(plan, n, 0, data)
+        check_search(node_by_node_search, plan, n, 0, data)
 
     @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
-        self.check(plan_of(spec), y, x, data)
+        check_search(node_by_node_search, spec_plan(spec), y, x, data)
 
 
 def half(g):

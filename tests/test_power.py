@@ -839,7 +839,7 @@ def check_search(reference, plan: tuple, y: int, x: int, data) -> None:
             assert bud.used == limit + 1
 
 
-def plan_of(spec: MonoidSpec) -> tuple:
+def spec_plan(spec: MonoidSpec) -> tuple:
     return backend._plan(spec.generators[::-1], spec.scale)
 
 
@@ -847,20 +847,27 @@ class TestSearchOracle:
     @given(numerical_specs, st.integers(0, 60), st.data())
     @settings(max_examples=80, deadline=None)
     def test_numerical(self, spec, y, data):
-        check_search(reference_search, plan_of(spec), y, 0, data)
+        check_search(reference_search, spec_plan(spec), y, 0, data)
 
     @given(puiseux_specs, st.integers(0, 80), st.data())
     @settings(max_examples=80, deadline=None)
     def test_puiseux(self, spec, y, data):
-        check_search(reference_search, plan_of(spec), y, 0, data)
+        check_search(reference_search, spec_plan(spec), y, 0, data)
+
+    # d > 1 on the last level: a child whose residual is off the last
+    # generator's lattice is pruned before its leaves are counted
+    @given(puiseux_specs.filter(lambda spec: spec_plan(spec)[-1][4] > 1), st.integers(0, 80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_puiseux_with_a_lattice_test_on_the_last_level(self, spec, y, data):
+        check_search(reference_search, spec_plan(spec), y, 0, data)
 
     @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
-        check_search(reference_search, plan_of(spec), y, x, data)
+        check_search(reference_search, spec_plan(spec), y, x, data)
 
 
-RANK2_53 =MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
+RANK2_53 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
 
 
 def rank2_atom_sets(spec: MonoidSpec) -> list:
