@@ -14,7 +14,8 @@ in `encode`/`decode` and at the API boundary.  Membership,
 divisors, atoms and factorizations share one engine, `_search`: a depth-first
 enumeration of coefficient vectors over a descending basis, run from a plan
 built once per (basis, scale), whose last two levels are swept in one budget
-spend, with no frame for any of their nodes.  For rational bases the plan
+spend, with no frame for any of their nodes, and cut short once that spend
+outruns the budget.  For rational bases the plan
 holds p-adic congruences: the coefficient of a generator is forced into one
 residue class modulo the primes of L that no later denominator carries,
 which is what keeps truncated Puiseux families with large denominators
@@ -29,6 +30,9 @@ the scaled cores here and in `power` and `mcd` take one, and `member` and
 an element off the generators' lattice has no scaled form and is answered
 there, at one node, so every scaled core searches the spec's plan.
 A family spec is expanded once, when it is built, and equals its expansion.
+Every value a spec derives from its generators, its scale, zero and hash
+among them, is set then too; `memoized` keeps only what queries repeat, the
+plans and the family expansions.
 """
 from __future__ import annotations
 
@@ -126,12 +130,16 @@ class MonoidSpec:
     and `sample` are labels that name the presentation, and take no part in
     `==` or the hash.  So a family spec equals its expansion, and
     `numerical(2, 3)` equals `puiseux(2, 3)`; equal specs share one
-    result-cache entry.  The hash, the same in every process, is computed
-    once per instance and kept out of `__eq__` and the repr, so that cache
-    keys do not rehash every generator on each lookup.  The lattice scale
-    is cached the same way.  `is_rank2` and `pack`, the K of the scaled
-    form, are set once, when the spec is built, as `encode` and `decode`
-    read them for every element.
+    result-cache entry.
+
+    Every value derived from the generators is set once, when the spec is
+    built, as `encode` and `decode` read them for every element: `is_rank2`;
+    `pack`, the K of the scaled form; `zero`; the lattice `scale`, for a
+    rank-1 spec the lcm L of the generator denominators, so every member
+    lies in (1/L)Z, and for a rank-2 spec the pair (Ly, Lx) of the lcms of
+    the y and of the x denominators; and the hash, the same in every
+    process and kept out of `__eq__` and the repr, so that cache keys do
+    not rehash every generator on each lookup.
     """
 
     kind: str = field(compare=False)  # numerical | puiseux | rank2 | family
@@ -148,9 +156,7 @@ class MonoidSpec:
                 raise InvalidInputError("family depth must be >= 1")
             sample = tuple(sorted(set(self.sample)))
             object.__setattr__(self, "sample", sample)
-            gens = expand_family(self.family, self.depth, sample).generators
-            object.__setattr__(self, "generators", gens)
-            self._set_rank()
+            self._set_derived(expand_family(self.family, self.depth, sample).generators)
             return
         if self.kind not in ("numerical", "puiseux", "rank2"):
             raise InvalidInputError(f"unknown spec kind {self.kind!r}")
@@ -173,20 +179,20 @@ class MonoidSpec:
                 )
         if self.kind == "numerical" and any(g.denominator != 1 for g in gens):
             raise InvalidInputError("numerical spec requires integer generators")
-        object.__setattr__(self, "generators", gens)
-        self._set_rank()
+        self._set_derived(gens)
 
-    def _set_rank(self) -> None:
-        rank2 = isinstance(self.generators[0], QPoint2)
+    def _set_derived(self, gens: tuple) -> None:
+        """Set the generators and every value derived from them."""
+        rank2 = isinstance(gens[0], QPoint2)
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "is_rank2", rank2)
         object.__setattr__(self, "pack", _PACK if rank2 else 1)
+        object.__setattr__(self, "zero", QPOINT_ZERO if rank2 else Fraction(0))
+        object.__setattr__(self, "scale", _basis_scale(gens, rank2))
+        object.__setattr__(self, "_hash", hash(gens))
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.generators)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     # -- convenience constructors ------------------------------------------
     @classmethod
@@ -206,27 +212,11 @@ class MonoidSpec:
         return cls("family", family=family, depth=depth, sample=tuple(sample))
 
     # ----------------------------------------------------------------------
-    @property
-    def zero(self) -> Element:
-        return QPOINT_ZERO if self.is_rank2 else Fraction(0)
-
     def expanded(self) -> "MonoidSpec":
         """The spec itself, as a family spec holds its expansion already.
         Nothing in the package calls it; it stays because perfbench's tracer
         wraps it and perfbench's workloads call it."""
         return self
-
-    @property
-    def scale(self):
-        """The lattice scale, computed once per instance: for a rank-1 spec
-        the lcm L of the generator denominators, so every member lies in
-        (1/L)Z; for a rank-2 spec the pair (Ly, Lx) of the lcms of the y and
-        of the x denominators."""
-        scale = self.__dict__.get("_scale")
-        if scale is None:
-            scale = _basis_scale(self.generators, self.is_rank2)
-            object.__setattr__(self, "_scale", scale)
-        return scale
 
     def check_element(self, q: Element) -> None:
         if self.is_rank2 != isinstance(q, QPoint2):
@@ -342,8 +332,12 @@ def _search(
     The last two levels are swept in one charge: a node of the
     second-to-last level tests each child itself, enters none, and spends
     one unit per child it visits and one per leaf below it in one `spend`
-    after the sweep; a one-level plan charges its leaves the same way.  A
-    leaf is a hit only if its residual is zero: k*gy = y and k*gx = x.  Then
+    after the sweep, which stops once that charge outruns the budget; a
+    one-level plan charges its leaves the same way.  A level's leaves are
+    the k = k0, k0 + step, ... <= kmax, with 0 <= k0 < step and kmax >= 0,
+    so there are (kmax - k0) // step + 1 of them, 0 when k0 > kmax, counted
+    without a `range`, whose length overflows past 2**63.  A leaf is a hit
+    only if its residual is zero: k*gy = y and k*gx = x.  Then
     y // gy = k where gy > 0 and x // gx = k where gx > 0, so k = kmax; and
     k*gy = y meets the level's congruence, so kmax is then in the range.
     Only kmax is tested.  A child's residual needs no sign test: k <= kmax
@@ -362,9 +356,9 @@ def _search(
     kmax = y // gy if gy else x // gx
     if gy and gx:
         kmax = min(kmax, x // gx)
-    ks = range(y // d * inv % step, kmax + 1, step)
+    k0 = y // d * inv % step
     if levels == 1:
-        budget.spend(len(ks))
+        budget.spend((kmax - k0) // step + 1)
         if kmax * gy == y and kmax * gx == x:
             results.append((*prefix, kmax))
             return True
@@ -372,8 +366,10 @@ def _search(
     found = False
     if levels == 2:
         gy1, gx1, more_y1, more_x1, d1, step1, inv1 = plan[-1]
-        spent = 0
-        for k in ks:
+        room, spent = budget.limit - budget.used, 0
+        for k in range(k0, kmax + 1, step):
+            if spent > room:
+                break
             cy, cx = y - k * gy, x - k * gx
             spent += 1
             if not cy and not cx:
@@ -384,7 +380,7 @@ def _search(
                 kmax = cy // gy1 if gy1 else cx // gx1
                 if gy1 and gx1:
                     kmax = min(kmax, cx // gx1)
-                spent += len(range(cy // d1 * inv1 % step1, kmax + 1, step1))
+                spent += (kmax - cy // d1 * inv1 % step1) // step1 + 1
                 if kmax * gy1 != cy or kmax * gx1 != cx:
                     continue
                 results.append((*prefix, k, kmax))
@@ -393,7 +389,7 @@ def _search(
                 break
         budget.spend(spent)
         return found
-    for k in ks:
+    for k in range(k0, kmax + 1, step):
         prefix.append(k)
         ok = _search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)
         prefix.pop()

@@ -30,7 +30,6 @@ from .backend import (
     expand_family,
     factorizations,
     member,
-    memoized,
 )
 from .power import (
     FinSet,
@@ -160,11 +159,8 @@ class ResidueClass:
         return f"{self.residue} mod {self.modulus}"
 
 
-@memoized(maxsize=256)
 def _check_cap_preconditions(a: Rat, p: int, spec: MonoidSpec) -> None:
-    """Raise unless (a, p) is a cap pair of the spec.  A pair that
-    passes is remembered until `clear_caches`; one that fails raises on
-    every call."""
+    """Raise unless (a, p) is a cap pair of the spec."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
     if a not in spec.generators:

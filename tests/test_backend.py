@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,8 +50,6 @@ from finpow.atomicity import (
     tidf_implies_atomic_check,
 )
 from finpow.mcd import (
-    _check_cap_preconditions,
-    cap_constant_on,
     chain_divisors,
     common_divisors,
     ex44_chain,
@@ -185,9 +184,6 @@ class TestMonoidSpec:
         for _ in range(2):
             decompositions(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3))
         mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], MonoidSpec.numerical(3, 4, 5))
-        cap_spec = MonoidSpec.puiseux(Fraction(4, 15), Fraction(1, 7), Fraction(2))
-        assert cap_constant_on(FinSet((Fraction(4, 15),)), Fraction(4, 15), 5, cap_spec)
-        assert _check_cap_preconditions.cache_info().currsize == 1
         modules = [
             importlib.import_module(f"finpow.{m.name}")
             for m in pkgutil.iter_modules(finpow.__path__)
@@ -201,7 +197,8 @@ class TestMonoidSpec:
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
-        assert _check_cap_preconditions.cache_info().currsize == 0
+        # only what queries repeat is memoized: the plans and the families
+        assert sorted(f.__name__ for f in lru) == ["_plan", "expand_family"]
 
     @pytest.mark.parametrize(
         "spec, q",
@@ -527,6 +524,29 @@ class TestNodeCounts:
         assert {i for i, _ in seen} == levels
         assert {size for _, size in seen} == {len(spec.generators)}
 
+    @pytest.mark.parametrize("fn", [member, divisors, factorizations])
+    @pytest.mark.parametrize("n", [2**63, 2**64 + 1])
+    @pytest.mark.parametrize("gens", [(1,), (2, 3), (2, 3, 5)], ids=["1", "2-3", "2-3-5"])
+    def test_a_target_past_2_63_runs_out_of_budget(self, fn, n, gens):
+        # a level's leaves are counted without a range, whose len overflows
+        # at 2**63, and a sweep stops once its charge outruns the budget
+        clear_caches()
+        bud = Budget(10**4)
+        with pytest.raises(BudgetExceededError):
+            fn(F(n), MonoidSpec.numerical(*gens), bud)
+        assert bud.used == bud.limit + 1
+
+    def test_a_sweep_stops_at_its_budget(self):
+        # no combination of 4 and 6 is odd, so the root's sweep meets no hit;
+        # without its budget break it would walk all 5*10**7 children
+        clear_caches()
+        bud = Budget(10**5)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            member(F(300000001), MonoidSpec.numerical(4, 6), bud)
+        assert time.perf_counter() - start < 1
+        assert bud.used == bud.limit + 1
+
     # the power layer, query by query: a member set's own membership tests
     # are ones the divisor enumeration makes anyway, so they cost nothing
     @pytest.mark.parametrize(
@@ -801,11 +821,26 @@ class TestRank2Packing:
         assert bud.used == 0
 
     def test_rank_and_pack_are_set_once_per_spec(self):
-        # plain attributes, set when the spec is built: encode and decode
-        # read them for every element
+        # every derived value is a plain attribute, set when the spec is
+        # built, as encode and decode read them for every element; the hash
+        # is stored too, and a spec restored by pickle keeps them all
         assert not isinstance(vars(MonoidSpec).get("is_rank2"), property)
-        for spec, rank2, pack in ((N23, False, 1), (EX44_3, False, 1), (R2_SPEC, True, 2**64)):
-            assert (vars(spec)["is_rank2"], vars(spec)["pack"]) == (rank2, pack)
+        r2_zero = QPoint2(F(0), F(0))
+        cases = [
+            (MonoidSpec.numerical(2, 3), False, 1, F(0), 1),
+            (MonoidSpec.puiseux(F(1, 2), F(2, 3)), False, 1, F(0), 6),
+            (MonoidSpec.of_family("EX44", 3), False, 1, F(0), 4 * 3 * 5 * 7 * 11 * 13 * 17 * 19),
+            (MonoidSpec.rank2(QPoint2(F(0), F(2)), QPoint2(F(1, 2), F(1, 3))), True, 2**64,
+             r2_zero, (3, 2)),
+            (MonoidSpec.of_family("RANK2-5.3", 2, (F(7, 3),)), True, 2**64, r2_zero, (12, 35)),
+        ]
+        for built, rank2, pack, zero, scale in cases:
+            for spec in (built, pickle.loads(pickle.dumps(built))):
+                derived = dict(vars(spec))
+                assert (derived["is_rank2"], derived["pack"]) == (rank2, pack)
+                assert derived["scale"] == scale
+                assert derived["zero"] == zero and type(derived["zero"]) is type(zero)
+                assert derived["_hash"] == hash(spec) == hash(spec.generators)
 
 
 @pytest.mark.parametrize(
@@ -1175,6 +1210,21 @@ def test_no_module_calls_expanded():
         and node.func.attr == "expanded"
     ]
     assert calls == []
+
+
+def test_a_spec_computes_no_value_lazily():
+    # every derived value of a spec is set when it is built: a property or a
+    # read of the instance dict would bring back a value made on first use
+    (spec_class,) = [
+        node for name, node in package_nodes()
+        if name == "backend.py" and isinstance(node, ast.ClassDef) and node.name == "MonoidSpec"
+    ]
+    lazy = [
+        f"backend.py:{n.lineno}" for n in ast.walk(spec_class)
+        if (isinstance(n, ast.Name) and n.id in ("property", "cached_property", "vars"))
+        or (isinstance(n, ast.Attribute) and n.attr in ("cached_property", "__dict__"))
+    ]
+    assert lazy == []
 
 
 def test_the_runtime_imports_only_the_standard_library():

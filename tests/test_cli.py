@@ -54,6 +54,14 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 2  # 3*(2) and 2*(3)
 
+    def test_a_target_past_2_63_runs_out_of_budget(self, capsys):
+        # the search counts a level's leaves without a range, whose len
+        # overflows at 2**63
+        spec = "kind numerical; gens 1"
+        code, out, err = run(capsys, "factorize", "9223372036854775808", "--spec", spec)
+        assert code == EXIT_INCONCLUSIVE and out == ""
+        assert "Traceback" not in err and "budget exceeded" in err
+
     def test_divides(self, capsys):
         code, out, _ = run(capsys, "divides", "{0,2}", "{0,2,3,4,5}", "--spec", SPEC23)
         assert code == EXIT_PASS
