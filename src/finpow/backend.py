@@ -10,18 +10,19 @@ becomes (q*L, 0) and a plane point (x, y) becomes (y*Ly, x*Lx), where the
 scales clear every denominator of the basis and of the target.  The scaled
 form of an element is one int for both ranks, y*K + x, where K = 1 for a
 rank-1 spec and K = 2**64 for a rank-2 one; `Fraction` and `QPoint2` stay
-in `encode`/`decode` and at the API boundary.  Membership,
-divisors, atoms and factorizations share one engine, `_search`: a depth-first
-enumeration of coefficient vectors over a descending basis, run from a plan
-built once per (basis, scale), whose last two levels are swept in one budget
-spend, with no frame for any of their nodes, and cut short once that spend
-outruns the budget.  For rational bases the plan
-holds p-adic congruences: the coefficient of a generator is forced into one
-residue class modulo the primes of L that no later denominator carries,
-which is what keeps truncated Puiseux families with large denominators
-tractable.
-`_solve` runs it over the atoms for `factorizations`, and for `atoms` over
-the generators but the one tested, with no spec built for them.  Membership
+in `encode`/`decode` and at the API boundary.  Membership, divisors, atoms
+and factorizations share one engine, `_search`: a depth-first enumeration
+of coefficient vectors over a descending basis, run from a plan built once
+per (basis, scale), whose last two levels are swept in one budget spend,
+with no frame for any of their nodes, and cut short once that spend
+outruns the budget.  For rational bases the plan holds p-adic congruences:
+the coefficient of a generator is forced into one residue class modulo
+the primes of L that no later denominator carries, which is what keeps
+truncated Puiseux families with large denominators tractable.  `_solve`
+runs it over the atoms for `factorizations`, and for `atoms` over the
+generators but the one tested, with no spec built for them; `_least` finds
+the least factorizations on the same walk, memoized by (level, residual),
+and charges a repeated subtree's nodes in one spend.  Membership
 verdicts, scaled divisor lists, set divisor enumerations and the atom list
 live in one result cache per spec, an `_Entry` with a named field for each;
 `clear_caches` empties it.  A `_Query` holds a spec, its entry and a budget;
@@ -37,7 +38,6 @@ plans and the family expansions.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +56,7 @@ from .arith import (
 )
 
 DEFAULT_BUDGET = 10**6
+_MAX_GENERATORS = 512  # one search frame per generator, well inside the recursion limit
 
 FAMILY_TAGS = ("EX44", "RANK2-5.3", "Q-ODDPRIMES")
 
@@ -152,8 +153,8 @@ class MonoidSpec:
         if self.kind == "family":
             if self.family not in FAMILY_TAGS:
                 raise InvalidInputError(f"unknown family tag {self.family!r}")
-            if self.depth is None or self.depth < 1:
-                raise InvalidInputError("family depth must be >= 1")
+            if self.depth is None or not 1 <= self.depth <= _MAX_GENERATORS:
+                raise InvalidInputError(f"family depth must be from 1 to {_MAX_GENERATORS}")
             sample = tuple(sorted(set(self.sample)))
             object.__setattr__(self, "sample", sample)
             self._set_derived(expand_family(self.family, self.depth, sample).generators)
@@ -183,6 +184,8 @@ class MonoidSpec:
 
     def _set_derived(self, gens: tuple) -> None:
         """Set the generators and every value derived from them."""
+        if len(gens) > _MAX_GENERATORS:
+            raise InvalidInputError(f"a spec takes at most {_MAX_GENERATORS} generators")
         rank2 = isinstance(gens[0], QPoint2)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "is_rank2", rank2)
@@ -248,8 +251,8 @@ def expand_family(family: str, depth: int, sample: tuple = ()) -> MonoidSpec:
     """The unlabelled puiseux or rank2 spec of a named truncated family, its
     sample a sorted tuple of distinct rationals; memoized, so the family
     specs of one (family, depth, sample) share one generator tuple."""
-    if depth is None or depth < 1:
-        raise InvalidInputError("family depth must be >= 1")
+    if depth is None or not 1 <= depth <= _MAX_GENERATORS:
+        raise InvalidInputError(f"family depth must be from 1 to {_MAX_GENERATORS}")
     if family == "EX44":
         return MonoidSpec("puiseux", _ex44_generators(depth))
     if family == "Q-ODDPRIMES":
@@ -400,18 +403,49 @@ def _search(
     return found
 
 
+def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: int) -> list:
+    """The k least reversed suffixes (coefficients of levels n-1 down to i)
+    of the hits of `_search`'s subtree at (i, y, x), at its node count;
+    `memo` maps (i, y, x) to both, so a repeated subtree is one `spend`, and
+    a walk the budget cuts short raises before it is stored.  A subtree of
+    at most two levels, or a zero residual, is `_search`'s."""
+    entry = memo.get((i, y, x))
+    if entry is not None:
+        budget.spend(entry[0])
+        return entry[1]
+    used, levels = budget.used, len(plan) - i
+    best: list = []
+    if levels <= 2 or not (y or x):
+        _search(plan, i, y, x, budget, False, best, [])
+        best = sorted(h[::-1] for h in best)[:k]
+    else:
+        budget.spend()
+        gy, gx, more_y, more_x, d, step, inv = plan[i]
+        if y >= 0 and x >= 0 and (more_y or not y) and (more_x or not x) and not y % d:
+            kmax = y // gy if gy else x // gx
+            if gy and gx:
+                kmax = min(kmax, x // gx)
+            for c in range(y // d * inv % step, kmax + 1, step):
+                child = _least(plan, i + 1, y - c * gy, x - c * gx, budget, memo, k)
+                best = sorted(best + [s + (c,) for s in child])[:k]
+    memo[i, y, x] = budget.used - used, best
+    return best
+
+
 def _solve(
     basis: tuple, b: Element, budget: Budget, first_only: bool, limit: Optional[int] = None
 ) -> list:
     """The sorted coefficient vectors writing b over an ascending basis of
     distinct positive elements; with `first_only`, at most the first found.
-    A `limit` keeps the least `limit` vectors of the full search."""
+    A `limit` keeps the least `limit` vectors, by `_least`."""
     ordered = basis[::-1]
     scale, y, x = _lattice(b, _basis_scale(ordered, isinstance(b, QPoint2)))
+    plan = _plan(ordered, scale)
+    if limit is not None:
+        return _least(plan, 0, y, x, budget, {}, limit)
     results: list = []
-    _search(_plan(ordered, scale), 0, y, x, budget, first_only, results, [])
-    vecs = (vec[::-1] for vec in results)
-    return sorted(vecs) if limit is None else heapq.nsmallest(limit, vecs)
+    _search(plan, 0, y, x, budget, first_only, results, [])
+    return sorted(vec[::-1] for vec in results)
 
 
 def representations(
@@ -639,9 +673,9 @@ def factorizations(
 ) -> list[Factorization]:
     """The complete list Z(b) of factorizations of b into atoms, ascending.
 
-    With `limit` k >= 1, only the first k of that list.  The search still
-    walks all of Z(b), so `Budget.used` is that of the complete list; only
-    the kept factorizations are built.
+    With `limit` k >= 1, only the first k of that list, found by a walk
+    that replays each repeated subtree in one charge: `Budget.used` is that
+    of the complete list, and only the kept factorizations are built.
     """
     if limit is not None and (type(limit) is not int or limit < 1):
         raise InvalidInputError(f"factorization limit must be an int >= 1, not {limit!r}")

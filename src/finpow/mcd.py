@@ -247,9 +247,10 @@ def ex44_witness(
 
     Each residual's certificate is its least factorization, the first of
     `factorizations(target)`.  It is taken with `limit=1`, which builds no
-    other factorization but still enumerates all of Z(target), so the step
-    spends the nodes of the complete list.  A q < 0 is rejected before any
-    node; testing a q >= 0 for membership would add a search to every step.
+    other factorization and charges each repeated subtree of the walk over
+    Z(target) in one spend, so the step spends the nodes of the complete
+    list in a fraction of their time.  A q < 0 is rejected before any node;
+    testing a q >= 0 for membership would add a search to every step.
     """
     bud = as_budget(budget)
     spec = expand_family("EX44", depth)

@@ -1,6 +1,7 @@
 """Monoid backends checked against a naive exhaustive-coefficient oracle."""
 import ast
 import gc
+import hashlib
 import importlib
 import os
 import pickle
@@ -121,6 +122,44 @@ class TestMonoidSpec:
     def test_duplicate_generators_are_rejected(self):
         with pytest.raises(InvalidInputError):
             MonoidSpec.numerical(3, 2, 3)
+
+    def test_the_largest_spec_searches_without_recursion_error(self):
+        # the coefficient search recurses once per generator; each query
+        # below walks every level
+        clear_caches()
+        sp = MonoidSpec.of_family("Q-ODDPRIMES", backend._MAX_GENERATORS)
+        assert len(sp.generators) == backend._MAX_GENERATORS
+        least = sp.generators[0]
+        assert member(Fraction(1), sp)
+        assert divisors(least, sp) == [0, least]
+        assert factorizations(Fraction(1), sp, limit=1) == [
+            Factorization(((Fraction(1, 3), 3),))
+        ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: MonoidSpec.of_family("Q-ODDPRIMES", n),
+            lambda n: MonoidSpec.numerical(*range(1000, 1000 + n)),
+            lambda n: MonoidSpec.of_family("RANK2-5.3", n - 2, (Fraction(7, 3),)),
+        ],
+        ids=["Q-ODDPRIMES", "numerical", "RANK2-5.3"],
+    )
+    def test_one_generator_past_the_bound_is_refused(self, make):
+        bound = backend._MAX_GENERATORS
+        assert len(make(bound).generators) == bound
+        with pytest.raises(InvalidInputError, match=str(bound)):
+            make(bound + 1)
+
+    @pytest.mark.parametrize("family", backend.FAMILY_TAGS)
+    def test_a_family_past_the_bound_is_refused_before_it_is_expanded(self, monkeypatch, family):
+        # expanding a depth of 10**9 would list 10**9 primes or more
+        def expand(*args):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(backend, "expand_family", expand)
+        with pytest.raises(InvalidInputError, match="family depth must be from 1 to 512"):
+            MonoidSpec.of_family(family, 10**9)
 
     def test_generators_are_sorted(self):
         sp = MonoidSpec.numerical(3, 2)
@@ -423,6 +462,10 @@ class TestRank2Backend:
 F = Fraction
 R2_SPEC = MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3), F(32, 15)))
 EX44_3 = MonoidSpec.of_family("EX44", 3)
+# atoms (1, 2) + (3, 2) = 2*(2, 2) on one line, so sums repeat residuals
+R2_LINE = MonoidSpec.rank2(
+    QPoint2(0, 1), QPoint2(0, F(3, 2)), QPoint2(1, 2), QPoint2(2, 2), QPoint2(3, 2)
+)
 N345 = MonoidSpec.numerical(3, 4, 5)
 N23 = MonoidSpec.numerical(2, 3)
 N234 = MonoidSpec.numerical(2, 3, 4)
@@ -684,13 +727,39 @@ class TestNodeCounts:
         assert chain_divisors(steps) == [0, F(1, 2), F(3, 4), F(7, 8)]
         assert bud.used == 501
 
-    @pytest.mark.parametrize("depth, used", [(7, 2187), (8, 19612)])
+    @pytest.mark.parametrize("depth, used", [(7, 2187), (8, 19612), (9, 319133)])
     def test_deep_ex44_chain_budget_used(self, depth, used):
         clear_caches()
         bud = Budget()
         steps = ex44_chain(3, depth, bud)
         assert chain_divisors(steps) == [0, F(1, 2), F(3, 4), F(7, 8)]
         assert bud.used == used
+
+    def test_depth_10_chain_charges_its_full_walk(self):
+        # the digest of the certificates the full walk over each Z(target)
+        # gave, 8,953,883 nodes node by node
+        clear_caches()
+        bud = Budget(10**7)
+        steps = ex44_chain(3, 10, bud)
+        assert bud.used == 8953883
+        text = "\n".join(
+            f"{s.q} {s.n} {s.increment} "
+            + " | ".join(c.render() for c in s.residual_certificates)
+            for s in steps
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a661ba01aa46a34fb62c4aa82a41a9a5e5985c3cac37e3f69642d1659e23533c"
+        )
+
+    @pytest.mark.parametrize("limit", [300_000, 319_132])
+    def test_depth_9_chain_stops_at_its_budget(self, limit):
+        # a replayed subtree's charge can overshoot the limit; the count
+        # stops where spending node by node would have
+        clear_caches()
+        bud = Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            ex44_chain(3, 9, bud)
+        assert bud.used == limit + 1
 
     def test_atoms_returns_a_fresh_list(self):
         clear_caches()
@@ -938,7 +1007,8 @@ class TestFactorizationLimit:
     stops both at the same node."""
 
     @staticmethod
-    def check(spec, b, data):
+    def check_lists(spec, b):
+        """Check k = 1, 2, 3 against the complete list; its nodes."""
         clear_caches()
         full_bud = Budget()
         full = factorizations(b, spec, full_bud)
@@ -947,8 +1017,13 @@ class TestFactorizationLimit:
             bud = Budget()
             assert factorizations(b, spec, bud, limit=k) == full[:k]
             assert bud.used == full_bud.used
-        if full_bud.used:
-            limit = data.draw(st.integers(0, full_bud.used - 1))
+        return full_bud.used
+
+    @classmethod
+    def check(cls, spec, b, data):
+        used = cls.check_lists(spec, b)
+        if used:
+            limit = data.draw(st.integers(0, used - 1))
             for k in (None, data.draw(st.integers(1, 3))):
                 clear_caches()
                 bud = Budget(limit)
@@ -1003,9 +1078,47 @@ class TestFactorizationLimit:
         )
         self.check(R2_SPEC, b, data)
 
+    @staticmethod
+    def replays(monkeypatch):
+        """The list that records, for each `_least` frame, whether its
+        subtree is a replay of an earlier one."""
+        out, least = [], backend._least
+
+        def spy(plan, i, y, x, budget, memo, k):
+            out.append((i, y, x) in memo)
+            return least(plan, i, y, x, budget, memo, k)
+
+        monkeypatch.setattr(backend, "_least", spy)
+        return out
+
+    @pytest.mark.parametrize("depth", [5, 6, 7])
+    @pytest.mark.parametrize("target", [F(5, 6), F(7, 12), F(1), F(4, 3)])
+    def test_ex44_targets_replay_repeated_subtrees(self, monkeypatch, depth, target):
+        # 5/6 and 7/12 are residual targets of the chain
+        replayed = self.replays(monkeypatch)
+        self.check_lists(expand_family("EX44", depth), target)
+        assert any(replayed)
+
+    @pytest.mark.parametrize(
+        "spec, coeffs, repeats",
+        [
+            # no small relation ties R2_SPEC's upper atoms: no subtree repeats
+            (R2_SPEC, (2,) * 7, False),
+            (R2_SPEC, (1, 1, 1, 1, 4, 4, 4), False),
+            (R2_LINE, (2,) * 5, True),
+            (R2_LINE, (0, 0, 4, 4, 4), True),
+            (R2_LINE, (3, 0, 3, 3, 3), True),
+        ],
+    )
+    def test_rank2_sums(self, monkeypatch, spec, coeffs, repeats):
+        replayed = self.replays(monkeypatch)
+        b = sum((c * g for c, g in zip(coeffs, spec.generators)), spec.zero)
+        self.check_lists(spec, b)
+        assert any(replayed) == repeats
+
     @pytest.mark.parametrize("limit", [0, -1, 1.0, "1", True])
     def test_a_bad_limit_is_rejected_before_any_node(self, limit):
-        # heapq.nsmallest(0, ...) would return [], read as "no factorization"
+        # a limit of 0 would keep no vector: [], read as "no factorization"
         clear_caches()
         bud = Budget()
         with pytest.raises(InvalidInputError):

@@ -294,12 +294,18 @@ class TestUsageErrors:
             ("member", "1", "--spec", "family Q-ODDPRIMES depth 2; gens 1/2"),
             ("member", "1", "--spec", "family EX44 depth 2; sample 7/3"),
             ("member", "1", "--spec", "family Q-ODDPRIMES depth 2; sample 7/3"),
+            # past the generator bound, which keeps the search's recursion
+            # inside Python's limit
+            ("member", "1", "--spec", "family Q-ODDPRIMES depth 1200"),
+            ("member", "5000", "--spec", "kind numerical; gens " + ", ".join(
+                map(str, range(1000, 2200))
+            )),
         ],
     )
     def test_no_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "suite, spec, needs",
