@@ -31,6 +31,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# --depth truncates a family spec; given none, the flag would be ignored
+_DEPTH_NEEDS_A_FAMILY = "--depth needs a family spec to truncate"
+
 
 def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
@@ -54,6 +57,8 @@ def _load_spec(args) -> MonoidSpec:
     else:
         raise InvalidInputError("a monoid spec is required (--spec or --spec-file)")
     spec = parse_monoid_spec(text)
+    if args.depth is not None and spec.kind != "family":
+        raise InvalidInputError(_DEPTH_NEEDS_A_FAMILY)
     depth = _env_int("FINPOW_DEPTH", args.depth)
     if depth is not None and spec.kind == "family":
         spec = MonoidSpec.of_family(spec.family, depth, spec.sample)
@@ -99,6 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sumset(args) -> int:
+    # a sumset needs no monoid, so every flag it lists would be ignored
+    for flag in ("spec", "spec_file", "budget", "depth"):
+        if getattr(args, flag) is not None:
+            raise InvalidInputError(f"sumset takes no --{flag.replace('_', '-')}")
     s, t = parse_finset(args.left), parse_finset(args.right)
     print(sumset(s, t).render())
     return EXIT_PASS
@@ -197,6 +206,8 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     given = bool(args.spec or args.spec_file)
+    if args.depth is not None and not given:
+        raise InvalidInputError(_DEPTH_NEEDS_A_FAMILY)
     if args.suite == "all":
         if given:
             raise InvalidInputError(
@@ -221,8 +232,8 @@ def _cmd_verify(args) -> int:
     return max(exits.get(r.status, EXIT_PASS) for r in reports)
 
 
-# name -> (help, positional arguments, handler); every subcommand also takes
-# --spec, --spec-file, --budget and --depth
+# name -> (help, positional arguments, handler); every subcommand also lists
+# --spec, --spec-file, --budget and --depth, and refuses one it would ignore
 _COMMANDS = {
     "sumset": ("sumset of two finite sets", ("left", "right"), _cmd_sumset),
     "atoms": ("atoms of the monoid", (), _cmd_atoms),

@@ -1,6 +1,5 @@
 """Chains, atom divisors, canonical decompositions, and the rank-2 machinery."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -28,6 +27,7 @@ from finpow.atomicity import (
 )
 from finpow.backend import Budget, MonoidSpec, clear_caches, member
 from finpow.power import FinSet, is_p_atom, singleton, sumset, zero_set
+from oracles import finsets, naive_atoms, naive_members, numerical_specs, oracle_pairs
 
 N23 = MonoidSpec.numerical(2, 3)
 
@@ -130,64 +130,31 @@ class TestAtomDivisorsAndCounts:
 # Brute-force oracles over small generated numerical specs
 
 
-numerical_specs = st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True).map(
-    lambda gs: MonoidSpec.numerical(*gs)
-)
-
-
-def naive_members(spec: MonoidSpec, bound: int) -> set:
-    out = {0}
-    for n in range(1, bound + 1):
-        if any(n - g in out for g in spec.generators):
-            out.add(n)
-    return out
-
-
-def naive_atoms(members: set) -> list:
-    """The nonzero members that are no sum of two nonzero members, ascending."""
-    return sorted(m for m in members if m and not any(0 < x < m and m - x in members for x in members))
-
-
-def naive_set_pairs(s: FinSet, members: set) -> set:
-    """Every (U, V) of finite subsets of M with U + V = s; `members` holds
-    every member up to max s."""
-    target = set(s.elems)
-    divs = sorted(d for d in members if any(x - d in members for x in target))
-    pairs = set()
-    for k in range(1, len(s) + 1):
-        for u in itertools.combinations(divs, k):
-            fit = [m for m in divs if all(e + m in target for e in u)]
-            for j in range(1, len(fit) + 1):
-                for v in itertools.combinations(fit, j):
-                    if {a + b for a in u for b in v} == target:
-                        pairs.add((u, v))
-    return pairs
-
-
 def naive_is_p_atom(s: FinSet, members: set) -> bool:
     return s.elems != (0,) and all(
-        u == (0,) or v == (0,) for u, v in naive_set_pairs(s, members)
+        u == (0,) or v == (0,) for u, v in oracle_pairs(s, members)
     )
 
 
-def naive_furstenberg_divisor(s: FinSet, members: set) -> FinSet:
+def naive_furstenberg_divisor(s: FinSet, spec: MonoidSpec, members: set) -> FinSet:
     """The atom `p_furstenberg_divisor` picks: s itself if it is an atom, else
     the least atom dividing the largest nonzero d with {d} dividing s, else
     the least (size, elements) proper divisor with two or more elements."""
     if naive_is_p_atom(s, members):
         return s
-    divs = {u for u, _ in naive_set_pairs(s, members)}
+    divs = {u for u, _ in oracle_pairs(s, members)}
     single = [u[0] for u in divs if len(u) == 1 and u != (0,)]
     if single:
         d = max(single)
-        return singleton(next(a for a in naive_atoms(members) if d - a in members))
+        return singleton(next(a for a in naive_atoms(spec.generators) if d - a in members))
     return FinSet(min((u for u in divs if len(u) >= 2 and u != s.elems), key=lambda u: (len(u), u)))
 
 
-def naive_max_descent(members: set, bound: int) -> int:
+def naive_max_descent(spec: MonoidSpec, bound: int) -> int:
     """The most steps q -> q - (least atom dividing q) from a member up to
     the bound down to 0."""
-    ats, worst = naive_atoms(members), 0
+    members, ats = naive_members(spec.generators, bound), naive_atoms(spec.generators)
+    worst = 0
     for b in sorted(members):
         if 0 < b <= bound:
             q, steps = b, 0
@@ -202,26 +169,25 @@ class TestAtomicityOracles:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_p_furstenberg_divisor(self, spec, data):
-        low = sorted(naive_members(spec, 8))
-        part = st.lists(st.sampled_from(low), min_size=1, max_size=3).map(lambda xs: FinSet(tuple(xs)))
+        part = finsets(naive_members(spec.generators, 8))
         s = data.draw(st.one_of(part, st.tuples(part, part).map(lambda p: sumset(*p))))
         if s == zero_set(spec):
             with pytest.raises(InvalidInputError):
                 p_furstenberg_divisor(s, spec)
             return
-        members = naive_members(spec, s.max)
+        members = naive_members(spec.generators, s.max)
         got = p_furstenberg_divisor(s, spec)
-        assert got == naive_furstenberg_divisor(s, members)
+        assert got == naive_furstenberg_divisor(s, spec, members)
         # the certificate: an atom of P_fin(M) that divides s
         assert naive_is_p_atom(got, members)
-        assert any(u == got.elems for u, _ in naive_set_pairs(s, members))
+        assert any(u == got.elems for u, _ in oracle_pairs(s, members))
 
     @given(numerical_specs, st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
     def test_tidf_implies_atomic_check(self, spec, bound):
         rep = tidf_implies_atomic_check(spec, bound)
         assert rep.ok and rep.counterexample is None
-        assert rep.max_descent == naive_max_descent(naive_members(spec, bound), bound)
+        assert rep.max_descent == naive_max_descent(spec, bound)
 
 
 class TestCanonicalDecomp:

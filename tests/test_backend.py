@@ -65,47 +65,16 @@ from finpow.power import (
     is_p_atom,
     p_factorize,
 )
-from test_power import check_search, puiseux_specs, rank2_specs, spec_plan
-
-
-def naive_members(gens, bound):
-    """Breadth-first closure of the generators below a bound."""
-    out = {Fraction(0)}
-    frontier = {Fraction(0)}
-    while frontier:
-        nxt = set()
-        for q in frontier:
-            for g in gens:
-                s = q + g
-                if s <= bound and s not in out:
-                    out.add(s)
-                    nxt.add(s)
-        frontier = nxt
-    return out
-
-
-def naive_representations(b, gens):
-    """All coefficient vectors over gens summing to b, of rank 1 or 2, in
-    ascending order.  Every generator is nonzero and nonnegative in each
-    coordinate, so a residual that leaves the box [0, b] is dropped."""
-    zero = b - b
-    out = []
-
-    def inside(r):
-        return r.x >= 0 and r.y >= 0 if isinstance(r, QPoint2) else r >= 0
-
-    def rec(i, rest, acc):
-        if i == len(gens):
-            if rest == zero:
-                out.append(tuple(acc))
-            return
-        k = 0
-        while inside(rest):
-            rec(i + 1, rest, acc + [k])
-            rest, k = rest - gens[i], k + 1
-
-    rec(0, b, [])
-    return out
+from oracles import (
+    naive_atoms,
+    naive_divisors,
+    naive_factorizations,
+    naive_members,
+    naive_representations,
+    numerical_specs,
+    puiseux_specs,
+    rank2_specs,
+)
 
 
 class TestMonoidSpec:
@@ -340,24 +309,13 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("gens", [(2, 3), (3, 4, 5)])
     def test_member_divisors_factorizations(self, gens):
         sp = MonoidSpec.numerical(*gens)
-        bound = Fraction(15)
-        mset = naive_members([Fraction(g) for g in gens], bound)
-        for n in range(16):
-            q = Fraction(n)
+        mset = naive_members(sp.generators, Fraction(15))
+        for q in map(Fraction, range(16)):
             assert member(q, sp) == (q in mset), q
             if q in mset:
-                assert divisors(q, sp) == sorted(
-                    d for d in mset if q - d in mset
-                ), q
+                assert divisors(q, sp) == naive_divisors([q], mset), q
                 got = {f.parts for f in factorizations(q, sp)}
-                want = set()
-                for vec in naive_representations(q, [Fraction(g) for g in gens]):
-                    want.add(
-                        tuple(
-                            (Fraction(g), k) for k, g in zip(vec, gens) if k
-                        )
-                    )
-                assert got == want, q
+                assert got == naive_factorizations(q, sp.generators), q
 
     def test_representations_resum(self):
         sp = MonoidSpec.puiseux(Fraction(1, 2), Fraction(2, 3))
@@ -966,6 +924,28 @@ def node_by_node_search(plan, i, y, x, budget, first_only, results, prefix):
     return found
 
 
+def check_search(plan: tuple, y: int, x: int, data) -> None:
+    """`_search` returns, finds, in order, and spends what
+    `node_by_node_search` does from the residual (y, x), and stops at
+    limit + 1 under any smaller limit, for `first_only` both ways."""
+    for first_only in (True, False):
+        want, got, ref, bud = [], [], Budget(), Budget()
+        expected = node_by_node_search(plan, 0, y, x, ref, first_only, want, [])
+        assert backend._search(plan, 0, y, x, bud, first_only, got, []) == expected
+        assert got == want
+        assert bud.used == ref.used
+        limit = data.draw(st.integers(0, ref.used - 1), label="limit")
+        for search in (backend._search, node_by_node_search):
+            bud = Budget(limit)
+            with pytest.raises(BudgetExceededError):
+                search(plan, 0, y, x, bud, first_only, [], [])
+            assert bud.used == limit + 1
+
+
+def spec_plan(spec: MonoidSpec) -> tuple:
+    return backend._plan(spec.generators[::-1], spec.scale)
+
+
 class TestFoldedLeafLevel:
     """`_search` sweeps its last two levels and enters none of their nodes;
     it must return, find and spend what node-by-node recursion does, and
@@ -978,7 +958,19 @@ class TestFoldedLeafLevel:
     )
     @settings(max_examples=80, deadline=None)
     def test_numerical(self, gens, n, data):
-        check_search(node_by_node_search, spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
+        check_search(spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
+
+    # one generator too, where the root is the last level and charges its
+    # leaves itself
+    @given(numerical_specs, st.integers(0, 60), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_numerical_of_one_to_three_generators(self, spec, y, data):
+        check_search(spec_plan(spec), y, 0, data)
+
+    @given(puiseux_specs, st.integers(0, 80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_puiseux(self, spec, y, data):
+        check_search(spec_plan(spec), y, 0, data)
 
     @given(
         puiseux_specs.filter(lambda spec: spec.generators[0].denominator > 1),
@@ -989,12 +981,19 @@ class TestFoldedLeafLevel:
     def test_puiseux_with_a_congruence_on_the_last_level(self, spec, n, data):
         plan = spec_plan(spec)
         assert plan[-1][5] > 1  # step
-        check_search(node_by_node_search, plan, n, 0, data)
+        check_search(plan, n, 0, data)
+
+    # d > 1 on the last level: a child whose residual is off the last
+    # generator's lattice is pruned before its leaves are counted
+    @given(puiseux_specs.filter(lambda spec: spec_plan(spec)[-1][4] > 1), st.integers(0, 80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_puiseux_with_a_lattice_test_on_the_last_level(self, spec, y, data):
+        check_search(spec_plan(spec), y, 0, data)
 
     @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
-        check_search(node_by_node_search, spec_plan(spec), y, x, data)
+        check_search(spec_plan(spec), y, x, data)
 
 
 def half(g):
@@ -1184,40 +1183,18 @@ rank2_targets = st.builds(
 )
 
 
-def naive_points(gens, top):
-    """Breadth-first closure of plane generators inside the box [0, top].
-
-    Every generator has x, y >= 0, so partial sums of a representation of a
-    point of the box stay inside it."""
-    zero = QPoint2(F(0), F(0))
-    out, frontier = {zero}, {zero}
-    while frontier:
-        frontier = {
-            q + g for q in frontier for g in gens
-            if (q + g).x <= top.x and (q + g).y <= top.y
-        } - out
-        out |= frontier
-    return out
-
-
-def check_atoms_and_factorizations(spec, targets, closure):
+def check_atoms_and_factorizations(spec, targets):
     """`atoms` and `factorizations` against the naive oracles, cold and then
     warm: a generator is an atom iff the other generators' closure below it
     misses it, and the factorizations of b are the vectors over the atoms
     that sum to b."""
     clear_caches()
-    gens = spec.generators
-    want_atoms = [
-        g for i, g in enumerate(gens) if g not in closure(gens[:i] + gens[i + 1:], g)
-    ]
+    want_atoms = naive_atoms(spec.generators)
     for _ in ("cold", "warm"):
         assert atoms(spec) == want_atoms
         for b in targets:
             got = factorizations(b, spec)
-            want = {
-                tuple((a, k) for a, k in zip(want_atoms, vec) if k)
-                for vec in naive_representations(b, want_atoms)
-            }
+            want = naive_factorizations(b, want_atoms)
             assert len(got) == len(want) and {f.parts for f in got} == want, b
             for f in got:
                 # the trusted constructor keeps the public one's invariant
@@ -1243,33 +1220,31 @@ class TestEngineOracles:
     def test_rank2_membership(self, spec, targets):
         clear_caches()
         for q in targets:
-            assert member(q, spec) == (q in naive_points(spec.generators, q)), q
+            assert member(q, spec) == (q in naive_members(spec.generators, q)), q
 
     @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_small_lattice_puiseux_divisors(self, spec, targets):
         clear_caches()
         for b in targets:
-            mset = naive_members(spec.generators, b)
-            assert divisors(b, spec) == sorted(d for d in mset if b - d in mset), b
+            assert divisors(b, spec) == naive_divisors([b], naive_members(spec.generators, b)), b
 
     @given(rank2_specs, st.lists(rank2_targets, min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)
     def test_rank2_divisors(self, spec, targets):
         clear_caches()
         for b in targets:
-            box = naive_points(spec.generators, b)
-            assert divisors(b, spec) == sorted(d for d in box if b - d in box), b
+            assert divisors(b, spec) == naive_divisors([b], naive_members(spec.generators, b)), b
 
     @given(puiseux_specs, st.lists(rank1_targets, min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_small_lattice_puiseux_atoms_and_factorizations(self, spec, targets):
-        check_atoms_and_factorizations(spec, targets, naive_members)
+        check_atoms_and_factorizations(spec, targets)
 
     @given(rank2_specs, st.lists(rank2_targets, min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)
     def test_rank2_atoms_and_factorizations(self, spec, targets):
-        check_atoms_and_factorizations(spec, targets, naive_points)
+        check_atoms_and_factorizations(spec, targets)
 
     @given(puiseux_specs, st.builds(F, st.integers(-12, 36), st.sampled_from((12, 8, 5))))
     @settings(max_examples=40, deadline=None)
@@ -1303,9 +1278,12 @@ def test_every_traced_name_exists():
     assert traced and missing == []
 
 
-def package_nodes():
-    """(file name, node) for every ast node of every module of the package."""
-    root = os.path.dirname(finpow.__file__)
+PACKAGE_DIR, TESTS_DIR = os.path.dirname(finpow.__file__), os.path.dirname(__file__)
+
+
+def module_nodes(root=PACKAGE_DIR):
+    """(file name, node) for every ast node of every module in a directory,
+    the package's by default."""
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as f:
@@ -1318,7 +1296,7 @@ def test_no_module_calls_expanded():
     # a spec holds its generators, family specs too, so `expanded()` is the
     # identity and a call to it in the package is dead weight
     calls = [
-        f"{name}:{node.lineno}" for name, node in package_nodes()
+        f"{name}:{node.lineno}" for name, node in module_nodes()
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "expanded"
     ]
@@ -1329,7 +1307,7 @@ def test_a_spec_computes_no_value_lazily():
     # every derived value of a spec is set when it is built: a property or a
     # read of the instance dict would bring back a value made on first use
     (spec_class,) = [
-        node for name, node in package_nodes()
+        node for name, node in module_nodes()
         if name == "backend.py" and isinstance(node, ast.ClassDef) and node.name == "MonoidSpec"
     ]
     lazy = [
@@ -1340,21 +1318,22 @@ def test_a_spec_computes_no_value_lazily():
     assert lazy == []
 
 
+def imported_modules(node) -> list:
+    """The modules an import statement names, none for a relative one."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
 def test_the_runtime_imports_only_the_standard_library():
     # finpow runs on a bare interpreter: each import is relative or names a
     # module of the standard library, deferred imports in functions included
-    outside = []
-    for name, node in package_nodes():
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            modules = [node.module]
-        else:
-            continue
-        outside += [
-            f"{name}:{node.lineno} {m}" for m in modules
-            if m.partition(".")[0] not in sys.stdlib_module_names
-        ]
+    outside = [
+        f"{name}:{node.lineno} {m}" for name, node in module_nodes()
+        for m in imported_modules(node) if m.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
 
 
@@ -1362,7 +1341,7 @@ def test_no_function_that_takes_a_query_names_fraction_or_qpoint2():
     # a function that takes a query `q: _Query` runs inside it, on scaled
     # ints; Fraction and QPoint2 stay at the boundary, in encode and decode
     cores, named = [], []
-    for name, node in package_nodes():
+    for name, node in module_nodes():
         if name not in ("power.py", "mcd.py", "atomicity.py") or not isinstance(
             node, ast.FunctionDef
         ):
@@ -1388,7 +1367,7 @@ def test_no_function_binds_a_local_it_never_reads():
     # nested function, is a dead value; a global or nonlocal x is no local
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
     dead = []
-    for name, fn in package_nodes():
+    for name, fn in module_nodes():
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         bound, declared, stack = {}, set(), list(fn.body)
@@ -1418,34 +1397,49 @@ def test_no_module_imports_a_name_it_never_reads():
     # an import whose name nothing reads is dead weight; the package's
     # __init__ imports its names to re-export them, and a name read only in
     # a string annotation such as "Budget | int | None" is read
-    root, here = os.path.dirname(finpow.__file__), os.path.dirname(__file__)
-    paths = [
-        os.path.join(d, n) for d in (root, here) for n in sorted(os.listdir(d))
-        if n.endswith(".py") and (d, n) != (root, "__init__.py")
-    ]
-    unread = []
-    for path in paths:
-        with open(path) as f:
-            tree = ast.parse(f.read())
-        imported, read = {}, set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import) or (
-                isinstance(node, ast.ImportFrom) and node.module != "__future__"
-            ):
-                for alias in node.names:
-                    name = (alias.asname or alias.name).partition(".")[0]
-                    imported.setdefault(name, alias.lineno)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
-                note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
-                if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                    read.update(
-                        n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
-                        if isinstance(n, ast.Name)
-                    )
-        unread += [
-            f"{os.path.basename(path)}:{line} {name}"
-            for name, line in sorted(imported.items()) if name not in read
-        ]
+    imported, read = {}, set()
+    for name, node in [*module_nodes(), *module_nodes(TESTS_DIR)]:
+        if name == "__init__.py":
+            continue
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported.setdefault((name, (alias.asname or alias.name).partition(".")[0]), alias.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add((name, node.id))
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read.update(
+                    (name, n.id) for n in ast.walk(ast.parse(note.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    unread = [f"{name}:{line} {v}" for (name, v), line in sorted(imported.items()) if (name, v) not in read]
     assert unread == []
+
+
+def test_no_test_module_imports_another():
+    # the test modules share their oracles and strategies through
+    # `oracles.py`, not through one another; deferred imports count too
+    imports = [
+        f"{name}:{node.lineno} {m}" for name, node in module_nodes(TESTS_DIR)
+        for m in imported_modules(node) if m.startswith("test_")
+    ]
+    assert imports == []
+
+
+def test_the_oracles_name_no_private_name_of_finpow():
+    # an oracle that called a core of the package would share its faults, so
+    # `oracles.py` imports no private name and reads no private attribute
+    with open(os.path.join(TESTS_DIR, "oracles.py")) as f:
+        tree = ast.parse(f.read())
+    private = [
+        f"oracles.py:{node.lineno}" for node in ast.walk(tree)
+        if "._" in "." + (
+            node.name if isinstance(node, ast.alias)
+            else node.module or "" if isinstance(node, ast.ImportFrom)
+            else node.attr if isinstance(node, ast.Attribute) else ""
+        )
+    ]
+    assert private == []

@@ -13,7 +13,7 @@ from finpow.cli import (
     main,
 )
 from finpow import suites
-from finpow.backend import parse_monoid_spec
+from finpow.backend import Budget, parse_monoid_spec
 from finpow.suites import run_verify_suite
 
 SPEC23 = "kind numerical; gens 2, 3"
@@ -381,6 +381,27 @@ class TestUsageErrors:
             " denominator of exactly one generator, and its square does not\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--suite", "ex-4.4", "--depth", "8"), "--depth needs a family spec"),
+            (("verify", "--suite", "all", "--depth", "8"), "--depth needs a family spec"),
+            (("member", "7", "--spec", SPEC23, "--depth", "0"), "--depth needs a family spec"),
+            (("atoms", "--spec", SPEC23, "--depth", "3"), "--depth needs a family spec"),
+            (("sumset", "{1}", "{2}", "--spec", "kind rank2; gens (0,1)", "--budget", "0", "--depth", "-3"),
+             "sumset takes no --spec"),
+            *((("sumset", "{1}", "{2}", flag, "5"), f"sumset takes no {flag}") for flag in COMMON_FLAGS),
+        ],
+    )
+    def test_a_flag_the_command_would_ignore(self, capsys, monkeypatch, argv, message):
+        def spend(*args):
+            raise AssertionError("a node was spent")
+
+        monkeypatch.setattr(Budget, "spend", spend)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "absent" / "x"
         code, out, err = run(capsys, "verify", "--suite", "lemma-3.2", "--out", str(out_path))
@@ -433,3 +454,10 @@ class TestEnvOverrides:
         code, out, _ = run(capsys, "chain", "10")
         assert code == EXIT_INCONCLUSIVE
         assert "after 2 steps" in out
+
+    def test_env_depth_and_budget_are_ambient(self, capsys, monkeypatch):
+        # unlike the flags, they are ignored by a command with no use for them
+        monkeypatch.setenv("FINPOW_DEPTH", "8")
+        monkeypatch.setenv("FINPOW_BUDGET", "1000")
+        assert run(capsys, "sumset", "{1}", "{2}") == (EXIT_PASS, "{3}\n", "")
+        assert run(capsys, "member", "7", "--spec", SPEC23) == (EXIT_PASS, "member\n", "")

@@ -44,9 +44,8 @@ from finpow.power import (
     sumset,
     zero_set,
 )
-from test_backend import naive_members
 from finpow.suites import _ex44_residue_pairs
-from test_power import numerical_specs, puiseux_specs
+from oracles import finsets, naive_divisors, naive_members, numerical_specs, puiseux_specs
 
 N23 = MonoidSpec.numerical(2, 3)
 
@@ -268,15 +267,10 @@ class TestResidueOnInts:
 # against the implementation on decoded sets that it replaced
 
 
-def oracle_common_divisors(s, members: set) -> list:
-    """The d in M with every e - d in M; `members` holds M up to max s."""
-    return sorted(d for d in members if all(e - d in members for e in s))
-
-
 def oracle_mcd(s, members: set) -> list:
     return [
-        d for d in oracle_common_divisors(s, members)
-        if oracle_common_divisors([e - d for e in s], members) == [0]
+        d for d in naive_divisors(s, members)
+        if naive_divisors([e - d for e in s], members) == [0]
     ]
 
 
@@ -335,22 +329,19 @@ def cold(fn, *args):
 
 def check_mcd_layer(s: FinSet, spec: MonoidSpec) -> None:
     members = naive_members(spec.generators, s.max)
-    assert common_divisors(s, spec) == oracle_common_divisors(s, members)
+    assert common_divisors(s, spec) == naive_divisors(s, members)
     assert mcd(s, spec) == oracle_mcd(s, members)
     assert cold(common_divisors, s, spec) == cold(reference_common_divisors, s, spec)
     assert cold(mcd, s, spec) == cold(reference_mcd, s, spec)
 
 
-def draw_set(data, pool: list) -> FinSet:
-    return FinSet(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))))
-
-
-def draw_family(data, pool: list) -> list:
+def draw_family(data, pool: set) -> list:
     """One to three sets over `pool`, each d + v for one shared d or any set,
     so that families with and without non-singleton common divisors occur."""
-    d = draw_set(data, pool)
+    sets = finsets(pool)
+    d = data.draw(sets)
     return [
-        sumset(d, draw_set(data, pool)) if data.draw(st.booleans()) else draw_set(data, pool)
+        sumset(d, data.draw(sets)) if data.draw(st.booleans()) else data.draw(sets)
         for _ in range(data.draw(st.integers(1, 3)))
     ]
 
@@ -359,23 +350,23 @@ class TestScaledMcdLayer:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical_mcd(self, spec, data):
-        check_mcd_layer(draw_set(data, sorted(naive_members(spec.generators, 14))), spec)
+        check_mcd_layer(data.draw(finsets(naive_members(spec.generators, 14))), spec)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_lattice_puiseux_mcd(self, spec, data):
-        check_mcd_layer(draw_set(data, sorted(naive_members(spec.generators, 4))), spec)
+        check_mcd_layer(data.draw(finsets(naive_members(spec.generators, 4))), spec)
 
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical_mcd_in_P(self, spec, data):
-        fam = draw_family(data, sorted(naive_members(spec.generators, 6)))
+        fam = draw_family(data, naive_members(spec.generators, 6))
         assert cold(mcd_in_P, fam, spec) == cold(reference_mcd_in_P, fam, spec)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_lattice_puiseux_mcd_in_P(self, spec, data):
-        fam = draw_family(data, sorted(naive_members(spec.generators, 2)))
+        fam = draw_family(data, naive_members(spec.generators, 2))
         assert cold(mcd_in_P, fam, spec) == cold(reference_mcd_in_P, fam, spec)
 
 
@@ -443,7 +434,8 @@ class TestScaledLemma52Path:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_cap_constant_on_matches_cap_residue(self, spec, data):
-        # cap_residue, on Fractions, is the reference of the int check
+        # the set check agrees with the residue of each element alone, which
+        # `TestResidueOnInts` checks against `residue_by_fractions`
         s = draw_residue_set(data, spec)
         sides = [s] + [side for d in decompositions(s, spec) for side in (d.left, d.right)]
         for a, p in _ex44_residue_pairs(spec):

@@ -45,9 +45,21 @@ from finpow.power import (
     zero_set,
 )
 from finpow.suites import _ex44_residue_pairs
+from oracles import (
+    finsets,
+    naive_members,
+    numerical_specs,
+    oracle_pairs,
+    puiseux_specs,
+    rank2_specs,
+    small_points,
+    small_rationals,
+)
 
 N23 = MonoidSpec.numerical(2, 3)
 N0 = MonoidSpec.numerical(1)
+# the rank-2 oracles draw from the members in the boxes [0, 4]^2 and [0, 2]^2
+BOX, HALF_BOX = QPoint2(Fraction(4), Fraction(4)), QPoint2(Fraction(2), Fraction(2))
 
 int_sets = st.lists(st.integers(0, 30), min_size=1, max_size=5).map(
     lambda xs: FinSet(tuple(xs))
@@ -213,34 +225,6 @@ class TestPFactorize:
 # brute-force oracle over pairs of subsets.
 
 
-def closure(gens, zero, fits):
-    """Breadth-first closure of the generators among the points that fit."""
-    out, frontier = {zero}, {zero}
-    while frontier:
-        frontier = {q + g for q in frontier for g in gens if fits(q + g)} - out
-        out |= frontier
-    return out
-
-
-def oracle_pairs(s: FinSet, members: set) -> set:
-    """Every (U, V) of finite subsets of M with U + V = s.
-
-    `members` must hold every member of M below the elements of s.  U ranges
-    over the subsets of the divisors of the elements of s with at most |s|
-    elements, V over the subsets of the divisors m with U + m inside s."""
-    target = set(s.elems)
-    divs = sorted(d for d in members if any(x - d in members for x in target))
-    pairs = set()
-    for k in range(1, len(s) + 1):
-        for u in itertools.combinations(divs, k):
-            fit = [m for m in divs if all(e + m in target for e in u)]
-            for j in range(1, len(fit) + 1):
-                for v in itertools.combinations(fit, j):
-                    if {e + m for e in u for m in v} == target:
-                        pairs.add((u, v))
-    return pairs
-
-
 def check_against_oracle(s: FinSet, spec: MonoidSpec, members: set) -> None:
     zero = spec.zero
     pairs = oracle_pairs(s, members)
@@ -255,41 +239,18 @@ def check_against_oracle(s: FinSet, spec: MonoidSpec, members: set) -> None:
         assert [(d.left.elems, d.right.elems) for d in got] == want
 
 
-numerical_specs = st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True).map(
-    lambda gs: MonoidSpec.numerical(*gs)
-)
-small_rationals = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 3, 4, 6)))
-puiseux_specs = st.lists(small_rationals, min_size=1, max_size=3, unique=True).map(
-    lambda gs: MonoidSpec.puiseux(*gs)
-)
-small_points = st.builds(
-    QPoint2,
-    st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 3))),
-    st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 4))),
-).filter(lambda g: g > QPoint2(Fraction(0), Fraction(0)))
-rank2_specs = st.lists(small_points, min_size=1, max_size=3, unique=True).map(
-    lambda gs: MonoidSpec.rank2(*gs)
-)
-
-
-def rank1_members(spec: MonoidSpec, bound) -> set:
-    return closure(spec.generators, Fraction(0), lambda q: q <= bound)
-
-
 class TestAnchoredEnumerationOracle:
     @given(numerical_specs, st.data())
     @settings(max_examples=40, deadline=None)
     def test_numerical(self, spec, data):
-        members = rank1_members(spec, 12)
-        elems = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=4))
-        check_against_oracle(FinSet(tuple(elems)), spec, members)
+        members = naive_members(spec.generators, 12)
+        check_against_oracle(data.draw(finsets(members, 4)), spec, members)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=40, deadline=None)
     def test_small_lattice_puiseux(self, spec, data):
-        members = rank1_members(spec, 3)
-        elems = data.draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=4))
-        check_against_oracle(FinSet(tuple(elems)), spec, members)
+        members = naive_members(spec.generators, 3)
+        check_against_oracle(data.draw(finsets(members, 4)), spec, members)
 
     @pytest.mark.parametrize("elems", [(4, 5, 6, 7), (4, 5, 6)])
     def test_middle_anchor(self, elems):
@@ -297,7 +258,7 @@ class TestAnchoredEnumerationOracle:
         # {2, 4} and {2, 3} + {2, 3, 4} of {4, 5, 6, 7} have sides of equal
         # minimum, each found from both of its sides; {4, 5, 6} is {2, 3} +
         # {2, 3}, found once
-        check_against_oracle(FinSet(elems), N23, rank1_members(N23, 12))
+        check_against_oracle(FinSet(elems), N23, naive_members(N23.generators, 12))
 
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_rank2_family(self, with_atom):
@@ -308,14 +269,8 @@ class TestAnchoredEnumerationOracle:
             elems = (dy[0], dy[1], a, a + dy[1])  # {0, a} + {0, (0, 1/8)}
         else:
             elems = tuple(dy)  # {0, (0, 1/8)} + {0, (0, 1/4)}
-        s = FinSet(elems)
-        top_x, top_y = max(e.x for e in elems), max(e.y for e in elems)
-        members = closure(
-            spec.generators,
-            spec.zero,
-            lambda q: q.x <= top_x and q.y <= top_y,
-        )
-        check_against_oracle(s, spec, members)
+        top = QPoint2(max(e.x for e in elems), max(e.y for e in elems))
+        check_against_oracle(FinSet(elems), spec, naive_members(spec.generators, top))
 
 
 class TestOffLattice:
@@ -389,9 +344,11 @@ class TestNonMemberSets:
 # The mask kernel of cofactors and the trusted decoding, against brute force
 
 
-def check_cofactor(u: FinSet, t: FinSet, spec: MonoidSpec, members: set) -> None:
-    """C = {m in M : u + m inside t}, and u divides t iff u + C = t;
-    `members` must hold every member of M up to max t."""
+def check_cofactor(spec: MonoidSpec, top, low, data) -> None:
+    """C = {m in M : u + m inside t}, and u divides t iff u + C = t, for a
+    pair from `draw_pair` over the members up to `top` and up to `low`."""
+    members = naive_members(spec.generators, top)
+    u, t = draw_pair(data, members, naive_members(spec.generators, low))
     target = set(t.elems)
     want = tuple(sorted(m for m in members if all(e + m in target for e in u)))
     got = singleton_candidates(u, t, spec)
@@ -403,22 +360,18 @@ def check_cofactor(u: FinSet, t: FinSet, spec: MonoidSpec, members: set) -> None
         assert witness is None
 
 
-def draw_pair(data, members: set, half) -> tuple:
-    """(u, t) over the members: t is u + v, u + v less one element, or any
-    set, so that divisors, near misses and unrelated sets all occur."""
-    low = sorted(m for m in members if half(m))
-    u, v = (
-        FinSet(tuple(data.draw(st.lists(st.sampled_from(low), min_size=1, max_size=3))))
-        for _ in range(2)
-    )
+def draw_pair(data, members: set, low: set) -> tuple:
+    """(u, t) over the members: u and v are sets of `low`, and t is u + v,
+    u + v less one element, or any set, so that divisors, near misses and
+    unrelated sets all occur."""
+    u, v = (data.draw(finsets(low)) for _ in range(2))
     t = sumset(u, v)
     mode = data.draw(st.sampled_from(("sum", "less", "any")))
     if mode == "less" and len(t) > 1:
         drop = data.draw(st.sampled_from(t.elems))
         t = FinSet(tuple(e for e in t if e != drop))
     elif mode == "any":
-        pool = sorted(members)
-        t = FinSet(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))))
+        t = data.draw(finsets(members, 5))
     return u, t
 
 
@@ -426,23 +379,19 @@ class TestCofactorKernel:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical(self, spec, data):
-        members = rank1_members(spec, 16)
-        check_cofactor(*draw_pair(data, members, lambda m: m <= 8), spec, members)
+        check_cofactor(spec, 16, 8, data)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_lattice_puiseux(self, spec, data):
-        members = rank1_members(spec, 4)
-        check_cofactor(*draw_pair(data, members, lambda m: m <= 2), spec, members)
+        check_cofactor(spec, 4, 2, data)
 
     @given(rank2_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_rank2(self, spec, data):
         # every generator has x, y >= 0, so the members in the box [0, 4]^2
         # hold every m with u + m inside a set of the box
-        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
-        half = lambda m: m.x <= 2 and m.y <= 2  # noqa: E731
-        check_cofactor(*draw_pair(data, members, half), spec, members)
+        check_cofactor(spec, BOX, HALF_BOX, data)
 
 
 def check_sumset(xs: list, ys: list) -> None:
@@ -586,13 +535,10 @@ def run_calls(calls: list, spec: MonoidSpec, empty_memo: bool) -> list:
     return out
 
 
-def draw_calls(data, members: set, half) -> list:
-    """A sequence of power-layer calls on a small pool of sets, so that sets
-    repeat, under budgets small enough to run out mid-enumeration."""
-    low = sorted(m for m in members if half(m))
-    small = st.lists(st.sampled_from(low), min_size=1, max_size=3).map(
-        lambda xs: FinSet(tuple(xs))
-    )
+def draw_calls(data, low: set) -> list:
+    """A sequence of power-layer calls on a small pool of sets over `low`, so
+    that sets repeat, under budgets small enough to run out mid-enumeration."""
+    small = finsets(low)
     # sums of two sets, so that the pool has sets that decompose
     pool = data.draw(
         st.lists(st.one_of(st.tuples(small, small).map(lambda p: sumset(*p)), small),
@@ -618,21 +564,17 @@ class TestEnumerationMemoOracle:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical(self, spec, data):
-        members = rank1_members(spec, 16)
-        check_memo_moves_nothing(draw_calls(data, members, lambda m: m <= 8), spec)
+        check_memo_moves_nothing(draw_calls(data, naive_members(spec.generators, 8)), spec)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_lattice_puiseux(self, spec, data):
-        members = rank1_members(spec, 4)
-        check_memo_moves_nothing(draw_calls(data, members, lambda m: m <= 2), spec)
+        check_memo_moves_nothing(draw_calls(data, naive_members(spec.generators, 2)), spec)
 
     @given(rank2_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_rank2(self, spec, data):
-        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
-        half = lambda m: m.x <= 2 and m.y <= 2  # noqa: E731
-        check_memo_moves_nothing(draw_calls(data, members, half), spec)
+        check_memo_moves_nothing(draw_calls(data, naive_members(spec.generators, HALF_BOX)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -770,101 +712,14 @@ class TestDivisorsOracle:
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_puiseux(self, spec, data):
-        members = sorted(rank1_members(spec, 6))
+        members = sorted(naive_members(spec.generators, 6))
         check_divisors(data.draw(st.sampled_from(members), label="b"), spec, data)
 
     @given(rank2_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_rank2(self, spec, data):
-        members = closure(spec.generators, spec.zero, lambda q: q.x <= 4 and q.y <= 4)
+        members = naive_members(spec.generators, BOX)
         check_divisors(data.draw(st.sampled_from(sorted(members)), label="b"), spec, data)
-
-
-# ---------------------------------------------------------------------------
-# `_search` sweeps the last two levels of a plan in one charge, against the
-# recursion it replaced, which opened a frame for each node of the
-# second-to-last level: the same results in the same order, the same nodes,
-# and the same stop when the budget runs out.
-
-
-def reference_search(plan, i, y, x, budget, first_only, results, prefix) -> bool:
-    """One frame per node above the last level; a node of the last level
-    charges its leaves in one spend and tests only the last of them."""
-    budget.spend()
-    if not y and not x:
-        results.append(tuple(prefix) + (0,) * (len(plan) - i))
-        return True
-    if y < 0 or x < 0:
-        return False
-    gy, gx, more_y, more_x, d, step, inv = plan[i]
-    if (y and not more_y) or (x and not more_x) or y % d:
-        return False
-    kmax = y // gy if gy else x // gx
-    if gy and gx:
-        kmax = min(kmax, x // gx)
-    ks = range(y // d * inv % step, kmax + 1, step)
-    if i + 1 == len(plan):
-        budget.spend(len(ks))
-        if ks and ks[-1] * gy == y and ks[-1] * gx == x:
-            results.append((*prefix, ks[-1]))
-            return True
-        return False
-    found = False
-    for k in ks:
-        prefix.append(k)
-        ok = reference_search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)
-        prefix.pop()
-        if ok:
-            if first_only:
-                return True
-            found = True
-    return found
-
-
-def check_search(reference, plan: tuple, y: int, x: int, data) -> None:
-    """`_search` returns, finds, in order, and spends what `reference` does
-    from the residual (y, x), and stops at limit + 1 under any smaller
-    limit, for `first_only` both ways."""
-    for first_only in (True, False):
-        want, got, ref, bud = [], [], Budget(), Budget()
-        expected = reference(plan, 0, y, x, ref, first_only, want, [])
-        assert backend._search(plan, 0, y, x, bud, first_only, got, []) == expected
-        assert got == want
-        assert bud.used == ref.used
-        limit = data.draw(st.integers(0, ref.used - 1), label="limit")
-        for search in (backend._search, reference):
-            bud = Budget(limit)
-            with pytest.raises(BudgetExceededError):
-                search(plan, 0, y, x, bud, first_only, [], [])
-            assert bud.used == limit + 1
-
-
-def spec_plan(spec: MonoidSpec) -> tuple:
-    return backend._plan(spec.generators[::-1], spec.scale)
-
-
-class TestSearchOracle:
-    @given(numerical_specs, st.integers(0, 60), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_numerical(self, spec, y, data):
-        check_search(reference_search, spec_plan(spec), y, 0, data)
-
-    @given(puiseux_specs, st.integers(0, 80), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_puiseux(self, spec, y, data):
-        check_search(reference_search, spec_plan(spec), y, 0, data)
-
-    # d > 1 on the last level: a child whose residual is off the last
-    # generator's lattice is pruned before its leaves are counted
-    @given(puiseux_specs.filter(lambda spec: spec_plan(spec)[-1][4] > 1), st.integers(0, 80), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_puiseux_with_a_lattice_test_on_the_last_level(self, spec, y, data):
-        check_search(reference_search, spec_plan(spec), y, 0, data)
-
-    @given(rank2_specs, st.integers(0, 24), st.integers(0, 24), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_rank2(self, spec, y, x, data):
-        check_search(reference_search, spec_plan(spec), y, x, data)
 
 
 RANK2_53 = MonoidSpec.of_family("RANK2-5.3", 3, (Fraction(7, 3),))
@@ -886,9 +741,8 @@ class TestPatternEnumerationOracle:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical(self, spec, data):
-        members = sorted(rank1_members(spec, 10))
-        parts = st.lists(st.sampled_from(members), min_size=1, max_size=3)
-        s = sumset(FinSet(tuple(data.draw(parts))), FinSet(tuple(data.draw(parts))))
+        parts = finsets(naive_members(spec.generators, 10))
+        s = sumset(data.draw(parts), data.draw(parts))
         check_pattern_enumeration(s, spec, data)
 
     @given(st.data())
