@@ -27,6 +27,7 @@ from .backend import (
     Budget,
     MonoidSpec,
     _Query,
+    _scaled_atoms,
     _split,
     as_budget,
     atoms,
@@ -126,10 +127,9 @@ def is_furstenberg_sample(
         raise InvalidInputError("Furstenberg sample requires a rank-1 spec")
     if bound <= 0:
         raise InvalidInputError("bound must be positive")
-    bud = as_budget(budget)
-    ats = [encode(a, spec) for a in atoms(spec, bud)]
-    q = _Query(spec, bud)
-    for b in members_upto(spec, bound, bud):
+    q = _Query(spec, as_budget(budget))
+    ats = _scaled_atoms(q)
+    for b in members_upto(spec, bound, q.budget):
         if b == 0:
             continue
         if next(_atom_divisors(encode(b, spec), ats, q), None) is None:
@@ -156,15 +156,14 @@ def p_furstenberg_divisor(
 def _p_furstenberg_divisor(t: tuple, q: _Query) -> tuple:
     """`p_furstenberg_divisor` of the scaled set t other than the zero set,
     as a scaled set.  The singleton branch takes d, the largest common
-    divisor, from `_common_divisors` and encodes the spec's atoms, which the
-    result cache keeps after the first call."""
+    divisor, from `_common_divisors`, and reads the spec's scaled atoms
+    from the result cache, which encodes them on the first call."""
     if not _decompositions(t, q):
         return t
     common = _common_divisors(t, q)
     if len(common) > 1:
         d = common[-1]
-        ats = [encode(a, q.spec) for a in atoms(q.spec, q.budget)]
-        a = next(_atom_divisors(d, ats, q), None)
+        a = next(_atom_divisors(d, _scaled_atoms(q), q), None)
         if a is None:
             raise InvalidInputError(f"no atom divides {decode(d, q.spec)}")
         return (a,)
@@ -210,14 +209,15 @@ def tidf_implies_atomic_check(
 ) -> DescentReport:
     """Replay the atomicity descent from every member below the bound:
     repeatedly subtract the minimum atom divisor and confirm termination at 0
-    within ceil(b / min atom) steps.  One encode of the atoms and of the
-    members, the scaled core `_descent`, and one decode of a counterexample."""
+    within ceil(b / min atom) steps.  The scaled atoms the result cache
+    keeps, one encode of the members, the scaled core `_descent`, and one
+    decode of a counterexample."""
     if spec.is_rank2:
         raise InvalidInputError("descent check requires a rank-1 positive backend")
-    bud = as_budget(budget)
-    ats = [encode(a, spec) for a in atoms(spec, bud)]
-    members = [encode(b, spec) for b in members_upto(spec, bound, bud)]
-    ok, out = _descent(members, ats, _Query(spec, bud))
+    q = _Query(spec, as_budget(budget))
+    ats = _scaled_atoms(q)
+    members = [encode(b, spec) for b in members_upto(spec, bound, q.budget)]
+    ok, out = _descent(members, ats, q)
     if ok:
         return DescentReport(True, max_descent=out)
     return DescentReport(False, counterexample=decode(out, spec))

@@ -21,11 +21,14 @@ the primes of L that no later denominator carries, which is what keeps
 truncated Puiseux families with large denominators tractable.  `_solve`
 runs it over the atoms for `factorizations`, and for `atoms` over the
 generators but the one tested, with no spec built for them; `_least` finds
-the least factorizations on the same walk, memoized by (level, residual),
-and charges a repeated subtree's nodes in one spend.  Membership
-verdicts, scaled divisor lists, set divisor enumerations and the atom list
-live in one result cache per spec, an `_Entry` with a named field for each;
-`clear_caches` empties it.  A `_Query` holds a spec, its entry and a budget;
+the least factorizations on the same walk, memoized by (level, residual)
+across calls, and charges a repeated subtree's nodes in one spend.
+Membership verdicts, scaled divisor lists, set divisor enumerations and the
+atom list live in one result cache per spec, an `_Entry` with a named field
+for each; so do the pure results that queries repeat, decoded elements,
+MCD lists, the views of a kept enumeration and `_least`'s memos, each hit
+spending what recomputing it would.  `clear_caches` empties the cache.
+A `_Query` holds a spec, its entry and a budget;
 the scaled cores here and in `power` and `mcd` take one, and `member` and
 `divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode;
 an element off the generators' lattice has no scaled form and is answered
@@ -407,8 +410,10 @@ def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: i
     """The k least reversed suffixes (coefficients of levels n-1 down to i)
     of the hits of `_search`'s subtree at (i, y, x), at its node count;
     `memo` maps (i, y, x) to both, so a repeated subtree is one `spend`, and
-    a walk the budget cuts short raises before it is stored.  A subtree of
-    at most two levels, or a zero residual, is `_search`'s."""
+    a walk the budget cuts short raises before it is stored.  The memo is
+    kept in the spec's entry, so a later call replays what an earlier one
+    walked.  A subtree of at most two levels, or a zero residual, is
+    `_search`'s."""
     entry = memo.get((i, y, x))
     if entry is not None:
         budget.spend(entry[0])
@@ -433,16 +438,20 @@ def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: i
 
 
 def _solve(
-    basis: tuple, b: Element, budget: Budget, first_only: bool, limit: Optional[int] = None
+    basis: tuple, b: Element, budget: Budget, first_only: bool,
+    limit: Optional[int] = None, memos: Optional[dict] = None,
 ) -> list:
     """The sorted coefficient vectors writing b over an ascending basis of
     distinct positive elements; with `first_only`, at most the first found.
-    A `limit` keeps the least `limit` vectors, by `_least`."""
+    A `limit` keeps the least `limit` vectors, by `_least`, whose memo for
+    the walk's scale and the limit is kept in `memos`: b's denominator can
+    make that scale finer than the basis's, and the kept suffixes depend on
+    the limit."""
     ordered = basis[::-1]
     scale, y, x = _lattice(b, _basis_scale(ordered, isinstance(b, QPoint2)))
     plan = _plan(ordered, scale)
     if limit is not None:
-        return _least(plan, 0, y, x, budget, {}, limit)
+        return _least(plan, 0, y, x, budget, memos.setdefault((scale, limit), {}), limit)
     results: list = []
     _search(plan, 0, y, x, budget, first_only, results, [])
     return sorted(vec[::-1] for vec in results)
@@ -458,7 +467,8 @@ def representations(
 
 class _Entry:
     """The result cache of one spec, so a repeated query of each kind is
-    one lookup.
+    one lookup.  A hit spends what recomputing would spend against the same
+    cache, so no field moves a node count.
 
     `verdicts` maps a scaled element to its membership verdict and `divisors`
     to its scaled divisors, an ascending tuple; `plan` is the search plan over
@@ -466,13 +476,31 @@ class _Entry:
     `power._anchored_divisors`'s, and maps a scaled set to None once it has
     been enumerated, then to (its divisor enumeration, the nodes an uncached
     rerun spends); `atoms` is the atom tuple once `atoms` has completed, None
-    before.
+    before, and `scaled_atoms` its scaled form once a core has asked for it.
+
+    The rest keep pure results that queries repeat:
+    - `elements` maps a scaled element to its decoded one (`decode`); a hit
+      spends 0, as decoding charges nothing;
+    - `mcds` maps a scaled set to its scaled MCDs (`mcd._mcd`); a hit spends
+      0, as a rerun reads only divisor lists the first run cached;
+    - `decompositions` maps (t, both_nonsingleton) to the pairs of
+      `power._decompositions`, and `cofactors` t to the {U: C} map of
+      `mcd._mcd_in_P`; each view is stored only once `enumerations[t]` is
+      kept, and a hit spends `enumerations[t][1]`, the spend of the replay
+      it was built from;
+    - `least` maps (scale, k) to the memo of `_least` over the atoms at that
+      scale, kept for k least vectors; a replayed subtree spends its count.
     """
 
-    __slots__ = ("verdicts", "divisors", "plan", "enumerations", "atoms")
+    __slots__ = (
+        "verdicts", "divisors", "plan", "enumerations", "atoms", "scaled_atoms",
+        "elements", "mcds", "decompositions", "cofactors", "least",
+    )
 
     def __init__(self, spec: MonoidSpec):
         self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
+        self.elements, self.mcds, self.decompositions, self.cofactors = {}, {}, {}, {}
+        self.least, self.scaled_atoms = {}, None
         self.plan = _plan(spec.generators[::-1], spec.scale)
 
 
@@ -525,7 +553,18 @@ def _split(n: int, pack: int) -> tuple:
 
 
 def decode(n, spec: MonoidSpec) -> Element:
-    """The element whose scaled form over a spec is n."""
+    """The element whose scaled form over a spec is n, kept in the spec's
+    result-cache entry once it has one, so a repeat is one lookup."""
+    entry = _cache.get(spec)
+    if entry is None:
+        return _decoded(n, spec)
+    e = entry.elements.get(n)
+    if e is None:
+        e = entry.elements[n] = _decoded(n, spec)
+    return e
+
+
+def _decoded(n, spec: MonoidSpec) -> Element:
     if not spec.is_rank2:
         return Fraction(n, spec.scale)
     y, x = _split(n, _PACK)
@@ -634,6 +673,15 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     return list(entry.atoms)
 
 
+def _scaled_atoms(q: _Query) -> tuple:
+    """The scaled atoms of q's spec, ascending: `atoms` encoded once, on the
+    first call, and kept in the entry."""
+    entry = q.entry
+    if entry.scaled_atoms is None:
+        entry.scaled_atoms = tuple(encode(a, q.spec) for a in atoms(q.spec, q.budget))
+    return entry.scaled_atoms
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A multiset of (atom, multiplicity) pairs summing to the factored element."""
@@ -682,10 +730,11 @@ def factorizations(
     spec.check_element(b)
     bud = as_budget(budget)
     atom_tuple = tuple(atoms(spec, bud))
+    least = _cache[spec].least
     # the atoms ascend, so each vector's nonzero parts do too
     return [
         Factorization._ascending(tuple((a, c) for a, c in zip(atom_tuple, vec) if c))
-        for vec in _solve(atom_tuple, b, bud, False, limit)
+        for vec in _solve(atom_tuple, b, bud, False, limit, least)
     ]
 
 

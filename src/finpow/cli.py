@@ -35,10 +35,12 @@ EXIT_INCONCLUSIVE = 3
 _DEPTH_NEEDS_A_FAMILY = "--depth needs a family spec to truncate"
 
 
-def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(name)
+def _flag_or_env(flag: Optional[int], name: str) -> Optional[int]:
+    """An explicit flag's value, else the environment variable `name`'s,
+    else None: an ambient default yields to the flag."""
+    raw = os.environ.get(name) if flag is None else None
     if raw is None:
-        return fallback
+        return flag
     try:
         return int(raw)
     except ValueError:
@@ -59,14 +61,14 @@ def _load_spec(args) -> MonoidSpec:
     spec = parse_monoid_spec(text)
     if args.depth is not None and spec.kind != "family":
         raise InvalidInputError(_DEPTH_NEEDS_A_FAMILY)
-    depth = _env_int("FINPOW_DEPTH", args.depth)
+    depth = _flag_or_env(args.depth, "FINPOW_DEPTH")
     if depth is not None and spec.kind == "family":
         spec = MonoidSpec.of_family(spec.family, depth, spec.sample)
     return spec
 
 
 def _budget(args) -> Budget:
-    limit = _env_int("FINPOW_BUDGET", args.budget)
+    limit = _flag_or_env(args.budget, "FINPOW_BUDGET")
     if limit is None:
         return Budget(DEFAULT_BUDGET)
     if limit <= 0:
@@ -181,8 +183,8 @@ def _cmd_chain(args) -> int:
     spec = _load_spec(args) if (args.spec or args.spec_file) else None
     if spec is not None and spec.family != "EX44":
         raise InvalidInputError("chain needs an EX44 family spec")
-    # `_load_spec` has applied --depth and FINPOW_DEPTH to a spec's depth
-    depth = spec.depth if spec is not None else _env_int("FINPOW_DEPTH", args.depth)
+    # `_load_spec` has applied --depth, else FINPOW_DEPTH, to a spec's depth
+    depth = spec.depth if spec is not None else _flag_or_env(args.depth, "FINPOW_DEPTH")
     if depth is None:
         depth = 6
     try:

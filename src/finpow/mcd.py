@@ -12,6 +12,8 @@ The scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
 partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
 `mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, from the
 divisor lists `_common_divisors` reads or by the anchored enumeration.
+The result cache keeps each set's MCD list and, once a set's enumeration
+is kept, its {U: C} map, each replayed at the node cost of recomputing it.
 """
 from __future__ import annotations
 
@@ -58,12 +60,18 @@ def _common_divisors(s: tuple, q: _Query) -> list:
 
 
 def _mcd(s: tuple, q: _Query) -> list:
-    """The scaled maximal common divisors of the scaled set s, ascending."""
-    zero = s[0] - s[0]
-    return [
-        d for d in _common_divisors(s, q)
-        if _common_divisors(tuple(e - d for e in s), q) == [zero]
-    ]
+    """The scaled maximal common divisors of the scaled set s, ascending,
+    kept in the result cache: a rerun reads only divisor lists the first
+    run cached, so it spends nothing, and neither does a hit.  The list is
+    shared."""
+    out = q.entry.mcds.get(s)
+    if out is None:
+        zero = s[0] - s[0]
+        out = q.entry.mcds[s] = [
+            d for d in _common_divisors(s, q)
+            if _common_divisors(tuple(e - d for e in s), q) == [zero]
+        ]
+    return out
 
 
 def common_divisors(
@@ -98,7 +106,7 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
     sets; a TruncationError carries the scaled stripped divisor as partial."""
     stripped = (fam[0][0] - fam[0][0],)
     while True:
-        cofactors = [{u: c for u, c, _ in _anchored_divisors(t, q)} for t in fam]
+        cofactors = [_cofactor_map(t, q) for t in fam]
         common = set(cofactors[0]).intersection(*cofactors[1:])
         # scaled divisors sort as their decoded sets do
         nonsingleton = sorted(u for u in common if len(u) >= 2)
@@ -114,6 +122,23 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
         )
     # translates by ascending m0 come out in ascending order
     return [tuple(e + m0 for e in stripped) for m0 in m_level]
+
+
+def _cofactor_map(t: tuple, q: _Query) -> dict:
+    """{U: C} for the divisors U of the scaled set t and their largest
+    cofactors C.  Once t's enumeration is kept, so is the map, in the result
+    cache; a hit spends what the replay of that enumeration spends."""
+    entry = q.entry
+    kept = entry.enumerations.get(t)
+    if kept is not None:
+        out = entry.cofactors.get(t)
+        if out is not None:
+            q.budget.spend(kept[1])
+            return out
+    out = {u: c for u, c, _ in _anchored_divisors(t, q)}
+    if entry.enumerations.get(t) is not None:
+        entry.cofactors[t] = out
+    return out
 
 
 def mcd_in_P(

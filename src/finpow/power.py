@@ -52,7 +52,8 @@ too.  Each public function builds one `backend._Query` and passes it to the
 scaled cores.  Membership tests, divisor lists and set divisor enumerations
 share the one result cache of `backend`, read by scaled element through
 `_Query.is_member` and `_scaled_divisors`; a kept enumeration is replayed
-at the node cost of an uncached rerun, so caching moves no count.
+at the node cost of an uncached rerun, and so are the pairs of
+`_decompositions` built from it, so caching moves no count.
 """
 from __future__ import annotations
 
@@ -406,7 +407,18 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     `_anchored_divisors`, which translates none of them, is enough unless
     the list is to be kept.  A divisor with a < min t - a gives (U, V) with
     U < V, as min U < min V; one with a = min t - a gives both (U, V) and
-    (V, U), and only U <= V is kept."""
+    (V, U), and only U <= V is kept.
+
+    Once t's enumeration is kept, so are the pairs, in the result cache
+    under (t, both_nonsingleton); a hit spends what the replay of that
+    enumeration spends, and the list is shared."""
+    entry = q.entry
+    kept = entry.enumerations.get(t)
+    if kept is not None:
+        pairs = entry.decompositions.get((t, both_nonsingleton))
+        if pairs is not None:
+            q.budget.spend(kept[1])
+            return pairs
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     pairs: list = []
     picks: dict = {}
@@ -433,6 +445,8 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
             if not middle or u <= v:
                 pairs.append((u, v))
     pairs.sort()
+    if entry.enumerations.get(t) is not None:
+        entry.decompositions[t, both_nonsingleton] = pairs
     return pairs
 
 

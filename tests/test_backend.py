@@ -192,6 +192,15 @@ class TestMonoidSpec:
         for _ in range(2):
             decompositions(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3))
         mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], MonoidSpec.numerical(3, 4, 5))
+        # twice each, so that the views of kept enumerations are stored
+        for _ in range(2):
+            mcd_in_P([FinSet((4, 5, 6, 7))], MonoidSpec.numerical(2, 3))
+            p_furstenberg_divisor(FinSet((4, 5)), MonoidSpec.numerical(2, 3))
+        factorizations(Fraction(7), MonoidSpec.numerical(2, 3, 5, 7), limit=1)
+        entries = list(backend._cache.values())
+        repeats = ("elements", "mcds", "decompositions", "cofactors", "least", "scaled_atoms")
+        for name in repeats:
+            assert any(getattr(e, name) for e in entries), name
         modules = [
             importlib.import_module(f"finpow.{m.name}")
             for m in pkgutil.iter_modules(finpow.__path__)
@@ -205,6 +214,9 @@ class TestMonoidSpec:
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
+        fresh = backend._Query(MonoidSpec.numerical(2, 3), Budget()).entry
+        assert fresh not in entries
+        assert not any(getattr(fresh, name) for name in repeats)
         # only what queries repeat is memoized: the plans and the families
         assert sorted(f.__name__ for f in lru) == ["_plan", "expand_family"]
 
@@ -718,6 +730,29 @@ class TestNodeCounts:
         with pytest.raises(BudgetExceededError):
             ex44_chain(3, 9, bud)
         assert bud.used == limit + 1
+
+    @pytest.mark.parametrize("limit", [300_000, 319_132])
+    def test_a_cut_chain_stores_only_whole_subtrees(self, limit):
+        # the memo of `_least` outlives a call, so a walk the budget cut
+        # short must keep no subtree it did not finish: the full chain after
+        # it gives the cold chain's certificates, at the count it gives with
+        # that memo emptied.  (Both spend less than a cold chain, 319,133,
+        # as the cut chain's membership verdicts stay cached and a cached
+        # verdict is read free.)
+        clear_caches()
+        want = ex44_chain(3, 9)
+        used = []
+        for empty in (False, True):
+            clear_caches()
+            with pytest.raises(BudgetExceededError):
+                ex44_chain(3, 9, Budget(limit))
+            if empty:
+                for entry in backend._cache.values():
+                    entry.least.clear()
+            bud = Budget()
+            assert ex44_chain(3, 9, bud) == want
+            used.append(bud.used)
+        assert used[0] == used[1] < 319133
 
     def test_atoms_returns_a_fresh_list(self):
         clear_caches()

@@ -455,6 +455,26 @@ class TestEnvOverrides:
         assert code == EXIT_INCONCLUSIVE
         assert "after 2 steps" in out
 
+    @pytest.mark.parametrize(
+        "name, value, argv, want",
+        [
+            ("FINPOW_BUDGET", "100000",
+             ["p-factorize", "{4,5,6,7}", "--spec", SPEC23, "--budget", "1"], EXIT_INCONCLUSIVE),
+            ("FINPOW_BUDGET", "1",
+             ["p-factorize", "{4,5,6,7}", "--spec", SPEC23, "--budget", "100000"], EXIT_PASS),
+            ("FINPOW_DEPTH", "2",
+             ["member", "1/76", "--spec", "family EX44 depth 3", "--depth", "3"], EXIT_PASS),
+            ("FINPOW_DEPTH", "3", ["chain", "10", "--depth", "2"], EXIT_INCONCLUSIVE),
+            ("FINPOW_DEPTH", "lots", ["chain", "1", "--depth", "3"], EXIT_PASS),
+        ],
+    )
+    def test_a_flag_wins_over_the_environment(self, capsys, monkeypatch, name, value, argv, want):
+        monkeypatch.setenv(name, value)
+        code, out, _ = run(capsys, *argv)
+        assert code == want
+        if argv[0] == "chain" and want == EXIT_INCONCLUSIVE:
+            assert "after 1 steps" in out
+
     def test_env_depth_and_budget_are_ambient(self, capsys, monkeypatch):
         # unlike the flags, they are ignored by a command with no use for them
         monkeypatch.setenv("FINPOW_DEPTH", "8")

@@ -161,7 +161,7 @@ class TestCapResidue:
             with pytest.raises(InvalidInputError, match="is not a generator"):
                 cap_constant_on(s, F(1, 5), 5, self.SPEC)
 
-    def test_good_pair_is_remembered_per_spec(self):
+    def test_a_pair_good_for_one_spec_is_refused_for_another(self):
         clear_caches()
         s = FinSet((F(1, 5),))
         assert cap_constant_on(s, F(1, 5), 5, MonoidSpec.puiseux(F(1, 5), F(1, 2)))

@@ -20,8 +20,10 @@ from finpow.backend import (
     _divisors,
     clear_caches,
     decode,
+    divisors,
     encode,
     expand_family,
+    factorizations,
 )
 from finpow.mcd import common_divisors, mcd, mcd_in_P, p_divisors
 from finpow.power import (
@@ -517,15 +519,26 @@ class TestEnumerationMemo:
         assert FinSet(self.T) in got
 
 
-def run_calls(calls: list, spec: MonoidSpec, empty_memo: bool) -> list:
+# the result-cache fields that keep a pure result for a repeat to read
+REPEATS = ("elements", "mcds", "decompositions", "cofactors", "least", "scaled_atoms")
+
+
+def empty_field(entry, name: str) -> None:
+    if name == "scaled_atoms":
+        entry.scaled_atoms = None
+    else:
+        getattr(entry, name).clear()
+
+
+def run_calls(calls: list, spec: MonoidSpec, empty: tuple = ()) -> list:
     """(answer or exception type, Budget.used) per call, from cold caches;
-    with `empty_memo` every kept enumeration is dropped before each call."""
+    the result-cache fields named in `empty` are emptied before each call."""
     clear_caches()
     out = []
     for fn, arg, limit in calls:
-        if empty_memo:
-            for entry in backend._cache.values():
-                entry.enumerations.clear()
+        for entry in backend._cache.values():
+            for name in empty:
+                empty_field(entry, name)
         bud = Budget(limit)
         try:
             got = fn(arg, spec, bud)
@@ -557,7 +570,9 @@ def draw_calls(data, low: set) -> list:
 
 
 def check_memo_moves_nothing(calls: list, spec: MonoidSpec) -> None:
-    assert run_calls(calls, spec, False) == run_calls(calls, spec, True)
+    want = run_calls(calls, spec)
+    assert run_calls(calls, spec, ("enumerations",)) == want
+    assert run_calls(calls, spec, REPEATS) == want
 
 
 class TestEnumerationMemoOracle:
@@ -575,6 +590,61 @@ class TestEnumerationMemoOracle:
     @settings(max_examples=60, deadline=None)
     def test_rank2(self, spec, data):
         check_memo_moves_nothing(draw_calls(data, naive_members(spec.generators, HALF_BOX)), spec)
+
+
+N5TO9 = MonoidSpec.numerical(5, 6, 7, 8, 9)
+
+
+def first_factorizations(k: int):
+    return lambda b, spec, bud: factorizations(b, spec, bud, limit=k)
+
+
+# run three times, so that each set's enumeration is kept and its views are
+# read back; 25/2 walks the atoms at scale 2, where its residual 25 is the
+# scale-1 residual of 25, so a `_least` memo keyed without its scale would
+# answer 25 with 25/2's empty list
+MIX = 3 * [
+    (decompositions, FinSet((10, 11, 12)), DEFAULT_BUDGET),
+    (is_p_atom, FinSet((10, 11, 12)), DEFAULT_BUDGET),
+    (p_factorize, FinSet((10, 11, 16, 17)), DEFAULT_BUDGET),
+    (mcd, FinSet((20, 21)), DEFAULT_BUDGET),
+    (mcd_in_P, [FinSet((10, 11, 12)), FinSet((15, 16, 17))], DEFAULT_BUDGET),
+    (p_divisors, FinSet((10, 11, 16, 17)), DEFAULT_BUDGET),
+    (lambda t, spec, bud: decompositions(t, spec, bud, both_nonsingleton=True),
+     FinSet((10, 11, 16, 17)), DEFAULT_BUDGET),
+    (decompositions, FinSet((15, 16, 17)), 20),
+    (divisors, Fraction(30), DEFAULT_BUDGET),
+    (first_factorizations(2), Fraction(40), DEFAULT_BUDGET),
+    (first_factorizations(1), Fraction(25, 2), DEFAULT_BUDGET),
+    (first_factorizations(1), Fraction(25), DEFAULT_BUDGET),
+    (first_factorizations(3), Fraction(31), 200),
+    (p_furstenberg_divisor, FinSet((10, 11)), DEFAULT_BUDGET),
+]
+
+
+class TestRepeatedResults:
+    """Each result-cache field that keeps a repeated pure result: a hit
+    gives the answer and spends the nodes of recomputing it."""
+
+    @pytest.mark.parametrize("name", REPEATS)
+    def test_emptying_the_field_moves_nothing(self, name):
+        want = run_calls(MIX, N5TO9)
+        filled = getattr(backend._cache[N5TO9], name)
+        assert filled
+        assert run_calls(MIX, N5TO9, (name,)) == want
+
+    def test_each_spec_decodes_into_its_own_entry(self):
+        clear_caches()
+        halves = MonoidSpec.puiseux(Fraction(1, 2))
+        divisors(Fraction(3), N23)
+        divisors(Fraction(3, 2), halves)
+        assert decode(3, N23) == 3 and decode(3, halves) == Fraction(3, 2)
+
+    def test_the_mix_finds_what_it_asks(self):
+        got = [answer for answer, _ in run_calls(MIX, N5TO9)]
+        assert got[10] == [] and len(got[11]) == 1
+        assert got[13] == FinSet((Fraction(5),))
+        assert got[7] == got[12] == BudgetExceededError
 
 
 # ---------------------------------------------------------------------------
