@@ -167,7 +167,7 @@ def _p_furstenberg_divisor(t: tuple, q: _Query) -> tuple:
         if a is None:
             raise InvalidInputError(f"no atom divides {decode(d, q.spec)}")
         return (a,)
-    cands = (u for u, _, _ in _anchored_divisors(t, q) if len(u) >= 2 and u != t)
+    cands = (u for u in _anchored_divisors(t, q) if len(u) >= 2 and u != t)
     u = min(cands, key=lambda u: (len(u), u), default=None)
     if u is not None and not _decompositions(u, q):
         return u

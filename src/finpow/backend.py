@@ -26,17 +26,17 @@ across calls, and charges a repeated subtree's nodes in one spend.
 Membership verdicts, scaled divisor lists, set divisor enumerations and the
 atom list live in one result cache per spec, an `_Entry` with a named field
 for each; so do the pure results that queries repeat, decoded elements,
-MCD lists, the views of a kept enumeration and `_least`'s memos, each hit
-spending what recomputing it would.  `clear_caches` empties the cache.
-A `_Query` holds a spec, its entry and a budget;
+MCD lists, the decomposition pairs of a kept enumeration and `_least`'s
+memos, each hit spending what recomputing it would.  `clear_caches`
+empties the cache.  A `_Query` holds a spec, its entry and a budget;
 the scaled cores here and in `power` and `mcd` take one, and `member` and
 `divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode;
 an element off the generators' lattice has no scaled form and is answered
 there, at one node, so every scaled core searches the spec's plan.
 A family spec is expanded once, when it is built, and equals its expansion.
 Every value a spec derives from its generators, its scale, zero and hash
-among them, is set then too; `memoized` keeps only what queries repeat, the
-plans and the family expansions.
+among them, is set then too; `functools.lru_cache` keeps only what queries
+repeat, the plans and the family expansions.
 """
 from __future__ import annotations
 
@@ -62,21 +62,6 @@ DEFAULT_BUDGET = 10**6
 _MAX_GENERATORS = 512  # one search frame per generator, well inside the recursion limit
 
 FAMILY_TAGS = ("EX44", "RANK2-5.3", "Q-ODDPRIMES")
-
-_memos: list = []
-
-
-def memoized(maxsize: int):
-    """`functools.lru_cache` for the package: `clear_caches` empties every
-    cache made this way."""
-
-    def wrap(fn):
-        fn = functools.lru_cache(maxsize=maxsize)(fn)
-        _memos.append(fn)
-        return fn
-
-    return wrap
-
 
 class BudgetExceededError(RuntimeError):
     """A search ran out of its node budget; the query has no verdict."""
@@ -249,7 +234,7 @@ def ex44_a2_atoms(depth: int) -> tuple[Rat, ...]:
     return tuple(g for i, g in enumerate(_ex44_generators(depth)) if i % 2 == 1)
 
 
-@memoized(maxsize=64)
+@functools.lru_cache(maxsize=64)
 def expand_family(family: str, depth: int, sample: tuple = ()) -> MonoidSpec:
     """The unlabelled puiseux or rank2 spec of a named truncated family, its
     sample a sorted tuple of distinct rationals; memoized, so the family
@@ -295,7 +280,7 @@ def _basis_scale(basis: tuple, rank2: bool):
     return math.lcm(*(g.denominator for g in basis))
 
 
-@memoized(maxsize=256)
+@functools.lru_cache(maxsize=256)
 def _plan(ordered: tuple, scale) -> tuple:
     """The per-level table of the coefficient search over a descending basis.
 
@@ -474,9 +459,10 @@ class _Entry:
     to its scaled divisors, an ascending tuple; `plan` is the search plan over
     the spec's generators at its scale; `enumerations` is
     `power._anchored_divisors`'s, and maps a scaled set to None once it has
-    been enumerated, then to (its divisor enumeration, the nodes an uncached
-    rerun spends); `atoms` is the atom tuple once `atoms` has completed, None
-    before, and `scaled_atoms` its scaled form once a core has asked for it.
+    been enumerated, then to (its divisor map {U: (C, covers)}, the nodes an
+    uncached rerun spends); only `power` reads or writes it.  `atoms` is the
+    atom tuple once `atoms` has completed, None before, and `scaled_atoms`
+    its scaled form once a core has asked for it.
 
     The rest keep pure results that queries repeat:
     - `elements` maps a scaled element to its decoded one (`decode`); a hit
@@ -484,22 +470,21 @@ class _Entry:
     - `mcds` maps a scaled set to its scaled MCDs (`mcd._mcd`); a hit spends
       0, as a rerun reads only divisor lists the first run cached;
     - `decompositions` maps (t, both_nonsingleton) to the pairs of
-      `power._decompositions`, and `cofactors` t to the {U: C} map of
-      `mcd._mcd_in_P`; each view is stored only once `enumerations[t]` is
-      kept, and a hit spends `enumerations[t][1]`, the spend of the replay
-      it was built from;
+      `power._decompositions`, stored only once `enumerations[t]` is kept;
+      a hit spends `enumerations[t][1]`, the spend of the replay they were
+      built from;
     - `least` maps (scale, k) to the memo of `_least` over the atoms at that
       scale, kept for k least vectors; a replayed subtree spends its count.
     """
 
     __slots__ = (
         "verdicts", "divisors", "plan", "enumerations", "atoms", "scaled_atoms",
-        "elements", "mcds", "decompositions", "cofactors", "least",
+        "elements", "mcds", "decompositions", "least",
     )
 
     def __init__(self, spec: MonoidSpec):
         self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
-        self.elements, self.mcds, self.decompositions, self.cofactors = {}, {}, {}, {}
+        self.elements, self.mcds, self.decompositions = {}, {}, {}
         self.least, self.scaled_atoms = {}, None
         self.plan = _plan(spec.generators[::-1], spec.scale)
 
@@ -767,8 +752,8 @@ def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> No
 
 def clear_caches() -> None:
     _cache.clear()
-    for fn in _memos:
-        fn.cache_clear()
+    _plan.cache_clear()
+    expand_family.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,12 @@ def _cmd_member(args) -> int:
 def _cmd_factorize(args) -> int:
     spec = _load_spec(args)
     facs = factorizations(parse_element(args.element), spec, _budget(args))
+    if not facs:
+        print("no factorization")
+        return EXIT_FAIL
     for f in facs:
         print(f.render())
-    return EXIT_PASS if facs else EXIT_FAIL
+    return EXIT_PASS
 
 
 def _cmd_divides(args) -> int:

@@ -3,17 +3,18 @@ atoms with a unique negative p-adic valuation, and the witness machinery for
 the truncated family whose pair {1, 4/3} has no maximal common divisor.
 
 MCDs at both levels run on the scaled elements of `power`, encoded once on
-entry and decoded once on return; `mcd_in_P` strips a common divisor with the
-cofactors that the anchored divisor enumeration yields beside it.  The
-common divisors of a scaled set have one algorithm, `_common_divisors`, the
+entry and decoded once on return; `mcd_in_P` strips a common divisor with
+the cofactor that the anchored divisor enumeration maps it to.  The common
+divisors of a scaled set have one algorithm, `_common_divisors`, the
 intersection of its elements' divisor lists; `_mcd`, the singleton branch
 of `atomicity._p_furstenberg_divisor` and `common_divisors` all read it.
 The scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
 partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
 `mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, from the
 divisor lists `_common_divisors` reads or by the anchored enumeration.
-The result cache keeps each set's MCD list and, once a set's enumeration
-is kept, its {U: C} map, each replayed at the node cost of recomputing it.
+The result cache keeps each set's MCD list, replayed at the node cost of
+recomputing it; that is the only field of it this module reads, as a
+set's kept divisor map is `power`'s, read through `_anchored_divisors`.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def p_divisors(
 ) -> list[FinSet]:
     """All divisors of t in the power monoid, including {0} and t itself."""
     divs = _anchored_divisors(_encode_set(t, spec), _Query(spec, as_budget(budget)))
-    return [_decode_set(u, spec) for u in sorted(u for u, _, _ in divs)]
+    return [_decode_set(u, spec) for u in sorted(divs)]
 
 
 def _mcd_in_P(fam: list, q: _Query) -> list:
@@ -106,14 +107,14 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
     sets; a TruncationError carries the scaled stripped divisor as partial."""
     stripped = (fam[0][0] - fam[0][0],)
     while True:
-        cofactors = [_cofactor_map(t, q) for t in fam]
-        common = set(cofactors[0]).intersection(*cofactors[1:])
+        maps = [_anchored_divisors(t, q) for t in fam]
+        common = set(maps[0]).intersection(*maps[1:])
         # scaled divisors sort as their decoded sets do
         nonsingleton = sorted(u for u in common if len(u) >= 2)
         if not nonsingleton:
             break
         d = nonsingleton[0]
-        fam = [tuple(cof[d]) for cof in cofactors]
+        fam = [tuple(m[d][0]) for m in maps]  # the largest cofactor of d in each set
         stripped = _sumset(stripped, d)
     m_level = _mcd(tuple(sorted({e for t in fam for e in t})), q)
     if not m_level:
@@ -122,23 +123,6 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
         )
     # translates by ascending m0 come out in ascending order
     return [tuple(e + m0 for e in stripped) for m0 in m_level]
-
-
-def _cofactor_map(t: tuple, q: _Query) -> dict:
-    """{U: C} for the divisors U of the scaled set t and their largest
-    cofactors C.  Once t's enumeration is kept, so is the map, in the result
-    cache; a hit spends what the replay of that enumeration spends."""
-    entry = q.entry
-    kept = entry.enumerations.get(t)
-    if kept is not None:
-        out = entry.cofactors.get(t)
-        if out is not None:
-            q.budget.spend(kept[1])
-            return out
-    out = {u: c for u, c, _ in _anchored_divisors(t, q)}
-    if entry.enumerations.get(t) is not None:
-        entry.cofactors[t] = out
-    return out
 
 
 def mcd_in_P(

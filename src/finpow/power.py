@@ -6,19 +6,19 @@ feasible cofactor of S inside T is C = {m : S + {m} subset of T}, and a
 cofactor exists iff S + C = T.  The divisor search is anchored at the
 minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
-One enumeration, `_anchored_divisors`, lists every divisor U of a set with
-its largest cofactor C; `decompositions` takes the V's inside C, and
-`mcd.p_divisors` collects the U's.  It walks the subsets once per anchor
-membership pattern, not once per anchor, yet charges each anchor one node
-per subset, so node counts are those of a walk per anchor, and a budget
-that runs out stops at limit + 1.  Each anchor makes its membership tests
-in one pass, reading cached verdicts directly.  `decompositions` builds
-each unordered pair {U, V} once, from its lesser anchor: if min U <=
-min V, then V lies in U's largest cofactor and holds its minimum, so the
-pair is among U's; the anchors a > min S - a add none and are skipped.
+One enumeration, `_anchored_divisors`, maps every divisor U of a set to
+its largest cofactor C; `decompositions` takes the V's inside C,
+`mcd.p_divisors` collects the U's, and `mcd.mcd_in_P` strips a U by
+reading its C.  It walks the subsets once per anchor membership pattern,
+not once per anchor, yet charges each anchor one node per subset, so node
+counts are those of a walk per anchor, and a budget that runs out stops
+at limit + 1.  Each anchor makes its membership tests in one pass,
+reading cached verdicts directly.  `decompositions` builds each unordered
+pair {U, V} once, from its lesser anchor: if min U <= min V, then V lies
+in U's largest cofactor and holds its minimum, so the pair is among U's; the anchors a > min S - a add none and are skipped.
 So `decompositions` asks `_anchored_divisors` for a half run, in which
 those anchors make their tests and charges but translate no divisor,
-unless the list is to be kept: a kept list is always whole.
+unless the map is to be kept: a kept map is always whole.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -53,7 +53,8 @@ scaled cores.  Membership tests, divisor lists and set divisor enumerations
 share the one result cache of `backend`, read by scaled element through
 `_Query.is_member` and `_scaled_divisors`; a kept enumeration is replayed
 at the node cost of an uncached rerun, and so are the pairs of
-`_decompositions` built from it, so caching moves no count.
+`_decompositions` built from it, so caching moves no count.  Only this
+module reads or writes the kept enumerations.
 """
 from __future__ import annotations
 
@@ -267,8 +268,8 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     return out
 
 
-def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
-    """The list of (U, C, covers) for every divisor U of the scaled set t in
+def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
+    """The map {U: (C, covers)} over every divisor U of the scaled set t in
     the power monoid, where C is the largest cofactor, U + C = t, and
     covers[i] is the mask of the indices in t of U + C[i].
 
@@ -284,14 +285,14 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
     the A tests in ascending order, every tail test, then the V tests; it
     reads a cached verdict straight from the result cache, searches only on
     a miss, and sets the bits of the pattern key, the masks of A and V over
-    the indices of rel, as it goes.  The anchors ascend, so the list is
-    ordered by min U, which `_decompositions` relies on.
+    the indices of rel, as it goes.  The anchors ascend, so the map's keys
+    are inserted in order of min U, which `_decompositions` relies on.
 
-    With `half`, a run whose list will not be kept (t not yet marked) lists
+    With `half`, a run whose map will not be kept (t not yet marked) maps
     only the anchors a <= mv, the ones `_decompositions` reads: a later
     anchor still makes every test and its charge, but skips the pattern
-    lookup and the translation.  A run whose list will be kept translates
-    every anchor, so a kept list is whole whoever asked for it.
+    lookup and the translation.  A run whose map will be kept translates
+    every anchor, so a kept map is whole whoever asked for it.
 
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
@@ -301,17 +302,20 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
 
     A completed enumeration marks t in the result cache; the next finds every
     test cached, so it spends what an uncached rerun would, and is kept with
-    that count, which later requests replay.  The kept list is shared.  Only
-    a set requested twice is kept: keeping every first enumeration raised
-    the peak RSS of `verify --suite all` from 24.0 to 30.1 MB to save its
-    361 reruns, with no faster run (one run each, on a 2-core VM).
+    that count, which later requests replay.  Every reader of a set's
+    divisors shares the kept map: `p_divisors` and `_p_furstenberg_divisor`
+    read its keys, `_decompositions` its items and `mcd._mcd_in_P` its
+    cofactors.  Only a set requested twice is kept:
+    keeping every first enumeration raised the peak RSS of `verify --suite
+    all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
+    (one run each, on a 2-core VM).
     """
     memo, bud, is_member = q.entry.enumerations, q.budget, q.is_member
     kept = memo.get(t)
     if kept is not None:
         bud.spend(kept[1])
         return kept[0]
-    # only a list that will be kept must be whole
+    # only a map that will be kept must be whole
     half = half and t not in memo
     before = bud.used
     _check_members(t, q)
@@ -320,7 +324,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
     t0, tmax = t[0], t[-1]
     rel = tuple(x - t0 for x in t)
     patterns: dict = {}
-    out = []
+    out: dict = {}
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
         # a itself heads the list: it is a divisor, hence a member
@@ -354,7 +358,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> list:
         if found is None:
             found = patterns[key] = _relative_divisors(rel, us, outs)
         for u, c, covers in found:
-            out.append((tuple([a + d for d in u]), [mv + d for d in c], covers))
+            out[tuple([a + d for d in u])] = [mv + d for d in c], covers
     memo[t] = None if t not in memo else (out, bud.used - before)
     return out
 
@@ -405,7 +409,7 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     U's V's; so the divisors with a > min t - a add no pair, and as the
     anchors ascend, the walk stops at the first of them, and a half run of
     `_anchored_divisors`, which translates none of them, is enough unless
-    the list is to be kept.  A divisor with a < min t - a gives (U, V) with
+    the map is to be kept.  A divisor with a < min t - a gives (U, V) with
     U < V, as min U < min V; one with a = min t - a gives both (U, V) and
     (V, U), and only U <= V is kept.
 
@@ -422,7 +426,7 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     pairs: list = []
     picks: dict = {}
-    for u, c, covers in _anchored_divisors(t, q, half=True):
+    for u, (c, covers) in _anchored_divisors(t, q, half=True).items():
         if u[0] > c[0]:
             break
         if u == (zero,) or (both_nonsingleton and len(u) < 2):

@@ -2,8 +2,9 @@
 
 Each oracle works from the definitions alone, by brute force: the
 breadth-first closure of the generators, every coefficient vector, every
-pair of subsets.  None imports a private name of `finpow`, so an oracle
-shares no code with the core it checks.
+pair of subsets, every pair of int masks over a window.  None imports a
+private name of `finpow`, so an oracle shares no code with the core it
+checks.
 """
 
 import itertools
@@ -95,6 +96,33 @@ def oracle_pairs(s, members: set) -> set:
                 for v in itertools.combinations(fit, j):
                     if {e + m for e in u for m in v} == target:
                         pairs.add((u, v))
+    return pairs
+
+
+def window_pairs(members, n: int) -> dict:
+    """Every (U, V) of nonempty sets of members of the window [0, n] whose
+    sumset lies in it, listed under that sumset, as int masks.
+
+    `members` holds the members of M in the window as ints, on the lattice
+    of the spec's scaled form.  Bit i of a mask stands for the element i,
+    so U + V is the OR of V << u over the u in U.  M holds no negative
+    element, so every (U, V) with U + V = T for a T in the window is here."""
+    subsets = [0]
+    for m in sorted(members):
+        subsets += [s | 1 << m for s in subsets]
+    subsets = sorted(subsets)[1:]
+    pairs: dict = {}
+    for u in subsets:
+        elems = [i for i in range(u.bit_length()) if u >> i & 1]
+        # max V is at most n - max U; the masks ascend, and so do their maxima
+        room = 1 << (n - elems[-1] + 1)
+        for v in subsets:
+            if v >= room:
+                break
+            w = 0
+            for e in elems:
+                w |= v << e
+            pairs.setdefault(w, []).append((u, v))
     return pairs
 
 

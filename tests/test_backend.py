@@ -192,13 +192,13 @@ class TestMonoidSpec:
         for _ in range(2):
             decompositions(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3))
         mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], MonoidSpec.numerical(3, 4, 5))
-        # twice each, so that the views of kept enumerations are stored
+        # twice each, so that the pairs of kept enumerations are stored
         for _ in range(2):
             mcd_in_P([FinSet((4, 5, 6, 7))], MonoidSpec.numerical(2, 3))
             p_furstenberg_divisor(FinSet((4, 5)), MonoidSpec.numerical(2, 3))
         factorizations(Fraction(7), MonoidSpec.numerical(2, 3, 5, 7), limit=1)
         entries = list(backend._cache.values())
-        repeats = ("elements", "mcds", "decompositions", "cofactors", "least", "scaled_atoms")
+        repeats = ("elements", "mcds", "decompositions", "least", "scaled_atoms")
         for name in repeats:
             assert any(getattr(e, name) for e in entries), name
         modules = [
@@ -1351,6 +1351,24 @@ def test_a_spec_computes_no_value_lazily():
         or (isinstance(n, ast.Attribute) and n.attr in ("cached_property", "__dict__"))
     ]
     assert lazy == []
+
+
+def test_only_power_reads_the_kept_enumerations():
+    # the kept divisor map {U: (C, covers)} has one owner: `power` reads and
+    # writes `_Entry.enumerations`, `backend` only sets its empty dict, and
+    # `mcd` reads no field of an entry but its MCD lists
+    owners = sorted({
+        name for name, node in module_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "enumerations"
+        and not (name == "backend.py" and isinstance(node.ctx, ast.Store))
+    })
+    assert owners == ["power.py"]
+    read_by_mcd = {
+        node.attr for name, node in module_nodes()
+        if name == "mcd.py" and isinstance(node, ast.Attribute)
+        and node.attr in backend._Entry.__slots__
+    }
+    assert read_by_mcd == {"mcds"}
 
 
 def imported_modules(node) -> list:

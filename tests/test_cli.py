@@ -54,6 +54,16 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 2  # 3*(2) and 2*(3)
 
+    @pytest.mark.parametrize(
+        "element, spec",
+        [("1", SPEC23), ("1/2", "kind numerical; gens 2"), ("-1", SPEC23)],
+    )
+    def test_factorize_says_when_there_is_none(self, capsys, element, spec):
+        # a non-member, an element off the lattice and a negative one: each
+        # has no factorization, and says so as member and mcd do
+        code, out, _ = run(capsys, "factorize", element, "--spec", spec)
+        assert code == EXIT_FAIL and out == "no factorization\n"
+
     def test_a_target_past_2_63_runs_out_of_budget(self, capsys):
         # the search counts a level's leaves without a range, whose len
         # overflows at 2**63

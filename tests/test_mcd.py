@@ -299,7 +299,7 @@ def reference_mcd_in_P(family: list, spec: MonoidSpec, bud: Budget) -> list:
     while True:
         common = None
         for t in fam:
-            ds = {u for u, _, _ in _anchored_divisors(_encode_set(t, spec), _Query(spec, bud))}
+            ds = set(_anchored_divisors(_encode_set(t, spec), _Query(spec, bud)))
             common = ds if common is None else common & ds
         nonsingleton = sorted(u for u in common if len(u) >= 2)
         if not nonsingleton:

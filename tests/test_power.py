@@ -56,6 +56,7 @@ from oracles import (
     rank2_specs,
     small_points,
     small_rationals,
+    window_pairs,
 )
 
 N23 = MonoidSpec.numerical(2, 3)
@@ -273,6 +274,71 @@ class TestAnchoredEnumerationOracle:
             elems = tuple(dy)  # {0, (0, 1/8)} + {0, (0, 1/4)}
         top = QPoint2(max(e.x for e in elems), max(e.y for e in elems))
         check_against_oracle(FinSet(elems), spec, naive_members(spec.generators, top))
+
+
+# ---------------------------------------------------------------------------
+# Every member subset of a small window against the mask oracle, cold and warm
+
+
+def check_window(spec: MonoidSpec, n: int) -> None:
+    """`decompositions`, `is_p_atom` and `p_divisors` on every member subset
+    T of the scaled window [0, n], against `window_pairs`.  Each T runs
+    cold, with nothing of its own cached, then again warm: its first
+    enumeration is a half run that only marks it, its second is kept whole,
+    and the later calls replay the kept map and the kept pairs.  The
+    membership verdicts and divisor lists stay cached from set to set, as
+    in a suite run.  The expected lists are built on scaled ints, whose
+    tuples sort as their decoded sets do."""
+    scale = spec.scale
+    members = {int(q * scale) for q in naive_members(spec.generators, Fraction(n, scale))}
+    fractions = [Fraction(i, scale) for i in range(n + 1)]
+
+    def ints(mask: int) -> tuple:
+        return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+    def decoded(elems: tuple) -> tuple:
+        return tuple([fractions[i] for i in elems])
+
+    clear_caches()
+    # every T is T + {0}, so every member subset of the window is a key
+    for t, found in window_pairs(members, n).items():
+        s = FinSet(decoded(ints(t)))
+        sides = [(ints(u), ints(v)) for u, v in found]
+        nontrivial = sorted({(min(u, v), max(u, v)) for u, v in sides if (0,) not in (u, v)})
+        both = [(u, v) for u, v in nontrivial if len(u) >= 2 and len(v) >= 2]
+        divs = [decoded(u) for u in sorted({u for u, _ in sides})]
+        want = {
+            flag: [(decoded(u), decoded(v)) for u, v in pairs]
+            for flag, pairs in ((False, nontrivial), (True, both))
+        }
+        for _ in range(2):
+            for both_nonsingleton, pairs in want.items():
+                got = decompositions(s, spec, both_nonsingleton=both_nonsingleton)
+                assert [(d.left.elems, d.right.elems) for d in got] == pairs, s
+            if t != 1:  # {0} is no candidate atom
+                cert = is_p_atom(s, spec)
+                dec = cert.counterexample
+                assert cert.is_atom == (not nontrivial), s
+                assert dec is None or (dec.left.elems, dec.right.elems) == want[False][0], s
+            assert [d.elems for d in p_divisors(s, spec)] == divs, s
+    # each set was enumerated more than once, so each one's map is kept
+    assert None not in backend._cache[spec].enumerations.values()
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (N0, 10),
+            (N23, 12),
+            (MonoidSpec.numerical(3, 5, 7), 12),
+            # L = 2: the window is [0, 13/2]
+            (MonoidSpec.puiseux(Fraction(3, 2), Fraction(5, 2)), 13),
+        ],
+        ids=["<1>", "<2,3>", "<3,5,7>", "<3/2,5/2>"],
+    )
+    def test_every_set_of_the_window(self, spec, n):
+        check_window(spec, n)
 
 
 class TestOffLattice:
@@ -498,8 +564,8 @@ class TestEnumerationMemo:
 
     def test_a_kept_list_is_whole(self):
         # `decompositions` reads only the anchors a <= min T - a, so its
-        # first run translates no other; its second keeps the list, which
-        # `p_divisors` replays, and a kept half list would lack T itself
+        # first run translates no other; its second keeps the map, which
+        # `p_divisors` replays, and a kept half map would lack T itself
         clear_caches()
         for _ in range(2):
             decompositions(FinSet(self.T), N23)
@@ -508,9 +574,10 @@ class TestEnumerationMemo:
         self.memo().clear()
         bud = Budget()
         rerun = _anchored_divisors(self.T, _Query(N23, bud))
-        assert (kept, nodes) == (rerun, bud.used)
+        # dict == ignores order, and `_decompositions` relies on the order
+        assert (list(kept.items()), nodes) == (list(rerun.items()), bud.used)
         want, _ = cold_enumeration(_anchored_divisors, self.T, N23)
-        assert sorted((u, tuple(c), covers) for u, c, covers in kept) == want
+        assert sorted((u, tuple(c), covers) for u, (c, covers) in kept.items()) == want
         clear_caches()
         for _ in range(2):
             decompositions(FinSet(self.T), N23)
@@ -520,7 +587,7 @@ class TestEnumerationMemo:
 
 
 # the result-cache fields that keep a pure result for a repeat to read
-REPEATS = ("elements", "mcds", "decompositions", "cofactors", "least", "scaled_atoms")
+REPEATS = ("elements", "mcds", "decompositions", "least", "scaled_atoms")
 
 
 def empty_field(entry, name: str) -> None:
@@ -653,7 +720,7 @@ class TestRepeatedResults:
 # the budget runs out mid-set.
 
 
-def reference_anchored_divisors(t: tuple, q: _Query) -> list:
+def reference_anchored_divisors(t: tuple, q: _Query) -> dict:
     """Each anchor tries its subsets U one by one, one node each, and builds
     its cofactor kernel at the first U that passes the tail test."""
     is_member, bud = q.is_member, q.budget
@@ -661,7 +728,7 @@ def reference_anchored_divisors(t: tuple, q: _Query) -> list:
         if not is_member(x):
             raise InvalidInputError(f"{x} is not in the monoid")
     tmax, full = t[-1], (1 << len(t)) - 1
-    out = []
+    out = {}
     for a in _divisors(t[0], q):
         mv = t[0] - a
         if not is_member(mv):
@@ -679,7 +746,7 @@ def reference_anchored_divisors(t: tuple, q: _Query) -> list:
                     cofactor = _cofactors(t, a, cand, is_member)
                 c, covers, union = cofactor(u)
                 if union == full:
-                    out.append((u, c, covers))
+                    out[u] = c, covers
     return out
 
 
@@ -689,7 +756,9 @@ def cold_enumeration(fn, t: tuple, spec: MonoidSpec, limit: int = DEFAULT_BUDGET
     clear_caches()
     bud = Budget(limit)
     try:
-        got = sorted((u, tuple(c), tuple(covers)) for u, c, covers in fn(t, _Query(spec, bud)))
+        got = sorted(
+            (u, tuple(c), tuple(covers)) for u, (c, covers) in fn(t, _Query(spec, bud)).items()
+        )
     except BudgetExceededError:
         got = BudgetExceededError
     return got, bud.used
