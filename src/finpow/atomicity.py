@@ -156,8 +156,8 @@ def p_furstenberg_divisor(
 def _p_furstenberg_divisor(t: tuple, q: _Query) -> tuple:
     """`p_furstenberg_divisor` of the scaled set t other than the zero set,
     as a scaled set.  The singleton branch takes d, the largest common
-    divisor, from `_common_divisors`, and reads the spec's scaled atoms
-    from the result cache, which encodes them on the first call."""
+    divisor, from `_common_divisors`, and the spec's scaled atoms, the
+    kept atom list encoded."""
     if not _decompositions(t, q):
         return t
     common = _common_divisors(t, q)
@@ -209,9 +209,9 @@ def tidf_implies_atomic_check(
 ) -> DescentReport:
     """Replay the atomicity descent from every member below the bound:
     repeatedly subtract the minimum atom divisor and confirm termination at 0
-    within ceil(b / min atom) steps.  The scaled atoms the result cache
-    keeps, one encode of the members, the scaled core `_descent`, and one
-    decode of a counterexample."""
+    within ceil(b / min atom) steps.  One encode of the atoms and of the
+    members, the scaled core `_descent`, and one decode of a
+    counterexample."""
     if spec.is_rank2:
         raise InvalidInputError("descent check requires a rank-1 positive backend")
     q = _Query(spec, as_budget(budget))

@@ -23,10 +23,10 @@ runs it over the atoms for `factorizations`, and for `atoms` over the
 generators but the one tested, with no spec built for them; `_least` finds
 the least factorizations on the same walk, memoized by (level, residual)
 across calls, and charges a repeated subtree's nodes in one spend.
-Membership verdicts, scaled divisor lists, set divisor enumerations and the
-atom list live in one result cache per spec, an `_Entry` with a named field
-for each; so do the pure results that queries repeat, decoded elements,
-MCD lists, the decomposition pairs of a kept enumeration and `_least`'s
+Membership verdicts, scaled divisor lists, set divisor enumerations, each
+kept with its decomposition pairs, and the atom list live in one result
+cache per spec, an `_Entry` with a named field for each; so do the pure
+results that queries repeat, decoded elements, MCD lists and `_least`'s
 memos, each hit spending what recomputing it would.  `clear_caches`
 empties the cache.  A `_Query` holds a spec, its entry and a budget;
 the scaled cores here and in `power` and `mcd` take one, and `member` and
@@ -459,33 +459,28 @@ class _Entry:
     to its scaled divisors, an ascending tuple; `plan` is the search plan over
     the spec's generators at its scale; `enumerations` is
     `power._anchored_divisors`'s, and maps a scaled set to None once it has
-    been enumerated, then to (its divisor map {U: (C, covers)}, the nodes an
-    uncached rerun spends); only `power` reads or writes it.  `atoms` is the
-    atom tuple once `atoms` has completed, None before, and `scaled_atoms`
-    its scaled form once a core has asked for it.
+    been enumerated, then to the record [its divisor map {U: (C, covers)},
+    the nodes an uncached rerun spends, its decomposition pairs or None
+    until `power._decompositions` has built them]; only `power` reads or
+    writes it, and a replay of the record spends its count.  `atoms` is the
+    atom tuple once `atoms` has completed, None before.
 
     The rest keep pure results that queries repeat:
     - `elements` maps a scaled element to its decoded one (`decode`); a hit
       spends 0, as decoding charges nothing;
     - `mcds` maps a scaled set to its scaled MCDs (`mcd._mcd`); a hit spends
       0, as a rerun reads only divisor lists the first run cached;
-    - `decompositions` maps (t, both_nonsingleton) to the pairs of
-      `power._decompositions`, stored only once `enumerations[t]` is kept;
-      a hit spends `enumerations[t][1]`, the spend of the replay they were
-      built from;
     - `least` maps (scale, k) to the memo of `_least` over the atoms at that
       scale, kept for k least vectors; a replayed subtree spends its count.
     """
 
     __slots__ = (
-        "verdicts", "divisors", "plan", "enumerations", "atoms", "scaled_atoms",
-        "elements", "mcds", "decompositions", "least",
+        "verdicts", "divisors", "plan", "enumerations", "atoms", "elements", "mcds", "least",
     )
 
     def __init__(self, spec: MonoidSpec):
         self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
-        self.elements, self.mcds, self.decompositions = {}, {}, {}
-        self.least, self.scaled_atoms = {}, None
+        self.elements, self.mcds, self.least = {}, {}, {}
         self.plan = _plan(spec.generators[::-1], spec.scale)
 
 
@@ -659,12 +654,8 @@ def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
 
 
 def _scaled_atoms(q: _Query) -> tuple:
-    """The scaled atoms of q's spec, ascending: `atoms` encoded once, on the
-    first call, and kept in the entry."""
-    entry = q.entry
-    if entry.scaled_atoms is None:
-        entry.scaled_atoms = tuple(encode(a, q.spec) for a in atoms(q.spec, q.budget))
-    return entry.scaled_atoms
+    """The scaled atoms of q's spec, ascending: `atoms`, encoded."""
+    return tuple([encode(a, q.spec) for a in atoms(q.spec, q.budget)])
 
 
 @dataclass(frozen=True)
@@ -713,13 +704,12 @@ def factorizations(
     if limit is not None and (type(limit) is not int or limit < 1):
         raise InvalidInputError(f"factorization limit must be an int >= 1, not {limit!r}")
     spec.check_element(b)
-    bud = as_budget(budget)
-    atom_tuple = tuple(atoms(spec, bud))
-    least = _cache[spec].least
+    q = _Query(spec, as_budget(budget))
+    atom_tuple = tuple(atoms(spec, q.budget))
     # the atoms ascend, so each vector's nonzero parts do too
     return [
         Factorization._ascending(tuple((a, c) for a, c in zip(atom_tuple, vec) if c))
-        for vec in _solve(atom_tuple, b, bud, False, limit, least)
+        for vec in _solve(atom_tuple, b, q.budget, False, limit, q.entry.least)
     ]
 
 

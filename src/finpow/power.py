@@ -15,10 +15,12 @@ counts are those of a walk per anchor, and a budget that runs out stops
 at limit + 1.  Each anchor makes its membership tests in one pass,
 reading cached verdicts directly.  `decompositions` builds each unordered
 pair {U, V} once, from its lesser anchor: if min U <= min V, then V lies
-in U's largest cofactor and holds its minimum, so the pair is among U's; the anchors a > min S - a add none and are skipped.
-So `decompositions` asks `_anchored_divisors` for a half run, in which
-those anchors make their tests and charges but translate no divisor,
-unless the map is to be kept: a kept map is always whole.
+in U's largest cofactor and holds its minimum, so the pair is among U's;
+the anchors a > min S - a add none and are skipped.  So `decompositions`
+asks `_anchored_divisors` for a half run, in which those anchors make
+their tests and charges but translate no divisor, unless the map is to be
+kept: a kept map is always whole.  With `both_nonsingleton`,
+`decompositions` filters the one list its core builds.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -51,10 +53,10 @@ decoding is monotone; `sumset` builds its sorted, distinct sums through it
 too.  Each public function builds one `backend._Query` and passes it to the
 scaled cores.  Membership tests, divisor lists and set divisor enumerations
 share the one result cache of `backend`, read by scaled element through
-`_Query.is_member` and `_scaled_divisors`; a kept enumeration is replayed
-at the node cost of an uncached rerun, and so are the pairs of
-`_decompositions` built from it, so caching moves no count.  Only this
-module reads or writes the kept enumerations.
+`_Query.is_member` and `_scaled_divisors`; a kept enumeration is one
+record [map, cost, pairs], replayed at the node cost of an uncached
+rerun, and its pairs are read only after that replay, so caching moves
+no count.  Only this module reads or writes the kept enumerations.
 """
 from __future__ import annotations
 
@@ -301,11 +303,12 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     membership tests that makes are ones the anchor a = min t makes anyway.
 
     A completed enumeration marks t in the result cache; the next finds every
-    test cached, so it spends what an uncached rerun would, and is kept with
-    that count, which later requests replay.  Every reader of a set's
-    divisors shares the kept map: `p_divisors` and `_p_furstenberg_divisor`
-    read its keys, `_decompositions` its items and `mcd._mcd_in_P` its
-    cofactors.  Only a set requested twice is kept:
+    test cached, so it spends what an uncached rerun would, and is kept as
+    the record [map, that count, None], which later requests replay; the
+    None is the slot `_decompositions` fills with the pairs.  Every reader
+    of a set's divisors shares the kept map: `p_divisors` and
+    `_p_furstenberg_divisor` read its keys, `_decompositions` its items and
+    `mcd._mcd_in_P` its cofactors.  Only a set requested twice is kept:
     keeping every first enumeration raised the peak RSS of `verify --suite
     all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
     (one run each, on a 2-core VM).
@@ -359,7 +362,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
             found = patterns[key] = _relative_divisors(rel, us, outs)
         for u, c, covers in found:
             out[tuple([a + d for d in u])] = [mv + d for d in c], covers
-    memo[t] = None if t not in memo else (out, bud.used - before)
+    memo[t] = None if t not in memo else [out, bud.used - before, None]
     return out
 
 
@@ -396,7 +399,7 @@ def divides_in_P(
     return None if c is None else _decode_set(c, spec)
 
 
-def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
+def _decompositions(t: tuple, q: _Query) -> list:
     """`decompositions` of the scaled set t of q's spec, as sorted
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
@@ -413,23 +416,21 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
     U < V, as min U < min V; one with a = min t - a gives both (U, V) and
     (V, U), and only U <= V is kept.
 
-    Once t's enumeration is kept, so are the pairs, in the result cache
-    under (t, both_nonsingleton); a hit spends what the replay of that
-    enumeration spends, and the list is shared."""
-    entry = q.entry
-    kept = entry.enumerations.get(t)
-    if kept is not None:
-        pairs = entry.decompositions.get((t, both_nonsingleton))
-        if pairs is not None:
-            q.budget.spend(kept[1])
-            return pairs
+    Once t's enumeration is kept, so are the pairs, as the third item of
+    its record: the call to `_anchored_divisors` replays the map at its
+    cost, which is what recomputing the pairs from it spends, and the list
+    is shared."""
+    divs = _anchored_divisors(t, q, half=True)
+    kept = q.entry.enumerations.get(t)
+    if kept is not None and kept[2] is not None:
+        return kept[2]
     zero, full = t[0] - t[0], (1 << len(t)) - 1
     pairs: list = []
     picks: dict = {}
-    for u, (c, covers) in _anchored_divisors(t, q, half=True).items():
+    for u, (c, covers) in divs.items():
         if u[0] > c[0]:
             break
-        if u == (zero,) or (both_nonsingleton and len(u) < 2):
+        if u == (zero,):
             continue
         extras = picks.get(covers)
         if extras is None:
@@ -444,13 +445,13 @@ def _decompositions(t: tuple, q: _Query, both_nonsingleton=False) -> list:
         middle = u[0] == c[0]
         for extra in extras:
             v = (c[0],) + tuple([c[i] for i in extra])
-            if v == (zero,) or (both_nonsingleton and len(v) < 2):
+            if v == (zero,):
                 continue
             if not middle or u <= v:
                 pairs.append((u, v))
     pairs.sort()
-    if entry.enumerations.get(t) is not None:
-        entry.decompositions[t, both_nonsingleton] = pairs
+    if kept is not None:
+        kept[2] = pairs
     return pairs
 
 
@@ -460,10 +461,13 @@ def decompositions(
     budget: "Budget | int | None" = None,
     both_nonsingleton: bool = False,
 ) -> list[Decomposition]:
-    """All nontrivial pairs (U, V) with U + V = s, up to swap."""
-    t = _encode_set(s, spec)
-    pairs = _decompositions(t, _Query(spec, as_budget(budget)), both_nonsingleton)
-    return [Decomposition(_decode_set(u, spec), _decode_set(v, spec)) for u, v in pairs]
+    """All nontrivial pairs (U, V) with U + V = s, up to swap; with
+    `both_nonsingleton`, only those whose sides each have 2 elements or more."""
+    pairs = _decompositions(_encode_set(s, spec), _Query(spec, as_budget(budget)))
+    return [
+        Decomposition(_decode_set(u, spec), _decode_set(v, spec)) for u, v in pairs
+        if not both_nonsingleton or min(len(u), len(v)) > 1
+    ]
 
 
 @dataclass(frozen=True)

@@ -212,14 +212,10 @@ def _suite_lemma_3_2(spec, bud, rng) -> list:
         def cardinality_bounded() -> str:
             s = _random_set(rng, pool, 4)
             t = _random_set(rng, pool, 4)
-            u = _sumset(s, t)
-            if len(u) < len(s) + len(t) - 1:
-                bound = "cardinality-bound"
-            elif len(s) >= 2 and len(u) <= len(t):
-                bound = "strict-growth"
-            else:
+            # |S + T| >= |S| + |T| - 1 also gives |S + T| > |T| once |S| >= 2
+            if len(_sumset(s, t)) >= len(s) + len(t) - 1:
                 return ""
-            return f"{bound}: {_render(s, sp)} + {_render(t, sp)}"
+            return f"cardinality-bound: {_render(s, sp)} + {_render(t, sp)}"
 
         n = 1000 // len(corpora)
         cid = f"sumset-cardinality[{_spec_tag(sp)}]"

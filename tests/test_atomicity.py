@@ -336,3 +336,23 @@ class TestThm55Projection:
         rep = thm55_projection_check([bad], self.SPEC)
         assert not rep.ok
         assert rep.detail == "first-coordinate trichotomy violated"
+
+    def test_the_identity_is_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^the identity \{0\} is not a candidate atom$"):
+            thm55_projection_check([zero_set(self.SPEC)], self.SPEC)
+
+    def test_a_set_that_decomposes_fails(self):
+        # {0, (0, 1/4), (0, 1/2)} = {0, (0, 1/4)} + {0, (0, 1/4)}
+        bad = FinSet(tuple(QPoint2(F(0), F(k, 4)) for k in range(3)))
+        rep = thm55_projection_check([bad], self.SPEC)
+        assert (rep.ok, rep.detail, rep.violation) == (False, "input set is not an atom", bad)
+
+    @pytest.mark.parametrize(
+        "x, detail",
+        [(F(1, 35), "unattainable offset 1/35 attained"), (F(1, 70), "offset inside the gap")],
+    )
+    def test_an_offset_below_the_gap_fails(self, x, detail):
+        # {(0, 1), (x, 1)} is an atom over <(0, 1), (x, 1)>, its offset x
+        low, high = QPoint2(F(0), F(1)), QPoint2(x, F(1))
+        rep = thm55_projection_check([FinSet((low, high))], MonoidSpec.rank2(low, high))
+        assert (rep.ok, rep.detail, rep.violation) == (False, detail, high)

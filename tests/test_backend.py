@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import finpow
 from finpow import backend
-from finpow.arith import InvalidInputError, QPoint2, render_element
+from finpow.arith import InvalidInputError, QPoint2, parse_element, primes_geq, render_element
 from finpow.backend import (
     Factorization,
     clear_caches,
@@ -60,10 +60,13 @@ from finpow.mcd import (
 )
 from finpow.power import (
     FinSet,
+    augment_indecomposable,
     decompositions,
     divides_in_P,
     is_p_atom,
     p_factorize,
+    parse_finset,
+    sumset_all,
 )
 from oracles import (
     naive_atoms,
@@ -198,9 +201,11 @@ class TestMonoidSpec:
             p_furstenberg_divisor(FinSet((4, 5)), MonoidSpec.numerical(2, 3))
         factorizations(Fraction(7), MonoidSpec.numerical(2, 3, 5, 7), limit=1)
         entries = list(backend._cache.values())
-        repeats = ("elements", "mcds", "decompositions", "least", "scaled_atoms")
+        repeats = ("elements", "mcds", "least")
         for name in repeats:
             assert any(getattr(e, name) for e in entries), name
+        kept = [r for e in entries for r in e.enumerations.values() if r is not None]
+        assert any(r[2] for r in kept)  # the pairs of a kept record
         modules = [
             importlib.import_module(f"finpow.{m.name}")
             for m in pkgutil.iter_modules(finpow.__path__)
@@ -216,7 +221,7 @@ class TestMonoidSpec:
         assert [f for f in lru if f.cache_info().currsize] == []
         fresh = backend._Query(MonoidSpec.numerical(2, 3), Budget()).entry
         assert fresh not in entries
-        assert not any(getattr(fresh, name) for name in repeats)
+        assert not any(getattr(fresh, name) for name in repeats + ("enumerations",))
         # only what queries repeat is memoized: the plans and the families
         assert sorted(f.__name__ for f in lru) == ["_plan", "expand_family"]
 
@@ -405,6 +410,39 @@ class TestBudget:
         clear_caches()
         with pytest.raises(InvalidInputError, match="^element \\(1, 2\\) does not match spec"):
             factorizations(QPoint2(1, 2), MonoidSpec.numerical(2, 3), Budget(0))
+
+
+# (call, message): each input the library refuses, with the message it gives
+INPUT_REFUSALS = [
+    (lambda: primes_geq(5, -1), "count must be nonnegative"),
+    (lambda: parse_element("(1)"), "bad point literal '(1)'"),
+    (lambda: parse_element("(1,2"), "bad point literal '(1,2'"),
+    (lambda: parse_monoid_spec("family FOO"), "unknown family tag 'FOO'"),
+    (lambda: parse_monoid_spec("kind numerical"), "empty generator list"),
+    (lambda: parse_monoid_spec("kind rank2\ngens 1"), "rank2 spec requires plane-point generators"),
+    (lambda: parse_monoid_spec("kind puiseux\ngens (0, 1)"),
+     "rank-1 spec requires rational generators"),
+    (lambda: parse_monoid_spec("kind numerical\ngens 2\ncolour red"),
+     "line 3: unknown directive 'colour'"),
+    (lambda: expand_family("FOO", 1), "unknown family tag 'FOO'"),
+    (lambda: Factorization(((1, 0),)), "factorization multiplicities must be >= 1"),
+    (lambda: members_upto(MonoidSpec.of_family("RANK2-5.3", 1), Fraction(1)),
+     "members_upto supports rank-1 specs only"),
+    (lambda: parse_finset("1, 2"), "bad set literal '1, 2'"),
+    (lambda: sumset_all([FinSet((Fraction(1),))], MonoidSpec.rank2(QPoint2(0, 1))),
+     "cannot add a set of points to a set of rationals"),
+    (lambda: augment_indecomposable(FinSet((Fraction(1),))), "need at least two elements"),
+    (lambda: augment_indecomposable(FinSet((Fraction(-1), Fraction(1)))),
+     "min + max = 0 is unsupported"),
+    (lambda: mcd_in_P([], MonoidSpec.numerical(2, 3)), "empty family"),
+    (lambda: ex44_chain(0, 3), "chain length must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_REFUSALS)
+def test_an_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRank2Backend:

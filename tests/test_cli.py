@@ -64,6 +64,10 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "factorize", element, "--spec", spec)
         assert code == EXIT_FAIL and out == "no factorization\n"
 
+    def test_factorize_zero_is_the_empty_factorization(self, capsys):
+        code, out, _ = run(capsys, "factorize", "0", "--spec", SPEC23)
+        assert code == EXIT_PASS and out == "(empty)\n"
+
     def test_a_target_past_2_63_runs_out_of_budget(self, capsys):
         # the search counts a level's leaves without a range, whose len
         # overflows at 2**63
@@ -316,6 +320,21 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("member", "(1)", "--spec", RANK2), "bad point literal '(1)'"),
+            (("p-atom", "1, 2", "--spec", SPEC23), "bad set literal '1, 2'"),
+            (("member", "1", "--spec", "family FOO"), "unknown family tag 'FOO'"),
+            (("atoms", "--spec", "kind numerical; gens"), "empty generator list"),
+            (("atoms", "--spec", "kind rank2; gens 1"), "rank2 spec requires plane-point generators"),
+            (("atoms", "--spec", SPEC23 + "; colour red"), "line 3: unknown directive 'colour'"),
+        ],
+    )
+    def test_an_input_refusal_names_the_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "suite, spec, needs",

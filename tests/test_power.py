@@ -544,8 +544,8 @@ class TestEnumerationMemo:
             bud = Budget()
             got = decompositions(FinSet(self.T), N23, bud)
             used.append(bud.used)
-        divs, nodes = self.memo()[self.T]
-        assert len(got) == 4 and used == [nodes] * 3 and nodes > 0
+        divs, nodes, pairs = self.memo()[self.T]
+        assert len(got) == len(pairs) == 4 and used == [nodes] * 3 and nodes > 0
         # with every test cached, an uncached rerun spends only its U tries
         self.memo().clear()
         bud = Budget()
@@ -569,7 +569,7 @@ class TestEnumerationMemo:
         clear_caches()
         for _ in range(2):
             decompositions(FinSet(self.T), N23)
-        kept, nodes = self.memo()[self.T]
+        kept, nodes, _ = self.memo()[self.T]
         # the kept count is that of a rerun with every test cached
         self.memo().clear()
         bud = Budget()
@@ -586,13 +586,19 @@ class TestEnumerationMemo:
         assert FinSet(self.T) in got
 
 
-# the result-cache fields that keep a pure result for a repeat to read
-REPEATS = ("elements", "mcds", "decompositions", "least", "scaled_atoms")
+# the result-cache fields that keep a pure result for a repeat to read, and
+# "decompositions", the pairs in the records of the kept enumerations
+REPEATS = ("elements", "mcds", "decompositions", "least")
+
+
+def kept_records(entry) -> list:
+    return [r for r in entry.enumerations.values() if r is not None]
 
 
 def empty_field(entry, name: str) -> None:
-    if name == "scaled_atoms":
-        entry.scaled_atoms = None
+    if name == "decompositions":
+        for record in kept_records(entry):
+            record[2] = None
     else:
         getattr(entry, name).clear()
 
@@ -696,8 +702,11 @@ class TestRepeatedResults:
     @pytest.mark.parametrize("name", REPEATS)
     def test_emptying_the_field_moves_nothing(self, name):
         want = run_calls(MIX, N5TO9)
-        filled = getattr(backend._cache[N5TO9], name)
-        assert filled
+        entry = backend._cache[N5TO9]
+        if name == "decompositions":
+            assert any(record[2] for record in kept_records(entry))
+        else:
+            assert getattr(entry, name)
         assert run_calls(MIX, N5TO9, (name,)) == want
 
     def test_each_spec_decodes_into_its_own_entry(self):

@@ -20,8 +20,10 @@ from finpow.backend import (
     ex44_a2_atoms,
     parse_monoid_spec,
 )
-from finpow.mcd import _mcd_in_P, ex44_chain
-from finpow.power import _divides_in_P, _sumset, _sumset_all, is_indecomposable
+from finpow.mcd import _cap_constant_on_scaled, _mcd_in_P, chain_divisors, ex44_chain
+from finpow.power import (
+    NOT_ATOMIC, _divides_in_P, _p_factor, _sumset, _sumset_all, is_indecomposable,
+)
 from finpow.suites import run_verify_suite
 
 power = sys.modules["finpow.power"]
@@ -244,9 +246,36 @@ def _pairs_truncate(fam, q):
     return out
 
 
+LEMMA52_WITNESS = (
+    "{57/65, 1961/2145, 15872/15015, 1264/1155, 32899/30030, 34019/30030} at a=4/15 p=5"
+)
+
+
+def _wide_sets_vary(t, p):
+    return len(t) < 2 and _cap_constant_on_scaled(t, p)
+
+
+def _singletons_vary(t, p):
+    return len(t) >= 2 and _cap_constant_on_scaled(t, p)
+
+
+def _triples_not_atomic(s, q, memo):
+    return NOT_ATOMIC if len(s) == 3 else _p_factor(s, q, memo)
+
+
+def _every_set_an_atom(s, q, memo):
+    return [s]
+
+
+def _chain_without_its_top(steps):
+    return chain_divisors(steps)[:-1]
+
+
 # (core, wrong core, spec, suite, budget_used, checks): the FAIL of a random
-# check is that of its first failing trial, and prop-4.1 reports a
-# TruncationError of `_mcd_in_P` as it reports a family with no MCD
+# check is that of its first failing trial, prop-4.1 reports a
+# TruncationError of `_mcd_in_P` as it reports a family with no MCD, and
+# lemma-5.2 fails on a random set before it decomposes it (at no node) and
+# on a side of a decomposition after
 @pytest.mark.parametrize(
     "core, wrong, spec, suite, used, checks",
     [
@@ -276,6 +305,23 @@ def _pairs_truncate(fam, q):
         ]),
         ("_mcd_in_P", _pairs_truncate, PUISEUX, "prop-4.1", 2011, [
             ("mcd-existence-agrees[puiseux(3/2,5/2)]", "fail", "{0} , {3/2}"),
+        ]),
+        ("_cap_constant_on_scaled", _wide_sets_vary, None, "lemma-5.2", 0, [
+            ("residue-constant-on-divisors", "fail", LEMMA52_WITNESS),
+        ]),
+        ("_cap_constant_on_scaled", _singletons_vary, None, "lemma-5.2", 440, [
+            ("residue-constant-on-divisors", "fail", LEMMA52_WITNESS),
+        ]),
+        ("_p_factor", _triples_not_atomic, None, "thm-4.5", 2032, [
+            ("p-factorization-exists", "fail", "{0, 2, 3}"),
+        ]),
+        ("_p_factor", _every_set_an_atom, None, "thm-4.5", 70, [
+            ("parts-are-atoms", "fail", "{4}"),
+        ]),
+        ("chain_divisors", _chain_without_its_top, None, "ex-4.4", 1115, [
+            ("ascending-divisor-chain", "fail", "0 , 1/2 , 3/4"),
+            ("chain-certificates-resum", "pass", "3 steps, two certificates each"),
+            ("one-avoids-second-family", "pass", "all depths <= 6"),
         ]),
     ],
 )
