@@ -26,8 +26,9 @@ across calls, and charges a repeated subtree's nodes in one spend.
 Membership verdicts, scaled divisor lists, set divisor enumerations, each
 kept with its decomposition pairs, and the atom list live in one result
 cache per spec, an `_Entry` with a named field for each; so do the pure
-results that queries repeat, decoded elements, MCD lists and `_least`'s
-memos, each hit spending what recomputing it would.  `clear_caches`
+results that queries repeat, decoded elements, MCD lists, `_least`'s
+memos and the power layer's pattern walks and V lists, each hit spending
+what recomputing it would.  `clear_caches`
 empties the cache.  A `_Query` holds a spec, its entry and a budget;
 the scaled cores here and in `power` and `mcd` take one, and `member` and
 `divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode;
@@ -471,16 +472,21 @@ class _Entry:
     - `mcds` maps a scaled set to its scaled MCDs (`mcd._mcd`); a hit spends
       0, as a rerun reads only divisor lists the first run cached;
     - `least` maps (scale, k) to the memo of `_least` over the atoms at that
-      scale, kept for k least vectors; a replayed subtree spends its count.
+      scale, kept for k least vectors; a replayed subtree spends its count;
+    - `walks` maps a set's offsets from its minimum, rel, to the pattern
+      walks of `power._anchored_divisors` over it, and `picks` a covers
+      tuple to the V's of `power._decompositions`; both charge nothing, so
+      a hit spends 0, and only `power` reads or writes them.
     """
 
     __slots__ = (
         "verdicts", "divisors", "plan", "enumerations", "atoms", "elements", "mcds", "least",
+        "walks", "picks",
     )
 
     def __init__(self, spec: MonoidSpec):
         self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
-        self.elements, self.mcds, self.least = {}, {}, {}
+        self.elements, self.mcds, self.least, self.walks, self.picks = {}, {}, {}, {}, {}
         self.plan = _plan(spec.generators[::-1], spec.scale)
 
 
@@ -535,13 +541,22 @@ def _split(n: int, pack: int) -> tuple:
 def decode(n, spec: MonoidSpec) -> Element:
     """The element whose scaled form over a spec is n, kept in the spec's
     result-cache entry once it has one, so a repeat is one lookup."""
+    return decode_all((n,), spec)[0]
+
+
+def decode_all(ns, spec: MonoidSpec) -> list:
+    """`decode` of each scaled element of ns, in order, with one lookup of
+    the spec's entry for the whole list."""
     entry = _cache.get(spec)
     if entry is None:
-        return _decoded(n, spec)
-    e = entry.elements.get(n)
-    if e is None:
-        e = entry.elements[n] = _decoded(n, spec)
-    return e
+        return [_decoded(n, spec) for n in ns]
+    elements, out = entry.elements, []
+    for n in ns:
+        e = elements.get(n)
+        if e is None:
+            e = elements[n] = _decoded(n, spec)
+        out.append(e)
+    return out
 
 
 def _decoded(n, spec: MonoidSpec) -> Element:
@@ -625,7 +640,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     if n is None:
         bud.spend()
         return []
-    return [decode(d, spec) for d in _divisors(n, _Query(spec, bud))]
+    return decode_all(_divisors(n, _Query(spec, bud)), spec)
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
@@ -725,7 +740,7 @@ def members_upto(
     gens = [encode(g, spec) for g in spec.generators[::-1]]
     found: set = set()
     _walk(gens, 0, 0, math.floor(bound * spec.scale), as_budget(budget), found)
-    return [decode(n, spec) for n in sorted(found)]
+    return decode_all(sorted(found), spec)
 
 
 def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> None:

@@ -56,7 +56,10 @@ share the one result cache of `backend`, read by scaled element through
 `_Query.is_member` and `_scaled_divisors`; a kept enumeration is one
 record [map, cost, pairs], replayed at the node cost of an uncached
 rerun, and its pairs are read only after that replay, so caching moves
-no count.  Only this module reads or writes the kept enumerations.
+no count.  The cache also keeps the pattern walks of `_anchored_divisors`
+and the V lists of `_decompositions` across calls; they charge nothing,
+so keeping them moves no count either.  Only this module reads or writes
+the kept enumerations, walks and V lists.
 """
 from __future__ import annotations
 
@@ -72,6 +75,7 @@ from .backend import (
     _split_top_level,
     as_budget,
     decode,
+    decode_all,
     divisors,
     encode,
 )
@@ -191,7 +195,7 @@ def _decode_set(elems, spec: MonoidSpec) -> FinSet:
     Decoding is monotone, so the result is ascending and distinct too and is
     taken as it is, without sorting or hashing.
     """
-    return FinSet._ascending(tuple([decode(n, spec) for n in elems]))
+    return FinSet._ascending(tuple(decode_all(elems, spec)))
 
 
 def _check_members(t: tuple, q: _Query) -> None:
@@ -280,15 +284,19 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     u + mv in t.  With rel = t - min t, U - a ranges over the subsets
     holding 0 of A = {d in rel : a + d in M} and C - mv lies in
     V = {d in rel : mv + d in M}; translation keeps the covers, so the
-    subsets are walked once per pattern (A, V), in a dict local to the call,
-    and each anchor translates the result.  The V tests are made only if
-    some tail test tmax - x, x in a + A, passes: if U + C = t, then
-    tmax - max U = max C is in M.  Each anchor makes its tests in one pass:
-    the A tests in ascending order, every tail test, then the V tests; it
-    reads a cached verdict straight from the result cache, searches only on
-    a miss, and sets the bits of the pattern key, the masks of A and V over
-    the indices of rel, as it goes.  The anchors ascend, so the map's keys
-    are inserted in order of min U, which `_decompositions` relies on.
+    subsets are walked once per pattern (A, V) and each anchor translates
+    the result.  A walk depends on rel and the pattern alone and charges
+    nothing, so the walks are kept in the spec's result cache, under rel
+    and then the pattern key, and every set with t's offsets, any
+    translate of t among them, reads them in later calls too.  The V tests
+    are made only if some tail test tmax - x, x in a + A, passes: if
+    U + C = t, then tmax - max U = max C is in M.  Each anchor makes its
+    tests in one pass: the A tests in ascending order, every tail test,
+    then the V tests; it reads a cached verdict straight from the result
+    cache, searches only on a miss, and sets the bits of the pattern key,
+    the masks of A and V over the indices of rel, as it goes.  The anchors
+    ascend, so the map's keys are inserted in order of min U, which
+    `_decompositions` relies on.
 
     With `half`, a run whose map will not be kept (t not yet marked) maps
     only the anchors a <= mv, the ones `_decompositions` reads: a later
@@ -326,7 +334,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     verdict = q.entry.verdicts.get
     t0, tmax = t[0], t[-1]
     rel = tuple(x - t0 for x in t)
-    patterns: dict = {}
+    patterns = q.entry.walks.setdefault(rel, {})
     out: dict = {}
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
@@ -404,7 +412,11 @@ def _decompositions(t: tuple, q: _Query) -> list:
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
     whose covers OR to all of t; which subsets those are depends on the
-    covers alone, so they are listed once per covers tuple.
+    covers alone, so they are listed once per covers tuple, and kept in the
+    spec's result cache across calls and sets.  The covers tuple is a sound
+    key for any set: a divisor's covers OR to its own set's full mask, so
+    the tuple fixes the mask that the V's must cover.  Listing them charges
+    nothing, so a kept list moves no count.
 
     Each pair is built once, from its lesser anchor.  If U + V = t with
     min U <= min V, then U is a divisor with anchor a = min U, and V, a
@@ -425,8 +437,7 @@ def _decompositions(t: tuple, q: _Query) -> list:
     if kept is not None and kept[2] is not None:
         return kept[2]
     zero, full = t[0] - t[0], (1 << len(t)) - 1
-    pairs: list = []
-    picks: dict = {}
+    pairs, picks = [], q.entry.picks
     for u, (c, covers) in divs.items():
         if u[0] > c[0]:
             break
@@ -434,7 +445,7 @@ def _decompositions(t: tuple, q: _Query) -> list:
             continue
         extras = picks.get(covers)
         if extras is None:
-            extras = picks[covers] = []
+            extras = []
             for r in range(len(c)):
                 for extra in itertools.combinations(range(1, len(c)), r):
                     union = covers[0]
@@ -442,6 +453,8 @@ def _decompositions(t: tuple, q: _Query) -> list:
                         union |= covers[i]
                     if union == full:
                         extras.append(extra)
+            # kept only once whole, so an interrupted listing leaves none
+            picks[covers] = extras
         middle = u[0] == c[0]
         for extra in extras:
             v = (c[0],) + tuple([c[i] for i in extra])

@@ -201,7 +201,7 @@ class TestMonoidSpec:
             p_furstenberg_divisor(FinSet((4, 5)), MonoidSpec.numerical(2, 3))
         factorizations(Fraction(7), MonoidSpec.numerical(2, 3, 5, 7), limit=1)
         entries = list(backend._cache.values())
-        repeats = ("elements", "mcds", "least")
+        repeats = ("elements", "mcds", "least", "walks", "picks")
         for name in repeats:
             assert any(getattr(e, name) for e in entries), name
         kept = [r for e in entries for r in e.enumerations.values() if r is not None]
@@ -1392,15 +1392,19 @@ def test_a_spec_computes_no_value_lazily():
 
 
 def test_only_power_reads_the_kept_enumerations():
-    # the kept divisor map {U: (C, covers)} has one owner: `power` reads and
-    # writes `_Entry.enumerations`, `backend` only sets its empty dict, and
-    # `mcd` reads no field of an entry but its MCD lists
-    owners = sorted({
-        name for name, node in module_nodes()
-        if isinstance(node, ast.Attribute) and node.attr == "enumerations"
-        and not (name == "backend.py" and isinstance(node.ctx, ast.Store))
-    })
-    assert owners == ["power.py"]
+    # the kept divisor map {U: (C, covers)}, the kept pattern walks and the
+    # kept V lists have one owner: `power` reads and writes each field,
+    # `backend` only sets its empty dict, and `mcd` reads no field of an
+    # entry but its MCD lists
+    owners = {
+        field: sorted({
+            name for name, node in module_nodes()
+            if isinstance(node, ast.Attribute) and node.attr == field
+            and not (name == "backend.py" and isinstance(node.ctx, ast.Store))
+        })
+        for field in ("enumerations", "walks", "picks")
+    }
+    assert owners == dict.fromkeys(owners, ["power.py"])
     read_by_mcd = {
         node.attr for name, node in module_nodes()
         if name == "mcd.py" and isinstance(node, ast.Attribute)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
 from finpow.atomicity import p_furstenberg_divisor, rank2_atom
-from finpow import backend
+from finpow import backend, power
 from finpow.backend import (
     DEFAULT_BUDGET,
     Budget,
@@ -588,7 +588,7 @@ class TestEnumerationMemo:
 
 # the result-cache fields that keep a pure result for a repeat to read, and
 # "decompositions", the pairs in the records of the kept enumerations
-REPEATS = ("elements", "mcds", "decompositions", "least")
+REPEATS = ("elements", "mcds", "decompositions", "least", "walks", "picks")
 
 
 def kept_records(entry) -> list:
@@ -715,6 +715,32 @@ class TestRepeatedResults:
         divisors(Fraction(3), N23)
         divisors(Fraction(3, 2), halves)
         assert decode(3, N23) == 3 and decode(3, halves) == Fraction(3, 2)
+
+    def test_a_translate_walks_nothing_again(self, monkeypatch):
+        # {3, 4, 5, 7} = {0, 1, 2, 4} + 3 has the same offsets from its
+        # minimum, and over <1> each of its anchors 0..3 has the pattern of
+        # {0, 1, 2, 4}'s one anchor 0, so the kept walk serves them all
+        walks = []
+        walk = power._relative_divisors
+        monkeypatch.setattr(
+            power, "_relative_divisors", lambda *args: walks.append(args) or walk(*args)
+        )
+        one = MonoidSpec.numerical(1)
+        got = []
+        for empty in (False, True):
+            clear_caches()
+            walks.clear()
+            decompositions(FinSet((0, 1, 2, 4)), one)
+            assert len(walks) == 1
+            if empty:
+                for name in ("walks", "picks"):
+                    empty_field(backend._cache[one], name)
+            walks.clear()
+            bud = Budget()
+            pairs = decompositions(FinSet((3, 4, 5, 7)), one, bud)
+            got.append((len(walks), pairs, bud.used))
+        assert [n for n, _, _ in got] == [0, 1]
+        assert got[0][1:] == got[1][1:] == (got[0][1], 65) and got[0][1]
 
     def test_the_mix_finds_what_it_asks(self):
         got = [answer for answer, _ in run_calls(MIX, N5TO9)]
