@@ -4,10 +4,8 @@ decomposition of rationals over odd-prime unit fractions, the rank-2 atom
 construction, and the first-coordinate projection-gap checker.
 
 Chains in M and in P_fin(M) share one memoised search, `_longest_chain`.
-Every atom-divisor question on scaled elements is one lazy scan,
-`_atom_divisors`; the public `atom_divisors` scans the decoded atoms with
-`member` instead, as an off-lattice b has no scaled form (`encode` gives
-None) for the scan's `a <= n` to compare.
+Every atom-divisor question, the public `atom_divisors` among them, is one
+lazy scan on scaled elements, `_atom_divisors`.
 
 `p_furstenberg_divisor`, `tidf_implies_atomic_check` and
 `thm55_projection_check` are each one encode, a scaled core
@@ -27,15 +25,15 @@ from .backend import (
     Budget,
     MonoidSpec,
     _Query,
+    _on_lattice,
     _scaled_atoms,
     _split,
     as_budget,
-    atoms,
     decode,
+    decode_all,
     divisors,
     encode,
     factorizations,
-    member,
     members_upto,
 )
 from .power import (
@@ -183,10 +181,16 @@ def _atom_divisors(n, ats: list, q: _Query):
 def atom_divisors(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
-    """All atoms of the monoid dividing b."""
+    """All atoms of the monoid dividing b: one encode, `_atom_divisors` over
+    the scaled atoms, one decode.  An element off the generators' lattice
+    has none, by `_on_lattice`, with no atom search."""
     spec.check_element(b)
     bud = as_budget(budget)
-    return [a for a in atoms(spec, bud) if a <= b and member(b - a, spec, bud)]
+    n = _on_lattice(b, spec, bud)
+    if n is None:
+        return []
+    q = _Query(spec, bud)
+    return decode_all(list(_atom_divisors(n, _scaled_atoms(q), q)), spec)
 
 
 def ffm_count(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> int:

@@ -335,7 +335,7 @@ def _search(
     Only kmax is tested.  A child's residual needs no sign test: k <= kmax
     and gx >= 0 keep it nonnegative.
     """
-    budget.spend()
+    budget.spend()  # nodes: one per search frame
     levels = len(plan) - i
     if not y and not x:
         results.append(tuple(prefix) + (0,) * levels)
@@ -350,7 +350,7 @@ def _search(
         kmax = min(kmax, x // gx)
     k0 = y // d * inv % step
     if levels == 1:
-        budget.spend((kmax - k0) // step + 1)
+        budget.spend((kmax - k0) // step + 1)  # nodes: one per leaf of the last level
         if kmax * gy == y and kmax * gx == x:
             results.append((*prefix, kmax))
             return True
@@ -379,7 +379,7 @@ def _search(
             found = True
             if first_only:
                 break
-        budget.spend(spent)
+        budget.spend(spent)  # nodes: one per child of the frame and per leaf below it
         return found
     for k in range(k0, kmax + 1, step):
         prefix.append(k)
@@ -402,7 +402,7 @@ def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: i
     `_search`'s."""
     entry = memo.get((i, y, x))
     if entry is not None:
-        budget.spend(entry[0])
+        budget.spend(entry[0])  # nodes: a repeated subtree's recorded count
         return entry[1]
     used, levels = budget.used, len(plan) - i
     best: list = []
@@ -410,7 +410,7 @@ def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: i
         _search(plan, i, y, x, budget, False, best, [])
         best = sorted(h[::-1] for h in best)[:k]
     else:
-        budget.spend()
+        budget.spend()  # nodes: one per frame above the last two levels
         gy, gx, more_y, more_x, d, step, inv = plan[i]
         if y >= 0 and x >= 0 and (more_y or not y) and (more_x or not x) and not y % d:
             kmax = y // gy if gy else x // gx
@@ -590,17 +590,25 @@ class _Query:
         return ok
 
 
+def _on_lattice(b: Element, spec: MonoidSpec, budget: Budget) -> Optional[int]:
+    """The scaled form of b, or None when b lies off the generators'
+    lattice, outside M; that verdict costs one node, cold or warm, and
+    touches no cache."""
+    n = encode(b, spec)
+    if n is None:
+        budget.spend()  # nodes: one per element off the lattice
+    return n
+
+
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
     """Exact membership: is q a nonnegative-integer combination of generators?
-    An element off the generators' lattice is not, at one node, cold or warm."""
+    An element off the generators' lattice is not, by `_on_lattice`."""
     spec.check_element(q)
     if q < spec.zero:
         return False
-    bud, n = as_budget(budget), encode(q, spec)
-    if n is None:
-        bud.spend()
-        return False
-    return _Query(spec, bud).is_member(n)
+    bud = as_budget(budget)
+    n = _on_lattice(q, spec, bud)
+    return n is not None and _Query(spec, bud).is_member(n)
 
 
 def _divisors(n: int, q: _Query) -> tuple:
@@ -622,7 +630,7 @@ def _divisors(n: int, q: _Query) -> tuple:
         # a level's scaled generator is gy*K + gx
         for vec in reps:
             used = [(level[0] * pack + level[1], c) for level, c in zip(entry.plan, vec) if c]
-            bud.spend(math.prod(c + 1 for _, c in used))
+            bud.spend(math.prod(c + 1 for _, c in used))  # nodes: prod(c + 1) sub-multisets
             sums = {0}
             for g, c in used:
                 sums = {s + k * g for s in sums for k in range(c + 1)}
@@ -633,14 +641,12 @@ def _divisors(n: int, q: _Query) -> tuple:
 
 def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
-    scaled b, decoded.  An element off the generators' lattice has none, at
-    one node, cold or warm."""
+    scaled b, decoded.  An element off the generators' lattice has none, by
+    `_on_lattice`."""
     spec.check_element(b)
-    bud, n = as_budget(budget), encode(b, spec)
-    if n is None:
-        bud.spend()
-        return []
-    return decode_all(_divisors(n, _Query(spec, bud)), spec)
+    bud = as_budget(budget)
+    n = _on_lattice(b, spec, bud)
+    return [] if n is None else decode_all(_divisors(n, _Query(spec, bud)), spec)
 
 
 def atoms(spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
@@ -746,7 +752,7 @@ def members_upto(
 def _walk(gens: list, i: int, acc: int, top: int, bud: Budget, found: set) -> None:
     """Add to `found` every acc + a combination of gens[i:] up to top; each
     node spends one budget unit."""
-    bud.spend()
+    bud.spend()  # nodes: one per frame of the member walk
     found.add(acc)
     if i == len(gens):
         return

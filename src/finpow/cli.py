@@ -22,7 +22,7 @@ from .backend import (
     member,
     parse_monoid_spec,
 )
-from .power import divides_in_P, is_p_atom, p_factorize, parse_finset, sumset, NOT_ATOMIC
+from .power import divides_in_P, is_p_atom, p_factorize, parse_finset, sumset
 from .mcd import chain_divisors, ex44_chain, mcd
 from .suites import FAIL, OVER, TRUNC, run_all_suites, run_verify_suite
 
@@ -164,20 +164,13 @@ def _cmd_p_atom(args) -> int:
 def _cmd_p_factorize(args) -> int:
     spec, bud, s = _load_sets(args, args.set)
     parts = p_factorize(s, spec, bud)
-    if parts is NOT_ATOMIC:
-        print("not atomic")
-        return EXIT_FAIL
     print(" + ".join(p.render() for p in parts) if parts else "{0} (empty factorization)")
     return EXIT_PASS
 
 
 def _cmd_mcd(args) -> int:
     spec, bud, s = _load_sets(args, args.set)
-    out = mcd(s, spec, bud)
-    if not out:
-        print("no maximal common divisor found")
-        return EXIT_FAIL
-    for d in out:
+    for d in mcd(s, spec, bud):
         print(render_element(d))
     return EXIT_PASS
 

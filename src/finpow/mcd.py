@@ -8,9 +8,9 @@ the cofactor that the anchored divisor enumeration maps it to.  The common
 divisors of a scaled set have one algorithm, `_common_divisors`, the
 intersection of its elements' divisor lists; `_mcd`, the singleton branch
 of `atomicity._p_furstenberg_divisor` and `common_divisors` all read it.
-The scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite; the
-partial divisor of a TruncationError from `_mcd_in_P` is scaled, and
-`mcd_in_P` decodes it.  A set outside P_fin(M) is rejected, from the
+The scaled cores `_mcd` and `_mcd_in_P` also serve the prop-4.1 suite,
+and neither comes back empty on sets of members, as a spec is finitely
+generated.  A set outside P_fin(M) is rejected, from the
 divisor lists `_common_divisors` reads or by the anchored enumeration.
 The result cache keeps each set's MCD list, replayed at the node cost of
 recomputing it; that is the only field of it this module reads, as a
@@ -104,7 +104,8 @@ def p_divisors(
 
 def _mcd_in_P(fam: list, q: _Query) -> list:
     """`mcd_in_P` of a nonempty family of scaled sets, as ascending scaled
-    sets; a TruncationError carries the scaled stripped divisor as partial."""
+    sets, never empty: the largest common divisor d of a set S of members is
+    an MCD, as a nonzero common divisor d' of S - d would make d + d' larger."""
     stripped = (fam[0][0] - fam[0][0],)
     while True:
         maps = [_anchored_divisors(t, q) for t in fam]
@@ -117,10 +118,6 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
         fam = [tuple(m[d][0]) for m in maps]  # the largest cofactor of d in each set
         stripped = _sumset(stripped, d)
     m_level = _mcd(tuple(sorted({e for t in fam for e in t})), q)
-    if not m_level:
-        raise TruncationError(
-            "monoid-level MCD reduction inconclusive within truncation", partial=stripped
-        )
     # translates by ascending m0 come out in ascending order
     return [tuple(e + m0 for e in stripped) for m0 in m_level]
 
@@ -132,16 +129,13 @@ def mcd_in_P(
 
     Induction: strip non-singleton common divisors while any exist; once all
     common divisors are singletons, the problem reduces to a monoid-level MCD
-    of the union of the residual family.  Stripping U from t leaves the
-    largest cofactor C that comes with U, as U + C = t.
+    of the union of the residual family, which always has one.  Stripping U
+    from t leaves the largest cofactor C that comes with U, as U + C = t.
     """
     if not family:
         raise InvalidInputError("empty family")
     fam = [_encode_set(t, spec) for t in family]
-    try:
-        out = _mcd_in_P(fam, _Query(spec, as_budget(budget)))
-    except TruncationError as exc:
-        raise TruncationError(str(exc), partial=_decode_set(exc.partial, spec)) from None
+    out = _mcd_in_P(fam, _Query(spec, as_budget(budget)))
     return [_decode_set(u, spec) for u in out]
 
 

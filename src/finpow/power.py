@@ -324,7 +324,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     memo, bud, is_member = q.entry.enumerations, q.budget, q.is_member
     kept = memo.get(t)
     if kept is not None:
-        bud.spend(kept[1])
+        bud.spend(kept[1])  # nodes: a kept enumeration's recorded count
         return kept[0]
     # only a map that will be kept must be whole
     half = half and t not in memo
@@ -351,7 +351,7 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
             ok = verdict(top - d)
             if ok or ok is None and is_member(top - d):
                 tail = True
-        bud.spend(1 << (len(us) - 1))
+        bud.spend(1 << (len(us) - 1))  # nodes: 2^(|A| - 1) subsets of an anchor
         if not tail:
             continue
         outs = 0
@@ -525,7 +525,9 @@ def augment_indecomposable(s: FinSet) -> FinSet:
 
 
 class NotAtomic:
-    """Sentinel outcome: exhaustive search proved no atom chain exists."""
+    """Sentinel of a set with no atom factorization, which `p_factorize`
+    never returns, as every spec is finitely generated; thm-4.5's
+    `p-factorization-exists` check still tests a core's result against it."""
 
     def __repr__(self) -> str:
         return "NotAtomic"
@@ -535,35 +537,28 @@ NOT_ATOMIC = NotAtomic()
 
 
 def p_factorize(s: FinSet, spec: MonoidSpec, budget: "Budget | int | None" = None):
-    """Factor s into certified power-monoid atoms, or prove there is no way.
-
-    Returns a list of FinSet atoms summing to s, or NOT_ATOMIC.  No side of
-    a decomposition is {0}, so the recursion never meets the zero set.
+    """Factor s into certified power-monoid atoms: a list of FinSet atoms
+    summing to s, ascending.  No side of a decomposition is {0}, so the
+    recursion never meets the zero set.
     """
     if s == zero_set(spec):
         return []
     parts = _p_factor(_encode_set(s, spec), _Query(spec, as_budget(budget)), {})
-    return parts if parts is NOT_ATOMIC else [_decode_set(p, spec) for p in parts]
+    return [_decode_set(p, spec) for p in parts]
 
 
-def _p_factor(t: tuple, q: _Query, memo: dict):
+def _p_factor(t: tuple, q: _Query, memo: dict) -> list:
     """`p_factorize` of the scaled set t other than the zero set: its atoms
-    as ascending scaled sets, or NOT_ATOMIC, with the verdicts of the sets
-    met so far in memo."""
-    if t in memo:
-        return memo[t]
-    memo[t] = NOT_ATOMIC  # guards re-entry on cyclic translates
-    decs = _decompositions(t, q)
-    result = NOT_ATOMIC if decs else [t]
-    for u, v in decs:
-        left = _p_factor(u, q, memo)
-        if left is NOT_ATOMIC:
-            continue
-        right = _p_factor(v, q, memo)
-        if right is NOT_ATOMIC:
-            continue
-        # scaled sets sort as their decoded sets do
-        result = sorted(left + right)
-        break
-    memo[t] = result
-    return result
+    as ascending scaled sets, with those of the sets met so far in memo.
+    t splits along its first decomposition, if any; neither side is {0}, so
+    each has a smaller maximum than t and holds only divisors of t's
+    elements, and the recursion ends."""
+    if t not in memo:
+        decs = _decompositions(t, q)
+        if decs:
+            u, v = decs[0]
+            # scaled sets sort as their decoded sets do
+            memo[t] = sorted(_p_factor(u, q, memo) + _p_factor(v, q, memo))
+        else:
+            memo[t] = [t]
+    return memo[t]

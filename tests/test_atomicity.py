@@ -12,6 +12,7 @@ from finpow.atomicity import (
     PROJECTION_GAP,
     PROJECTION_HEADS,
     UNATTAINABLE_OFFSET,
+    DescentReport,
     accp_chain_explore,
     atom_divisors,
     canonical_decomp_Q,
@@ -124,6 +125,9 @@ class TestAtomDivisorsAndCounts:
         rep = tidf_implies_atomic_check(N23, 30)
         assert rep.ok
         assert 0 < rep.max_descent <= 15
+
+    def test_a_descent_report_is_true_iff_ok(self):
+        assert tidf_implies_atomic_check(N23, 30) and not DescentReport(False, counterexample=F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ class TestThm55Projection:
             FinSet((QPoint2(F(0), F(1, 4)), h)),
         ]
         rep = thm55_projection_check(atoms, self.SPEC)
-        assert rep.ok, rep.detail
+        assert rep.ok and rep, rep.detail
 
     def test_an_offset_of_exactly_the_gap_passes(self):
         # {h, g} is an atom whose minimum h has x = 1/7, and g has x = 1/5:
@@ -334,7 +338,7 @@ class TestThm55Projection:
     def test_trichotomy_violation(self):
         bad = FinSet((QPoint2(F(2, 35), F(1)),))
         rep = thm55_projection_check([bad], self.SPEC)
-        assert not rep.ok
+        assert not rep.ok and not rep
         assert rep.detail == "first-coordinate trichotomy violated"
 
     def test_the_identity_is_refused(self):

@@ -238,6 +238,13 @@ class TestMonoidSpec:
         assert not member(q, spec, bud)
         assert bud.used == 1
 
+    def test_a_negative_element_is_no_member_at_no_node(self):
+        # -1 is on the lattice, so only the sign test keeps it from a search
+        clear_caches()
+        bud = Budget()
+        assert not member(Fraction(-1), MonoidSpec.numerical(2, 3), bud)
+        assert bud.used == 0
+
     def test_family_is_expanded_once(self):
         # a family spec holds its expansion from construction and equals it,
         # so all three share one result-cache entry
@@ -314,6 +321,10 @@ class TestMonoidSpec:
         ).stdout
         other = pickle.loads(blob)
         assert other == sp and hash(other) == hash(sp)
+
+    def test_comment_and_blank_lines_are_skipped(self):
+        text = "# the monoid <2, 3>\nkind numerical\n\n   \ngens 2, 3\n"
+        assert parse_monoid_spec(text) == MonoidSpec.numerical(2, 3)
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(InvalidInputError, match="line"):
@@ -709,8 +720,10 @@ class TestNodeCounts:
             (lambda b: atoms(N234, b), [2, 3], 12, 0),
             (lambda b: atoms(N34567, b), [3, 4, 5], 36, 0),
             (lambda b: len(factorizations(F(20), N34567, b)), 6, 106, 70),
+            # off the lattice: no atom divides 13/2, at one node with no atom search
+            (lambda b: atom_divisors(F(13, 2), N23, b), [], 1, 1),
         ],
-        ids=["atoms-N234", "atoms-N34567", "factorizations-N34567"],
+        ids=["atoms-N234", "atoms-N34567", "factorizations-N34567", "atom_divisors-off-lattice"],
     )
     def test_warm_budget_used(self, call, answer, cold, warm):
         clear_caches()
@@ -1411,6 +1424,48 @@ def test_only_power_reads_the_kept_enumerations():
         and node.attr in backend._Entry.__slots__
     }
     assert read_by_mcd == {"mcds"}
+
+
+# (module, enclosing function, closed form) of every budget charge in the
+# package: each `.spend(` call names on its own line, after "# nodes: ", the
+# count it charges, and the README's "What a node is" lists these forms
+SPEND_CALLS = [
+    ("backend.py", "_search", "one per search frame"),
+    ("backend.py", "_search", "one per leaf of the last level"),
+    ("backend.py", "_search", "one per child of the frame and per leaf below it"),
+    ("backend.py", "_least", "a repeated subtree's recorded count"),
+    ("backend.py", "_least", "one per frame above the last two levels"),
+    ("backend.py", "_on_lattice", "one per element off the lattice"),
+    ("backend.py", "_divisors", "prod(c + 1) sub-multisets"),
+    ("backend.py", "_walk", "one per frame of the member walk"),
+    ("power.py", "_anchored_divisors", "a kept enumeration's recorded count"),
+    ("power.py", "_anchored_divisors", "2^(|A| - 1) subsets of an anchor"),
+]
+
+
+def test_every_budget_charge_is_listed_with_its_closed_form():
+    # a node is what these calls charge, so a new charge, a moved one or a
+    # changed form must change this list and the README with it
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name)) as f:
+            text = f.read()
+        tree, lines = ast.parse(text), text.splitlines()
+        fns = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "spend"):
+                continue
+            # the innermost function whose lines hold the call
+            fn = max(
+                (f for f in fns if f.lineno <= node.lineno <= f.end_lineno),
+                key=lambda f: f.lineno, default=None,
+            )
+            form = lines[node.lineno - 1].partition("  # nodes: ")[2]
+            found.append((name, node.lineno, fn and fn.name, form))
+    assert [(name, fn, form) for name, _, fn, form in sorted(found)] == SPEND_CALLS
 
 
 def imported_modules(node) -> list:

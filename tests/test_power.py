@@ -189,6 +189,10 @@ class TestAtoms:
         assert aug.elems == (2, 3, 4, 16)
         assert is_indecomposable(aug, N23)
 
+    def test_augment_a_set_with_negative_extremes(self):
+        # min + max < 0, so the adjoined element is four times the minimum
+        assert augment_indecomposable(FinSet((-3, -1))).elems == (-12, -3, -1)
+
 
 class TestPFactorize:
     def test_identity_is_empty_product(self):
@@ -288,7 +292,11 @@ def check_window(spec: MonoidSpec, n: int) -> None:
     and the later calls replay the kept map and the kept pairs.  The
     membership verdicts and divisor lists stay cached from set to set, as
     in a suite run.  The expected lists are built on scaled ints, whose
-    tuples sort as their decoded sets do."""
+    tuples sort as their decoded sets do.
+
+    A second pass, once every map is kept, checks on each T other than {0}
+    that the parts of `p_factorize` re-sum to T and have no nontrivial pair
+    in `window_pairs`, and that `mcd` of T is not empty."""
     scale = spec.scale
     members = {int(q * scale) for q in naive_members(spec.generators, Fraction(n, scale))}
     fractions = [Fraction(i, scale) for i in range(n + 1)]
@@ -299,9 +307,13 @@ def check_window(spec: MonoidSpec, n: int) -> None:
     def decoded(elems: tuple) -> tuple:
         return tuple([fractions[i] for i in elems])
 
+    def mask(s: FinSet) -> int:
+        return sum(1 << int(e * scale) for e in s)
+
     clear_caches()
     # every T is T + {0}, so every member subset of the window is a key
-    for t, found in window_pairs(members, n).items():
+    table = window_pairs(members, n)
+    for t, found in table.items():
         s = FinSet(decoded(ints(t)))
         sides = [(ints(u), ints(v)) for u, v in found]
         nontrivial = sorted({(min(u, v), max(u, v)) for u, v in sides if (0,) not in (u, v)})
@@ -323,6 +335,15 @@ def check_window(spec: MonoidSpec, n: int) -> None:
             assert [d.elems for d in p_divisors(s, spec)] == divs, s
     # each set was enumerated more than once, so each one's map is kept
     assert None not in backend._cache[spec].enumerations.values()
+    for t in table:
+        if t == 1:
+            continue
+        s = FinSet(decoded(ints(t)))
+        parts = p_factorize(s, spec)
+        assert sumset_all(parts, spec) == s, s
+        for p in parts:
+            assert all(1 in pair for pair in table[mask(p)]), (s, p)
+        assert mcd(s, spec), s
 
 
 class TestWindowOracle:

@@ -125,7 +125,8 @@ def test_a_default_run_asks_the_same_questions_in_the_same_order(suite, order):
 # (suite, spec text or None for the defaults, budget_used, sha256 of the JSON
 # lines, `cache_order` after the run).  cap-additivity spends no node, so its
 # lines are all there is to pin; thm-5.5-gap also runs on rank-2 specs of
-# its own.
+# its own; on a family spec, lemma-3.2 tags its check by family and depth,
+# sumset-cardinality[Q-ODDPRIMES@1].
 @pytest.mark.parametrize(
     "suite, text, used, lines, order",
     [
@@ -137,6 +138,7 @@ def test_a_default_run_asks_the_same_questions_in_the_same_order(suite, order):
          "9c00c4cdefd20c69"),
         ("thm-5.5-gap", "kind rank2\ngens (0,1), (1/5,2), (1/7, 5/2)", 218, "89aad6272c76f790",
          "d4a23ccc51d614d9"),
+        ("lemma-3.2", "family Q-ODDPRIMES depth 1", 92, "2dbbd41dcf36ad77", "e3b0c44298fc1c14"),
     ],
 )
 def test_a_run_reports_the_same_lines(suite, text, used, lines, order):
