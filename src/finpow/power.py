@@ -13,14 +13,17 @@ reading its C.  It walks the subsets once per anchor membership pattern,
 not once per anchor, yet charges each anchor one node per subset, so node
 counts are those of a walk per anchor, and a budget that runs out stops
 at limit + 1.  Each anchor makes its membership tests in one pass,
-reading cached verdicts directly.  `decompositions` builds each unordered
+reading cached verdicts directly; anchor a's V tests are the A tests of
+its partner min S - a, so the two share one mask, and the A list of each
+mask is built once per call.  `decompositions` builds each unordered
 pair {U, V} once, from its lesser anchor: if min U <= min V, then V lies
 in U's largest cofactor and holds its minimum, so the pair is among U's;
-the anchors a > min S - a add none and are skipped.  So `decompositions`
-asks `_anchored_divisors` for a half run, in which those anchors make
-their tests and charges but translate no divisor, unless the map is to be
-kept: a kept map is always whole.  With `both_nonsingleton`,
-`decompositions` filters the one list its core builds.
+the anchors a > min S - a add none.  A set not yet kept is decomposed in
+one shot: `_anchored_divisors` hands `_decompositions` the pattern walks
+of the anchors a <= min S - a, and the pairs are translated from them
+with no divisor map built.  A map that will be kept is always built
+whole.  With `both_nonsingleton`, `decompositions` filters the one list
+its core builds.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -274,7 +277,7 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     return out
 
 
-def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
+def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Optional[dict]:
     """The map {U: (C, covers)} over every divisor U of the scaled set t in
     the power monoid, where C is the largest cofactor, U + C = t, and
     covers[i] is the mask of the indices in t of U + C[i].
@@ -290,19 +293,29 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     and then the pattern key, and every set with t's offsets, any
     translate of t among them, reads them in later calls too.  The V tests
     are made only if some tail test tmax - x, x in a + A, passes: if
-    U + C = t, then tmax - max U = max C is in M.  Each anchor makes its
-    tests in one pass: the A tests in ascending order, every tail test,
-    then the V tests; it reads a cached verdict straight from the result
-    cache, searches only on a miss, and sets the bits of the pattern key,
-    the masks of A and V over the indices of rel, as it goes.  The anchors
-    ascend, so the map's keys are inserted in order of min U, which
-    `_decompositions` relies on.
+    U + C = t, then tmax - max U = max C is in M.  Each anchor asks its
+    questions in one pass: the A tests in ascending order, every tail
+    test, then the V tests; it reads a cached verdict straight from the
+    result cache, searches only on a miss, and sets the bits of the
+    pattern key, the masks of A and V over the indices of rel, as it goes.
+    The anchors ascend, so the map's keys are inserted in order of min U,
+    which `_decompositions` relies on.
 
-    With `half`, a run whose map will not be kept (t not yet marked) maps
-    only the anchors a <= mv, the ones `_decompositions` reads: a later
-    anchor still makes every test and its charge, but skips the pattern
-    lookup and the translation.  A run whose map will be kept translates
-    every anchor, so a kept map is whole whoever asked for it.
+    Anchor a's V tests are the A tests of anchor mv, which divides min t
+    too, so the two share one mask per call: an anchor a > mv reads the
+    mask anchor mv made, and an anchor a < mv that makes its V tests
+    leaves anchor mv no A test to make.  The tests skipped are cached
+    verdicts, so the result cache is asked what, and in the order, it
+    would be if every anchor made its own.  The A list of each mask is
+    built once per call, as patterns repeat across anchors.
+
+    Given a list `walks`, a run whose map will not be kept (t not yet
+    marked) is one-shot: it appends (a, mv, walk) for each anchor a <= mv
+    whose tail test passes, where walk is the kept list of (U - a, C - mv,
+    covers) of its pattern, translates nothing and returns None.  These are
+    the anchors `_decompositions` reads; a later anchor still makes every
+    test and its charge.  A run whose map will be kept builds the whole
+    map, whoever asked for it.
 
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
@@ -321,30 +334,39 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
     all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
     (one run each, on a 2-core VM).
     """
-    memo, bud, is_member = q.entry.enumerations, q.budget, q.is_member
+    memo, bud = q.entry.enumerations, q.budget
     kept = memo.get(t)
     if kept is not None:
         bud.spend(kept[1])  # nodes: a kept enumeration's recorded count
         return kept[0]
-    # only a map that will be kept must be whole
-    half = half and t not in memo
+    if t in memo:
+        walks = None  # this map will be kept, so it is built whole
     before = bud.used
     _check_members(t, q)
     # read cached verdicts directly: most tests are hits, and a miss searches
-    verdict = q.entry.verdicts.get
-    t0, tmax = t[0], t[-1]
+    verdict, is_member = q.entry.verdicts.get, q.is_member
+    t0, tmax, n = t[0], t[-1], len(t)
     rel = tuple(x - t0 for x in t)
+    bits = [(1 << i, d) for i, d in enumerate(rel)]
     patterns = q.entry.walks.setdefault(rel, {})
+    # the A masks by anchor, and the A list of each mask met in this call
+    masks: dict = {}
+    lists: dict = {}
     out: dict = {}
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
-        # a itself heads the list: it is a divisor, hence a member
-        us, key = [], 0
-        for i, d in enumerate(rel):
-            ok = verdict(a + d)
-            if ok or ok is None and is_member(a + d):
-                us.append(d)
-                key |= 1 << i
+        key = masks.get(a)
+        if key is None:
+            # a itself heads the list: it is a divisor, hence a member
+            key = 0
+            for bit, d in bits:
+                ok = verdict(a + d)
+                if ok or ok is None and is_member(a + d):
+                    key |= bit
+            masks[a] = key
+        us = lists.get(key)
+        if us is None:
+            us = lists[key] = [d for bit, d in bits if key & bit]
         # every tail test is made, as a walk over U made it
         top, tail = tmax - a, False
         for d in us:
@@ -354,23 +376,33 @@ def _anchored_divisors(t: tuple, q: _Query, half=False) -> dict:
         bud.spend(1 << (len(us) - 1))  # nodes: 2^(|A| - 1) subsets of an anchor
         if not tail:
             continue
-        outs = 0
-        for i, d in enumerate(rel):
-            ok = verdict(mv + d)
-            if ok or ok is None and is_member(mv + d):
-                outs |= 1 << i
-        if half and a > mv:
+        if a < mv:
+            outs = 0
+            for bit, d in bits:
+                ok = verdict(mv + d)
+                if ok or ok is None and is_member(mv + d):
+                    outs |= bit
+            masks[mv] = outs
+        elif walks is not None and a > mv:
             continue
+        else:
+            outs = masks[mv]
         # one int as the key, the mask of us above the outs mask: a pair of
         # tuples per anchor, freed by the thousand onto the interpreter's
         # tuple free lists, raised peak RSS
-        key = key << len(t) | outs
-        found = patterns.get(key)
+        pattern = key << n | outs
+        found = patterns.get(pattern)
         if found is None:
-            found = patterns[key] = _relative_divisors(rel, us, outs)
+            found = patterns[pattern] = _relative_divisors(rel, us, outs)
+        if walks is not None:
+            walks.append((a, mv, found))
+            continue
         for u, c, covers in found:
             out[tuple([a + d for d in u])] = [mv + d for d in c], covers
-    memo[t] = None if t not in memo else [out, bud.used - before, None]
+    if t not in memo:
+        memo[t] = None
+        return out if walks is None else None
+    memo[t] = [out, bud.used - before, None]
     return out
 
 
@@ -407,61 +439,80 @@ def divides_in_P(
     return None if c is None else _decode_set(c, spec)
 
 
+def _v_picks(covers: tuple, full: int, picks: dict) -> list:
+    """The V's of a divisor whose cofactor has these covers: each as the
+    tuple of the indices i >= 1 of C it holds besides min C, such that the
+    covers of min C and of those indices OR to the full mask.  They are
+    listed once per covers tuple and kept in `picks`, the spec's result
+    cache's, across calls and sets.  The covers tuple is a sound key for
+    any set: a divisor's covers OR to its own set's full mask, so the tuple
+    fixes the mask that the V's must cover."""
+    extras = picks.get(covers)
+    if extras is None:
+        extras = []
+        for r in range(len(covers)):
+            for extra in itertools.combinations(range(1, len(covers)), r):
+                union = covers[0]
+                for i in extra:
+                    union |= covers[i]
+                if union == full:
+                    extras.append(extra)
+        # kept only once whole, so an interrupted listing leaves none
+        picks[covers] = extras
+    return extras
+
+
 def _decompositions(t: tuple, q: _Query) -> list:
     """`decompositions` of the scaled set t of q's spec, as sorted
     scaled pairs (left, right).  Each divisor U of t comes with its largest
     cofactor C, and the V's that go with U are the subsets of C holding min C
-    whose covers OR to all of t; which subsets those are depends on the
-    covers alone, so they are listed once per covers tuple, and kept in the
-    spec's result cache across calls and sets.  The covers tuple is a sound
-    key for any set: a divisor's covers OR to its own set's full mask, so
-    the tuple fixes the mask that the V's must cover.  Listing them charges
-    nothing, so a kept list moves no count.
+    whose covers OR to all of t, as `_v_picks` lists them.  Listing them
+    charges nothing, so a kept list moves no count.
 
     Each pair is built once, from its lesser anchor.  If U + V = t with
     min U <= min V, then U is a divisor with anchor a = min U, and V, a
-    subset of U's largest cofactor holding its minimum min t - a, is among
-    U's V's; so the divisors with a > min t - a add no pair, and as the
-    anchors ascend, the walk stops at the first of them, and a half run of
-    `_anchored_divisors`, which translates none of them, is enough unless
-    the map is to be kept.  A divisor with a < min t - a gives (U, V) with
-    U < V, as min U < min V; one with a = min t - a gives both (U, V) and
-    (V, U), and only U <= V is kept.
+    subset of U's largest cofactor holding its minimum mv = min t - a, is
+    among U's V's; so the divisors with a > mv add no pair.  A divisor with
+    a < mv gives (U, V) with U < V, as min U < min V; one with a = mv gives
+    both (U, V) and (V, U), and only U <= V is kept.  Neither side is {0}:
+    U = {0} is skipped, and V = {0} comes only with mv = 0 <= a, so with
+    U = t > {0}, which the U <= V test drops.
 
-    Once t's enumeration is kept, so are the pairs, as the third item of
-    its record: the call to `_anchored_divisors` replays the map at its
-    cost, which is what recomputing the pairs from it spends, and the list
-    is shared."""
-    divs = _anchored_divisors(t, q, half=True)
-    kept = q.entry.enumerations.get(t)
+    A set not yet kept is decomposed in one shot: `_anchored_divisors`
+    hands over the walks of the anchors a <= mv, and each pair is built
+    straight from them, U as a plus U's offsets and V as mv plus the picked
+    offsets of C, with no divisor map.  Once t's enumeration is kept, the
+    pairs are read from its map, as the anchors ascend up to the first
+    a > mv, and kept as the third item of its record: the call to
+    `_anchored_divisors` replays the map at its cost, which is what
+    recomputing the pairs from it spends, and the list is shared."""
+    walks: list = []
+    divs = _anchored_divisors(t, q, walks)
+    kept = None if divs is None else q.entry.enumerations[t]
     if kept is not None and kept[2] is not None:
         return kept[2]
-    zero, full = t[0] - t[0], (1 << len(t)) - 1
-    pairs, picks = [], q.entry.picks
-    for u, (c, covers) in divs.items():
-        if u[0] > c[0]:
-            break
-        if u == (zero,):
-            continue
-        extras = picks.get(covers)
-        if extras is None:
-            extras = []
-            for r in range(len(c)):
-                for extra in itertools.combinations(range(1, len(c)), r):
-                    union = covers[0]
-                    for i in extra:
-                        union |= covers[i]
-                    if union == full:
-                        extras.append(extra)
-            # kept only once whole, so an interrupted listing leaves none
-            picks[covers] = extras
-        middle = u[0] == c[0]
-        for extra in extras:
-            v = (c[0],) + tuple([c[i] for i in extra])
-            if v == (zero,):
+    zero, full, picks = t[0] - t[0], (1 << len(t)) - 1, q.entry.picks
+    pairs: list = []
+    if divs is None:
+        for a, mv, found in walks:
+            for offsets, c, covers in found:
+                u = tuple([a + d for d in offsets])
+                if u == (zero,):
+                    continue
+                for extra in _v_picks(covers, full, picks):
+                    v = (mv,) + tuple([mv + c[i] for i in extra])
+                    if a < mv or u <= v:
+                        pairs.append((u, v))
+    else:
+        for u, (c, covers) in divs.items():
+            if u[0] > c[0]:
+                break
+            if u == (zero,):
                 continue
-            if not middle or u <= v:
-                pairs.append((u, v))
+            for extra in _v_picks(covers, full, picks):
+                v = (c[0],) + tuple([c[i] for i in extra])
+                if u[0] < c[0] or u <= v:
+                    pairs.append((u, v))
     pairs.sort()
     if kept is not None:
         kept[2] = pairs

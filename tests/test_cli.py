@@ -12,8 +12,8 @@ from finpow.cli import (
     EXIT_USAGE,
     main,
 )
-from finpow import suites
-from finpow.backend import Budget, parse_monoid_spec
+from finpow import cli, suites
+from finpow.backend import Budget, TruncationError, parse_monoid_spec
 from finpow.suites import run_verify_suite
 
 SPEC23 = "kind numerical; gens 2, 3"
@@ -145,6 +145,19 @@ class TestChain:
         code, out, _ = run(capsys, "chain", "10", "--depth", "3")
         assert code == EXIT_INCONCLUSIVE
         assert "after 2 steps" in out
+
+    def test_a_truncation_error_from_a_command_is_inconclusive(self, capsys, monkeypatch):
+        # no command lets one escape today; `main` still turns one into
+        # exit 3 and a one-line message
+        def truncated(args):
+            raise TruncationError("depth 3 is too shallow")
+
+        desc, params, _ = cli._COMMANDS["chain"]
+        monkeypatch.setitem(cli._COMMANDS, "chain", (desc, params, truncated))
+        code, out, err = run(capsys, "chain", "2", "--depth", "3")
+        assert code == EXIT_INCONCLUSIVE and out == ""
+        assert err == "truncation-inconclusive: depth 3 is too shallow\n"
+        assert "Traceback" not in err
 
 
     def test_default_depth_is_6(self, capsys, monkeypatch):

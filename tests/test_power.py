@@ -32,6 +32,7 @@ from finpow.power import (
     _anchored_divisors,
     _cofactors,
     _decode_set,
+    _decompositions,
     _encode_set,
     augment_indecomposable,
     decompositions,
@@ -288,8 +289,8 @@ def check_window(spec: MonoidSpec, n: int) -> None:
     """`decompositions`, `is_p_atom` and `p_divisors` on every member subset
     T of the scaled window [0, n], against `window_pairs`.  Each T runs
     cold, with nothing of its own cached, then again warm: its first
-    enumeration is a half run that only marks it, its second is kept whole,
-    and the later calls replay the kept map and the kept pairs.  The
+    enumeration is a one-shot run that only marks it, its second is kept
+    whole, and the later calls replay the kept map and the kept pairs.  The
     membership verdicts and divisor lists stay cached from set to set, as
     in a suite run.  The expected lists are built on scaled ints, whose
     tuples sort as their decoded sets do.
@@ -669,11 +670,43 @@ def check_memo_moves_nothing(calls: list, spec: MonoidSpec) -> None:
     assert run_calls(calls, spec, REPEATS) == want
 
 
+def check_one_shot_against_kept(s: FinSet, spec: MonoidSpec) -> None:
+    """`decompositions` of s three ways: cold, in one shot from the walks;
+    again, from the whole map that run keeps; and after two `p_divisors`
+    calls kept the map first, from the replayed map.  The pairs agree, and
+    each call spends what it spends with no walk or V list kept."""
+    cold = [(decompositions, s, DEFAULT_BUDGET)]
+    ways = (cold, 2 * cold, 2 * [(p_divisors, s, DEFAULT_BUDGET)] + cold)
+    pairs = []
+    for calls in ways:
+        got = run_calls(calls, spec)
+        assert run_calls(calls, spec, ("walks", "picks")) == got
+        pairs.append(got[-1][0])
+    assert pairs[0] == pairs[1] == pairs[2]
+
+
 class TestEnumerationMemoOracle:
     @given(numerical_specs, st.data())
     @settings(max_examples=60, deadline=None)
     def test_numerical(self, spec, data):
         check_memo_moves_nothing(draw_calls(data, naive_members(spec.generators, 8)), spec)
+
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_shot_against_kept_numerical(self, spec, data):
+        parts = finsets(naive_members(spec.generators, 8))
+        u = data.draw(parts)
+        # a doubled set decomposes at its middle anchor, a = min S - a
+        v = data.draw(st.one_of(st.just(u), parts))
+        check_one_shot_against_kept(sumset(u, v), spec)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_shot_against_kept_puiseux(self, spec, data):
+        parts = finsets(naive_members(spec.generators, 2))
+        u = data.draw(parts)
+        v = data.draw(st.one_of(st.just(u), parts))
+        check_one_shot_against_kept(sumset(u, v), spec)
 
     @given(puiseux_specs, st.data())
     @settings(max_examples=60, deadline=None)
@@ -829,6 +862,82 @@ def check_pattern_enumeration(s: FinSet, spec: MonoidSpec, data) -> None:
         limit = data.draw(st.integers(0, used - 1), label="limit")
         for fn in (reference_anchored_divisors, _anchored_divisors):
             assert cold_enumeration(fn, t, spec, limit) == (BudgetExceededError, limit + 1)
+
+
+# ---------------------------------------------------------------------------
+# The questions the divisor enumeration puts to the result cache, against a
+# loop in which every anchor makes each of its own tests: anchors that share
+# a membership mask skip only cached verdicts, so the cache fills in the
+# same order and at the same cost, also when the budget runs out mid-set.
+
+
+def replica_questions(t: tuple, q: _Query) -> None:
+    """The membership tests of a divisor enumeration of t, anchor by anchor:
+    the A tests in ascending order, every tail test, the anchor's charge,
+    then the V tests if a tail test passed."""
+    is_member, bud = q.is_member, q.budget
+    for x in t:
+        is_member(x)
+    rel = [x - t[0] for x in t]
+    for a in _divisors(t[0], q):
+        mv, top = t[0] - a, t[-1] - a
+        us = [d for d in rel if is_member(a + d)]
+        tails = [is_member(top - d) for d in us]
+        bud.spend(1 << (len(us) - 1))
+        if any(tails):
+            for d in rel:
+                is_member(mv + d)
+
+
+def cold_questions(fn, t: tuple, spec: MonoidSpec, limit: int = DEFAULT_BUDGET):
+    """(the elements whose verdicts the result cache holds, in the order it
+    got them, Budget.used, whether the budget ran out) from cold caches."""
+    clear_caches()
+    q = _Query(spec, Budget(limit))
+    try:
+        fn(t, q)
+        ran_out = False
+    except BudgetExceededError:
+        ran_out = True
+    return list(q.entry.verdicts), q.budget.used, ran_out
+
+
+def check_questions(s: FinSet, spec: MonoidSpec, data) -> None:
+    t = _encode_set(s, spec)
+    want = cold_questions(replica_questions, t, spec)
+    for fn in (_anchored_divisors, _decompositions):
+        assert cold_questions(fn, t, spec) == want
+    limit = data.draw(st.integers(0, want[1] - 1), label="limit")
+    cut = cold_questions(replica_questions, t, spec, limit)
+    assert cut[1:] == (limit + 1, True)
+    for fn in (_anchored_divisors, _decompositions):
+        assert cold_questions(fn, t, spec, limit) == cut
+
+
+class TestQuestionOrder:
+    # an anchor a < min T - a whose tail test fails makes no V tests, so its
+    # partner min T - a makes its own A tests: over <3, 5>, anchor 3 of
+    # {9, 10} fails its tail test 7, and anchor 6 then asks 6 first
+    @pytest.mark.parametrize(
+        "gens, t", [((3, 5), (9, 10)), ((3, 7), (13, 14)), ((3, 7), (12, 13, 14))]
+    )
+    def test_a_failed_tail_leaves_the_partner_its_tests(self, gens, t):
+        spec = MonoidSpec.numerical(*gens)
+        want = cold_questions(replica_questions, t, spec)
+        for fn in (_anchored_divisors, _decompositions):
+            assert cold_questions(fn, t, spec) == want
+
+    @given(numerical_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, spec, data):
+        parts = finsets(naive_members(spec.generators, 10))
+        check_questions(sumset(data.draw(parts), data.draw(parts)), spec, data)
+
+    @given(puiseux_specs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_puiseux(self, spec, data):
+        parts = finsets(naive_members(spec.generators, 3))
+        check_questions(sumset(data.draw(parts), data.draw(parts)), spec, data)
 
 
 def draw_lemma_5_2_set(data, spec: MonoidSpec) -> FinSet:
