@@ -458,12 +458,13 @@ class _Entry:
 
     `verdicts` maps a scaled element to its membership verdict and `divisors`
     to its scaled divisors, an ascending tuple; `plan` is the search plan over
-    the spec's generators at its scale; `enumerations` is
-    `power._anchored_divisors`'s, and maps a scaled set to None once it has
-    been enumerated, then to the record [its divisor map {U: (C, covers)},
-    the nodes an uncached rerun spends, its decomposition pairs or None
-    until `power._decompositions` has built them]; only `power` reads or
-    writes it, and a replay of the record spends its count.  `atoms` is the
+    the spec's generators at its scale; `enumerations` is `power._kept`'s,
+    and maps a scaled set to None once it has been enumerated, then to the
+    record [its divisor map {U: (C, covers)} or None until
+    `power._anchored_divisors` has built it, the nodes an uncached rerun
+    spends, its decomposition pairs or None until `power._decompositions`
+    has built them]; only `power` reads or writes it, and a replay of
+    either slot spends the count.  `atoms` is the
     atom tuple once `atoms` has completed, None before.
 
     The rest keep pure results that queries repeat:
@@ -474,7 +475,7 @@ class _Entry:
     - `least` maps (scale, k) to the memo of `_least` over the atoms at that
       scale, kept for k least vectors; a replayed subtree spends its count;
     - `walks` maps a set's offsets from its minimum, rel, to the pattern
-      walks of `power._anchored_divisors` over it, and `picks` a covers
+      walks of `power._anchor_walks` over it, and `picks` a covers
       tuple to the V's of `power._decompositions`; both charge nothing, so
       a hit spends 0, and only `power` reads or writes them.
     """

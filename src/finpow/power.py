@@ -6,24 +6,22 @@ feasible cofactor of S inside T is C = {m : S + {m} subset of T}, and a
 cofactor exists iff S + C = T.  The divisor search is anchored at the
 minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
-One enumeration, `_anchored_divisors`, maps every divisor U of a set to
-its largest cofactor C; `decompositions` takes the V's inside C,
-`mcd.p_divisors` collects the U's, and `mcd.mcd_in_P` strips a U by
-reading its C.  It walks the subsets once per anchor membership pattern,
+One anchor walk, `_anchor_walks`, finds every divisor U of a set with its
+largest cofactor C; `_anchored_divisors` translates it into the map
+{U: (C, covers)}, whose U's `mcd.p_divisors` collects and whose C's
+`mcd.mcd_in_P` reads to strip a U, and `decompositions` takes the V's
+inside each C.  It walks the subsets once per anchor membership pattern,
 not once per anchor, yet charges each anchor one node per subset, so node
-counts are those of a walk per anchor, and a budget that runs out stops
-at limit + 1.  Each anchor makes its membership tests in one pass,
-reading cached verdicts directly; anchor a's V tests are the A tests of
-its partner min S - a, so the two share one mask, and the A list of each
-mask is built once per call.  `decompositions` builds each unordered
-pair {U, V} once, from its lesser anchor: if min U <= min V, then V lies
-in U's largest cofactor and holds its minimum, so the pair is among U's;
-the anchors a > min S - a add none.  A set not yet kept is decomposed in
-one shot: `_anchored_divisors` hands `_decompositions` the pattern walks
-of the anchors a <= min S - a, and the pairs are translated from them
-with no divisor map built.  A map that will be kept is always built
-whole.  With `both_nonsingleton`, `decompositions` filters the one list
-its core builds.
+counts are those of a walk per anchor, and a budget that runs out stops at
+limit + 1.  Each anchor makes its membership tests in one pass, reading
+cached verdicts directly; anchor a's V tests are the A tests of its
+partner min S - a, so the two share one mask, and the A list of each mask
+is built once per call.  `decompositions` builds each unordered pair
+{U, V} once, from its lesser anchor: if min U <= min V, then V lies in U's
+largest cofactor and holds its minimum, so the pair is among U's; so it
+reads only the walks of the anchors a <= min S - a, and builds no map.
+With `both_nonsingleton`, `decompositions` filters the one list its core
+builds.
 
 `divides_in_P`, `decompositions` and `p_factorize` are each one encode, a
 scaled core (`_divides_in_P`, `_decompositions`, `_p_factor`) and one
@@ -56,19 +54,21 @@ decoding is monotone; `sumset` builds its sorted, distinct sums through it
 too.  Each public function builds one `backend._Query` and passes it to the
 scaled cores.  Membership tests, divisor lists and set divisor enumerations
 share the one result cache of `backend`, read by scaled element through
-`_Query.is_member` and `_scaled_divisors`; a kept enumeration is one
-record [map, cost, pairs], replayed at the node cost of an uncached
-rerun, and its pairs are read only after that replay, so caching moves
-no count.  The cache also keeps the pattern walks of `_anchored_divisors`
-and the V lists of `_decompositions` across calls; they charge nothing,
-so keeping them moves no count either.  Only this module reads or writes
-the kept enumerations, walks and V lists.
+`_Query.is_member` and `_scaled_divisors`; a set enumerated twice is kept
+in one record [map, cost, pairs], whose map and pairs `_kept` fills as
+they are built and replays at the node cost of an uncached rerun, so
+caching moves no count.  The cache also keeps the pattern walks of
+`_anchor_walks` and the V lists of `_decompositions` across calls; they
+charge nothing, so keeping them moves no count either.  Only this module
+reads or writes the kept enumerations, walks and V lists.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from operator import or_
+from typing import Callable, Optional
 
 from .arith import Element, InvalidInputError, QPoint2, parse_element, render_element
 from .backend import (
@@ -277,29 +277,28 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     return out
 
 
-def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Optional[dict]:
-    """The map {U: (C, covers)} over every divisor U of the scaled set t in
-    the power monoid, where C is the largest cofactor, U + C = t, and
-    covers[i] is the mask of the indices in t of U + C[i].
+def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
+    """(a, mv, walk) for each anchor a of the scaled set t whose tail test
+    passes, ascending, where mv = min t - a and walk lists (U - a, C - mv,
+    covers) over the divisors U of t with minimum a in the power monoid:
+    C is U's largest cofactor, U + C = t, and covers[i] is the mask of the
+    indices in t of U + C[i].  With `half`, only the anchors a <= mv.
 
-    Anchored at the minimum: min U is a divisor a of min t, so min C =
-    min t - a =: mv, which is in M as a divides min t, and every u in U has
-    u + mv in t.  With rel = t - min t, U - a ranges over the subsets
-    holding 0 of A = {d in rel : a + d in M} and C - mv lies in
-    V = {d in rel : mv + d in M}; translation keeps the covers, so the
-    subsets are walked once per pattern (A, V) and each anchor translates
-    the result.  A walk depends on rel and the pattern alone and charges
+    Anchored at the minimum: min U is a divisor a of min t, so min C = mv,
+    which is in M as a divides min t, and every u in U has u + mv in t.
+    With rel = t - min t, U - a ranges over the subsets holding 0 of
+    A = {d in rel : a + d in M} and C - mv lies in V = {d in rel : mv + d
+    in M}; translation keeps the covers, so the subsets are walked once per
+    pattern (A, V).  A walk depends on rel and the pattern alone and charges
     nothing, so the walks are kept in the spec's result cache, under rel
-    and then the pattern key, and every set with t's offsets, any
-    translate of t among them, reads them in later calls too.  The V tests
-    are made only if some tail test tmax - x, x in a + A, passes: if
-    U + C = t, then tmax - max U = max C is in M.  Each anchor asks its
-    questions in one pass: the A tests in ascending order, every tail
-    test, then the V tests; it reads a cached verdict straight from the
-    result cache, searches only on a miss, and sets the bits of the
-    pattern key, the masks of A and V over the indices of rel, as it goes.
-    The anchors ascend, so the map's keys are inserted in order of min U,
-    which `_decompositions` relies on.
+    and then the pattern key, and every set with t's offsets, any translate
+    of t among them, reads them in later calls too.  The V tests are made
+    only if some tail test tmax - x, x in a + A, passes: if U + C = t, then
+    tmax - max U = max C is in M.  Each anchor asks its questions in one
+    pass: the A tests in ascending order, every tail test, then the V
+    tests; it reads a cached verdict straight from the result cache,
+    searches only on a miss, and sets the bits of the pattern key, the
+    masks of A and V over the indices of rel, as it goes.
 
     Anchor a's V tests are the A tests of anchor mv, which divides min t
     too, so the two share one mask per call: an anchor a > mv reads the
@@ -307,41 +306,16 @@ def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Opt
     leaves anchor mv no A test to make.  The tests skipped are cached
     verdicts, so the result cache is asked what, and in the order, it
     would be if every anchor made its own.  The A list of each mask is
-    built once per call, as patterns repeat across anchors.
-
-    Given a list `walks`, a run whose map will not be kept (t not yet
-    marked) is one-shot: it appends (a, mv, walk) for each anchor a <= mv
-    whose tail test passes, where walk is the kept list of (U - a, C - mv,
-    covers) of its pattern, translates nothing and returns None.  These are
-    the anchors `_decompositions` reads; a later anchor still makes every
-    test and its charge.  A run whose map will be kept builds the whole
-    map, whoever asked for it.
+    built once per call, as patterns repeat across anchors.  With `half`,
+    an anchor a > mv still makes every test and its charge.
 
     Each anchor spends 2^(|A| - 1) nodes, one per subset it stands for, in
     one charge, and makes the membership tests a walk over its subsets made,
     so node counts are that walk's, and a budget that runs out still stops
     at limit + 1.  An element of t outside M is rejected first; the
     membership tests that makes are ones the anchor a = min t makes anyway.
-
-    A completed enumeration marks t in the result cache; the next finds every
-    test cached, so it spends what an uncached rerun would, and is kept as
-    the record [map, that count, None], which later requests replay; the
-    None is the slot `_decompositions` fills with the pairs.  Every reader
-    of a set's divisors shares the kept map: `p_divisors` and
-    `_p_furstenberg_divisor` read its keys, `_decompositions` its items and
-    `mcd._mcd_in_P` its cofactors.  Only a set requested twice is kept:
-    keeping every first enumeration raised the peak RSS of `verify --suite
-    all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
-    (one run each, on a 2-core VM).
     """
-    memo, bud = q.entry.enumerations, q.budget
-    kept = memo.get(t)
-    if kept is not None:
-        bud.spend(kept[1])  # nodes: a kept enumeration's recorded count
-        return kept[0]
-    if t in memo:
-        walks = None  # this map will be kept, so it is built whole
-    before = bud.used
+    bud = q.budget
     _check_members(t, q)
     # read cached verdicts directly: most tests are hits, and a miss searches
     verdict, is_member = q.entry.verdicts.get, q.is_member
@@ -352,7 +326,7 @@ def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Opt
     # the A masks by anchor, and the A list of each mask met in this call
     masks: dict = {}
     lists: dict = {}
-    out: dict = {}
+    out: list = []
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
         key = masks.get(a)
@@ -383,7 +357,7 @@ def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Opt
                 if ok or ok is None and is_member(mv + d):
                     outs |= bit
             masks[mv] = outs
-        elif walks is not None and a > mv:
+        elif half and a > mv:
             continue
         else:
             outs = masks[mv]
@@ -391,18 +365,58 @@ def _anchored_divisors(t: tuple, q: _Query, walks: Optional[list] = None) -> Opt
         # tuples per anchor, freed by the thousand onto the interpreter's
         # tuple free lists, raised peak RSS
         pattern = key << n | outs
-        found = patterns.get(pattern)
-        if found is None:
-            found = patterns[pattern] = _relative_divisors(rel, us, outs)
-        if walks is not None:
-            walks.append((a, mv, found))
-            continue
-        for u, c, covers in found:
-            out[tuple([a + d for d in u])] = [mv + d for d in c], covers
+        walk = patterns.get(pattern)
+        if walk is None:
+            walk = patterns[pattern] = _relative_divisors(rel, us, outs)
+        out.append((a, mv, walk))
+    return out
+
+
+def _kept(t: tuple, q: _Query, slot: int, build: Callable):
+    """What `build(t, q)` finds from an anchor walk of the scaled set t: its
+    divisor map in slot 0 of t's record, or its decomposition pairs in
+    slot 2.
+
+    A completed build marks t in the result cache.  A later one finds every
+    test cached, so it spends what an uncached rerun would, and keeps that
+    count and its value in the record [map or None, count, pairs or None];
+    a filled slot is replayed at the count, and an empty one is built,
+    at the same count, and kept.  Only a set requested twice is kept:
+    keeping every first enumeration raised the peak RSS of `verify --suite
+    all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
+    (one run each, on a 2-core VM).
+    """
+    memo, bud = q.entry.enumerations, q.budget
+    record = memo.get(t)
+    if record is not None and record[slot] is not None:
+        bud.spend(record[1])  # nodes: a kept enumeration's recorded count
+        return record[slot]
+    before = bud.used
+    value = build(t, q)
     if t not in memo:
         memo[t] = None
-        return out if walks is None else None
-    memo[t] = [out, bud.used - before, None]
+        return value
+    if record is None:
+        record = memo[t] = [None, bud.used - before, None]
+    record[slot] = value
+    return value
+
+
+def _anchored_divisors(t: tuple, q: _Query) -> dict:
+    """The map {U: (C, covers)} over every divisor U of the scaled set t in
+    the power monoid, kept by `_kept`.  `mcd.p_divisors` and
+    `_p_furstenberg_divisor` read its keys and `mcd._mcd_in_P` its
+    cofactors."""
+    return _kept(t, q, 0, _divisor_map)
+
+
+def _divisor_map(t: tuple, q: _Query) -> dict:
+    """`_anchored_divisors` of t, built: the walk of every anchor,
+    translated."""
+    out = {}
+    for a, mv, walk in _anchor_walks(t, q, False):
+        for u, c, covers in walk:
+            out[tuple([a + d for d in u])] = [mv + d for d in c], covers
     return out
 
 
@@ -439,83 +453,53 @@ def divides_in_P(
     return None if c is None else _decode_set(c, spec)
 
 
-def _v_picks(covers: tuple, full: int, picks: dict) -> list:
-    """The V's of a divisor whose cofactor has these covers: each as the
-    tuple of the indices i >= 1 of C it holds besides min C, such that the
-    covers of min C and of those indices OR to the full mask.  They are
-    listed once per covers tuple and kept in `picks`, the spec's result
-    cache's, across calls and sets.  The covers tuple is a sound key for
-    any set: a divisor's covers OR to its own set's full mask, so the tuple
-    fixes the mask that the V's must cover."""
-    extras = picks.get(covers)
-    if extras is None:
-        extras = []
-        for r in range(len(covers)):
-            for extra in itertools.combinations(range(1, len(covers)), r):
-                union = covers[0]
-                for i in extra:
-                    union |= covers[i]
-                if union == full:
-                    extras.append(extra)
-        # kept only once whole, so an interrupted listing leaves none
-        picks[covers] = extras
-    return extras
-
-
 def _decompositions(t: tuple, q: _Query) -> list:
     """`decompositions` of the scaled set t of q's spec, as sorted
-    scaled pairs (left, right).  Each divisor U of t comes with its largest
-    cofactor C, and the V's that go with U are the subsets of C holding min C
-    whose covers OR to all of t, as `_v_picks` lists them.  Listing them
-    charges nothing, so a kept list moves no count.
+    scaled pairs (left, right), kept by `_kept`."""
+    return _kept(t, q, 2, _decomposition_pairs)
 
-    Each pair is built once, from its lesser anchor.  If U + V = t with
-    min U <= min V, then U is a divisor with anchor a = min U, and V, a
-    subset of U's largest cofactor holding its minimum mv = min t - a, is
-    among U's V's; so the divisors with a > mv add no pair.  A divisor with
+
+def _decomposition_pairs(t: tuple, q: _Query) -> list:
+    """`_decompositions` of t, built.  Each divisor U of t comes with its
+    largest cofactor C, and the V's that go with U are the subsets of C
+    holding min C whose covers OR to all of t.  They are listed once
+    per covers tuple and kept in the spec's result cache across calls and
+    sets; listing them charges nothing, so a kept list moves no count.  The
+    covers tuple is a sound key for any set: a divisor's covers OR to its
+    own set's full mask, so the tuple fixes the mask that the V's must
+    cover.
+
+    Each pair is built once, from its lesser anchor, straight from the
+    anchor walks: U as a plus U's offsets and V as mv plus the picked
+    offsets of C, with no divisor map.  If U + V = t with min U <= min V,
+    then U is a divisor with anchor a = min U, and V, a subset of U's
+    largest cofactor holding its minimum mv = min t - a, is among U's V's;
+    so only the walks of the anchors a <= mv are read.  A divisor with
     a < mv gives (U, V) with U < V, as min U < min V; one with a = mv gives
     both (U, V) and (V, U), and only U <= V is kept.  Neither side is {0}:
     U = {0} is skipped, and V = {0} comes only with mv = 0 <= a, so with
-    U = t > {0}, which the U <= V test drops.
-
-    A set not yet kept is decomposed in one shot: `_anchored_divisors`
-    hands over the walks of the anchors a <= mv, and each pair is built
-    straight from them, U as a plus U's offsets and V as mv plus the picked
-    offsets of C, with no divisor map.  Once t's enumeration is kept, the
-    pairs are read from its map, as the anchors ascend up to the first
-    a > mv, and kept as the third item of its record: the call to
-    `_anchored_divisors` replays the map at its cost, which is what
-    recomputing the pairs from it spends, and the list is shared."""
-    walks: list = []
-    divs = _anchored_divisors(t, q, walks)
-    kept = None if divs is None else q.entry.enumerations[t]
-    if kept is not None and kept[2] is not None:
-        return kept[2]
+    U = t > {0}, which the U <= V test drops."""
     zero, full, picks = t[0] - t[0], (1 << len(t)) - 1, q.entry.picks
-    pairs: list = []
-    if divs is None:
-        for a, mv, found in walks:
-            for offsets, c, covers in found:
-                u = tuple([a + d for d in offsets])
-                if u == (zero,):
-                    continue
-                for extra in _v_picks(covers, full, picks):
-                    v = (mv,) + tuple([mv + c[i] for i in extra])
-                    if a < mv or u <= v:
-                        pairs.append((u, v))
-    else:
-        for u, (c, covers) in divs.items():
-            if u[0] > c[0]:
-                break
+    pairs = []
+    for a, mv, walk in _anchor_walks(t, q, True):
+        for offsets, c, covers in walk:
+            u = tuple([a + d for d in offsets])
             if u == (zero,):
                 continue
-            for extra in _v_picks(covers, full, picks):
-                v = (c[0],) + tuple([c[i] for i in extra])
-                if u[0] < c[0] or u <= v:
+            extras = picks.get(covers)
+            if extras is None:
+                # the indices i >= 1 of C a V holds besides min C
+                extras = picks[covers] = [
+                    extra
+                    for r in range(len(covers))
+                    for extra in itertools.combinations(range(1, len(covers)), r)
+                    if functools.reduce(or_, [covers[i] for i in extra], covers[0]) == full
+                ]
+            for extra in extras:
+                v = (mv,) + tuple([mv + c[i] for i in extra])
+                if a < mv or u <= v:
                     pairs.append((u, v))
     pairs.sort()
-    if kept is not None:
-        kept[2] = pairs
     return pairs
 
 

@@ -1438,8 +1438,8 @@ SPEND_CALLS = [
     ("backend.py", "_on_lattice", "one per element off the lattice"),
     ("backend.py", "_divisors", "prod(c + 1) sub-multisets"),
     ("backend.py", "_walk", "one per frame of the member walk"),
-    ("power.py", "_anchored_divisors", "a kept enumeration's recorded count"),
-    ("power.py", "_anchored_divisors", "2^(|A| - 1) subsets of an anchor"),
+    ("power.py", "_anchor_walks", "2^(|A| - 1) subsets of an anchor"),
+    ("power.py", "_kept", "a kept enumeration's recorded count"),
 ]
 
 

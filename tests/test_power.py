@@ -585,27 +585,48 @@ class TestEnumerationMemo:
         assert self.memo() == {self.T: None}
 
     def test_a_kept_list_is_whole(self):
-        # `decompositions` reads only the anchors a <= min T - a, so its
-        # first run translates no other; its second keeps the map, which
-        # `p_divisors` replays, and a kept half map would lack T itself
+        # `decompositions` walks only the anchors a <= min T - a, so its
+        # second run keeps its pairs and no map; the first map reader then
+        # builds the whole map at the kept count, where a map of the half
+        # walk would lack T itself, and each kept slot replays at that count
         clear_caches()
         for _ in range(2):
             decompositions(FinSet(self.T), N23)
-        kept, nodes, _ = self.memo()[self.T]
-        # the kept count is that of a rerun with every test cached
+        record = self.memo()[self.T]
+        divs, nodes, pairs = record
+        assert divs is None and len(pairs) == 4 and nodes > 0
+        bud = Budget()
+        got = p_divisors(FinSet(self.T), N23, bud)
+        assert bud.used == nodes and record[2] is pairs
+        kept = record[0]
+        # the kept map is an uncached rerun's, in its order, as dict ==
+        # ignores order
         self.memo().clear()
         bud = Budget()
         rerun = _anchored_divisors(self.T, _Query(N23, bud))
-        # dict == ignores order, and `_decompositions` relies on the order
         assert (list(kept.items()), nodes) == (list(rerun.items()), bud.used)
         want, _ = cold_enumeration(_anchored_divisors, self.T, N23)
         assert sorted((u, tuple(c), covers) for u, (c, covers) in kept.items()) == want
+        assert [d.elems for d in got] == sorted(u for u, _, _ in want)
+        assert self.T in kept and FinSet(self.T) in got
+        # with the record back, each filled slot replays at the kept count
+        self.memo()[self.T] = record
+        for fn in (p_divisors, decompositions):
+            bud = Budget()
+            fn(FinSet(self.T), N23, bud)
+            assert bud.used == nodes
+        # the other way round, two map readers keep the map, and
+        # `decompositions` then fills the pairs' slot at the same count
         clear_caches()
         for _ in range(2):
-            decompositions(FinSet(self.T), N23)
-        got = p_divisors(FinSet(self.T), N23)
-        assert [d.elems for d in got] == sorted(u for u, _, _ in want)
-        assert FinSet(self.T) in got
+            p_divisors(FinSet(self.T), N23)
+        record = self.memo()[self.T]
+        assert record[2] is None and list(record[0].items()) == list(kept.items())
+        for _ in range(2):
+            bud = Budget()
+            assert [(d.left.elems, d.right.elems)
+                    for d in decompositions(FinSet(self.T), N23, bud)] == pairs
+            assert bud.used == record[1] == nodes and record[2] == pairs
 
 
 # the result-cache fields that keep a pure result for a repeat to read, and
@@ -671,18 +692,26 @@ def check_memo_moves_nothing(calls: list, spec: MonoidSpec) -> None:
 
 
 def check_one_shot_against_kept(s: FinSet, spec: MonoidSpec) -> None:
-    """`decompositions` of s three ways: cold, in one shot from the walks;
-    again, from the whole map that run keeps; and after two `p_divisors`
-    calls kept the map first, from the replayed map.  The pairs agree, and
-    each call spends what it spends with no walk or V list kept."""
+    """`decompositions` of s four ways: cold, in one shot from the walks;
+    again, kept in a record with no map; after two `p_divisors` calls kept
+    the map first; and twice, before `p_divisors` and `mcd_in_P` build the
+    map the record lacks.  The pairs agree, and each call spends what it
+    spends with no walk or V list kept."""
     cold = [(decompositions, s, DEFAULT_BUDGET)]
-    ways = (cold, 2 * cold, 2 * [(p_divisors, s, DEFAULT_BUDGET)] + cold)
+    readers = [(p_divisors, s, DEFAULT_BUDGET), (mcd_in_P, [s], DEFAULT_BUDGET)]
+    # each way's calls, and the index of the call whose pairs are compared
+    ways = (
+        (cold, 0),
+        (2 * cold, 1),
+        (2 * [(p_divisors, s, DEFAULT_BUDGET)] + cold, 2),
+        (2 * cold + readers, 1),
+    )
     pairs = []
-    for calls in ways:
+    for calls, at in ways:
         got = run_calls(calls, spec)
         assert run_calls(calls, spec, ("walks", "picks")) == got
-        pairs.append(got[-1][0])
-    assert pairs[0] == pairs[1] == pairs[2]
+        pairs.append(got[at][0])
+    assert pairs[0] == pairs[1] == pairs[2] == pairs[3]
 
 
 class TestEnumerationMemoOracle:

@@ -20,7 +20,10 @@ subprocess (a CLI run through `subprocess`, say) is not traced.
 
 The traced run is several times slower than a plain one, and a test that
 enforces a wall-clock bound may fail under it; the script prints pytest's
-exit status and exits with it.
+exit status and exits with it.  The modules are read before the run; if
+one has changed, appeared or gone by its end, the script names it and
+exits 2 with no report, as its lines would be mapped to the wrong
+statements.
 """
 from __future__ import annotations
 
@@ -54,8 +57,21 @@ def statement_lines(tree: ast.Module) -> list:
     return sorted(out, key=lambda s: s[0])
 
 
+def sources() -> dict:
+    """The text of each module of the package, by file name."""
+    out = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
+                out[name] = f.read()
+    return out
+
+
 def main(argv: list) -> int:
     os.chdir(ROOT)
+    # the report maps line events to the statements of these texts, so a
+    # module edited during the run would be reported against the wrong ones
+    before = sources()
     hits: set = set()
     traced: dict = {}
 
@@ -81,14 +97,16 @@ def main(argv: list) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    after = sources()
+    changed = sorted(name for name in before.keys() | after if before.get(name) != after.get(name))
+    if changed:
+        for name in changed:
+            print(f"src/finpow/{name} changed during the run; no report", file=sys.stderr)
+        return 2
     ran = {(os.path.abspath(path), line) for path, line in hits}
     missed = total = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
+    for name, text in before.items():
         path = os.path.join(PACKAGE, name)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
         source = text.splitlines()
         spans = statement_lines(ast.parse(text))
         total += len(spans)
