@@ -182,8 +182,8 @@ def atom_divisors(
     b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None
 ) -> list:
     """All atoms of the monoid dividing b: one encode, `_atom_divisors` over
-    the scaled atoms, one decode.  An element off the generators' lattice
-    has none, by `_on_lattice`, with no atom search."""
+    the scaled atoms, one decode.  An element below zero or off the
+    generators' lattice has none, by `_on_lattice`, with no atom search."""
     spec.check_element(b)
     bud = as_budget(budget)
     n = _on_lattice(b, spec, bud)

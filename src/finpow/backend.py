@@ -592,9 +592,13 @@ class _Query:
 
 
 def _on_lattice(b: Element, spec: MonoidSpec, budget: Budget) -> Optional[int]:
-    """The scaled form of b, or None when b lies off the generators'
-    lattice, outside M; that verdict costs one node, cold or warm, and
-    touches no cache."""
+    """The scaled form of b, or None when b lies outside M with no search:
+    below zero, where no element of M lies, at no node; or off the
+    generators' lattice, at one node.  Either verdict costs the same cold
+    or warm and touches no cache, and `member`, `divisors` and
+    `atomicity.atom_divisors` each take it from here."""
+    if b < spec.zero:
+        return None
     n = encode(b, spec)
     if n is None:
         budget.spend()  # nodes: one per element off the lattice
@@ -603,10 +607,9 @@ def _on_lattice(b: Element, spec: MonoidSpec, budget: Budget) -> Optional[int]:
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
     """Exact membership: is q a nonnegative-integer combination of generators?
-    An element off the generators' lattice is not, by `_on_lattice`."""
+    An element below zero or off the generators' lattice is not, by
+    `_on_lattice`."""
     spec.check_element(q)
-    if q < spec.zero:
-        return False
     bud = as_budget(budget)
     n = _on_lattice(q, spec, bud)
     return n is not None and _Query(spec, bud).is_member(n)
@@ -642,8 +645,8 @@ def _divisors(n: int, q: _Query) -> tuple:
 
 def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> list:
     """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
-    scaled b, decoded.  An element off the generators' lattice has none, by
-    `_on_lattice`."""
+    scaled b, decoded.  An element below zero or off the generators'
+    lattice has none, by `_on_lattice`."""
     spec.check_element(b)
     bud = as_budget(budget)
     n = _on_lattice(b, spec, bud)

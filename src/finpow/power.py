@@ -31,12 +31,16 @@ share it with no encoding.  The rank-1 set suites call these cores on scaled
 sets and decode a set only to render a failure; lemma-5.2 checks residues
 on ints through `mcd._cap_constant_on_scaled`.
 
-Cofactors are computed by one mask kernel, `_cofactors`, which also serves
-`divides_in_P` and `singleton_candidates`.  For the sets U with minimum a
-it tests the candidates m in {x - a : x in T} for membership once, and
-gives each candidate element e an int whose bit j says that e + m_j lies in
-T.  C(U) is then the AND of those ints over U, and U + C = T holds iff the
-OR of the index bits in T of the sums U + m, m in C, is the full mask.
+Cofactors are read from one plain table, `_cofactor_table`, whose row for
+an element e holds in column j the complement of the index bit in T of
+e + m_j, or 0 when that sum is not in T; the AND of U's rows gives C(U)
+and its covers, which `divides_in_P` and `singleton_candidates` read for
+their one set.  One bounded walk, `_covering_walk`, lists every set of
+rows that holds row 0 and covers T: over the rows of A, the divisors U of
+a pattern, and over a table of one column whose rows are the covers of
+U's C, the V's that go with U.  Node counts do not depend on it: an
+anchor still charges one node per subset it stands for, and listing V's
+charges nothing.
 
 Set arithmetic runs on scaled elements, ints for both ranks.  A public
 function encodes its sets once on entry and decodes its result once on
@@ -65,9 +69,8 @@ reads or writes the kept enumerations, walks and V lists.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from operator import or_
+from operator import and_
 from typing import Callable, Optional
 
 from .arith import Element, InvalidInputError, QPoint2, parse_element, render_element
@@ -212,50 +215,84 @@ def _scaled_divisors(n, q: _Query) -> tuple:
     """The scaled divisors of the scaled element n of q's spec, as the result
     cache holds them.  A miss fills the cache through the public `divisors`,
     so the traced per-layer view counts the divisor work of this layer and
-    of `mcd` under `backend.divisors`."""
+    of `mcd` under `backend.divisors`.  An element below zero has none, and
+    `divisors` says so with no search and caches nothing."""
     cache = q.entry.divisors
     if n not in cache:
         divisors(decode(n, q.spec), q.spec, q.budget)
-    return cache[n]
+    return cache.get(n, ())
 
 
-def _cofactors(t: tuple, a, es, is_member):
-    """The cofactor kernel of the scaled set t for sets U with minimum a and
-    elements in es: a function U -> (C, covers, union).
+def _cofactor_table(t: tuple, es, ms) -> list:
+    """The rows of the cofactor table of the scaled set t for the elements es
+    of sets U and the candidates ms of their cofactors: rows[k][j] is ~bit,
+    the complement of the index bit in t of es[k] + ms[j], or 0 when that
+    sum is not in t, so row k fits column j iff its entry is nonzero.
 
-    C is the largest scaled cofactor {m in M : U + m inside t}, ascending,
-    covers[i] the mask of the indices in t of U + C[i], and union the OR of
-    the covers, so U divides t iff C is nonempty and union is the full mask.
-    Its candidates m are the members of {x - a : x in t}, tested once here;
-    bit j of fits[e] is set iff e + ms[j] lies in t, and C(U) is the AND of
-    the fits over U.
+    The AND of the rows of U then holds, in column j, 0 if some row misses
+    m_j, and otherwise the complement of m_j's cover, the mask of the
+    indices in t of U + m_j.  If ms holds every m in M with min U + m in t,
+    its nonzero columns are U's largest cofactor C(U), and `_covered` ORs
+    their covers, which give the full mask iff U + C(U) = t.
     """
-    ms = [x - a for x in t if x >= a and is_member(x - a)]
-    index = {x: 1 << i for i, x in enumerate(t)}
-    hits, fits = {}, {}
-    for e in es:
-        row = hits[e] = [index.get(e + m, 0) for m in ms]
-        fits[e] = sum(1 << j for j, bit in enumerate(row) if bit)
+    index = {x: ~(1 << i) for i, x in enumerate(t)}
+    return [[index.get(e + m, 0) for m in ms] for e in es]
 
-    def cofactor(u: tuple) -> tuple[list, list, int]:
-        common = -1
-        for e in u:
-            common &= fits[e]
-        c, covers, union = [], [], 0
-        if not common:
-            return c, covers, union
-        rows = [hits[e] for e in u]
-        for j, m in enumerate(ms):
-            if common >> j & 1:
-                cover = 0
-                for row in rows:
-                    cover |= row[j]
-                c.append(m)
-                covers.append(cover)
-                union |= cover
-        return c, covers, union
 
-    return cofactor
+def _covered(cover) -> int:
+    """The OR of the covers in the nonzero columns of an AND of table rows."""
+    return ~functools.reduce(and_, filter(None, cover), -1)
+
+
+def _later(rows: list) -> list:
+    """lat[k], for each index k of rows: the AND of the rows after k, a row
+    that misses a column counting as -1 there, so that column j holds the
+    complement of the OR of what the later rows that fit it cover."""
+    lat = [[-1] * len(rows[0])] * len(rows)
+    for k in range(len(rows) - 2, -1, -1):
+        lat[k] = [s & (r or -1) for r, s in zip(rows[k + 1], lat[k + 1])]
+    return lat
+
+
+def _covering_walk(rows: list, full: int) -> list:
+    """(I, cover) for every tuple I of row indices that holds 0 and whose
+    rows cover the mask full: cover is the AND of I's rows, and
+    `_covered(cover) == full`.  The tuples come by size, then
+    lexicographically.
+
+    A covering search with a completion bound, in the manner of Knuth,
+    "Dancing links" (2000): depth first, from an explicit stack, extending
+    a tuple by each later index in turn, so the tuples are met in
+    lexicographic order, and one stable sort by size orders them.  A tuple
+    I is cut, with every extension, when its nonzero columns, each ORed
+    with what all later rows cover in it, do not cover full.  The cut is
+    sound: an extension adds only later rows, and a row only zeroes
+    columns, so what it covers lies inside that OR; and a cut tuple,
+    covering less, is no cover itself.  A tuple with one extension left is
+    not bounded: that extension is tested itself, for about what the bound
+    costs.  The later rows, `_later`, are built at the first tuple that
+    needs them.
+    """
+    n, lat = len(rows), None
+    out, stack = [], [((0,), rows[0])]
+    while stack:
+        ks, cover = node = stack.pop()
+        k = ks[-1] + 1
+        if _covered(cover) == full:
+            out.append(node)
+        elif k == n:
+            continue
+        elif k < n - 1:
+            lat = lat or _later(rows)
+            if _covered(map(and_, cover, lat[k - 1])) != full:
+                continue
+        if k < n:
+            # pushed last to first, so the first extension is walked first
+            stack += [
+                (ks + (j,), list(map(and_, cover, rows[j]))) for j in range(n - 1, k - 1, -1)
+            ]
+    out.sort(key=lambda node: len(node[0]))
+    return out
 
 
 def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
@@ -263,18 +300,20 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     its largest cofactor C, for the anchors a whose pattern is (us, outs):
     a + d is in M for the d in us, and min t - a + rel[i] for the i whose
     bit is set in the mask outs.  U and C are given by the offsets d of
-    their elements a + d and min t - a + d.  Subsets come in the order a
-    walk over them takes: by size, then lexicographically."""
-    cs = {d for i, d in enumerate(rel) if outs >> i & 1}
-    cofactor = _cofactors(rel, rel[0], us, cs.__contains__)
-    full, others, out = (1 << len(rel)) - 1, us[1:], []
-    for r in range(len(others) + 1):
-        for extra in itertools.combinations(others, r):
-            u = (us[0],) + extra
-            c, covers, union = cofactor(u)
-            if union == full:
-                out.append((u, c, tuple(covers)))
-    return out
+    their elements a + d and min t - a + d, and covers[i] is the mask of the
+    indices in t of U + C[i].  The divisors are the covering walk's over
+    the rows of us, in its order: by size, then lexicographically."""
+    ms = [d for i, d in enumerate(rel) if outs >> i & 1]
+    walk = _covering_walk(_cofactor_table(rel, us, ms), (1 << len(rel)) - 1)
+    # a nonzero entry of cover is the complement of its column's cover
+    return [
+        (
+            tuple([us[k] for k in ks]),
+            [m for m, e in zip(ms, cover) if e],
+            tuple([~e for e in cover if e]),
+        )
+        for ks, cover in walk
+    ]
 
 
 def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
@@ -428,8 +467,18 @@ def singleton_candidates(
     u, w = _encode_set(s, spec), _encode_set(t, spec)
     q = _Query(spec, as_budget(budget))
     _check_members(u + w, q)
-    c, _, _ = _cofactors(w, u[0], u, q.is_member)(u)
+    c, _ = _largest_cofactor(u, w, q)
     return _decode_set(c, spec) if c else None
+
+
+def _largest_cofactor(u: tuple, w: tuple, q: _Query) -> tuple:
+    """(C, union) for the scaled sets u and w: the largest scaled cofactor
+    C = {m in M : u + m inside w}, ascending, and the mask of the indices in
+    w of u + C, read from the AND of u's rows of the cofactor table."""
+    a = u[0]
+    ms = [x - a for x in w if x >= a and q.is_member(x - a)]
+    cover = [functools.reduce(and_, column) for column in zip(*_cofactor_table(w, u, ms))]
+    return [m for m, e in zip(ms, cover) if e], _covered(cover)
 
 
 def _divides_in_P(u: tuple, w: tuple, q: _Query) -> Optional[tuple]:
@@ -437,7 +486,7 @@ def _divides_in_P(u: tuple, w: tuple, q: _Query) -> Optional[tuple]:
     C with u + C = w, or None when u does not divide w."""
     if len(w) < len(u):
         return None
-    c, _, union = _cofactors(w, u[0], u, q.is_member)(u)
+    c, union = _largest_cofactor(u, w, q)
     return tuple(c) if union == (1 << len(w)) - 1 else None
 
 
@@ -462,9 +511,11 @@ def _decompositions(t: tuple, q: _Query) -> list:
 def _decomposition_pairs(t: tuple, q: _Query) -> list:
     """`_decompositions` of t, built.  Each divisor U of t comes with its
     largest cofactor C, and the V's that go with U are the subsets of C
-    holding min C whose covers OR to all of t.  They are listed once
-    per covers tuple and kept in the spec's result cache across calls and
-    sets; listing them charges nothing, so a kept list moves no count.  The
+    holding min C whose covers OR to all of t: the tuples of the covering
+    walk over a table of one column, whose rows are the covers, each of
+    which fits it.  They are listed once per covers tuple and kept in the
+    spec's result cache across calls and sets; listing them charges
+    nothing, so a kept list moves no count.  The
     covers tuple is a sound key for any set: a divisor's covers OR to its
     own set's full mask, so the tuple fixes the mask that the V's must
     cover.
@@ -486,17 +537,14 @@ def _decomposition_pairs(t: tuple, q: _Query) -> list:
             u = tuple([a + d for d in offsets])
             if u == (zero,):
                 continue
-            extras = picks.get(covers)
-            if extras is None:
-                # the indices i >= 1 of C a V holds besides min C
-                extras = picks[covers] = [
-                    extra
-                    for r in range(len(covers))
-                    for extra in itertools.combinations(range(1, len(covers)), r)
-                    if functools.reduce(or_, [covers[i] for i in extra], covers[0]) == full
+            vs = picks.get(covers)
+            if vs is None:
+                # the indices of C that a V holds, min C among them
+                vs = picks[covers] = [
+                    ks for ks, _ in _covering_walk([[~x] for x in covers], full)
                 ]
-            for extra in extras:
-                v = (mv,) + tuple([mv + c[i] for i in extra])
+            for ks in vs:
+                v = tuple([mv + c[i] for i in ks])
                 if a < mv or u <= v:
                     pairs.append((u, v))
     pairs.sort()

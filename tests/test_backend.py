@@ -565,6 +565,27 @@ class TestNodeCounts:
         assert (out if isinstance(out, bool) else len(out)) == answer
         assert bud.used == used
 
+    # no element of M lies below zero, so each element boundary answers such
+    # an element as `member` does: empty, at no node, with no search and no
+    # cache entry made, on or off the lattice, of either rank
+    @pytest.mark.parametrize("fn, empty", [(member, False), (divisors, []), (atom_divisors, [])])
+    @pytest.mark.parametrize(
+        "b, spec",
+        [
+            (F(-1), N23),
+            (F(-1, 7), N23),
+            (QPoint2(F(0), F(-1)), R2_PRUNE),
+            (QPoint2(F(-1), F(0)), R2_PRUNE),
+        ],
+        ids=["rank1", "rank1-off-lattice", "rank2", "rank2-y-0"],
+    )
+    def test_an_element_below_zero_costs_no_node(self, fn, empty, b, spec):
+        clear_caches()
+        bud = Budget()
+        assert fn(b, spec, bud) == empty
+        assert bud.used == 0
+        assert spec not in backend._cache
+
     @pytest.mark.parametrize(
         "spec, ns, levels",
         [(N101, (2399, 2311, 2000), {0, 1}), (MonoidSpec.numerical(101, 103), (2399, 2311), {0})],

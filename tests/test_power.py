@@ -30,7 +30,6 @@ from finpow.power import (
     FinSet,
     NOT_ATOMIC,
     _anchored_divisors,
-    _cofactors,
     _decode_set,
     _decompositions,
     _encode_set,
@@ -839,13 +838,16 @@ class TestRepeatedResults:
 
 
 def reference_anchored_divisors(t: tuple, q: _Query) -> dict:
-    """Each anchor tries its subsets U one by one, one node each, and builds
-    its cofactor kernel at the first U that passes the tail test."""
+    """Each anchor tries its subsets U one by one, one node each, and at each
+    U that passes the tail test takes C(U) = {m in M : U + m inside t} from
+    the definition, with the covers and their union by index: the power
+    layer's cofactor table and covering walk take no part."""
     is_member, bud = q.is_member, q.budget
     for x in t:
         if not is_member(x):
             raise InvalidInputError(f"{x} is not in the monoid")
     tmax, full = t[-1], (1 << len(t)) - 1
+    index = {x: i for i, x in enumerate(t)}
     out = {}
     for a in _divisors(t[0], q):
         mv = t[0] - a
@@ -853,16 +855,22 @@ def reference_anchored_divisors(t: tuple, q: _Query) -> dict:
             continue
         cand = [x - mv for x in t if is_member(x - mv)]
         others = cand[1:]
-        cofactor = None
         for r in range(len(others) + 1):
             for extra in itertools.combinations(others, r):
                 bud.spend()
                 u = (a,) + extra
                 if not is_member(tmax - u[-1]):
                     continue
-                if cofactor is None:
-                    cofactor = _cofactors(t, a, cand, is_member)
-                c, covers, union = cofactor(u)
+                # a + m lies in t, so m = x - a for an x of t; no element of
+                # M is below 0, so x >= a; every m is tested, as the walk does
+                c = [
+                    m for m in (x - a for x in t if x >= a)
+                    if is_member(m) and all(v + m in index for v in u)
+                ]
+                covers = [sum(1 << index[v + m] for v in u) for m in c]
+                union = 0
+                for cover in covers:
+                    union |= cover
                 if union == full:
                     out[u] = c, covers
     return out
@@ -1089,3 +1097,125 @@ class TestPatternEnumerationOracle:
     def test_rank2_sums_of_atom_sets(self, data):
         sets = data.draw(st.lists(st.sampled_from(rank2_atom_sets(RANK2_53)), min_size=1, max_size=2))
         check_pattern_enumeration(sumset_all(sets, RANK2_53), RANK2_53, data)
+
+
+# ---------------------------------------------------------------------------
+# The covering walk against a brute-force listing of every tuple of row
+# indices that holds 0, in the order the kept records, `decs[0]` and the
+# pair filter depend on: by size, then lexicographically.
+
+
+def brute_force_covers(rows: list, full: int) -> list:
+    """(I, cover) for each tuple I of row indices holding 0, by size and then
+    lexicographically, whose rows cover full: column j counts iff every row
+    of I has a nonzero entry there, and then covers the index bits whose
+    complements those entries are; cover holds, per column, the complement
+    of what the column covers, or 0 when it does not count."""
+    out = []
+    for r in range(len(rows)):
+        for extra in itertools.combinations(range(1, len(rows)), r):
+            ks = (0,) + extra
+            cover, union = [], 0
+            for j in range(len(rows[0])):
+                entries = [rows[k][j] for k in ks]
+                bits = 0
+                for e in entries:
+                    bits |= ~e
+                counts = all(e != 0 for e in entries)
+                cover.append(~bits if counts else 0)
+                union |= bits if counts else 0
+            if union == full:
+                out.append((ks, cover))
+    return out
+
+
+@st.composite
+def cofactor_tables(draw) -> tuple:
+    """(rows, full): 1 to 7 rows over 1 to 5 columns, each entry 0 or the
+    complement of one of 1 to 6 index bits, and the mask of those bits."""
+    bits = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 5))
+    entry = st.sampled_from([0] + [~(1 << i) for i in range(bits)])
+    row = st.lists(entry, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=7)), (1 << bits) - 1
+
+
+def brute_force_v_lists(covers: tuple, full: int) -> list:
+    """The index tuples holding 0, by size and then lexicographically, whose
+    covers OR to full."""
+    out = []
+    for r in range(len(covers)):
+        for extra in itertools.combinations(range(1, len(covers)), r):
+            union = covers[0]
+            for i in extra:
+                union |= covers[i]
+            if union == full:
+                out.append((0,) + extra)
+    return out
+
+
+# the V listing of `_decomposition_pairs`: the walk over one column whose
+# rows are the covers
+def v_lists(covers: tuple, full: int) -> list:
+    return [ks for ks, _ in power._covering_walk([[~x] for x in covers], full)]
+
+
+class TestCoveringWalk:
+    @given(cofactor_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, table):
+        rows, full = table
+        assert power._covering_walk(rows, full) == brute_force_covers(rows, full)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda bits: st.tuples(
+            st.lists(st.integers(1, (1 << bits) - 1), min_size=1, max_size=8).map(tuple),
+            st.just((1 << bits) - 1),
+        )
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_random_covers(self, drawn):
+        covers, full = drawn
+        assert v_lists(covers, full) == brute_force_v_lists(covers, full)
+
+    @given(numerical_specs, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kept_v_lists(self, spec, data):
+        # every V list that `decompositions` keeps is the brute-force one
+        parts = finsets(naive_members(spec.generators, 10))
+        s = sumset(data.draw(parts), data.draw(parts))
+        clear_caches()
+        decompositions(s, spec)
+        full = (1 << len(s)) - 1
+        for covers, vs in backend._cache[spec].picks.items():
+            assert vs == brute_force_v_lists(covers, full)
+
+    def test_a_23_element_sumset(self, monkeypatch):
+        # {1, 2, 18, 19, 22} + {6, 13, 15, 17, 21} over <1>: its anchors
+        # charge 2^(|A| - 1) nodes each, 33,555,482 in all, as a walk over
+        # every subset would visit; the bounded walks make 3,531 `_covered`
+        # calls, and walks without their cut would make millions
+        covered, calls = power._covered, []
+
+        def counted(cover):
+            calls.append(None)
+            assert len(calls) <= 20_000, "the covering walk lost its cut"
+            return covered(cover)
+
+        monkeypatch.setattr(power, "_covered", counted)
+        t = (7, 8, 14, 15, 16, 17, 18, 19, 22, 23, 24, 25, 28, 31, 32, 33, 34, 35, 36, 37, 39, 40, 43)
+        assert sumset(FinSet((1, 2, 18, 19, 22)), FinSet((6, 13, 15, 17, 21))).elems == t
+        shapes = [
+            ((0, 1, 17, 18, 21), (7, 14, 15, 16, 18, 22)),
+            ((0, 1, 17, 18, 21), (7, 14, 16, 18, 22)),
+            ((0, 7, 8, 9, 11, 15), (7, 8, 24, 25, 28)),
+            ((0, 7, 9, 11, 15), (7, 8, 24, 25, 28)),
+            (tuple(x - 7 for x in t), (7,)),
+        ]
+        want = [(tuple(x + a for x in u), tuple(x - a for x in v)) for a in range(4) for u, v in shapes]
+        want += [((a,), tuple(x - a for x in t)) for a in (1, 2, 3)]
+        clear_caches()
+        bud = Budget(10**9)
+        pairs = decompositions(FinSet(t), N0, bud)
+        assert [(p.left.elems, p.right.elems) for p in pairs] == sorted(want)
+        assert len(pairs) == 23 and bud.used == 33_555_482
