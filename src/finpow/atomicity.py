@@ -373,15 +373,10 @@ def lemma54_sum_witness(
         raise InvalidInputError("canonical-index relations failed")
     left = (rank2_atom(q, branches[0]), rank2_atom(r, branches[1]))
     right = (rank2_atom(q - inv, branches[0]), rank2_atom(r + inv, branches[1]))
-    if kq + 1 >= 1:
-        increment = QPoint2(Fraction(0), Fraction(1, 2 ** (kq + 1)))
-        multiplicity = 1
-    else:
-        increment = QPoint2(Fraction(0), Fraction(1))
-        multiplicity = 2 ** (-(kq + 1))
-    cert = Lemma54Certificate(
-        q, r, chosen, tuple(branches), left, right, increment, multiplicity
-    )
+    # q's integer part ell is at most q < 3, its unit-fraction part being
+    # nonnegative, so kq = 2 - ell >= 0 and the dyadic increment is taken once
+    increment = QPoint2(Fraction(0), Fraction(1, 2 ** (kq + 1)))
+    cert = Lemma54Certificate(q, r, chosen, tuple(branches), left, right, increment, 1)
     if not cert.resums_exactly():
         raise InvalidInputError("certificate failed exact re-summation")
     return cert

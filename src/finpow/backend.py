@@ -23,8 +23,8 @@ runs it over the atoms for `factorizations`, and for `atoms` over the
 generators but the one tested, with no spec built for them; `_least` finds
 the least factorizations on the same walk, memoized by (level, residual)
 across calls, and charges a repeated subtree's nodes in one spend.
-Membership verdicts, scaled divisor lists, set divisor enumerations, each
-kept with its decomposition pairs, and the atom list live in one result
+Membership verdicts, scaled divisor lists, the divisor maps and the
+decomposition pairs of sets, and the atom list live in one result
 cache per spec, an `_Entry` with a named field for each; so do the pure
 results that queries repeat, decoded elements, MCD lists, `_least`'s
 memos and the power layer's pattern walks and V lists, each hit spending
@@ -418,7 +418,8 @@ def _least(plan: tuple, i: int, y: int, x: int, budget: Budget, memo: dict, k: i
                 kmax = min(kmax, x // gx)
             for c in range(y // d * inv % step, kmax + 1, step):
                 child = _least(plan, i + 1, y - c * gy, x - c * gx, budget, memo, k)
-                best = sorted(best + [s + (c,) for s in child])[:k]
+                best += [s + (c,) for s in child]
+            best = sorted(best)[:k]
     memo[i, y, x] = budget.used - used, best
     return best
 
@@ -458,14 +459,14 @@ class _Entry:
 
     `verdicts` maps a scaled element to its membership verdict and `divisors`
     to its scaled divisors, an ascending tuple; `plan` is the search plan over
-    the spec's generators at its scale; `enumerations` is `power._kept`'s,
-    and maps a scaled set to None once it has been enumerated, then to the
-    record [its divisor map {U: (C, covers)} or None until
-    `power._anchored_divisors` has built it, the nodes an uncached rerun
-    spends, its decomposition pairs or None until `power._decompositions`
-    has built them]; only `power` reads or writes it, and a replay of
-    either slot spends the count.  `atoms` is the
-    atom tuple once `atoms` has completed, None before.
+    the spec's generators at its scale; `divisor_maps` and `pairs` are
+    `power._kept`'s memos of `power._anchored_divisors` and
+    `power._decompositions`: each maps a scaled set to None once it has
+    been built, then to (its divisor map {U: C} or its decomposition
+    pairs, the nodes an uncached rerun spends) once it has been built
+    again; only `power` reads or writes them, and a replay spends the
+    count.  `atoms` is the atom tuple once `atoms` has completed, None
+    before.
 
     The rest keep pure results that queries repeat:
     - `elements` maps a scaled element to its decoded one (`decode`); a hit
@@ -475,19 +476,20 @@ class _Entry:
     - `least` maps (scale, k) to the memo of `_least` over the atoms at that
       scale, kept for k least vectors; a replayed subtree spends its count;
     - `walks` maps a set's offsets from its minimum, rel, to the pattern
-      walks of `power._anchor_walks` over it, and `picks` a covers
-      tuple to the V's of `power._decompositions`; both charge nothing, so
+      walks of `power._anchor_walks` over it, and `picks` a walk entry's
+      ands, the nonzero entries of the AND of U's cofactor-table rows, to
+      the V's of `power._decompositions`; both charge nothing, so
       a hit spends 0, and only `power` reads or writes them.
     """
 
     __slots__ = (
-        "verdicts", "divisors", "plan", "enumerations", "atoms", "elements", "mcds", "least",
-        "walks", "picks",
+        "verdicts", "divisors", "plan", "divisor_maps", "pairs", "atoms", "elements", "mcds",
+        "least", "walks", "picks",
     )
 
     def __init__(self, spec: MonoidSpec):
-        self.verdicts, self.divisors, self.enumerations, self.atoms = {}, {}, {}, None
-        self.elements, self.mcds, self.least, self.walks, self.picks = {}, {}, {}, {}, {}
+        self.verdicts, self.divisors, self.divisor_maps, self.pairs, self.mcds = {}, {}, {}, {}, {}
+        self.atoms, self.elements, self.least, self.walks, self.picks = None, {}, {}, {}, {}
         self.plan = _plan(spec.generators[::-1], spec.scale)
 
 

@@ -115,7 +115,7 @@ def _mcd_in_P(fam: list, q: _Query) -> list:
         if not nonsingleton:
             break
         d = nonsingleton[0]
-        fam = [tuple(m[d][0]) for m in maps]  # the largest cofactor of d in each set
+        fam = [tuple(m[d]) for m in maps]  # the largest cofactor of d in each set
         stripped = _sumset(stripped, d)
     m_level = _mcd(tuple(sorted({e for t in fam for e in t})), q)
     # translates by ascending m0 come out in ascending order

@@ -8,7 +8,7 @@ minimum: if S = U + V then min U + min V = min S, so candidate U's live in
 the translate {s - min V : s in S}, which keeps the subset enumeration tiny.
 One anchor walk, `_anchor_walks`, finds every divisor U of a set with its
 largest cofactor C; `_anchored_divisors` translates it into the map
-{U: (C, covers)}, whose U's `mcd.p_divisors` collects and whose C's
+{U: C}, whose U's `mcd.p_divisors` collects and whose C's
 `mcd.mcd_in_P` reads to strip a U, and `decompositions` takes the V's
 inside each C.  It walks the subsets once per anchor membership pattern,
 not once per anchor, yet charges each anchor one node per subset, so node
@@ -36,11 +36,11 @@ an element e holds in column j the complement of the index bit in T of
 e + m_j, or 0 when that sum is not in T; the AND of U's rows gives C(U)
 and its covers, which `divides_in_P` and `singleton_candidates` read for
 their one set.  One bounded walk, `_covering_walk`, lists every set of
-rows that holds row 0 and covers T: over the rows of A, the divisors U of
-a pattern, and over a table of one column whose rows are the covers of
-U's C, the V's that go with U.  Node counts do not depend on it: an
-anchor still charges one node per subset it stands for, and listing V's
-charges nothing.
+rows that holds row 0 and covers T, in lexicographic order: over the rows
+of A, the divisors U of a pattern, and over a table of one column whose
+rows are the nonzero entries of the AND of U's rows, the V's that go
+with U.  Node counts do not depend on it: an anchor still charges one
+node per subset it stands for, and listing V's charges nothing.
 
 Set arithmetic runs on scaled elements, ints for both ranks.  A public
 function encodes its sets once on entry and decodes its result once on
@@ -58,9 +58,9 @@ decoding is monotone; `sumset` builds its sorted, distinct sums through it
 too.  Each public function builds one `backend._Query` and passes it to the
 scaled cores.  Membership tests, divisor lists and set divisor enumerations
 share the one result cache of `backend`, read by scaled element through
-`_Query.is_member` and `_scaled_divisors`; a set enumerated twice is kept
-in one record [map, cost, pairs], whose map and pairs `_kept` fills as
-they are built and replays at the node cost of an uncached rerun, so
+`_Query.is_member` and `_scaled_divisors`; `_kept` keeps a set's divisor
+map and its decomposition pairs in two memos, each once it has been
+built twice, and replays it at the node cost of an uncached rerun, so
 caching moves no count.  The cache also keeps the pattern walks of
 `_anchor_walks` and the V lists of `_decompositions` across calls; they
 charge nothing, so keeping them moves no count either.  Only this module
@@ -257,21 +257,19 @@ def _later(rows: list) -> list:
 def _covering_walk(rows: list, full: int) -> list:
     """(I, cover) for every tuple I of row indices that holds 0 and whose
     rows cover the mask full: cover is the AND of I's rows, and
-    `_covered(cover) == full`.  The tuples come by size, then
-    lexicographically.
+    `_covered(cover) == full`.  The tuples come lexicographically.
 
     A covering search with a completion bound, in the manner of Knuth,
     "Dancing links" (2000): depth first, from an explicit stack, extending
     a tuple by each later index in turn, so the tuples are met in
-    lexicographic order, and one stable sort by size orders them.  A tuple
-    I is cut, with every extension, when its nonzero columns, each ORed
-    with what all later rows cover in it, do not cover full.  The cut is
-    sound: an extension adds only later rows, and a row only zeroes
-    columns, so what it covers lies inside that OR; and a cut tuple,
-    covering less, is no cover itself.  A tuple with one extension left is
-    not bounded: that extension is tested itself, for about what the bound
-    costs.  The later rows, `_later`, are built at the first tuple that
-    needs them.
+    lexicographic order.  A tuple I is cut, with every extension, when its
+    nonzero columns, each ORed with what all later rows cover in it, do
+    not cover full.  The cut is sound: an extension adds only later rows,
+    and a row only zeroes columns, so what it covers lies inside that OR;
+    and a cut tuple, covering less, is no cover itself.  A tuple with one
+    extension left is not bounded: that extension is tested itself, for
+    about what the bound costs.  The later rows, `_later`, are built at the
+    first tuple that needs them.
     """
     n, lat = len(rows), None
     out, stack = [], [((0,), rows[0])]
@@ -291,26 +289,25 @@ def _covering_walk(rows: list, full: int) -> list:
             stack += [
                 (ks + (j,), list(map(and_, cover, rows[j]))) for j in range(n - 1, k - 1, -1)
             ]
-    out.sort(key=lambda node: len(node[0]))
     return out
 
 
 def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
-    """(U, C, covers) for every divisor U of the set t = min t + rel, with
+    """(U, C, ands) for every divisor U of the set t = min t + rel, with
     its largest cofactor C, for the anchors a whose pattern is (us, outs):
     a + d is in M for the d in us, and min t - a + rel[i] for the i whose
     bit is set in the mask outs.  U and C are given by the offsets d of
-    their elements a + d and min t - a + d, and covers[i] is the mask of the
-    indices in t of U + C[i].  The divisors are the covering walk's over
-    the rows of us, in its order: by size, then lexicographically."""
+    their elements a + d and min t - a + d, and ands[i] is the nonzero
+    entry of the AND of U's rows in C[i]'s column, the complement of the
+    mask of the indices in t of U + C[i].  The divisors are the covering
+    walk's over the rows of us, in its lexicographic order."""
     ms = [d for i, d in enumerate(rel) if outs >> i & 1]
     walk = _covering_walk(_cofactor_table(rel, us, ms), (1 << len(rel)) - 1)
-    # a nonzero entry of cover is the complement of its column's cover
     return [
         (
             tuple([us[k] for k in ks]),
             [m for m, e in zip(ms, cover) if e],
-            tuple([~e for e in cover if e]),
+            tuple(filter(None, cover)),
         )
         for ks, cover in walk
     ]
@@ -319,9 +316,10 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
 def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
     """(a, mv, walk) for each anchor a of the scaled set t whose tail test
     passes, ascending, where mv = min t - a and walk lists (U - a, C - mv,
-    covers) over the divisors U of t with minimum a in the power monoid:
-    C is U's largest cofactor, U + C = t, and covers[i] is the mask of the
-    indices in t of U + C[i].  With `half`, only the anchors a <= mv.
+    ands) over the divisors U of t with minimum a in the power monoid:
+    C is U's largest cofactor, U + C = t, and ands[i] is the complement of
+    the mask of the indices in t of U + C[i].  With `half`, only the
+    anchors a <= mv.
 
     Anchored at the minimum: min U is a divisor a of min t, so min C = mv,
     which is in M as a divides min t, and every u in U has u + mv in t.
@@ -411,42 +409,35 @@ def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
     return out
 
 
-def _kept(t: tuple, q: _Query, slot: int, build: Callable):
-    """What `build(t, q)` finds from an anchor walk of the scaled set t: its
-    divisor map in slot 0 of t's record, or its decomposition pairs in
-    slot 2.
+def _kept(memo: dict, t: tuple, q: _Query, build: Callable):
+    """What `build(t, q)` finds from an anchor walk of the scaled set t,
+    kept in memo, the result cache's `divisor_maps` or `pairs`.
 
-    A completed build marks t in the result cache.  A later one finds every
-    test cached, so it spends what an uncached rerun would, and keeps that
-    count and its value in the record [map or None, count, pairs or None];
-    a filled slot is replayed at the count, and an empty one is built,
-    at the same count, and kept.  Only a set requested twice is kept:
-    keeping every first enumeration raised the peak RSS of `verify --suite
-    all` from 24.0 to 30.1 MB to save its 361 reruns, with no faster run
-    (one run each, on a 2-core VM).
+    A completed build marks t in memo with None.  A later one finds every
+    test cached, as each build makes them all, so it spends what an
+    uncached rerun would, and memo keeps (value, count), which later calls
+    replay at the count.  A map build and a pair build charge the same
+    anchors, so a set's two memos keep one count.  Only a set requested
+    twice is kept: keeping every first enumeration raised the peak RSS of
+    `verify --suite all` from 24.0 to 30.1 MB to save its 361 reruns, with
+    no faster run (one run each, on a 2-core VM).
     """
-    memo, bud = q.entry.enumerations, q.budget
-    record = memo.get(t)
-    if record is not None and record[slot] is not None:
-        bud.spend(record[1])  # nodes: a kept enumeration's recorded count
-        return record[slot]
-    before = bud.used
+    kept = memo.get(t)
+    if kept is not None:
+        q.budget.spend(kept[1])  # nodes: a kept enumeration's recorded count
+        return kept[0]
+    before = q.budget.used
     value = build(t, q)
-    if t not in memo:
-        memo[t] = None
-        return value
-    if record is None:
-        record = memo[t] = [None, bud.used - before, None]
-    record[slot] = value
+    memo[t] = None if t not in memo else (value, q.budget.used - before)
     return value
 
 
 def _anchored_divisors(t: tuple, q: _Query) -> dict:
-    """The map {U: (C, covers)} over every divisor U of the scaled set t in
-    the power monoid, kept by `_kept`.  `mcd.p_divisors` and
-    `_p_furstenberg_divisor` read its keys and `mcd._mcd_in_P` its
-    cofactors."""
-    return _kept(t, q, 0, _divisor_map)
+    """The map {U: C} over every divisor U of the scaled set t in the power
+    monoid, with its largest cofactor C, kept by `_kept`.
+    `mcd.p_divisors` and `_p_furstenberg_divisor` read its keys and
+    `mcd._mcd_in_P` its cofactors."""
+    return _kept(q.entry.divisor_maps, t, q, _divisor_map)
 
 
 def _divisor_map(t: tuple, q: _Query) -> dict:
@@ -454,8 +445,8 @@ def _divisor_map(t: tuple, q: _Query) -> dict:
     translated."""
     out = {}
     for a, mv, walk in _anchor_walks(t, q, False):
-        for u, c, covers in walk:
-            out[tuple([a + d for d in u])] = [mv + d for d in c], covers
+        for u, c, _ in walk:
+            out[tuple([a + d for d in u])] = [mv + d for d in c]
     return out
 
 
@@ -505,19 +496,19 @@ def divides_in_P(
 def _decompositions(t: tuple, q: _Query) -> list:
     """`decompositions` of the scaled set t of q's spec, as sorted
     scaled pairs (left, right), kept by `_kept`."""
-    return _kept(t, q, 2, _decomposition_pairs)
+    return _kept(q.entry.pairs, t, q, _decomposition_pairs)
 
 
 def _decomposition_pairs(t: tuple, q: _Query) -> list:
     """`_decompositions` of t, built.  Each divisor U of t comes with its
     largest cofactor C, and the V's that go with U are the subsets of C
     holding min C whose covers OR to all of t: the tuples of the covering
-    walk over a table of one column, whose rows are the covers, each of
-    which fits it.  They are listed once per covers tuple and kept in the
-    spec's result cache across calls and sets; listing them charges
-    nothing, so a kept list moves no count.  The
-    covers tuple is a sound key for any set: a divisor's covers OR to its
-    own set's full mask, so the tuple fixes the mask that the V's must
+    walk over a table of one column, whose rows are the walk entry's ands,
+    the complements of the covers, each of which fits it.  They are listed
+    once per ands tuple and kept in the spec's result cache across calls
+    and sets; listing them charges nothing, so a kept list moves no count.
+    The ands tuple is a sound key for any set: a divisor's covers OR to
+    its own set's full mask, so the tuple fixes the mask that the V's must
     cover.
 
     Each pair is built once, from its lesser anchor, straight from the
@@ -533,16 +524,14 @@ def _decomposition_pairs(t: tuple, q: _Query) -> list:
     zero, full, picks = t[0] - t[0], (1 << len(t)) - 1, q.entry.picks
     pairs = []
     for a, mv, walk in _anchor_walks(t, q, True):
-        for offsets, c, covers in walk:
+        for offsets, c, ands in walk:
             u = tuple([a + d for d in offsets])
             if u == (zero,):
                 continue
-            vs = picks.get(covers)
+            vs = picks.get(ands)
             if vs is None:
                 # the indices of C that a V holds, min C among them
-                vs = picks[covers] = [
-                    ks for ks, _ in _covering_walk([[~x] for x in covers], full)
-                ]
+                vs = picks[ands] = [ks for ks, _ in _covering_walk([[e] for e in ands], full)]
             for ks in vs:
                 v = tuple([mv + c[i] for i in ks])
                 if a < mv or u <= v:

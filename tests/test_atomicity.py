@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finpow.arith import InvalidInputError, QPoint2
@@ -128,6 +128,14 @@ class TestAtomDivisorsAndCounts:
 
     def test_a_descent_report_is_true_iff_ok(self):
         assert tidf_implies_atomic_check(N23, 30) and not DescentReport(False, counterexample=F(1))
+
+    def test_descent_check_refuses_a_rank2_spec_before_any_node(self):
+        # the refusal comes before the atoms are read, so a cold cache costs 0
+        clear_caches()
+        bud = Budget(0)
+        with pytest.raises(InvalidInputError, match="^descent check requires a rank-1"):
+            tidf_implies_atomic_check(MonoidSpec.of_family("RANK2-5.3", 2, (F(7, 3),)), F(1), bud)
+        assert bud.used == 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,25 @@ class TestLemma54:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             lemma54_sum_witness(F(1, 3), F(7, 3))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_k_is_nonnegative_and_the_increment_taken_once(self, data):
+        # q = ell + (a nonnegative sum of c/p), so ell <= q < 3 and
+        # k = 2 - ell >= 0 on (2, 3): the witness never needs 2^(-(k + 1))
+        # copies of a unit increment
+        def draw() -> F:
+            primes = data.draw(st.lists(st.sampled_from((3, 5, 7, 11, 13)), min_size=1,
+                                        max_size=3, unique=True))
+            q = F(2) + sum((F(data.draw(st.integers(1, p - 1)), p) for p in primes), F(0))
+            assume(q < 3)
+            return q
+
+        q, r = draw(), draw()
+        assert k_of(q) >= 0 and k_of(r) >= 0
+        cert = lemma54_sum_witness(q, r)
+        assert cert.multiplicity == 1 and cert.resums_exactly()
+        assert cert.increment == QPoint2(F(0), F(1, 2 ** (k_of(q) + 1)))
 
 
 class TestThm55Projection:

@@ -195,7 +195,7 @@ class TestMonoidSpec:
         for _ in range(2):
             decompositions(FinSet((4, 5, 6, 7)), MonoidSpec.numerical(2, 3))
         mcd_in_P([FinSet((3, 4)), FinSet((6, 7, 8))], MonoidSpec.numerical(3, 4, 5))
-        # twice each, so that the pairs of kept enumerations are stored
+        # twice each, so that the divisor maps and pairs are kept
         for _ in range(2):
             mcd_in_P([FinSet((4, 5, 6, 7))], MonoidSpec.numerical(2, 3))
             p_furstenberg_divisor(FinSet((4, 5)), MonoidSpec.numerical(2, 3))
@@ -204,8 +204,9 @@ class TestMonoidSpec:
         repeats = ("elements", "mcds", "least", "walks", "picks")
         for name in repeats:
             assert any(getattr(e, name) for e in entries), name
-        kept = [r for e in entries for r in e.enumerations.values() if r is not None]
-        assert any(r[2] for r in kept)  # the pairs of a kept record
+        # a kept map and a kept nonempty pair list, each with its count
+        for memo in ("divisor_maps", "pairs"):
+            assert any(kept and kept[0] for e in entries for kept in getattr(e, memo).values())
         modules = [
             importlib.import_module(f"finpow.{m.name}")
             for m in pkgutil.iter_modules(finpow.__path__)
@@ -215,13 +216,13 @@ class TestMonoidSpec:
             if hasattr(f, "cache_info")
         }.values()
         assert backend._cache and any(f.cache_info().currsize for f in lru)
-        assert any(e.enumerations.get((4, 5, 6, 7)) for e in backend._cache.values())
+        assert any(e.pairs.get((4, 5, 6, 7)) for e in backend._cache.values())
         clear_caches()
         assert backend._cache == {}
         assert [f for f in lru if f.cache_info().currsize] == []
         fresh = backend._Query(MonoidSpec.numerical(2, 3), Budget()).entry
         assert fresh not in entries
-        assert not any(getattr(fresh, name) for name in repeats + ("enumerations",))
+        assert not any(getattr(fresh, name) for name in repeats + ("divisor_maps", "pairs"))
         # only what queries repeat is memoized: the plans and the families
         assert sorted(f.__name__ for f in lru) == ["_plan", "expand_family"]
 
@@ -1426,17 +1427,17 @@ def test_a_spec_computes_no_value_lazily():
 
 
 def test_only_power_reads_the_kept_enumerations():
-    # the kept divisor map {U: (C, covers)}, the kept pattern walks and the
-    # kept V lists have one owner: `power` reads and writes each field,
-    # `backend` only sets its empty dict, and `mcd` reads no field of an
-    # entry but its MCD lists
+    # the kept divisor maps {U: C} and decomposition pairs, the kept pattern
+    # walks and the kept V lists have one owner: `power` reads and writes
+    # each field, `backend` only sets its empty dict, and `mcd` reads no
+    # field of an entry but its MCD lists
     owners = {
         field: sorted({
             name for name, node in module_nodes()
             if isinstance(node, ast.Attribute) and node.attr == field
             and not (name == "backend.py" and isinstance(node.ctx, ast.Store))
         })
-        for field in ("enumerations", "walks", "picks")
+        for field in ("divisor_maps", "pairs", "walks", "picks")
     }
     assert owners == dict.fromkeys(owners, ["power.py"])
     read_by_mcd = {

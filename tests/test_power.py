@@ -333,8 +333,10 @@ def check_window(spec: MonoidSpec, n: int) -> None:
                 assert cert.is_atom == (not nontrivial), s
                 assert dec is None or (dec.left.elems, dec.right.elems) == want[False][0], s
             assert [d.elems for d in p_divisors(s, spec)] == divs, s
-    # each set was enumerated more than once, so each one's map is kept
-    assert None not in backend._cache[spec].enumerations.values()
+    # each set was decomposed and its divisors listed more than once, so
+    # each one's pairs and map are kept
+    entry = backend._cache[spec]
+    assert None not in entry.pairs.values() and None not in entry.divisor_maps.values()
     for t in table:
         if t == 1:
             continue
@@ -549,13 +551,13 @@ class TestDecodeSet:
 class TestEnumerationMemo:
     T = (4, 5, 6, 7)  # {0, 1} + {4, 6} over <2, 3>
 
-    def memo(self) -> dict:
-        return backend._cache[N23].enumerations
+    def entry(self):
+        return backend._cache[N23]
 
     def test_a_set_asked_for_once_keeps_only_its_mark(self):
         clear_caches()
         decompositions(FinSet(self.T), N23)
-        assert self.memo() == {self.T: None}
+        assert self.entry().pairs == {self.T: None} and self.entry().divisor_maps == {}
 
     def test_the_second_request_keeps_what_a_rerun_spends(self):
         clear_caches()
@@ -565,10 +567,10 @@ class TestEnumerationMemo:
             bud = Budget()
             got = decompositions(FinSet(self.T), N23, bud)
             used.append(bud.used)
-        divs, nodes, pairs = self.memo()[self.T]
+        pairs, nodes = self.entry().pairs[self.T]
         assert len(got) == len(pairs) == 4 and used == [nodes] * 3 and nodes > 0
         # with every test cached, an uncached rerun spends only its U tries
-        self.memo().clear()
+        self.entry().pairs.clear()
         bud = Budget()
         decompositions(FinSet(self.T), N23, bud)
         assert bud.used == nodes
@@ -577,72 +579,64 @@ class TestEnumerationMemo:
         clear_caches()
         with pytest.raises(BudgetExceededError):
             decompositions(FinSet(self.T), N23, Budget(10))
-        assert self.T not in self.memo()
+        assert self.T not in self.entry().pairs
         decompositions(FinSet(self.T), N23)
         with pytest.raises(BudgetExceededError):
             decompositions(FinSet(self.T), N23, Budget(10))
-        assert self.memo() == {self.T: None}
+        assert self.entry().pairs == {self.T: None}
 
     def test_a_kept_list_is_whole(self):
         # `decompositions` walks only the anchors a <= min T - a, so its
-        # second run keeps its pairs and no map; the first map reader then
-        # builds the whole map at the kept count, where a map of the half
-        # walk would lack T itself, and each kept slot replays at that count
+        # second run keeps its pairs and no map; `p_divisors` then builds
+        # the whole map twice, at the pairs' kept count, where a map of the
+        # half walk would lack T itself, and keeps it at that count
         clear_caches()
         for _ in range(2):
             decompositions(FinSet(self.T), N23)
-        record = self.memo()[self.T]
-        divs, nodes, pairs = record
-        assert divs is None and len(pairs) == 4 and nodes > 0
-        bud = Budget()
-        got = p_divisors(FinSet(self.T), N23, bud)
-        assert bud.used == nodes and record[2] is pairs
-        kept = record[0]
+        entry = self.entry()
+        pairs, nodes = entry.pairs[self.T]
+        assert entry.divisor_maps == {} and len(pairs) == 4 and nodes > 0
+        for _ in range(2):
+            bud = Budget()
+            got = p_divisors(FinSet(self.T), N23, bud)
+            assert bud.used == nodes
+        kept, count = entry.divisor_maps[self.T]
+        assert count == nodes and entry.pairs[self.T] == (pairs, nodes)
         # the kept map is an uncached rerun's, in its order, as dict ==
         # ignores order
-        self.memo().clear()
+        entry.divisor_maps.clear()
         bud = Budget()
         rerun = _anchored_divisors(self.T, _Query(N23, bud))
         assert (list(kept.items()), nodes) == (list(rerun.items()), bud.used)
         want, _ = cold_enumeration(_anchored_divisors, self.T, N23)
-        assert sorted((u, tuple(c), covers) for u, (c, covers) in kept.items()) == want
-        assert [d.elems for d in got] == sorted(u for u, _, _ in want)
+        assert sorted((u, tuple(c)) for u, c in kept.items()) == want
+        assert [d.elems for d in got] == sorted(u for u, _ in want)
         assert self.T in kept and FinSet(self.T) in got
-        # with the record back, each filled slot replays at the kept count
-        self.memo()[self.T] = record
+        # the other way round, two map readers keep the map, and
+        # `decompositions` then keeps its pairs on its own second request,
+        # each call at the same count
+        clear_caches()
+        for _ in range(2):
+            p_divisors(FinSet(self.T), N23)
+        entry = self.entry()
+        assert entry.pairs == {}
+        assert list(entry.divisor_maps[self.T][0].items()) == list(kept.items())
+        for _ in range(3):
+            bud = Budget()
+            assert [(d.left.elems, d.right.elems)
+                    for d in decompositions(FinSet(self.T), N23, bud)] == pairs
+            assert bud.used == entry.divisor_maps[self.T][1] == nodes
+        assert entry.pairs[self.T] == (pairs, nodes)
+        # each kept value replays at its count
         for fn in (p_divisors, decompositions):
             bud = Budget()
             fn(FinSet(self.T), N23, bud)
             assert bud.used == nodes
-        # the other way round, two map readers keep the map, and
-        # `decompositions` then fills the pairs' slot at the same count
-        clear_caches()
-        for _ in range(2):
-            p_divisors(FinSet(self.T), N23)
-        record = self.memo()[self.T]
-        assert record[2] is None and list(record[0].items()) == list(kept.items())
-        for _ in range(2):
-            bud = Budget()
-            assert [(d.left.elems, d.right.elems)
-                    for d in decompositions(FinSet(self.T), N23, bud)] == pairs
-            assert bud.used == record[1] == nodes and record[2] == pairs
 
 
-# the result-cache fields that keep a pure result for a repeat to read, and
-# "decompositions", the pairs in the records of the kept enumerations
-REPEATS = ("elements", "mcds", "decompositions", "least", "walks", "picks")
-
-
-def kept_records(entry) -> list:
-    return [r for r in entry.enumerations.values() if r is not None]
-
-
-def empty_field(entry, name: str) -> None:
-    if name == "decompositions":
-        for record in kept_records(entry):
-            record[2] = None
-    else:
-        getattr(entry, name).clear()
+# the result-cache fields that keep a pure result for a repeat to read, the
+# two memos of `power._kept` among them
+REPEATS = ("elements", "mcds", "divisor_maps", "pairs", "least", "walks", "picks")
 
 
 def run_calls(calls: list, spec: MonoidSpec, empty: tuple = ()) -> list:
@@ -653,7 +647,7 @@ def run_calls(calls: list, spec: MonoidSpec, empty: tuple = ()) -> list:
     for fn, arg, limit in calls:
         for entry in backend._cache.values():
             for name in empty:
-                empty_field(entry, name)
+                getattr(entry, name).clear()
         bud = Budget(limit)
         try:
             got = fn(arg, spec, bud)
@@ -686,15 +680,15 @@ def draw_calls(data, low: set) -> list:
 
 def check_memo_moves_nothing(calls: list, spec: MonoidSpec) -> None:
     want = run_calls(calls, spec)
-    assert run_calls(calls, spec, ("enumerations",)) == want
+    assert run_calls(calls, spec, ("divisor_maps", "pairs")) == want
     assert run_calls(calls, spec, REPEATS) == want
 
 
 def check_one_shot_against_kept(s: FinSet, spec: MonoidSpec) -> None:
     """`decompositions` of s four ways: cold, in one shot from the walks;
-    again, kept in a record with no map; after two `p_divisors` calls kept
+    again, with its pairs kept and no map; after two `p_divisors` calls kept
     the map first; and twice, before `p_divisors` and `mcd_in_P` build the
-    map the record lacks.  The pairs agree, and each call spends what it
+    map.  The pairs agree, and each call spends what it
     spends with no walk or V list kept."""
     cold = [(decompositions, s, DEFAULT_BUDGET)]
     readers = [(p_divisors, s, DEFAULT_BUDGET), (mcd_in_P, [s], DEFAULT_BUDGET)]
@@ -784,11 +778,8 @@ class TestRepeatedResults:
     @pytest.mark.parametrize("name", REPEATS)
     def test_emptying_the_field_moves_nothing(self, name):
         want = run_calls(MIX, N5TO9)
-        entry = backend._cache[N5TO9]
-        if name == "decompositions":
-            assert any(record[2] for record in kept_records(entry))
-        else:
-            assert getattr(entry, name)
+        # the field holds a value, a mark of `_kept`, None, not counting
+        assert any(v is not None for v in getattr(backend._cache[N5TO9], name).values())
         assert run_calls(MIX, N5TO9, (name,)) == want
 
     def test_each_spec_decodes_into_its_own_entry(self):
@@ -816,7 +807,7 @@ class TestRepeatedResults:
             assert len(walks) == 1
             if empty:
                 for name in ("walks", "picks"):
-                    empty_field(backend._cache[one], name)
+                    getattr(backend._cache[one], name).clear()
             walks.clear()
             bud = Budget()
             pairs = decompositions(FinSet((3, 4, 5, 7)), one, bud)
@@ -876,28 +867,46 @@ def reference_anchored_divisors(t: tuple, q: _Query) -> dict:
     return out
 
 
+def reference_divisor_map(t: tuple, q: _Query) -> dict:
+    """{U: C} of the reference, the map `_anchored_divisors` keeps."""
+    return {u: c for u, (c, _) in reference_anchored_divisors(t, q).items()}
+
+
 def cold_enumeration(fn, t: tuple, spec: MonoidSpec, limit: int = DEFAULT_BUDGET):
-    """(sorted (U, C, covers) or the raised error's type, Budget.used) from
-    cold caches."""
+    """(sorted (U, C) or the raised error's type, Budget.used) from cold
+    caches."""
     clear_caches()
     bud = Budget(limit)
     try:
-        got = sorted(
-            (u, tuple(c), tuple(covers)) for u, (c, covers) in fn(t, _Query(spec, bud)).items()
-        )
+        got = sorted((u, tuple(c)) for u, c in fn(t, _Query(spec, bud)).items())
     except BudgetExceededError:
         got = BudgetExceededError
     return got, bud.used
 
 
+def walked_divisors(t: tuple, q: _Query) -> dict:
+    """{U: (C, covers)} from the walk entries of `power._anchor_walks`,
+    each cover the complement of an entry's AND, as the V listing reads
+    them and keys its `picks`."""
+    return {
+        tuple([a + d for d in u]): ([mv + d for d in c], [~e for e in ands])
+        for a, mv, walk in power._anchor_walks(t, q, False) for u, c, ands in walk
+    }
+
+
 def check_pattern_enumeration(s: FinSet, spec: MonoidSpec, data) -> None:
     t = _encode_set(s, spec)
-    want = cold_enumeration(reference_anchored_divisors, t, spec)
+    want = cold_enumeration(reference_divisor_map, t, spec)
     assert cold_enumeration(_anchored_divisors, t, spec) == want
+    if want[0] is not BudgetExceededError:
+        clear_caches()
+        covers = reference_anchored_divisors(t, _Query(spec, Budget()))
+        clear_caches()
+        assert walked_divisors(t, _Query(spec, Budget())) == covers
     used = want[1]
     if used:
         limit = data.draw(st.integers(0, used - 1), label="limit")
-        for fn in (reference_anchored_divisors, _anchored_divisors):
+        for fn in (reference_divisor_map, _anchored_divisors):
             assert cold_enumeration(fn, t, spec, limit) == (BudgetExceededError, limit + 1)
 
 
@@ -1101,12 +1110,11 @@ class TestPatternEnumerationOracle:
 
 # ---------------------------------------------------------------------------
 # The covering walk against a brute-force listing of every tuple of row
-# indices that holds 0, in the order the kept records, `decs[0]` and the
-# pair filter depend on: by size, then lexicographically.
+# indices that holds 0, in the walk's lexicographic order.
 
 
 def brute_force_covers(rows: list, full: int) -> list:
-    """(I, cover) for each tuple I of row indices holding 0, by size and then
+    """(I, cover) for each tuple I of row indices holding 0,
     lexicographically, whose rows cover full: column j counts iff every row
     of I has a nonzero entry there, and then covers the index bits whose
     complements those entries are; cover holds, per column, the complement
@@ -1126,7 +1134,7 @@ def brute_force_covers(rows: list, full: int) -> list:
                 union |= bits if counts else 0
             if union == full:
                 out.append((ks, cover))
-    return out
+    return sorted(out)
 
 
 @st.composite
@@ -1141,8 +1149,8 @@ def cofactor_tables(draw) -> tuple:
 
 
 def brute_force_v_lists(covers: tuple, full: int) -> list:
-    """The index tuples holding 0, by size and then lexicographically, whose
-    covers OR to full."""
+    """The index tuples holding 0, lexicographically, whose covers OR to
+    full."""
     out = []
     for r in range(len(covers)):
         for extra in itertools.combinations(range(1, len(covers)), r):
@@ -1151,11 +1159,11 @@ def brute_force_v_lists(covers: tuple, full: int) -> list:
                 union |= covers[i]
             if union == full:
                 out.append((0,) + extra)
-    return out
+    return sorted(out)
 
 
 # the V listing of `_decomposition_pairs`: the walk over one column whose
-# rows are the covers
+# rows are the AND entries, the complements of the covers
 def v_lists(covers: tuple, full: int) -> list:
     return [ks for ks, _ in power._covering_walk([[~x] for x in covers], full)]
 
@@ -1187,8 +1195,8 @@ class TestCoveringWalk:
         clear_caches()
         decompositions(s, spec)
         full = (1 << len(s)) - 1
-        for covers, vs in backend._cache[spec].picks.items():
-            assert vs == brute_force_v_lists(covers, full)
+        for ands, vs in backend._cache[spec].picks.items():
+            assert vs == brute_force_v_lists(tuple([~e for e in ands]), full)
 
     def test_a_23_element_sumset(self, monkeypatch):
         # {1, 2, 18, 19, 22} + {6, 13, 15, 17, 21} over <1>: its anchors
