@@ -30,11 +30,16 @@ results that queries repeat, decoded elements, MCD lists, `_least`'s
 memos and the power layer's pattern walks and V lists, each hit spending
 what recomputing it would.  `clear_caches`
 empties the cache.  A `_Query` holds a spec, its entry and a budget;
-the scaled cores here and in `power` and `mcd` take one, and `member` and
-`divisors` wrap `_Query.is_member` and `_divisors` in one encode and decode;
-an element off the generators' lattice has no scaled form and is answered
-there, at one node, so every scaled core searches the spec's plan.
-A family spec is expanded once, when it is built, and equals its expansion.
+the scaled cores here and in `power` and `mcd` take one.  `member`,
+`divisors` and `atomicity.atom_divisors` take their element argument
+through one entry rule, `_on_lattice`: it refuses an element of the wrong
+kind, makes the query's budget, and answers an element below zero, at no
+node, or off the generators' lattice, which has no scaled form, at one;
+so every scaled core searches the spec's plan.  `member` and `divisors`
+then wrap `_Query.is_member` and `_divisors` in one encode and decode.
+A family spec is expanded once, when it is built, and equals its
+expansion; `expand_family` owns the family argument's rules, the tag
+first, then the depth.
 Every value a spec derives from its generators, its scale, zero and hash
 among them, is set then too; `functools.lru_cache` keeps only what queries
 repeat, the plans and the family expansions.
@@ -140,10 +145,6 @@ class MonoidSpec:
 
     def __post_init__(self):
         if self.kind == "family":
-            if self.family not in FAMILY_TAGS:
-                raise InvalidInputError(f"unknown family tag {self.family!r}")
-            if self.depth is None or not 1 <= self.depth <= _MAX_GENERATORS:
-                raise InvalidInputError(f"family depth must be from 1 to {_MAX_GENERATORS}")
             sample = tuple(sorted(set(self.sample)))
             object.__setattr__(self, "sample", sample)
             self._set_derived(expand_family(self.family, self.depth, sample).generators)
@@ -239,7 +240,12 @@ def ex44_a2_atoms(depth: int) -> tuple[Rat, ...]:
 def expand_family(family: str, depth: int, sample: tuple = ()) -> MonoidSpec:
     """The unlabelled puiseux or rank2 spec of a named truncated family, its
     sample a sorted tuple of distinct rationals; memoized, so the family
-    specs of one (family, depth, sample) share one generator tuple."""
+    specs of one (family, depth, sample) share one generator tuple.  It owns
+    the family argument's rules, for family specs too: an unknown tag is
+    refused first, then a depth outside 1..512, before anything is
+    expanded."""
+    if family not in FAMILY_TAGS:
+        raise InvalidInputError(f"unknown family tag {family!r}")
     if depth is None or not 1 <= depth <= _MAX_GENERATORS:
         raise InvalidInputError(f"family depth must be from 1 to {_MAX_GENERATORS}")
     if family == "EX44":
@@ -248,13 +254,11 @@ def expand_family(family: str, depth: int, sample: tuple = ()) -> MonoidSpec:
         return MonoidSpec(
             "puiseux", tuple(Fraction(1, p) for p in primes_geq(3, depth))
         )
-    if family == "RANK2-5.3":
-        from .atomicity import rank2_atom  # deferred: atomicity builds on this module
+    from .atomicity import rank2_atom  # deferred: atomicity builds on this module
 
-        gens = [rank2_atom(Fraction(q), branch) for q in sample for branch in "AB"]
-        gens += [QPoint2(Fraction(0), Fraction(1, 2**n)) for n in range(1, depth + 1)]
-        return MonoidSpec("rank2", tuple(gens))
-    raise InvalidInputError(f"unknown family tag {family!r}")
+    gens = [rank2_atom(Fraction(q), branch) for q in sample for branch in "AB"]
+    gens += [QPoint2(Fraction(0), Fraction(1, 2**n)) for n in range(1, depth + 1)]
+    return MonoidSpec("rank2", tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -593,27 +597,29 @@ class _Query:
         return ok
 
 
-def _on_lattice(b: Element, spec: MonoidSpec, budget: Budget) -> Optional[int]:
-    """The scaled form of b, or None when b lies outside M with no search:
-    below zero, where no element of M lies, at no node; or off the
-    generators' lattice, at one node.  Either verdict costs the same cold
-    or warm and touches no cache, and `member`, `divisors` and
-    `atomicity.atom_divisors` each take it from here."""
+def _on_lattice(b: Element, spec: MonoidSpec, budget: "Budget | int | None") -> tuple:
+    """(n, bud): the one entry rule of the element argument of `member`,
+    `divisors` and `atomicity.atom_divisors`.  An element of the wrong kind
+    for the spec is refused, then bud, the query's `Budget`, is made; n is
+    b's scaled form, or None when b lies outside M with no search: below
+    zero, where no element of M lies, at no node; or off the generators'
+    lattice, at one node.  Either verdict costs the same cold or warm and
+    touches no cache."""
+    spec.check_element(b)
+    bud = as_budget(budget)
     if b < spec.zero:
-        return None
+        return None, bud
     n = encode(b, spec)
     if n is None:
-        budget.spend()  # nodes: one per element off the lattice
-    return n
+        bud.spend()  # nodes: one per element off the lattice
+    return n, bud
 
 
 def member(q: Element, spec: MonoidSpec, budget: "Budget | int | None" = None) -> bool:
     """Exact membership: is q a nonnegative-integer combination of generators?
     An element below zero or off the generators' lattice is not, by
     `_on_lattice`."""
-    spec.check_element(q)
-    bud = as_budget(budget)
-    n = _on_lattice(q, spec, bud)
+    n, bud = _on_lattice(q, spec, budget)
     return n is not None and _Query(spec, bud).is_member(n)
 
 
@@ -649,9 +655,7 @@ def divisors(b: Element, spec: MonoidSpec, budget: "Budget | int | None" = None)
     """The full divisor set {d in M : d | b}, sorted: `_divisors` of the
     scaled b, decoded.  An element below zero or off the generators'
     lattice has none, by `_on_lattice`."""
-    spec.check_element(b)
-    bud = as_budget(budget)
-    n = _on_lattice(b, spec, bud)
+    n, bud = _on_lattice(b, spec, budget)
     return [] if n is None else decode_all(_divisors(n, _Query(spec, bud)), spec)
 
 

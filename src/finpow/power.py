@@ -15,11 +15,12 @@ not once per anchor, yet charges each anchor one node per subset, so node
 counts are those of a walk per anchor, and a budget that runs out stops at
 limit + 1.  Each anchor makes its membership tests in one pass, reading
 cached verdicts directly; anchor a's V tests are the A tests of its
-partner min S - a, so the two share one mask, and the A list of each mask
-is built once per call.  `decompositions` builds each unordered pair
-{U, V} once, from its lesser anchor: if min U <= min V, then V lies in U's
-largest cofactor and holds its minimum, so the pair is among U's; so it
-reads only the walks of the anchors a <= min S - a, and builds no map.
+partner min S - a, so both masks are read from one per-call memo, and the
+A list of each mask is built once per call.  `decompositions` builds each
+unordered pair {U, V} once, from its lesser anchor: if min U <= min V,
+then V lies in U's largest cofactor and holds its minimum, so the pair is
+among U's; so it reads only the walks of the anchors a <= min S - a, and
+builds no map.
 With `both_nonsingleton`, `decompositions` filters the one list its core
 builds.
 
@@ -313,6 +314,22 @@ def _relative_divisors(rel: tuple, us: list, outs: int) -> list:
     ]
 
 
+def _member_mask(b, bits: list, masks: dict, verdict: Callable, is_member: Callable) -> int:
+    """The OR of the bits of the (bit, d) in bits with b + d in M, read
+    from masks, the per-call memo of `_anchor_walks`, or built into it:
+    each test reads a cached verdict straight from the result cache and
+    searches only when it finds none."""
+    key = masks.get(b)
+    if key is None:
+        key = 0
+        for bit, d in bits:
+            ok = verdict(b + d)
+            if ok or ok is None and is_member(b + d):
+                key |= bit
+        masks[b] = key
+    return key
+
+
 def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
     """(a, mv, walk) for each anchor a of the scaled set t whose tail test
     passes, ascending, where mv = min t - a and walk lists (U - a, C - mv,
@@ -338,9 +355,10 @@ def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
     masks of A and V over the indices of rel, as it goes.
 
     Anchor a's V tests are the A tests of anchor mv, which divides min t
-    too, so the two share one mask per call: an anchor a > mv reads the
-    mask anchor mv made, and an anchor a < mv that makes its V tests
-    leaves anchor mv no A test to make.  The tests skipped are cached
+    too, so both masks come from one per-call memo, `_member_mask`'s, keyed
+    by the element tested: an anchor a < mv that makes its V tests builds
+    mv's mask, which anchor mv then reads as its A mask, and an anchor
+    a >= mv reads the mask anchor mv made.  The tests skipped are cached
     verdicts, so the result cache is asked what, and in the order, it
     would be if every anchor made its own.  The A list of each mask is
     built once per call, as patterns repeat across anchors.  With `half`,
@@ -360,21 +378,15 @@ def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
     rel = tuple(x - t0 for x in t)
     bits = [(1 << i, d) for i, d in enumerate(rel)]
     patterns = q.entry.walks.setdefault(rel, {})
-    # the A masks by anchor, and the A list of each mask met in this call
+    # the masks by element tested, an anchor's A mask and a partner's V mask
+    # alike, and the A list of each mask met in this call
     masks: dict = {}
     lists: dict = {}
     out: list = []
     for a in _scaled_divisors(t0, q):
         mv = t0 - a
-        key = masks.get(a)
-        if key is None:
-            # a itself heads the list: it is a divisor, hence a member
-            key = 0
-            for bit, d in bits:
-                ok = verdict(a + d)
-                if ok or ok is None and is_member(a + d):
-                    key |= bit
-            masks[a] = key
+        # a itself heads the list: it is a divisor, hence a member
+        key = _member_mask(a, bits, masks, verdict, is_member)
         us = lists.get(key)
         if us is None:
             us = lists[key] = [d for bit, d in bits if key & bit]
@@ -385,19 +397,9 @@ def _anchor_walks(t: tuple, q: _Query, half: bool) -> list:
             if ok or ok is None and is_member(top - d):
                 tail = True
         bud.spend(1 << (len(us) - 1))  # nodes: 2^(|A| - 1) subsets of an anchor
-        if not tail:
+        if not tail or half and a > mv:
             continue
-        if a < mv:
-            outs = 0
-            for bit, d in bits:
-                ok = verdict(mv + d)
-                if ok or ok is None and is_member(mv + d):
-                    outs |= bit
-            masks[mv] = outs
-        elif half and a > mv:
-            continue
-        else:
-            outs = masks[mv]
+        outs = _member_mask(mv, bits, masks, verdict, is_member)
         # one int as the key, the mask of us above the outs mask: a pair of
         # tuples per anchor, freed by the thousand onto the interpreter's
         # tuple free lists, raised peak RSS
@@ -570,7 +572,7 @@ def is_p_atom(
     """True iff s is an atom of the power monoid (no nontrivial decomposition)."""
     if s == zero_set(spec):
         raise InvalidInputError("the identity {0} is not a candidate atom")
-    decs = decompositions(s, spec, as_budget(budget))
+    decs = decompositions(s, spec, budget)
     return AtomCertificate(s, not decs, decs[0] if decs else None)
 
 

@@ -164,21 +164,36 @@ def _first_failure(cid: str, n: int, trial, passed: str) -> CheckResult:
     return CheckResult(cid, PASS, passed)
 
 
-def _suite_lemma_2_6(spec, bud, rng) -> list:
+def _pair_trials(name: str, corpora: list, rng: random.Random, holds, label: str = "") -> list:
+    """One check per (spec, pool) of corpora, named name[spec tag]: 1000
+    trials in all, each on a random pair (s, t) of sets of at most 4 pool
+    elements, drawn s first; the FAIL witness of the first pair that holds
+    rejects is label + "s + t"."""
     checks = []
-    corpora = _pair_corpora(spec, bud)
+    n = 1000 // len(corpora)
     for sp, pool in corpora:
-        def min_max_additive() -> str:
+        def trial() -> str:
             s = _random_set(rng, pool, 4)
             t = _random_set(rng, pool, 4)
-            u = _sumset(s, t)
-            if u[0] == s[0] + t[0] and u[-1] == s[-1] + t[-1]:
-                return ""
-            return f"{_render(s, sp)} + {_render(t, sp)}"
+            return "" if holds(s, t) else f"{label}{_render(s, sp)} + {_render(t, sp)}"
 
-        n = 1000 // len(corpora)
-        cid = f"min-max-additivity[{_spec_tag(sp)}]"
-        checks.append(_first_failure(cid, n, min_max_additive, f"{n} random pairs"))
+        checks.append(_first_failure(f"{name}[{_spec_tag(sp)}]", n, trial, f"{n} random pairs"))
+    return checks
+
+
+def _min_max_additive(s: tuple, t: tuple) -> bool:
+    u = _sumset(s, t)
+    return u[0] == s[0] + t[0] and u[-1] == s[-1] + t[-1]
+
+
+def _cardinality_bounded(s: tuple, t: tuple) -> bool:
+    # |S + T| >= |S| + |T| - 1 also gives |S + T| > |T| once |S| >= 2
+    return len(_sumset(s, t)) >= len(s) + len(t) - 1
+
+
+def _suite_lemma_2_6(spec, bud, rng) -> list:
+    corpora = _pair_corpora(spec, bud)
+    checks = _pair_trials("min-max-additivity", corpora, rng, _min_max_additive)
     # witness invariants for divisibility in the power monoid
     for sp, pool in corpora:
         q = _Query(sp, bud)
@@ -206,21 +221,10 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
 
 
 def _suite_lemma_3_2(spec, bud, rng) -> list:
-    checks = []
-    corpora = _pair_corpora(spec, bud)
-    for sp, pool in corpora:
-        def cardinality_bounded() -> str:
-            s = _random_set(rng, pool, 4)
-            t = _random_set(rng, pool, 4)
-            # |S + T| >= |S| + |T| - 1 also gives |S + T| > |T| once |S| >= 2
-            if len(_sumset(s, t)) >= len(s) + len(t) - 1:
-                return ""
-            return f"cardinality-bound: {_render(s, sp)} + {_render(t, sp)}"
-
-        n = 1000 // len(corpora)
-        cid = f"sumset-cardinality[{_spec_tag(sp)}]"
-        checks.append(_first_failure(cid, n, cardinality_bounded, f"{n} random pairs"))
-    return checks
+    return _pair_trials(
+        "sumset-cardinality", _pair_corpora(spec, bud), rng, _cardinality_bounded,
+        "cardinality-bound: ",
+    )
 
 
 def _suite_prop_4_1(spec, bud, rng) -> list:

@@ -1,5 +1,6 @@
 """Chains, atom divisors, canonical decompositions, and the rank-2 machinery."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -237,6 +238,15 @@ class TestCanonicalDecomp:
             with pytest.raises(InvalidInputError, match="has a repeated odd prime"):
                 canonical_decomp_Q(q)
 
+    @given(st.integers(-10**6, 10**6),
+           st.lists(st.sampled_from((3, 5, 7, 11, 13, 17, 10007)), max_size=4, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_an_odd_squarefree_denominator_leaves_an_integer_rest(self, num, primes):
+        # once den(q) is odd and squarefree, q minus its partial fractions
+        # c/p is an integer, so every such q is decomposed, exactly
+        q = F(num, math.prod(primes))
+        assert canonical_decomp_Q(q).value == q
+
     def test_random_reconstruction(self):
         rng = random.Random(20260826)
         primes = (3, 5, 7, 11, 13)
@@ -300,6 +310,32 @@ class TestLemma54:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             lemma54_sum_witness(F(1, 3), F(7, 3))
+
+    def test_no_admissible_prime_below_the_search_cap_is_refused(self):
+        # q - 1/p > 2 needs p > 10007, and 10007 itself divides den(q)
+        q = F(2) + F(1, 10007)
+        with pytest.raises(
+            InvalidInputError,
+            match=r"^no admissible odd prime below 10000 for \(20015/10007, 7/3\)$",
+        ):
+            lemma54_sum_witness(q, F(7, 3))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_canonical_index_moves_as_the_witness_needs(self, data):
+        # p does not divide den(q), so q - 1/p = (ell - 1) + (the c/p' of q)
+        # + (p - 1)/p and k rises by 1; r + 1/p keeps ell, so k(r) holds
+        def draw() -> F:
+            primes = data.draw(st.lists(st.sampled_from((3, 5, 7, 11, 13, 17)), min_size=1,
+                                        max_size=3, unique=True))
+            q = F(2) + sum((F(data.draw(st.integers(1, p - 1)), p) for p in primes), F(0))
+            assume(q < 3)
+            return q
+
+        q, r = draw(), draw()
+        p = lemma54_sum_witness(q, r).p
+        assert k_of(q - F(1, p)) == k_of(q) + 1
+        assert k_of(r + F(1, p)) == k_of(r)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

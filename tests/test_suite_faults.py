@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from finpow import cli
 from finpow.arith import InvalidInputError
 from finpow.atomicity import lemma54_sum_witness
 from finpow.backend import (
@@ -331,3 +332,25 @@ def test_a_check_fails_at_its_first_bad_trial(monkeypatch, core, wrong, spec, su
     report = run_verify_suite(suite, spec)
     assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
     assert report.budget_used == used
+
+
+def _p_factor_truncates(s, q, memo):
+    raise TruncationError("a truncated factorization")
+
+
+def test_a_truncated_suite_body_is_one_inconclusive_row(monkeypatch, capsys):
+    # the TruncationError of a core the suite does not catch itself becomes
+    # the report's one suite-body row, and `verify` exits 3 with that report
+    # on stdout, not through `main`'s own handler
+    monkeypatch.setattr(suites, "_p_factor", _p_factor_truncates)
+    clear_caches()
+    report = run_verify_suite("thm-4.5")
+    assert [(c.check_id, c.status, c.witness) for c in report.checks] == [
+        ("suite-body", "truncation-inconclusive", "a truncated factorization"),
+    ]
+    assert report.status == "truncation-inconclusive"
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "thm-4.5"]) == 3
+    out, err = capsys.readouterr()
+    assert "suite-body" in out and "truncation-inconclusive" in out
+    assert err == ""

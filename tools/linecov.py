@@ -3,7 +3,9 @@ standard library alone.
 
 Runs `pytest tests` in this process under `sys.settrace` and prints, for
 each module of `src/finpow`, every statement that never ran, as
-`path:line  source`, then a count.  Extra arguments go to pytest:
+`path:line  source`, then one line per module with the statements that
+never ran and the statements in all, then the total.  Extra arguments go
+to pytest:
 
     python3 tools/linecov.py                     # the whole suite
     python3 tools/linecov.py -x -k power         # a part of it
@@ -104,16 +106,20 @@ def main(argv: list) -> int:
             print(f"src/finpow/{name} changed during the run; no report", file=sys.stderr)
         return 2
     ran = {(os.path.abspath(path), line) for path, line in hits}
-    missed = total = 0
+    counts = {}
     for name, text in before.items():
         path = os.path.join(PACKAGE, name)
         source = text.splitlines()
         spans = statement_lines(ast.parse(text))
-        total += len(spans)
+        missed = 0
         for first, lines in spans:
             if not any((path, line) in ran for line in lines):
                 missed += 1
                 print(f"{os.path.relpath(path, ROOT)}:{first}  {source[first - 1].strip()}")
+        counts[name] = (missed, len(spans))
+    for name, (missed, total) in counts.items():
+        print(f"src/finpow/{name}: {missed} of {total} statements never ran")
+    missed, total = (sum(c) for c in zip(*counts.values()))
     print(f"{missed} of {total} statements never ran; pytest exit status {int(status)}")
     return int(status)
 
