@@ -1,5 +1,6 @@
 """Exact rational arithmetic, p-adic valuations, prime factors and streams,
-and the lexicographically ordered plane points used by the rank-2 backend.
+the floor sum of an arithmetic progression, and the lexicographically
+ordered plane points used by the rank-2 backend.
 
 All values here are immutable and all functions are pure.
 """
@@ -83,6 +84,28 @@ def _den_primes(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of (a*t + b) // m over t = 0..n-1, for n, m >= 1 and a, b >= 0,
+    in O(log m) steps: Euclid's algorithm on (a, m), as in Graham, Knuth
+    and Patashnik, *Concrete Mathematics*, 2nd ed., section 3.5.  Each step
+    takes the whole quotients of a and b out of the sum, then counts its
+    lattice points under the line by the other axis, which swaps m and the
+    remainder of a."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 @dataclass(frozen=True, order=False)

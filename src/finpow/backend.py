@@ -15,10 +15,14 @@ and factorizations share one engine, `_search`: a depth-first enumeration
 of coefficient vectors over a descending basis, run from a plan built once
 per (basis, scale), whose last two levels are swept in one budget spend,
 with no frame for any of their nodes, and cut short once that spend
-outruns the budget.  For rational bases the plan holds p-adic congruences:
-the coefficient of a generator is forced into one residue class modulo
-the primes of L that no later denominator carries, which is what keeps
-truncated Puiseux families with large denominators tractable.  `_solve`
+outruns the budget.  Where those two levels are plain integer levels and
+the residual has no x, the numerical case, the sweep is counted in closed
+form, its charge a floor sum and its hits one linear congruence, the same
+charge and the same hits as its loop's.  For rational bases the plan
+holds p-adic congruences: the coefficient of a generator is forced into
+one residue class modulo the primes of L that no later denominator
+carries, which is what keeps truncated Puiseux families with large
+denominators tractable.  `_solve`
 runs it over the atoms for `factorizations`, and for `atoms` over the
 generators but the one tested, with no spec built for them; `_least` finds
 the least factorizations on the same walk, memoized by (level, residual)
@@ -59,6 +63,7 @@ from .arith import (
     QPOINT_ZERO,
     Rat,
     _den_primes,
+    _floor_sum,
     parse_element,
     primes_geq,
     render_element,
@@ -338,6 +343,23 @@ def _search(
     k*gy = y meets the level's congruence, so kmax is then in the range.
     Only kmax is tested.  A child's residual needs no sign test: k <= kmax
     and gx >= 0 keep it nonnegative.
+
+    An integer tail is counted in closed form, at the loop's count.  Where
+    the residual has x = 0 and the last level is plain (d = step = 1,
+    gx = 0), every level is plain: a rank-1 plan is then over L = 1, and a
+    rank-2 level has no congruence.  So the children are k = 0..kmax, and
+    child k, with residual c = y - k*gy >= 0, costs 1 node, plus
+    c // gy1 + 1 leaves when c > 0, and is a hit iff gy1 divides c; only
+    the last child can have c = 0.  The first n children thus cost
+    2n + sum(c // gy1) - [the last c is 0], the sum a floor sum over an
+    arithmetic progression (`_floor_sum`), and the hits are the k with
+    k*gy = y (mod gy1): none unless h = gcd(gy, gy1) divides y, else one
+    class modulo gy1 / h.  With `first_only` the loop breaks at its first
+    hit, so n counts the children up to it.  The loop stops once its
+    charge outruns the budget, and so raises exactly when the whole charge
+    does; the closed form spends the whole charge before it lists a hit,
+    so it stops at the same limit + 1, and lists, in the loop's order, at
+    most as many hits as the charge it could pay.
     """
     budget.spend()  # nodes: one per search frame
     levels = len(plan) - i
@@ -362,29 +384,44 @@ def _search(
     found = False
     if levels == 2:
         gy1, gx1, more_y1, more_x1, d1, step1, inv1 = plan[-1]
-        room, spent = budget.limit - budget.used, 0
-        for k in range(k0, kmax + 1, step):
-            if spent > room:
-                break
-            cy, cx = y - k * gy, x - k * gx
-            spent += 1
-            if not cy and not cx:
-                results.append((*prefix, k, 0))
-            elif (cy and not more_y1) or (cx and not more_x1) or cy % d1:
-                continue
-            else:
-                kmax = cy // gy1 if gy1 else cx // gx1
-                if gy1 and gx1:
-                    kmax = min(kmax, cx // gx1)
-                spent += (kmax - cy // d1 * inv1 % step1) // step1 + 1
-                if kmax * gy1 != cy or kmax * gx1 != cx:
+        hit, stride = kmax + 1, 1  # the tail's hits: hit, hit + stride, ... <= kmax
+        if not x and not gx1 and d1 == step1 == 1:
+            # an integer tail: the loop's charge and hits in closed form
+            h = math.gcd(gy, gy1)
+            if not y % h:
+                stride = gy1 // h
+                hit = y // h * pow(gy // h, -1, stride) % stride
+            n = hit + 1 if first_only and hit <= kmax else kmax + 1
+            last = y - (n - 1) * gy
+            spent = 2 * n + _floor_sum(n, gy1, gy, last) - (not last)
+        else:
+            room, spent = budget.limit - budget.used, 0
+            for k in range(k0, kmax + 1, step):
+                if spent > room:
+                    break
+                cy, cx = y - k * gy, x - k * gx
+                spent += 1
+                if not cy and not cx:
+                    results.append((*prefix, k, 0))
+                elif (cy and not more_y1) or (cx and not more_x1) or cy % d1:
                     continue
-                results.append((*prefix, k, kmax))
-            found = True
-            if first_only:
-                break
+                else:
+                    kmax1 = cy // gy1 if gy1 else cx // gx1
+                    if gy1 and gx1:
+                        kmax1 = min(kmax1, cx // gx1)
+                    spent += (kmax1 - cy // d1 * inv1 % step1) // step1 + 1
+                    if kmax1 * gy1 != cy or kmax1 * gx1 != cx:
+                        continue
+                    results.append((*prefix, k, kmax1))
+                found = True
+                if first_only:
+                    break
         budget.spend(spent)  # nodes: one per child of the frame and per leaf below it
-        return found
+        if hit > kmax:
+            return found
+        for k in range(hit, hit + 1 if first_only else kmax + 1, stride):
+            results.append((*prefix, k, (y - k * gy) // gy1))
+        return True
     for k in range(k0, kmax + 1, step):
         prefix.append(k)
         ok = _search(plan, i + 1, y - k * gy, x - k * gx, budget, first_only, results, prefix)

@@ -10,6 +10,7 @@ from finpow.arith import (
     InvalidInputError,
     QPoint2,
     _den_primes,
+    _floor_sum,
     is_prime,
     parse_element,
     parse_qpoint,
@@ -55,6 +56,11 @@ class TestPrimes:
         # the prime divisors among the pairs (d, n/d) with d <= sqrt(n)
         pairs = (e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d))
         assert _den_primes(n) == tuple(sorted({e for e in pairs if is_prime(e)}))
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 200), st.integers(0, 200))
+def test_floor_sum_is_the_direct_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n))
 
 
 class TestValuations:

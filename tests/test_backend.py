@@ -3,6 +3,7 @@ import ast
 import gc
 import hashlib
 import importlib
+import math
 import os
 import pickle
 import pkgutil
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -495,6 +497,7 @@ N23 = MonoidSpec.numerical(2, 3)
 N234 = MonoidSpec.numerical(2, 3, 4)
 N34567 = MonoidSpec.numerical(3, 4, 5, 6, 7)
 N101 = MonoidSpec.numerical(101, 103, 107)
+N6920 = MonoidSpec.numerical(6, 9, 20)
 EX44_2 = MonoidSpec.of_family("EX44", 2)
 # {0, 1/26} + {5/66, 5/66 + 1/7}, over the generators 1/26, 5/66, 1/7, 4/15
 EX44_2_SET = FinSet((F(5, 66), F(49, 429), F(101, 462), F(772, 3003)))
@@ -542,6 +545,9 @@ class TestNodeCounts:
             (member, F(2399), N101, True, 2108),
             (member, F(2311), N101, False, 2540),
             (member, F(2000), N101, False, 1731),
+            # the benchmark's divisor slice
+            (divisors, F(150), N6920, 107, 2498),
+            (divisors, F(151), N6920, 108, 2121),
             (member, QPoint2(F(-1), F(6)), R2_PRUNE, False, 1),
             # two-generator plans, whose root is the second-to-last level
             (member, F(11), N23, True, 14),
@@ -591,6 +597,17 @@ class TestNodeCounts:
         assert bud.used == 0
         assert spec not in backend._cache
 
+    def test_the_benchmark_member_slice(self):
+        # the numerical-sets workload's 60 member queries over <101, 103,
+        # 107>, evenly spaced over [2000, 2400), in one cold pass
+        clear_caches()
+        used = members = 0
+        for k in range(60):
+            bud = Budget()
+            members += member(F(2000 + k * 400 // 60), N101, bud)
+            used += bud.used
+        assert (used, members) == (94982, 38)
+
     @pytest.mark.parametrize(
         "spec, ns, levels",
         [(N101, (2399, 2311, 2000), {0, 1}), (MonoidSpec.numerical(101, 103), (2399, 2311), {0})],
@@ -626,12 +643,25 @@ class TestNodeCounts:
 
     def test_a_sweep_stops_at_its_budget(self):
         # no combination of 4 and 6 is odd, so the root's sweep meets no hit;
-        # without its budget break it would walk all 5*10**7 children
+        # counted child by child, it would walk all 5*10**7 children
         clear_caches()
         bud = Budget(10**5)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
             member(F(300000001), MonoidSpec.numerical(4, 6), bud)
+        assert time.perf_counter() - start < 1
+        assert bud.used == bud.limit + 1
+
+    def test_a_sweep_with_x_left_stops_at_its_budget(self):
+        # the residual's x = 1 keeps the root's sweep off the closed form:
+        # its loop meets no hit, as every y - 6k is odd, and without its
+        # budget break it would walk all 5*10**7 children
+        clear_caches()
+        bud = Budget(10**5)
+        spec = MonoidSpec.rank2(QPoint2(F(1), F(4)), QPoint2(F(0), F(6)))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            member(QPoint2(F(1), F(300000001)), spec, bud)
         assert time.perf_counter() - start < 1
         assert bud.used == bud.limit + 1
 
@@ -1106,6 +1136,97 @@ class TestFoldedLeafLevel:
     @settings(max_examples=80, deadline=None)
     def test_rank2(self, spec, y, x, data):
         check_search(spec_plan(spec), y, x, data)
+
+    # an integer tail, where every level is plain, the last one has gx = 0
+    # and the residual x = 0, is counted in closed form: long sweeps whose
+    # hits are rare
+    @given(
+        st.lists(st.integers(40, 200), min_size=2, max_size=3, unique=True),
+        st.integers(0, 3000),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_numerical_long_sweeps(self, gens, n, data):
+        check_search(spec_plan(MonoidSpec.numerical(*gens)), n, 0, data)
+
+    # gcd(gy, gy1) > 1: a sweep's hits are one residue class modulo
+    # gy1 / gcd(gy, gy1), and a residual off the gcd's multiples has none
+    @given(
+        st.sampled_from(((4, 6), (6, 9, 20), (6, 10, 15), (10, 15, 21))),
+        st.integers(0, 300),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numerical_tails_with_a_common_factor(self, gens, n, data):
+        plan = spec_plan(MonoidSpec.numerical(*gens))
+        assert math.gcd(plan[-2][0], plan[-1][0]) > 1
+        check_search(plan, n, 0, data)
+
+    # RANK2-5.3's dyadic generators (0, 1/2^n) are its least, so its last
+    # two levels are integer levels, reached with x = 0 by every residual
+    # whose sample atoms used up the target's x
+    @given(st.integers(2, 3), st.integers(1, 8), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank2_dyadic_tail(self, depth, j, data):
+        spec = MonoidSpec.of_family("RANK2-5.3", depth, (F(7, 3), F(32, 15)))
+        coeffs = data.draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+        atoms = [g for g in spec.generators if g.x]
+        b = sum((c * g for c, g in zip(coeffs, atoms)), QPoint2(F(0), F(j, 2**depth)))
+        scale, y, x = backend._lattice(b, spec.scale)
+        plan = spec_plan(spec)
+        assert scale == spec.scale and [level[1] for level in plan[-2:]] == [0, 0]
+        check_search(plan, y, x, data)
+
+    @pytest.mark.parametrize(
+        "spec, b",
+        [
+            (MonoidSpec.numerical(101, 103, 107), F(2311)),
+            (MonoidSpec.numerical(6, 9, 20), F(43)),
+            (
+                MonoidSpec.of_family("RANK2-5.3", 3, (F(7, 3),)),
+                rank2_atom(F(7, 3), "A") + QPoint2(F(0), F(5, 8)),
+            ),
+        ],
+        ids=["wide", "common-factor", "rank2-dyadic"],
+    )
+    def test_the_closed_form_counts_these_tails(self, spec, b):
+        # each row reaches an integer tail, so the closed form runs, and
+        # answers and spends what node-by-node recursion does
+        _, y, x = backend._lattice(b, spec.scale)
+        plan = spec_plan(spec)
+        for first_only in (True, False):
+            want, got, ref = [], [], Budget()
+            expected = node_by_node_search(plan, 0, y, x, ref, first_only, want, [])
+            with mock.patch.object(backend, "_floor_sum", wraps=backend._floor_sum) as floor_sum:
+                bud = Budget()
+                assert backend._search(plan, 0, y, x, bud, first_only, got, []) == expected
+            assert floor_sum.called
+            assert (got, bud.used) == (want, ref.used)
+
+    def test_a_sweep_past_node_by_node_reach(self):
+        # about 10**3 children and 5*10**5 leaves below them, which
+        # node-by-node recursion walks one frame each; the loop's charge is
+        # 1 per child, and cy // gy1 + 1 leaves below each nonzero residual cy
+        g0, g1 = 10**9 + 9, 10**9 + 7
+        plan = spec_plan(MonoidSpec.numerical(g1, g0))
+        for y, hit in ((10**12, []), (400 * g0 + 600 * g1, [(400, 600)])):
+            for first_only in (True, False):
+                hits, used = [], 1  # the frame
+                for k in range(y // g0 + 1):
+                    cy = y - k * g0
+                    used += 1 + (cy // g1 + 1 if cy else 0)
+                    if cy % g1 == 0:
+                        hits.append((k, cy // g1))
+                        if first_only:
+                            break
+                got, bud = [], Budget()
+                assert backend._search(plan, 0, y, 0, bud, first_only, got, []) == bool(hits)
+                assert (got, bud.used) == (hits, used)
+                assert hits == hit and used > 10**5
+                bud = Budget(used - 1)
+                with pytest.raises(BudgetExceededError):
+                    backend._search(plan, 0, y, 0, bud, first_only, [], [])
+                assert bud.used == used
 
 
 def half(g):
