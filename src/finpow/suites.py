@@ -83,8 +83,7 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
-        order = (FAIL, OVER, TRUNC)
-        for bad in order:
+        for bad in (FAIL, OVER, TRUNC):
             if any(c.status == bad for c in self.checks):
                 return bad
         return PASS
@@ -149,8 +148,7 @@ def _render(s: tuple, sp: MonoidSpec) -> str:
     return _decode_set(s, sp).render()
 
 
-def _pair_corpora(spec: Optional[MonoidSpec], bud: Budget) -> list:
-    specs = [spec] if spec is not None else [MonoidSpec.numerical(1), MonoidSpec.numerical(2, 3)]
+def _pair_corpora(specs: list, bud: Budget) -> list:
     return [(sp, _corpus(sp, 30, bud)) for sp in specs]
 
 
@@ -191,8 +189,8 @@ def _cardinality_bounded(s: tuple, t: tuple) -> bool:
     return len(_sumset(s, t)) >= len(s) + len(t) - 1
 
 
-def _suite_lemma_2_6(spec, bud, rng) -> list:
-    corpora = _pair_corpora(spec, bud)
+def _suite_lemma_2_6(specs, bud, rng) -> list:
+    corpora = _pair_corpora(specs, bud)
     checks = _pair_trials("min-max-additivity", corpora, rng, _min_max_additive)
     # witness invariants for divisibility in the power monoid
     for sp, pool in corpora:
@@ -220,19 +218,15 @@ def _suite_lemma_2_6(spec, bud, rng) -> list:
     return checks
 
 
-def _suite_lemma_3_2(spec, bud, rng) -> list:
+def _suite_lemma_3_2(specs, bud, rng) -> list:
     return _pair_trials(
-        "sumset-cardinality", _pair_corpora(spec, bud), rng, _cardinality_bounded,
+        "sumset-cardinality", _pair_corpora(specs, bud), rng, _cardinality_bounded,
         "cardinality-bound: ",
     )
 
 
-def _suite_prop_4_1(spec, bud, rng) -> list:
+def _suite_prop_4_1(specs, bud, rng) -> list:
     checks = []
-    specs = [spec] if spec is not None else [
-        MonoidSpec.numerical(2, 3),
-        MonoidSpec.numerical(3, 4, 5),
-    ]
     for sp in specs:
         pool = _corpus(sp, 10, bud)
         sets = [c for size in (1, 2) for c in itertools.combinations(pool, size)]
@@ -256,9 +250,9 @@ def _suite_prop_4_1(spec, bud, rng) -> list:
     return checks
 
 
-def _suite_lemma_4_2(spec, bud, rng) -> list:
-    sp = spec if spec is not None else MonoidSpec.numerical(1)
-    pool = [m for m in members_upto(sp, Fraction(9), bud) if m > 0]
+def _suite_lemma_4_2(specs, bud, rng) -> list:
+    (sp,) = specs
+    pool = [m for m in members_upto(sp, Fraction(_LEMMA42_BOUND), bud) if m > 0]
 
     def augmentation_indecomposable() -> str:
         s = FinSet._ascending(_random_set(rng, pool, 4, min_size=2))
@@ -268,8 +262,8 @@ def _suite_lemma_4_2(spec, bud, rng) -> list:
     return [_first_failure(cid, 200, augmentation_indecomposable, "200 random sets")]
 
 
-def _suite_thm_4_5(spec, bud, rng) -> list:
-    sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
+def _suite_thm_4_5(specs, bud, rng) -> list:
+    (sp,) = specs
     pool = _corpus(sp, 12, bud)
     q = _Query(sp, bud)
     total = 0
@@ -289,14 +283,12 @@ def _suite_thm_4_5(spec, bud, rng) -> list:
                     return [CheckResult("parts-are-atoms", FAIL, _render(p, sp))]
             total += 1
     return [
-        CheckResult(
-            "p-factorization-certified", PASS, f"{total} sets over [0,12], size <= 3"
-        )
+        CheckResult("p-factorization-certified", PASS, f"{total} sets over [0,12], size <= 3")
     ]
 
 
-def _suite_ex_4_4(spec, bud, rng) -> list:
-    depth = spec.depth if spec is not None else 6
+def _suite_ex_4_4(specs, bud, rng) -> list:
+    depth = specs[0].depth
     checks = []
     try:
         steps = ex44_chain(3, depth, bud)
@@ -306,13 +298,9 @@ def _suite_ex_4_4(spec, bud, rng) -> list:
     expected = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)]
     cid = "ascending-divisor-chain"
     if values == expected:
-        checks.append(
-            CheckResult(cid, PASS, " < ".join(render_element(v) for v in values))
-        )
+        checks.append(CheckResult(cid, PASS, " < ".join(render_element(v) for v in values)))
     else:
-        checks.append(
-            CheckResult(cid, FAIL, " , ".join(render_element(v) for v in values))
-        )
+        checks.append(CheckResult(cid, FAIL, " , ".join(render_element(v) for v in values)))
     resum_ok = all(
         step.q + step.increment + cert.total() == target
         for step in steps
@@ -358,10 +346,10 @@ def _random_member(rng: random.Random, gens: list) -> int:
     return sum(rng.randint(0, 3) * g for g in gens)
 
 
-def _suite_cap_additivity(spec, bud, rng) -> list:
+def _suite_cap_additivity(specs, bud, rng) -> list:
     # the residue of q = n/L at (a, p) is that of q/a = n/encode(a), so it
     # is taken on the scaled ints, as v_p(a) = -1 for each pair
-    sp = spec if spec is not None else expand_family("EX44", 3)
+    (sp,) = specs
     pairs = [(a, p, encode(a, sp)) for a, p in _ex44_residue_pairs(sp)]
     gens = [encode(g, sp) for g in sp.generators]
 
@@ -377,8 +365,8 @@ def _suite_cap_additivity(spec, bud, rng) -> list:
     return [_first_failure("residue-additivity", 500, residue_additive, "500 random pairs")]
 
 
-def _suite_lemma_5_2(spec, bud, rng) -> list:
-    sp = spec if spec is not None else expand_family("EX44", 2)
+def _suite_lemma_5_2(specs, bud, rng) -> list:
+    (sp,) = specs
     pairs = _ex44_residue_pairs(sp)
     q = _Query(sp, bud)
     bad = None
@@ -423,7 +411,7 @@ def _random_gap_rational(rng: random.Random) -> Rat:
             return Fraction(2) + frac
 
 
-def _suite_lemma_5_4(spec, bud, rng) -> list:
+def _suite_lemma_5_4(specs, bud, rng) -> list:
     checks = []
     q = Fraction(7, 3)
     cert = lemma54_sum_witness(q, q, ("A", "B"))
@@ -464,9 +452,8 @@ def _suite_lemma_5_4(spec, bud, rng) -> list:
     return checks
 
 
-def _suite_thm_5_5(spec, bud, rng) -> list:
-    sample = (Fraction(7, 3), Fraction(32, 15), Fraction(38, 15), Fraction(12, 5))
-    sp = spec if spec is not None else MonoidSpec.of_family("RANK2-5.3", 3, sample)
+def _suite_thm_5_5(specs, bud, rng) -> list:
+    (sp,) = specs
     # sample atoms of the two structural classes: those containing the
     # identity, and those whose minimum is a monoid atom with every other
     # element offset by a nonnegative first-coordinate step
@@ -501,9 +488,9 @@ def _suite_thm_5_5(spec, bud, rng) -> list:
     ]
 
 
-def _suite_lemma_6_1(spec, bud, rng) -> list:
-    sp = spec if spec is not None else MonoidSpec.numerical(2, 3)
-    pool = _corpus(sp, 10, bud)
+def _suite_lemma_6_1(specs, bud, rng) -> list:
+    (sp,) = specs
+    pool = _corpus(sp, _LEMMA61_BOUND, bud)
     q = _Query(sp, bud)
     singleton_branch = nonsingleton_branch = 0
     for size in (1, 2, 3):
@@ -533,72 +520,79 @@ def _suite_lemma_6_1(spec, bud, rng) -> list:
     ]
 
 
-def _suite_prop_6_4(spec, bud, rng) -> list:
+def _suite_prop_6_4(specs, bud, rng) -> list:
+    # a given spec runs to the first bound, 30
     checks = []
-    cases = (
-        [(spec, Fraction(30))]
-        if spec is not None
-        else [
-            (MonoidSpec.numerical(2, 3), Fraction(30)),
-            (MonoidSpec.numerical(1), Fraction(10)),
-            (expand_family("EX44", 2), Fraction(1, 2)),
-        ]
-    )
-    for sp, bound in cases:
+    for sp, bound in zip(specs, (Fraction(30), Fraction(10), Fraction(1, 2))):
         rep = tidf_implies_atomic_check(sp, bound, bud)
         min_atom = min(atoms(sp, bud))
         limit = -(-bound // min_atom)  # ceil
         cid = f"atomicity-descent[{_spec_tag(sp)}]"
         if rep.ok and rep.max_descent <= limit:
-            checks.append(
-                CheckResult(cid, PASS, f"max descent {rep.max_descent} <= {limit}")
-            )
+            checks.append(CheckResult(cid, PASS, f"max descent {rep.max_descent} <= {limit}"))
         else:
-            checks.append(
-                CheckResult(cid, FAIL, f"counterexample {rep.counterexample}")
-            )
+            checks.append(CheckResult(cid, FAIL, f"counterexample {rep.counterexample}"))
     return checks
 
 
 _RANK1 = (lambda sp: not sp.is_rank2, "needs a rank-1 spec")
+_RANK1_PAIRS = (*_RANK1, lambda: [MonoidSpec.numerical(1), MonoidSpec.numerical(2, 3)])
 _CAP_PAIRS = (
     lambda sp: not sp.is_rank2 and bool(_ex44_residue_pairs(sp)),
     "needs a rank-1 spec in which an odd prime divides the denominator of"
     " exactly one generator, and its square does not",
 )
 
+_LEMMA42_BOUND = 9
+_LEMMA61_BOUND = 10
+_THM55_SAMPLE = (Fraction(7, 3), Fraction(32, 15), Fraction(38, 15), Fraction(12, 5))
+
 # name -> (body, the test a given spec must pass, the words of the refusal
-# of one that fails it); the body runs on its defaults when no spec is given
+# of one that fails it, the default specs): the body runs on [spec], or on
+# defaults() when no spec is given, so no default is built before its suite runs
 _SUITES: dict = {
-    "lemma-2.6": (_suite_lemma_2_6, *_RANK1),
-    "lemma-3.2": (_suite_lemma_3_2, *_RANK1),
-    "prop-4.1": (_suite_prop_4_1, *_RANK1),
-    # lemma-4.2's sets take two or more of the positive members up to 9;
-    # over ascending generators g1 < g2 < ... the second least is min(2*g1, g2)
+    "lemma-2.6": (_suite_lemma_2_6, *_RANK1_PAIRS),
+    "lemma-3.2": (_suite_lemma_3_2, *_RANK1_PAIRS),
+    "prop-4.1": (
+        _suite_prop_4_1, *_RANK1,
+        lambda: [MonoidSpec.numerical(2, 3), MonoidSpec.numerical(3, 4, 5)],
+    ),
+    # lemma-4.2's sets take two or more of the positive members up to its
+    # bound; over ascending generators g1 < g2 < ... the second least is min(2*g1, g2)
     "lemma-4.2": (
         _suite_lemma_4_2,
-        lambda sp: not sp.is_rank2 and min((2 * sp.generators[0], *sp.generators[1:2])) <= 9,
-        "needs a rank-1 spec with at least two positive members up to 9",
+        lambda sp: not sp.is_rank2
+        and min((2 * sp.generators[0], *sp.generators[1:2])) <= _LEMMA42_BOUND,
+        f"needs a rank-1 spec with at least two positive members up to {_LEMMA42_BOUND}",
+        lambda: [MonoidSpec.numerical(1)],
     ),
-    "thm-4.5": (_suite_thm_4_5, *_RANK1),
-    "ex-4.4": (_suite_ex_4_4, lambda sp: sp.family == "EX44", "needs an EX44 family spec"),
-    "cap-additivity": (_suite_cap_additivity, *_CAP_PAIRS),
-    "lemma-5.2": (_suite_lemma_5_2, *_CAP_PAIRS),
-    "lemma-5.4": (_suite_lemma_5_4, lambda sp: False, "takes no spec"),
+    "thm-4.5": (_suite_thm_4_5, *_RANK1, lambda: [MonoidSpec.numerical(2, 3)]),
+    "ex-4.4": (
+        _suite_ex_4_4, lambda sp: sp.family == "EX44", "needs an EX44 family spec",
+        lambda: [MonoidSpec.of_family("EX44", 6)],
+    ),
+    "cap-additivity": (_suite_cap_additivity, *_CAP_PAIRS, lambda: [expand_family("EX44", 3)]),
+    "lemma-5.2": (_suite_lemma_5_2, *_CAP_PAIRS, lambda: [expand_family("EX44", 2)]),
+    "lemma-5.4": (_suite_lemma_5_4, lambda sp: False, "takes no spec", lambda: []),
     # the mechanism is stated for the first coordinates of the Section 5 family
     "thm-5.5-gap": (
         _suite_thm_5_5,
         lambda sp: sp.is_rank2 and all(g.x in PROJECTION_HEADS for g in sp.generators),
         "needs a rank-2 spec whose generators have first coordinate 0, 1/5 or 1/7",
+        lambda: [MonoidSpec.of_family("RANK2-5.3", 3, _THM55_SAMPLE)],
     ),
-    # lemma-6.1's sets are drawn from the members up to 10; with no positive
-    # one among them it has no set to check
+    # lemma-6.1's sets are drawn from the members up to its bound; with no
+    # positive one among them it has no set to check
     "lemma-6.1": (
         _suite_lemma_6_1,
-        lambda sp: not sp.is_rank2 and sp.generators[0] <= 10,
-        "needs a rank-1 spec with a positive member up to 10",
+        lambda sp: not sp.is_rank2 and sp.generators[0] <= _LEMMA61_BOUND,
+        f"needs a rank-1 spec with a positive member up to {_LEMMA61_BOUND}",
+        lambda: [MonoidSpec.numerical(2, 3)],
     ),
-    "prop-6.4": (_suite_prop_6_4, *_RANK1),
+    "prop-6.4": (
+        _suite_prop_6_4, *_RANK1,
+        lambda: [MonoidSpec.numerical(2, 3), MonoidSpec.numerical(1), expand_family("EX44", 2)],
+    ),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -609,19 +603,20 @@ def run_verify_suite(
     spec: Optional[MonoidSpec] = None,
     budget: "Budget | int | None" = None,
 ) -> VerificationReport:
-    """Run one named suite and return its deterministic report; a spec that
-    its `_SUITES` entry does not take is refused before any node."""
+    """Run one named suite and return its deterministic report.  A given
+    spec that its `_SUITES` row does not take is refused before any node;
+    with no spec, the body runs on the row's default specs, built here."""
     if suite not in _SUITES:
         raise InvalidInputError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    body, takes, refusal = _SUITES[suite]
+    body, takes, refusal, defaults = _SUITES[suite]
     if spec is not None and not takes(spec):
         raise InvalidInputError(f"{suite} {refusal}")
     bud = as_budget(budget)
     rng = random.Random(_seed(suite))
     try:
-        checks = body(spec, bud, rng)
+        checks = body(defaults() if spec is None else [spec], bud, rng)
     except BudgetExceededError as exc:
         checks = [CheckResult("suite-body", OVER, f"budget {bud.limit} exhausted: {exc}")]
     except TruncationError as exc:

@@ -111,6 +111,9 @@ class TestResidueClass:
         with pytest.raises(InvalidInputError):
             ResidueClass(5, 1) + ResidueClass(7, 1)
 
+    def test_repr_shows_the_normalized_residue(self):
+        assert repr(ResidueClass(5, 12)) == "2 mod 5"
+
 
 class TestCapResidue:
     SPEC = MonoidSpec("puiseux", (F(4, 15), F(1, 7), F(2)))

@@ -209,6 +209,9 @@ class TestPFactorize:
         for a in facs:
             assert is_p_atom(a, N23).is_atom
 
+    def test_the_not_atomic_sentinel_reprs_by_name(self):
+        assert repr(NOT_ATOMIC) == "NotAtomic"
+
     def test_budget_is_tracked(self):
         bud = Budget(10**6)
         p_factorize(FinSet((4, 5, 6, 7)), N23, bud)

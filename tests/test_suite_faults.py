@@ -2,17 +2,20 @@
 call is wrong: a FAIL whose witness is rendered from decoded elements.  The
 expected reports are those the suites gave while they still built `FinSet`s
 or `Fraction`s and called the public functions, made to return the same
-wrong answers."""
+wrong answers.  `is_furstenberg_sample`, which scans atoms as prop-6.4's
+descent does, is checked under the same wrong scan."""
 
 import dataclasses
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 from finpow import cli
 from finpow.arith import InvalidInputError
-from finpow.atomicity import lemma54_sum_witness
+from finpow.atomicity import is_furstenberg_sample, lemma54_sum_witness
 from finpow.backend import (
+    MonoidSpec,
     TruncationError,
     atoms,
     clear_caches,
@@ -121,6 +124,7 @@ RANK2 = parse_monoid_spec("kind rank2\ngens (0,1), (1/5,2), (1/7, 5/2)")
 EX44_2 = parse_monoid_spec("family EX44 depth 2")
 real_projection, real_descent = atomicity._projection_failure, atomicity._descent
 real_divisor, real_residue = atomicity._p_furstenberg_divisor, suites._residue
+real_atom_divisors = atomicity._atom_divisors
 
 
 def _gap_at_the_max(sets, q):
@@ -136,6 +140,12 @@ def _pair_not_an_atom(sets, q):
 def _descent_fails_at_two_atoms(members, ats, q):
     real_descent(members, ats, q)
     return False, ats[-1] + ats[0]
+
+
+def _no_atom_divides_twice_the_least(n, ats, q):
+    # the real `_descent` then finds no atom at 2 * (least atom) and
+    # reports that member as its counterexample
+    return iter(()) if n == 2 * ats[0] else real_atom_divisors(n, ats, q)
 
 
 def _divisor_is_the_triple(t, q):
@@ -186,6 +196,15 @@ def _squared_residue(n, a, p):
         (atomicity, "_descent", _descent_fails_at_two_atoms, PUISEUX, "prop-6.4", 862, [
             ("atomicity-descent[puiseux(3/2,5/2)]", "fail", "counterexample 4"),
         ]),
+        (atomicity, "_atom_divisors", _no_atom_divides_twice_the_least, None, "prop-6.4", 280, [
+            ("atomicity-descent[numerical(2,3)]", "fail", "counterexample 4"),
+            ("atomicity-descent[numerical(1)]", "fail", "counterexample 2"),
+            ("atomicity-descent[puiseux(1/26,5/66,1/7,4/15)]", "fail", "counterexample 1/13"),
+        ]),
+        (atomicity, "_atom_divisors", _no_atom_divides_twice_the_least, PUISEUX, "prop-6.4", 160,
+         [
+            ("atomicity-descent[puiseux(3/2,5/2)]", "fail", "counterexample 3"),
+        ]),
         (suites, "_p_furstenberg_divisor", _divisor_is_the_triple, None, "lemma-6.1", 682, [
             ("divisor-is-atom", "fail", "{0, 2, 4}"),
         ]),
@@ -218,6 +237,21 @@ def test_a_wrong_atomicity_or_residue_core_fails_with_a_decoded_witness(
     report = run_verify_suite(suite, spec)
     assert [(c.check_id, c.status, c.witness) for c in report.checks] == checks
     assert report.budget_used == used
+
+
+@pytest.mark.parametrize(
+    "spec, bound, counterexample",
+    [(MonoidSpec.numerical(2, 3), 50, 4), (EX44_2, F(1, 2), F(1, 13))],
+)
+def test_a_wrong_atom_scan_makes_the_furstenberg_sample_fail_at_a_decoded_member(
+    monkeypatch, spec, bound, counterexample
+):
+    # the least member with no atom divisor under the wrong scan is twice
+    # the least atom, reported as an element of the monoid, not a scaled int
+    monkeypatch.setattr(atomicity, "_atom_divisors", _no_atom_divides_twice_the_least)
+    clear_caches()
+    report = is_furstenberg_sample(spec, bound)
+    assert (report.ok, report.counterexample) == (False, counterexample)
 
 
 def _wide_sets_decompose(s, sp, bud):

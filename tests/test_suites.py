@@ -1,14 +1,16 @@
 """The suites that run on scaled sets: how each behaves when its budget runs
 out, on a spec of its own, which membership tests it makes in which order;
-and which specs each suite refuses, here and in the README."""
+which specs each suite refuses, here and in the README; and the default
+specs that each `_SUITES` row names, which no suite body picks itself."""
 
+import ast
 import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
-from finpow import backend
+from finpow import backend, suites
 from finpow.arith import InvalidInputError
 from finpow.backend import Budget, clear_caches, parse_monoid_spec
 from finpow.suites import _SUITES, SUITE_NAMES, run_verify_suite
@@ -275,3 +277,53 @@ def test_the_readme_bullet_of_a_suite_carries_its_refusal(suite):
     named = [b for b in readme_suite_bullets() if f"`{suite}`" in b]
     assert len(named) == 1, named
     assert _SUITES[suite][2] in named[0]
+
+
+# the suites whose `_SUITES` row names exactly one default spec
+ONE_DEFAULT = (
+    "lemma-4.2", "thm-4.5", "ex-4.4", "cap-additivity", "lemma-5.2", "thm-5.5-gap", "lemma-6.1",
+)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_default_spec_passes_its_suites_spec_test(suite):
+    _, takes, _, defaults = _SUITES[suite]
+    specs = defaults()
+    assert (len(specs) == 1) == (suite in ONE_DEFAULT)
+    assert all(takes(sp) for sp in specs)
+
+
+def rows(report) -> tuple:
+    return [(c.check_id, c.status, c.witness) for c in report.checks], report.budget_used
+
+
+@pytest.mark.parametrize("suite", ONE_DEFAULT)
+def test_a_suite_given_its_default_spec_runs_as_with_none(suite):
+    # only the report's spec line differs: a given spec is rendered there
+    clear_caches()
+    (spec,) = _SUITES[suite][3]()
+    given = run_verify_suite(suite, spec)
+    clear_caches()
+    assert rows(given) == rows(run_verify_suite(suite))
+
+
+def test_no_suite_body_picks_its_own_specs():
+    # a body runs on the specs `run_verify_suite` passes it, so none builds
+    # a `MonoidSpec` or tests its first parameter, the specs, against None
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    bodies = [
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")
+    ]
+    bad = []
+    for fn in bodies:
+        first = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "MonoidSpec":
+                bad.append(f"{fn.name}:{node.lineno} names MonoidSpec")
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(n, ast.Name) and n.id == first for n in sides) and any(
+                    isinstance(n, ast.Constant) and n.value is None for n in sides
+                ):
+                    bad.append(f"{fn.name}:{node.lineno} compares {first} with None")
+    assert len(bodies) == len({row[0] for row in _SUITES.values()}) and bad == []
